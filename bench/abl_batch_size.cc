@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         cell.cpu_ratio = counted > 0 ? ratio / counted : 0.0;
         if (want_obs) {
           cell.metrics = obs::MetricsToJson(job.metrics());
-          cell.chrome_trace = bench::JobChromeTrace(job);
+          cell.chrome_trace = JobChromeTraceToJson(job);
         }
         return cell;
       });

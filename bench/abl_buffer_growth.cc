@@ -36,7 +36,7 @@ CellResult RunOne(FtMode mode, int interval_seconds, bool want_obs) {
   cell.peak_buffered = job.PeakBufferedTuples();
   if (want_obs) {
     cell.metrics = obs::MetricsToJson(job.metrics());
-    cell.chrome_trace = bench::JobChromeTrace(job);
+    cell.chrome_trace = JobChromeTraceToJson(job);
   }
   return cell;
 }

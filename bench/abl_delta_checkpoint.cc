@@ -55,7 +55,7 @@ CellResult RunOne(int interval_seconds, bool delta, bool want_obs) {
   cell.cpu_ratio = counted > 0 ? ratio / counted : 0.0;
   if (want_obs) {
     cell.metrics = obs::MetricsToJson(job.metrics());
-    cell.chrome_trace = bench::JobChromeTrace(job);
+    cell.chrome_trace = JobChromeTraceToJson(job);
   }
   return cell;
 }

@@ -42,7 +42,7 @@ struct AccuracyResult {
   double accuracy = 0.0;
   /// Metrics snapshot of the failure run (obs::MetricsToJson).
   JsonValue metrics;
-  /// Chrome/Perfetto trace of the failure run (JobChromeTrace).
+  /// Chrome/Perfetto trace of the failure run (JobChromeTraceToJson).
   JsonValue chrome_trace;
 };
 
@@ -91,7 +91,7 @@ inline StatusOr<AccuracyResult> MeasureTentativeAccuracy(
   result.accuracy =
       experiment.accuracy(timely, clean->sink_records(), from, to);
   result.metrics = obs::MetricsToJson(job->metrics());
-  result.chrome_trace = JobChromeTrace(*job);
+  result.chrome_trace = JobChromeTraceToJson(*job);
   return result;
 }
 

@@ -12,6 +12,7 @@
 #include "common/status_or.h"
 #include "obs/chrome_trace.h"
 #include "obs/export.h"
+#include "report/experiment_report.h"
 #include "report/json.h"
 #include "runtime/streaming_job.h"
 #include "topology/task_set.h"
@@ -243,20 +244,6 @@ class FlightRecordSink {
   JsonValue record_;
 };
 
-/// Chrome/Perfetto trace of a live job, with task ids labeled through
-/// the job's topology (drop-in argument for ChromeTraceSink::Capture).
-inline JsonValue JobChromeTrace(const StreamingJob& job) {
-  const Topology* topo = &job.topology();
-  return obs::ChromeTraceToJson(job.trace(), &job.spans(),
-                                [topo](int64_t t) {
-                                  if (t < 0 || t >= topo->num_tasks()) {
-                                    return std::to_string(t);
-                                  }
-                                  return topo->TaskLabel(
-                                      static_cast<TaskId>(t));
-                                });
-}
-
 struct Fig6Options {
   FtMode mode = FtMode::kCheckpoint;
   /// Per-source-task rate (the paper's 1000 / 2000 tuples/s).
@@ -344,7 +331,7 @@ inline StatusOr<Fig6Result> RunFig6Once(const Fig6Options& options) {
   }
   result.checkpoint_cpu_ratio = counted > 0 ? ratio / counted : 0.0;
   result.metrics = obs::MetricsToJson(job.metrics());
-  result.chrome_trace = JobChromeTrace(job);
+  result.chrome_trace = JobChromeTraceToJson(job);
   const Topology* topo = &job.topology();
   result.fidelity = obs::FidelityTimeseriesToJson(
       job.fidelity_timeseries(), [topo](int64_t t) {

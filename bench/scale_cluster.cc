@@ -35,7 +35,6 @@
 #include "bench/driver.h"
 #include "common/wall_clock.h"
 #include "exp/run_spec.h"
-#include "obs/export.h"
 #include "report/experiment_report.h"
 #include "runtime/streaming_job.h"
 #include "topology/serialize.h"
@@ -74,7 +73,6 @@ struct Cell {
   int64_t sink_records = 0;
   int64_t recoveries = 0;
   double wall_seconds = 0.0;
-  JsonValue hot_spans;
 };
 
 Cell RunCell(int nodes, backend::BackendKind backend_kind,
@@ -134,9 +132,6 @@ Cell RunCell(int nodes, backend::BackendKind backend_kind,
   cell.sink_records = static_cast<int64_t>(job.sink_records().size());
   cell.recoveries = static_cast<int64_t>(job.recovery_reports().size());
   cell.wall_seconds = wall_end - wall_start;
-  // The hot-path table: where this cell's sim time actually went, ranked
-  // by self time (deterministic — sim-time spans, no wall clock).
-  cell.hot_spans = obs::HotSpansToJson(job.spans(), nullptr, 5);
   return cell;
 }
 
@@ -209,7 +204,6 @@ int main(int argc, char** argv) {
       entry.Set("events_per_sec", events_per_sec);
       entry.Set("sim_wall_ratio", sim_wall_ratio);
     }
-    entry.Set("hot_spans", std::move(cell.hot_spans));
     cells.Append(std::move(entry));
   }
 

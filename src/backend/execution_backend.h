@@ -128,10 +128,8 @@ class ExecutionBackend {
   /// cannot change a run.
   virtual void AttachMetrics(obs::MetricsRegistry* registry) = 0;
 
-  /// Registers a span profiler (nullptr detaches). The sim brackets each
-  /// drive in a root span; backends without a single execution thread may
-  /// ignore the profiler rather than record racy spans.
-  virtual void AttachSpans(obs::SpanProfiler* spans) = 0;
+  /// No-op, kept only so perfbench's TimedBackend override still compiles.
+  virtual void AttachSpans(obs::SpanProfiler* /*spans*/) {}
 
   /// Schedules on strand 0 — the single-job convenience spelling.
   uint64_t ScheduleAfter(Duration delay, std::function<void()> fn) {

@@ -58,9 +58,6 @@ class SimBackend final : public ExecutionBackend {
   void AttachMetrics(obs::MetricsRegistry* registry) override {
     loop_->AttachMetrics(registry);
   }
-  void AttachSpans(obs::SpanProfiler* spans) override {
-    loop_->AttachSpans(spans);
-  }
 
   /// The wrapped loop (tests drive it directly to prove the adapter adds
   /// nothing).

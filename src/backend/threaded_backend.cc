@@ -298,10 +298,5 @@ void ThreadedBackend::AttachMetrics(obs::MetricsRegistry* registry) {
                           : registry->counter("backend.events_processed");
 }
 
-void ThreadedBackend::AttachSpans(obs::SpanProfiler* spans) {
-  MutexLock lock(&mu_);
-  spans_ = spans;
-}
-
 }  // namespace backend
 }  // namespace ppa

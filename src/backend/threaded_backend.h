@@ -91,7 +91,6 @@ class ThreadedBackend final : public ExecutionBackend {
 
   void AttachMetrics(obs::MetricsRegistry* registry) override
       PPA_EXCLUDES(mu_);
-  void AttachSpans(obs::SpanProfiler* spans) override PPA_EXCLUDES(mu_);
 
   /// Worker shards (mailbox lanes) in use.
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -188,9 +187,6 @@ class ThreadedBackend final : public ExecutionBackend {
   /// "backend.events_processed" when metrics are attached (increments are
   /// serialized by mu_; obs counters are not atomic).
   obs::Counter* events_counter_ PPA_GUARDED_BY(mu_) = nullptr;
-  /// Stored but unused: spans would race across drain threads, so the
-  /// threaded backend does not bracket drives (see AttachSpans contract).
-  obs::SpanProfiler* spans_ PPA_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace backend

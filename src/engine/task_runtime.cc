@@ -51,11 +51,9 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
   PPA_CHECK(batch == next_batch_)
       << topology_->TaskLabel(id_) << " expected batch " << next_batch_
       << " got " << batch;
-  int64_t work = 0;
   std::vector<Tuple> produced;
   if (is_source()) {
     produced = source_->NextBatch(batch, topology_->task(id_).index_in_op);
-    work = static_cast<int64_t>(produced.size());
   } else {
     // Deterministic round-robin order: by producer, then sequence.
     std::sort(inputs.begin(), inputs.end(),
@@ -77,7 +75,6 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
       fresh.push_back(std::move(t));
     }
     processed_tuples_ += static_cast<int64_t>(fresh.size());
-    work = static_cast<int64_t>(fresh.size());
     obs::Add(tuples_counter_, static_cast<int64_t>(fresh.size()));
     const TaskInfo& info = topology_->task(id_);
     BatchContext ctx(batch, info.index_in_op,
@@ -99,13 +96,6 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
   }
   emitted_tuples_ += static_cast<int64_t>(produced.size());
   obs::Add(batches_counter_);
-  obs::RecordSpan(
-      spans_,
-      ctx.replay ? obs::SpanCategory::kReplay
-                 : obs::SpanCategory::kBatchProcess,
-      id_, ctx.now,
-      ctx.now + Duration::Micros(static_cast<int64_t>(
-                    static_cast<double>(work) * cost_per_tuple_us_)));
   ++next_batch_;
   if (emit_downstream) {
     output_buffer_.push_back(

@@ -13,26 +13,20 @@
 #include "engine/operator.h"
 #include "engine/tuple.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "topology/topology.h"
 
 namespace ppa {
 
-/// Scheduler-provided context for one RunBatch call: the sim-time of the
-/// run (span placement), the batch's source-ingest lineage gathered from
-/// the upstream outputs, and whether the run replays backlog after a
-/// recovery (span categorization). The default context keeps direct
-/// engine users (tests, shadow re-execution) working without lineage.
+/// Scheduler-provided context for one RunBatch call: the batch's
+/// source-ingest lineage gathered from the upstream outputs. The default
+/// context keeps direct engine users (tests, shadow re-execution) working
+/// without lineage.
 struct BatchRunContext {
-  /// Sim-time the scheduler executes the batch at.
-  TimePoint now = TimePoint::Zero();
   /// Earliest source-ingest time over the contributing upstream batches
   /// (the tick time itself for sources).
   TimePoint ingest_at = TimePoint::Zero();
   /// Task hops from the source (max over upstream batches, plus one).
   int32_t hops = 1;
-  /// True when re-processing buffered backlog after a recovery.
-  bool replay = false;
 };
 
 /// Runtime instance of one task (a primary copy or an active replica):
@@ -76,8 +70,7 @@ class TaskRuntime {
   /// advances) but not retained in the buffer — used for state-rebuilding
   /// replay of batches whose downstream consumption already happened
   /// tentatively.
-  /// `ctx` stamps the produced batch's latency lineage and places the
-  /// run's modeled-cost span (no-op unless AttachSpans() was called).
+  /// `ctx` stamps the produced batch's latency lineage.
   const BatchOutput& RunBatch(int64_t batch, std::vector<Tuple> inputs,
                               bool emit_downstream = true,
                               const BatchRunContext& ctx = {});
@@ -160,15 +153,6 @@ class TaskRuntime {
     batches_counter_ = batches_counter;
   }
 
-  /// Registers a span profiler (nullptr detaches): every RunBatch then
-  /// records a batch-process (or replay) span at ctx.now spanning the
-  /// modeled CPU cost of `cost_per_tuple_us` per fresh input tuple
-  /// (per produced tuple for sources).
-  void AttachSpans(obs::SpanProfiler* spans, double cost_per_tuple_us) {
-    spans_ = spans;
-    cost_per_tuple_us_ = cost_per_tuple_us;
-  }
-
  private:
   const Topology* topology_;
   TaskId id_;
@@ -189,8 +173,6 @@ class TaskRuntime {
   BatchOutput scratch_;
   obs::Counter* tuples_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
-  double cost_per_tuple_us_ = 0.0;
 };
 
 }  // namespace ppa

@@ -22,14 +22,10 @@ void CheckpointStore::AttachMetrics(obs::MetricsRegistry* registry) {
   store_bytes_gauge_ = registry->gauge("checkpoint.store_blob_bytes");
 }
 
-void CheckpointStore::Put(TaskCheckpoint checkpoint, Duration modeled_cost) {
+void CheckpointStore::Put(TaskCheckpoint checkpoint) {
   checkpoint.is_delta = false;
   obs::Observe(bytes_histogram_, static_cast<double>(checkpoint.blob.size()));
   obs::Add(full_counter_);
-  if (modeled_cost > Duration::Zero()) {
-    obs::RecordSpan(spans_, obs::SpanCategory::kCheckpoint, checkpoint.task,
-                    checkpoint.taken_at, checkpoint.taken_at + modeled_cost);
-  }
   auto& chain = chains_[checkpoint.task];
   if (!chain.empty()) {
     // How long the replaced chain got before this rebase.
@@ -45,8 +41,7 @@ void CheckpointStore::Put(TaskCheckpoint checkpoint, Duration modeled_cost) {
   chain.push_back(std::move(checkpoint));
 }
 
-Status CheckpointStore::PutDelta(TaskCheckpoint checkpoint,
-                                 Duration modeled_cost) {
+Status CheckpointStore::PutDelta(TaskCheckpoint checkpoint) {
   auto it = chains_.find(checkpoint.task);
   if (it == chains_.end() || it->second.empty()) {
     return FailedPrecondition("delta checkpoint without a base");
@@ -57,10 +52,6 @@ Status CheckpointStore::PutDelta(TaskCheckpoint checkpoint,
   checkpoint.is_delta = true;
   obs::Observe(bytes_histogram_, static_cast<double>(checkpoint.blob.size()));
   obs::Add(delta_counter_);
-  if (modeled_cost > Duration::Zero()) {
-    obs::RecordSpan(spans_, obs::SpanCategory::kCheckpoint, checkpoint.task,
-                    checkpoint.taken_at, checkpoint.taken_at + modeled_cost);
-  }
   total_bytes_ += static_cast<int64_t>(checkpoint.blob.size());
   obs::Set(store_bytes_gauge_, static_cast<double>(total_bytes_));
   it->second.push_back(std::move(checkpoint));

@@ -8,7 +8,6 @@
 #include "common/sim_time.h"
 #include "common/status_or.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "topology/types.h"
 
 namespace ppa {
@@ -38,16 +37,11 @@ struct TaskCheckpoint {
 class CheckpointStore {
  public:
   /// Stores a full checkpoint, replacing the task's whole chain.
-  /// `modeled_cost` is the capture's modeled CPU time; with a span
-  /// profiler attached it records a checkpoint span starting at the
-  /// checkpoint's taken_at.
-  void Put(TaskCheckpoint checkpoint,
-           Duration modeled_cost = Duration::Zero());
+  void Put(TaskCheckpoint checkpoint);
 
   /// Appends a delta to the task's chain; fails if no base exists or the
-  /// delta regresses the covered batch. `modeled_cost` as for Put().
-  Status PutDelta(TaskCheckpoint checkpoint,
-                  Duration modeled_cost = Duration::Zero());
+  /// delta regresses the covered batch.
+  Status PutDelta(TaskCheckpoint checkpoint);
 
   /// Latest chain element of `task` (base or delta), or nullptr.
   [[nodiscard]] const TaskCheckpoint* Latest(TaskId task) const;
@@ -108,11 +102,6 @@ class CheckpointStore {
   /// inflate it) to `registry` (nullptr detaches).
   void AttachMetrics(obs::MetricsRegistry* registry);
 
-  /// Registers a span profiler (nullptr detaches): every Put/PutDelta
-  /// with a non-zero modeled cost then records a per-task checkpoint
-  /// span covering the capture.
-  void AttachSpans(obs::SpanProfiler* spans) { spans_ = spans; }
-
  private:
   std::map<TaskId, std::vector<TaskCheckpoint>> chains_;
   /// Thinned coverage per task (NoteSkipped); kept outside the chains so
@@ -126,7 +115,6 @@ class CheckpointStore {
   obs::Counter* delta_counter_ = nullptr;
   obs::Counter* skipped_counter_ = nullptr;
   obs::Gauge* store_bytes_gauge_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace ppa

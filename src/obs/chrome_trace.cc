@@ -31,8 +31,8 @@ JsonValue MetadataEvent(std::string_view name, int pid, int64_t tid,
   return ev;
 }
 
-void AppendMetadata(const TraceLog& trace, const SpanProfiler* spans,
-                    const TaskLabeler& labeler, JsonValue* events) {
+void AppendMetadata(const TraceLog& trace, const TaskLabeler& labeler,
+                    JsonValue* events) {
   events->Append(MetadataEvent("process_name", kJobPid, 0, "job"));
   events->Append(MetadataEvent("process_name", kClusterPid, 0, "cluster"));
   events->Append(MetadataEvent("process_name", kTasksPid, 0, "tasks"));
@@ -47,13 +47,6 @@ void AppendMetadata(const TraceLog& trace, const SpanProfiler* spans,
       tasks.insert(e.task);
     }
   }
-  if (spans != nullptr) {
-    for (const Span& span : spans->spans()) {
-      if (span.task >= 0) {
-        tasks.insert(span.task);
-      }
-    }
-  }
   for (const int node : nodes) {
     events->Append(MetadataEvent("thread_name", kClusterPid, node,
                                  "node " + std::to_string(node)));
@@ -64,25 +57,44 @@ void AppendMetadata(const TraceLog& trace, const SpanProfiler* spans,
   }
 }
 
-void AppendSpans(const SpanProfiler& spans, const TaskLabeler& labeler,
-                 JsonValue* events) {
-  for (const Span& span : spans.spans()) {
-    JsonValue ev = JsonValue::Object();
-    ev.Set("name", std::string(SpanCategoryToString(span.category)));
-    ev.Set("cat", "span");
-    ev.Set("ph", "X");
-    ev.Set("ts", span.begin.micros());
-    ev.Set("dur", span.Total().micros());
-    if (span.task >= 0) {
-      ev.Set("pid", kTasksPid);
-      ev.Set("tid", span.task);
-    } else {
-      ev.Set("pid", kJobPid);
-      ev.Set("tid", 0);
+JsonValue TaskDurationEvent(std::string_view name, int64_t task,
+                            TimePoint begin, Duration dur) {
+  JsonValue ev = JsonValue::Object();
+  ev.Set("name", std::string(name));
+  ev.Set("cat", std::string(name));
+  ev.Set("ph", "X");
+  ev.Set("ts", begin.micros());
+  ev.Set("dur", dur.micros());
+  ev.Set("pid", kTasksPid);
+  ev.Set("tid", task);
+  return ev;
+}
+
+void AppendCheckpoints(const TraceLog& trace, JsonValue* events) {
+  for (const TraceEvent& e : trace.events()) {
+    // The end event sits at begin + modeled cost and carries the cost
+    // (b, in microseconds), so it alone spans the capture.
+    if (e.kind != TraceEventKind::kCheckpointEnd || e.b <= 0) {
+      continue;
     }
+    const Duration cost = Duration::Micros(e.b);
+    JsonValue ev = TaskDurationEvent("checkpoint", e.task, e.at - cost, cost);
     JsonValue args = JsonValue::Object();
-    args.Set("self_us", span.Self().micros());
-    args.Set("depth", span.depth);
+    args.Set("bytes", e.a);
+    ev.Set("args", std::move(args));
+    events->Append(std::move(ev));
+  }
+}
+
+void AppendRecoveries(const TraceLog& trace, JsonValue* events) {
+  for (const RecoveryTimeline& tl : BuildRecoveryTimelines(trace)) {
+    if (!tl.detected || !tl.restored) {
+      continue;
+    }
+    JsonValue ev = TaskDurationEvent("recovery", tl.task, tl.detected_at,
+                                     tl.RecoveryLatency());
+    JsonValue args = JsonValue::Object();
+    args.Set("recovery_kind", tl.recovery_kind);
     ev.Set("args", std::move(args));
     events->Append(std::move(ev));
   }
@@ -145,15 +157,14 @@ void AppendInstants(const TraceLog& trace, const TaskLabeler& labeler,
 
 }  // namespace
 
-JsonValue ChromeTraceToJson(const TraceLog& trace, const SpanProfiler* spans,
+JsonValue ChromeTraceToJson(const TraceLog& trace,
                             const TaskLabeler& labeler) {
   JsonValue out = JsonValue::Object();
   out.Set("displayTimeUnit", "ms");
   JsonValue events = JsonValue::Array();
-  AppendMetadata(trace, spans, labeler, &events);
-  if (spans != nullptr) {
-    AppendSpans(*spans, labeler, &events);
-  }
+  AppendMetadata(trace, labeler, &events);
+  AppendCheckpoints(trace, &events);
+  AppendRecoveries(trace, &events);
   AppendTentativeWindows(trace, &events);
   AppendInstants(trace, labeler, &events);
   out.Set("traceEvents", std::move(events));

@@ -2,24 +2,24 @@
 #define PPA_OBS_CHROME_TRACE_H_
 
 #include "obs/export.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "report/json.h"
 
 namespace ppa {
 namespace obs {
 
-/// Converts a run's TraceLog (+ optional span profile) into Chrome
-/// Trace Event Format JSON, loadable by chrome://tracing and the
-/// Perfetto UI. Track mapping: pid 0 is the job (control events,
-/// tentative windows, loop/planner spans), pid 1 the cluster with one
-/// thread per node, pid 2 the tasks with one thread per task. Trace
-/// events become instant events, spans and closed tentative windows
-/// become duration events; timestamps are sim-time microseconds. The
-/// output is deterministic: metadata first (ids sorted), then spans in
-/// open order, then windows, then instants in recorded order.
+/// Converts a run's TraceLog into Chrome Trace Event Format JSON,
+/// loadable by chrome://tracing and the Perfetto UI. Track mapping: pid 0
+/// is the job (control events, tentative windows), pid 1 the cluster
+/// with one thread per node, pid 2 the tasks with one thread per task.
+/// Trace events become instant events; duration events are views of the
+/// trace: each checkpoint (kCheckpointEnd: modeled capture cost ending at
+/// its timestamp), each restored recovery episode (BuildRecoveryTimelines:
+/// detected -> restored) and each closed tentative window. Timestamps are
+/// sim-time microseconds. The output is deterministic: metadata first
+/// (ids sorted), then checkpoints and recoveries on the task tracks, then
+/// windows, then instants, each in recorded order.
 JsonValue ChromeTraceToJson(const TraceLog& trace,
-                            const SpanProfiler* spans = nullptr,
                             const TaskLabeler& labeler = nullptr);
 
 /// A valid Trace Event Format document with no events — what binaries

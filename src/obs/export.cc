@@ -1,7 +1,5 @@
 #include "obs/export.h"
 
-#include <algorithm>
-#include <map>
 #include <utility>
 
 namespace ppa {
@@ -126,81 +124,6 @@ JsonValue TraceStatsToJson(const TraceLog& trace) {
   return out;
 }
 
-JsonValue SpansToJson(const SpanProfiler& spans, const TaskLabeler& labeler) {
-  JsonValue out = JsonValue::Array();
-  for (const Span& span : spans.spans()) {
-    JsonValue s = JsonValue::Object();
-    s.Set("category", std::string(SpanCategoryToString(span.category)));
-    if (span.task >= 0) {
-      s.Set("task", LabelFor(labeler, span.task));
-    }
-    s.Set("begin_s", span.begin.seconds());
-    s.Set("end_s", span.end.seconds());
-    s.Set("total_s", span.Total().seconds());
-    s.Set("self_s", span.Self().seconds());
-    s.Set("depth", span.depth);
-    out.Append(std::move(s));
-  }
-  return out;
-}
-
-JsonValue SpanAggregateToJson(const SpanProfiler& spans) {
-  const std::vector<SpanStats> stats = spans.AggregateByCategory();
-  JsonValue out = JsonValue::Object();
-  for (size_t i = 0; i < stats.size(); ++i) {
-    JsonValue s = JsonValue::Object();
-    s.Set("count", stats[i].count);
-    s.Set("total_s", stats[i].total.seconds());
-    s.Set("self_s", stats[i].self.seconds());
-    out.Set(std::string(SpanCategoryToString(static_cast<SpanCategory>(i))),
-            std::move(s));
-  }
-  return out;
-}
-
-JsonValue HotSpansToJson(const SpanProfiler& spans, const TaskLabeler& labeler,
-                         size_t top_n) {
-  struct HotStats {
-    int64_t count = 0;
-    Duration total = Duration::Zero();
-    Duration self = Duration::Zero();
-  };
-  // std::map keeps (category, task) keys ordered, so equal-self-time
-  // rows already sit in the deterministic tie-break order before the
-  // stable sort by self time.
-  std::map<std::pair<uint8_t, int64_t>, HotStats> by_site;
-  for (const Span& span : spans.spans()) {
-    HotStats& stats =
-        by_site[{static_cast<uint8_t>(span.category), span.task}];
-    ++stats.count;
-    stats.total += span.Total();
-    stats.self += span.Self();
-  }
-  std::vector<std::pair<std::pair<uint8_t, int64_t>, HotStats>> rows(
-      by_site.begin(), by_site.end());
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const auto& lhs, const auto& rhs) {
-                     return lhs.second.self > rhs.second.self;
-                   });
-  if (rows.size() > top_n) {
-    rows.resize(top_n);
-  }
-  JsonValue out = JsonValue::Array();
-  for (const auto& [site, stats] : rows) {
-    JsonValue row = JsonValue::Object();
-    row.Set("category", std::string(SpanCategoryToString(
-                            static_cast<SpanCategory>(site.first))));
-    if (site.second >= 0) {
-      row.Set("task", LabelFor(labeler, site.second));
-    }
-    row.Set("count", stats.count);
-    row.Set("total_s", stats.total.seconds());
-    row.Set("self_s", stats.self.seconds());
-    out.Append(std::move(row));
-  }
-  return out;
-}
-
 JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
                                    const TaskLabeler& labeler) {
   JsonValue out = JsonValue::Array();
@@ -220,7 +143,6 @@ JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
 
 JsonValue RunProfileToJson(const MetricsRegistry& registry,
                            const TraceLog& trace, const TaskLabeler& labeler,
-                           const SpanProfiler* spans,
                            const FidelityTimeseries* fidelity) {
   JsonValue out = JsonValue::Object();
   out.Set("metrics", MetricsToJson(registry));
@@ -228,17 +150,22 @@ JsonValue RunProfileToJson(const MetricsRegistry& registry,
           TimelinesToJson(BuildRecoveryTimelines(trace), labeler));
   out.Set("tentative_windows",
           TentativeWindowsToJson(ExtractTentativeWindows(trace)));
-  if (spans != nullptr) {
-    out.Set("span_aggregate", SpanAggregateToJson(*spans));
-    out.Set("hot_spans", HotSpansToJson(*spans, labeler));
-    out.Set("spans", SpansToJson(*spans, labeler));
-  }
   if (fidelity != nullptr) {
     out.Set("fidelity_timeseries",
             FidelityTimeseriesToJson(*fidelity, labeler));
   }
   out.Set("trace_stats", TraceStatsToJson(trace));
   out.Set("trace", TraceToJson(trace, labeler));
+  return out;
+}
+
+JsonValue FlightRecordToJson(const TraceLog& ring,
+                             const TaskLabeler& labeler) {
+  JsonValue out = JsonValue::Object();
+  out.Set("capacity", static_cast<int64_t>(ring.capacity()));
+  out.Set("dropped", static_cast<int64_t>(ring.dropped()));
+  out.Set("recorded", static_cast<int64_t>(ring.size() + ring.dropped()));
+  out.Set("events", TraceToJson(ring, labeler));
   return out;
 }
 

@@ -6,7 +6,6 @@
 
 #include "obs/fidelity_timeseries.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "report/json.h"
@@ -45,24 +44,6 @@ JsonValue TentativeWindowsToJson(const std::vector<TentativeWindow>& windows);
 /// a truncated history.
 JsonValue TraceStatsToJson(const TraceLog& trace);
 
-/// Array of {"category":..,"task":..,"begin_s":..,"end_s":..,
-/// "total_s":..,"self_s":..,"depth":..} in span-open order.
-JsonValue SpansToJson(const SpanProfiler& spans,
-                      const TaskLabeler& labeler = nullptr);
-
-/// {"<category>":{"count":..,"total_s":..,"self_s":..},...} for every
-/// span category (zeros included, in enum order).
-JsonValue SpanAggregateToJson(const SpanProfiler& spans);
-
-/// The hot-path table: spans aggregated per (category, task) and ranked
-/// by self time descending (ties broken by category then task, so the
-/// ranking is deterministic). At most `top_n` rows, each
-/// {"category":..,"task":..,"count":..,"total_s":..,"self_s":..}; the
-/// "task" key is omitted for taskless spans (e.g. the run root).
-JsonValue HotSpansToJson(const SpanProfiler& spans,
-                         const TaskLabeler& labeler = nullptr,
-                         size_t top_n = 10);
-
 /// Array of {"t_s":..,"batch":..,"sink":..,"tentative":..,
 /// "output_fidelity":..,"internal_completeness":..,"failed_tasks":..}
 /// — the OF(t)/IC(t) curve sampled per degraded sink delivery.
@@ -71,13 +52,21 @@ JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
 
 /// The machine-readable profile of one run: metrics snapshot, recovery
 /// timelines and tentative windows derived from the trace, the trace
-/// itself, and — when provided — the span profile (with per-category
-/// aggregate) and the fidelity timeseries.
+/// itself, and — when provided — the fidelity timeseries.
 JsonValue RunProfileToJson(const MetricsRegistry& registry,
                            const TraceLog& trace,
                            const TaskLabeler& labeler = nullptr,
-                           const SpanProfiler* spans = nullptr,
                            const FidelityTimeseries* fidelity = nullptr);
+
+/// Serializes a flight record — a bounded TraceLog holding the last N
+/// events of a run:
+/// {"capacity":..,"dropped":..,"recorded":..,"events":[...]} where
+/// `recorded` counts every event ever fed to the ring (retained +
+/// dropped) and `events` is the retained tail in TraceToJson shape.
+/// Contains only sim-time data, so identical runs serialize
+/// byte-identically.
+JsonValue FlightRecordToJson(const TraceLog& ring,
+                             const TaskLabeler& labeler = nullptr);
 
 }  // namespace obs
 }  // namespace ppa

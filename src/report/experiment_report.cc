@@ -152,13 +152,12 @@ obs::TaskLabeler MakeTaskLabeler(const Topology* topology) {
 
 JsonValue JobProfileToJson(const StreamingJob& job) {
   return obs::RunProfileToJson(job.metrics(), job.trace(),
-                               MakeTaskLabeler(&job.topology()), &job.spans(),
+                               MakeTaskLabeler(&job.topology()),
                                &job.fidelity_timeseries());
 }
 
 JsonValue JobChromeTraceToJson(const StreamingJob& job) {
-  return obs::ChromeTraceToJson(job.trace(), &job.spans(),
-                                MakeTaskLabeler(&job.topology()));
+  return obs::ChromeTraceToJson(job.trace(), MakeTaskLabeler(&job.topology()));
 }
 
 JsonValue JobFlightRecordToJson(const StreamingJob& job) {

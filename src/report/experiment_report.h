@@ -31,17 +31,17 @@ JsonValue JobSummaryToJson(const StreamingJob& job);
 
 /// Observability profile of the run (obs::RunProfileToJson with task ids
 /// labeled through the job's topology): metrics snapshot, per-task
-/// recovery timelines, tentative-output windows, the span profile, the
-/// OF/IC fidelity timeseries, and the raw trace.
+/// recovery timelines, tentative-output windows, the OF/IC fidelity
+/// timeseries, and the raw trace.
 JsonValue JobProfileToJson(const StreamingJob& job);
 
-/// Chrome/Perfetto Trace Event Format rendering of the job's trace and
-/// span profile (obs::ChromeTraceToJson with topology task labels). Load
+/// Chrome/Perfetto Trace Event Format rendering of the job's trace
+/// (obs::ChromeTraceToJson with topology task labels). Load
 /// the written file in chrome://tracing or https://ui.perfetto.dev.
 JsonValue JobChromeTraceToJson(const StreamingJob& job);
 
 /// The job's flight record (obs::FlightRecordToJson with topology task
-/// labels): the last config().flight_recorder_capacity trace events,
+/// labels): the last StreamingJob::kFlightRecorderCapacity trace events,
 /// available even when observability is off. The post-mortem attachment
 /// of chaos repros and --flight_record_out dumps.
 JsonValue JobFlightRecordToJson(const StreamingJob& job);

@@ -96,12 +96,6 @@ struct JobConfig {
   /// (tests/obs_test.cc pins this).
   bool observability = true;
 
-  /// Size of the always-on flight-recorder ring (the bounded post-mortem
-  /// tail of trace events that keeps recording even with `observability`
-  /// off — see obs::FlightRecorder). 0 disables it. Like the trace, the
-  /// recorder is write-only and never affects simulation output.
-  int flight_recorder_capacity = 256;
-
   /// Checks the configuration for values the simulation cannot run with:
   /// non-positive batch/detection/checkpoint/replica-sync intervals,
   /// negative CPU costs, `max_delta_chain` < 1, non-positive

@@ -34,13 +34,6 @@ struct JobRuntimeDeps {
   /// pool on a single strand so their interleaving matches the sim.
   uint64_t strand = kAutoStrand;
 
-  /// Whether Start() attaches the job's metrics registry and span
-  /// profiler to the backend (the sim then publishes loop counters and
-  /// brackets drives in sim-run root spans). On by default; a job
-  /// sharing its backend with others may opt out to keep another job's
-  /// registry attached.
-  bool attach_backend_observability = true;
-
   JobRuntimeDeps() = default;
   /// Private cluster on a fresh strand — the common single-job spelling.
   explicit JobRuntimeDeps(backend::ExecutionBackend* b) : backend(b) {}

@@ -57,16 +57,12 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
       backend_(deps.backend),
       strand_(deps.strand == kAutoStrand ? deps.backend->NewStrand()
                                          : deps.strand),
-      attach_backend_observability_(deps.attach_backend_observability),
       router_(&topology_),
       cluster_(deps.pool != nullptr
                    ? std::move(deps.pool)
                    : std::make_shared<NodePool>(config.num_worker_nodes,
                                                 config.num_standby_nodes)),
-      active_set_(topology_.num_tasks()),
-      flight_(config.flight_recorder_capacity > 0
-                  ? static_cast<size_t>(config.flight_recorder_capacity)
-                  : 0) {
+      active_set_(topology_.num_tasks()) {
   // A shared pool defines the real cluster shape; keep the config's view
   // of it consistent (Start() checks num_standby_nodes, for example).
   config_.num_worker_nodes = cluster_.num_workers();
@@ -90,10 +86,8 @@ void StreamingJob::InitObservability() {
   // The flight recorder mirrors the trace *before* the observability
   // gate: the bounded post-mortem ring keeps recording even when the
   // full trace is off.
-  if (flight_.enabled()) {
-    trace_.set_mirror(&flight_.ring());
-  }
-  spans_.set_enabled(config_.observability);
+  flight_.set_capacity(kFlightRecorderCapacity);
+  trace_.set_mirror(&flight_);
   fidelity_.set_enabled(config_.observability);
   m_sink_task_latency_stable_.assign(
       static_cast<size_t>(topology_.num_tasks()), nullptr);
@@ -150,7 +144,6 @@ void StreamingJob::InitObservability() {
   }
   cluster_.AttachMetrics(&metrics_);
   checkpoints_.AttachMetrics(&metrics_);
-  checkpoints_.AttachSpans(&spans_);
   // Static routing-fanout profile: consumer-set size of every
   // (producer task, downstream operator) edge. Fixed by the topology, so
   // record it once here rather than per routed batch.
@@ -236,10 +229,6 @@ Status StreamingJob::Start() {
   for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
     primaries_.push_back(MakeRuntime(t));
     primaries_.back()->AttachMetrics(m_tuples_primary_, m_batches_primary_);
-    if (config_.observability) {
-      primaries_.back()->AttachSpans(&spans_,
-                                     config_.process_cost_per_tuple_us);
-    }
   }
   for (TaskId t : active_set_.ToVector()) {
     replicas_[t] = MakeRuntime(t);
@@ -270,9 +259,8 @@ Status StreamingJob::Start() {
   }
 
   started_ = true;
-  if (config_.observability && attach_backend_observability_) {
+  if (config_.observability) {
     backend_->AttachMetrics(&metrics_);
-    backend_->AttachSpans(&spans_);
   }
 
   divergence_.Reset(topology_.num_tasks(), backend_->now());
@@ -479,9 +467,7 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
 void StreamingJob::OnAdaptation() {
   auto observed = ObservedTopology();
   if (observed.ok()) {
-    spans_.Begin(backend_->now(), obs::SpanCategory::kPlannerRun);
     auto plan = adaptation_planner_(*observed);
-    spans_.End(backend_->now());
     if (plan.ok()) {
       Status applied = ApplyActiveReplicaSet(*plan);
       if (!applied.ok()) {
@@ -621,11 +607,9 @@ bool StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
     }
     bool punctured = false;
     BatchRunContext ctx;
-    ctx.now = backend_->now();
     // Sources (and punctuation-fed batches, which gather no upstream
     // lineage) stamp the batch's nominal tick time.
     ctx.ingest_at = BatchTickTime(b);
-    ctx.replay = !is_replica && catching_up_.count(t) > 0;
     std::vector<Tuple> inputs;
     if (!rt->is_source()) {
       inputs = GatherInputs(t, b, &punctured, &ctx);
@@ -839,9 +823,9 @@ void StreamingJob::OnCheckpoint(TaskId t) {
             config_.checkpoint_cost_per_state_tuple_us;
     const Duration cp_cost = Duration::Micros(static_cast<int64_t>(cp_us));
     if (take_delta) {
-      PPA_CHECK_OK(checkpoints_.PutDelta(std::move(cp), cp_cost));
+      PPA_CHECK_OK(checkpoints_.PutDelta(std::move(cp)));
     } else {
-      checkpoints_.Put(std::move(cp), cp_cost);
+      checkpoints_.Put(std::move(cp));
     }
     checkpoint_rebase_.erase(t);
     ++checkpoint_count_[static_cast<size_t>(t)];
@@ -1043,10 +1027,6 @@ void StreamingJob::OnDetection() {
       trace_.Record(backend_->now(), obs::TraceEventKind::kRecoveryStart,
                     spec.task, -1, static_cast<int64_t>(spec.kind),
                     offset.micros());
-      // Recovery completion is already scheduled below, so the span's
-      // modeled extent is known at detection time.
-      spans_.Record(obs::SpanCategory::kRecovery, spec.task, backend_->now(),
-                    backend_->now() + offset);
       if (spec.kind == RecoveryKind::kActiveReplica) {
         obs::Add(m_recoveries_active_);
         obs::Observe(m_recovery_active_latency_s_, offset.seconds());
@@ -1076,15 +1056,16 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
     case RecoveryKind::kActiveReplica: {
       auto it = replicas_.find(t);
       PPA_CHECK(it != replicas_.end());
-      std::unique_ptr<TaskRuntime> rep = std::move(it->second);
+      // The replica is the primary now — installed before any takeover
+      // delivery below, so the fidelity sample that delivery records (and
+      // the tentative window it may close) no longer counts `t` as
+      // failed. Its tuples count toward the primary engine counters from
+      // here on.
+      primaries_[static_cast<size_t>(t)] = std::move(it->second);
       replicas_.erase(it);
+      TaskRuntime* rep = primaries_[static_cast<size_t>(t)].get();
       rep->MarkAlive();
-      // The replica is the primary now; its tuples count toward the
-      // primary engine counters and span profile from here on.
       rep->AttachMetrics(m_tuples_primary_, m_batches_primary_);
-      if (config_.observability) {
-        rep->AttachSpans(&spans_, config_.process_cost_per_tuple_us);
-      }
       if (topology_.IsSinkTask(t)) {
         // The dead primary's records stop where delivery stopped; deliver
         // the replica's buffered outputs from there on (the takeover
@@ -1105,7 +1086,6 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
         }
         rep->TrimOutputBuffer(frontier_);
       }
-      primaries_[static_cast<size_t>(t)] = std::move(rep);
       // The placement follows the takeover: the standby node now hosts
       // the primary and its replica slot is free again.
       PPA_CHECK_OK(cluster_.PromoteReplicaToPrimary(t));
@@ -1419,7 +1399,6 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
         TaskRuntime* rt = shadow[static_cast<size_t>(t)].get();
         std::vector<Tuple> inputs;
         BatchRunContext ctx;
-        ctx.now = backend_->now();
         ctx.ingest_at = BatchTickTime(b);
         const OperatorId to_op = topology_.task(t).op;
         for (int si : topology_.task(t).in_substreams) {
@@ -1484,12 +1463,6 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
   sink_records_.insert(sink_records_.end(), report.corrected.begin(),
                        report.corrected.end());
   obs::Add(m_sink_corrections_, static_cast<int64_t>(report.corrected.size()));
-  // Modeled reconciliation span: the shadow re-execution's CPU time.
-  spans_.Record(obs::SpanCategory::kReconcile, -1, backend_->now(),
-                backend_->now() +
-                    Duration::Micros(static_cast<int64_t>(
-                        static_cast<double>(report.reprocessed_tuples) *
-                        config_.process_cost_per_tuple_us)));
   trace_.Record(backend_->now(), obs::TraceEventKind::kReconcileDone, -1, -1,
                 report.missed_outputs, report.spurious_outputs);
   degraded_batches_.clear();

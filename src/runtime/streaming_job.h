@@ -17,9 +17,7 @@
 #include "ft/checkpoint.h"
 #include "ft/recovery_model.h"
 #include "obs/fidelity_timeseries.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "backend/execution_backend.h"
 #include "runtime/cluster.h"
@@ -112,6 +110,10 @@ struct RecoveryReport {
 /// from the driver thread between drives.
 class StreamingJob {
  public:
+  /// Events the flight recorder keeps: enough to cover several detection
+  /// intervals of a busy job without ever mattering for memory.
+  static constexpr size_t kFlightRecorderCapacity = 256;
+
   /// `deps.backend` must be non-null and outlive the job; a null
   /// `deps.pool` gives the job a private cluster sized from `config` (see
   /// JobRuntimeDeps).
@@ -272,20 +274,16 @@ class StreamingJob {
   /// The job's sim-time trace (failures, checkpoints, recovery phases,
   /// tentative/stable sink emissions).
   const obs::TraceLog& trace() const { return trace_; }
-  /// The job's span profile (batch-process/replay/checkpoint/recovery/
-  /// planner-run/reconcile spans nested under the loop's sim-run roots;
-  /// empty when config().observability is false).
-  const obs::SpanProfiler& spans() const { return spans_; }
   /// OF(t)/IC(t) samples taken per sink delivery during tentative
   /// windows (empty when observability is off or no window opened).
   const obs::FidelityTimeseries& fidelity_timeseries() const {
     return fidelity_;
   }
   /// The always-on bounded post-mortem ring: the last
-  /// config().flight_recorder_capacity trace events, recorded even when
+  /// kFlightRecorderCapacity trace events, recorded even when
   /// config().observability is false (chaos repros and crash dumps read
-  /// this). Empty when the capacity is 0.
-  const obs::FlightRecorder& flight_recorder() const { return flight_; }
+  /// this).
+  const obs::TraceLog& flight_recorder() const { return flight_; }
 
   /// Cumulative normal-processing CPU microseconds of a task.
   double ProcessingCostUs(TaskId t) const {
@@ -384,8 +382,6 @@ class StreamingJob {
   backend::ExecutionBackend* backend_;
   /// The one strand all of this job's events run on (see class comment).
   uint64_t strand_;
-  /// Whether Start() attaches metrics_/spans_ to the backend.
-  bool attach_backend_observability_;
   Router router_;
   Cluster cluster_;
   CheckpointStore checkpoints_;
@@ -450,11 +446,10 @@ class StreamingJob {
   /// obs::Add/Set/Observe helpers make every call site null-safe.
   obs::MetricsRegistry metrics_;
   obs::TraceLog trace_;
-  /// Always-on bounded tail of trace_ (fed as its mirror), sized by
-  /// config_.flight_recorder_capacity. Unlike everything else here it is
-  /// NOT gated by config_.observability.
-  obs::FlightRecorder flight_;
-  obs::SpanProfiler spans_;
+  /// Always-on bounded tail of trace_ (fed as its mirror) holding the
+  /// last kFlightRecorderCapacity events. Unlike everything else here it
+  /// is NOT gated by config_.observability.
+  obs::TraceLog flight_;
   obs::FidelityTimeseries fidelity_;
   /// A tentative-output window is open (kTentativeWindowBegin emitted,
   /// end not yet seen).

@@ -78,20 +78,16 @@ bool EventLoop::RunOne(TimePoint deadline) {
 }
 
 void EventLoop::RunUntilIdle() {
-  obs::BeginSpan(spans_, now_, obs::SpanCategory::kSimRun);
   while (RunOne(TimePoint::Max())) {
   }
-  obs::EndSpan(spans_, now_);
 }
 
 void EventLoop::RunUntil(TimePoint deadline) {
-  obs::BeginSpan(spans_, now_, obs::SpanCategory::kSimRun);
   while (RunOne(deadline)) {
   }
   if (now_ < deadline) {
     now_ = deadline;
   }
-  obs::EndSpan(spans_, now_);
 }
 
 }  // namespace ppa

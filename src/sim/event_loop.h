@@ -9,7 +9,6 @@
 
 #include "common/sim_time.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace ppa {
 
@@ -60,12 +59,6 @@ class EventLoop {
   /// attaching metrics cannot change a simulation.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
-  /// Registers a span profiler (nullptr detaches): each RunUntil /
-  /// RunUntilIdle drive then brackets its execution in a sim-run root
-  /// span, so spans recorded by event handlers nest under it. Like
-  /// AttachMetrics, recording never feeds back into scheduling.
-  void AttachSpans(obs::SpanProfiler* spans) { spans_ = spans; }
-
  private:
   struct Event {
     TimePoint at;
@@ -96,7 +89,6 @@ class EventLoop {
   obs::Counter* cancelled_counter_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;
   obs::Histogram* queue_occupancy_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace ppa

@@ -1,6 +1,6 @@
-// Tests for the Chrome/Perfetto trace exporter (src/obs/chrome_trace.*)
-// and the span profiler it renders: an exact golden-JSON test of the
-// Trace Event Format mapping, span nesting self/total accounting, and an
+// Tests for the Chrome/Perfetto trace exporter (src/obs/chrome_trace.*):
+// an exact golden-JSON test of the Trace Event Format mapping (including
+// the checkpoint and recovery durations derived from the trace), and an
 // end-to-end correlated-failure run checked against the observability
 // acceptance criteria (tentative window in the trace, per-sink stable vs
 // tentative latency histograms, and a fidelity timeseries with at least
@@ -16,7 +16,7 @@
 #include "engine/operators.h"
 #include "obs/chrome_trace.h"
 #include "obs/export.h"
-#include "obs/span.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "report/experiment_report.h"
 #include "runtime/streaming_job.h"
@@ -25,7 +25,6 @@
 namespace ppa {
 namespace {
 
-using obs::SpanCategory;
 using obs::TraceEventKind;
 
 TEST(ChromeTraceTest, EmptyTraceIsValidAndStable) {
@@ -34,28 +33,34 @@ TEST(ChromeTraceTest, EmptyTraceIsValidAndStable) {
 }
 
 // Pins the exact Trace Event Format serialization: metadata first, then
-// spans (ph "X"), then closed tentative windows, then instants (ph "i"),
-// all with microsecond timestamps and the pid/tid track layout
-// (0 = job, 1 = cluster, 2 = tasks).
+// the trace-derived durations (ph "X": checkpoints, recoveries, closed
+// tentative windows), then instants (ph "i"), all with microsecond
+// timestamps and the pid/tid track layout (0 = job, 1 = cluster,
+// 2 = tasks).
 TEST(ChromeTraceTest, GoldenJson) {
   const TimePoint t0 = TimePoint::Zero();
+  auto at = [&](int64_t us) { return t0 + Duration::Micros(us); };
   obs::TraceLog trace;
-  trace.Record(t0 + Duration::Seconds(1), TraceEventKind::kNodeFailure,
-               /*task=*/-1, /*node=*/3, /*a=*/2);
-  trace.Record(t0 + Duration::Seconds(2),
-               TraceEventKind::kTentativeWindowBegin, -1, -1, /*a=*/5);
-  trace.Record(t0 + Duration::Seconds(4),
-               TraceEventKind::kTentativeWindowEnd, -1, -1, /*a=*/7);
-
-  obs::SpanProfiler spans;
-  spans.Begin(t0, SpanCategory::kSimRun);
-  spans.Record(SpanCategory::kCheckpoint, /*task=*/2,
-               t0 + Duration::Micros(1500000),
-               t0 + Duration::Micros(1600000));
-  spans.End(t0 + Duration::Seconds(5));
+  trace.Record(at(1000000), TraceEventKind::kNodeFailure,
+               /*task=*/-1, /*node=*/3, /*a=*/1);
+  trace.Record(at(1000000), TraceEventKind::kTaskFailed, /*task=*/1,
+               /*node=*/3);
+  // A checkpoint of task 2: 512 bytes, 100 ms of modeled capture cost.
+  trace.Record(at(1500000), TraceEventKind::kCheckpointBegin, 2, -1,
+               /*a=*/4);
+  trace.Record(at(1600000), TraceEventKind::kCheckpointEnd, 2, -1,
+               /*a=*/512, /*b=*/100000);
+  trace.Record(at(2000000), TraceEventKind::kTentativeWindowBegin, -1, -1,
+               /*a=*/5);
+  // Task 1 is detected at 2.5 s and restored (kind 1) half a second later.
+  trace.Record(at(2500000), TraceEventKind::kRecoveryStart, 1, -1,
+               /*a=*/1, /*b=*/500000);
+  trace.Record(at(3000000), TraceEventKind::kRecoveryDone, 1, -1, /*a=*/1);
+  trace.Record(at(4000000), TraceEventKind::kTentativeWindowEnd, -1, -1,
+               /*a=*/7);
 
   const std::string json =
-      obs::ChromeTraceToJson(trace, &spans, [](int64_t task) {
+      obs::ChromeTraceToJson(trace, [](int64_t task) {
         return "task-" + std::to_string(task);
       }).Serialize();
 
@@ -71,80 +76,46 @@ TEST(ChromeTraceTest, GoldenJson) {
       "\"args\":{\"name\":\"control\"}},"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":3,"
       "\"args\":{\"name\":\"node 3\"}},"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,"
+      "\"args\":{\"name\":\"task-1\"}},"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":2,"
       "\"args\":{\"name\":\"task-2\"}},"
-      "{\"name\":\"sim-run\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":0,"
-      "\"dur\":5000000,\"pid\":0,\"tid\":0,"
-      "\"args\":{\"self_us\":4900000,\"depth\":0}},"
-      "{\"name\":\"checkpoint\",\"cat\":\"span\",\"ph\":\"X\","
+      "{\"name\":\"checkpoint\",\"cat\":\"checkpoint\",\"ph\":\"X\","
       "\"ts\":1500000,\"dur\":100000,\"pid\":2,\"tid\":2,"
-      "\"args\":{\"self_us\":100000,\"depth\":1}},"
+      "\"args\":{\"bytes\":512}},"
+      "{\"name\":\"recovery\",\"cat\":\"recovery\",\"ph\":\"X\","
+      "\"ts\":2500000,\"dur\":500000,\"pid\":2,\"tid\":1,"
+      "\"args\":{\"recovery_kind\":1}},"
       "{\"name\":\"tentative-window\",\"cat\":\"window\",\"ph\":\"X\","
       "\"ts\":2000000,\"dur\":2000000,\"pid\":0,\"tid\":0,"
       "\"args\":{\"first_batch\":5,\"last_batch\":7}},"
       "{\"name\":\"node-failure\",\"cat\":\"trace\",\"ph\":\"i\","
       "\"ts\":1000000,\"pid\":1,\"tid\":3,\"s\":\"t\","
-      "\"args\":{\"seq\":0,\"node\":3,\"a\":2,\"b\":0}},"
+      "\"args\":{\"seq\":0,\"node\":3,\"a\":1,\"b\":0}},"
+      "{\"name\":\"task-failed\",\"cat\":\"trace\",\"ph\":\"i\","
+      "\"ts\":1000000,\"pid\":2,\"tid\":1,\"s\":\"t\","
+      "\"args\":{\"seq\":1,\"task\":\"task-1\",\"node\":3,\"a\":0,"
+      "\"b\":0}},"
+      "{\"name\":\"checkpoint-begin\",\"cat\":\"trace\",\"ph\":\"i\","
+      "\"ts\":1500000,\"pid\":2,\"tid\":2,\"s\":\"t\","
+      "\"args\":{\"seq\":2,\"task\":\"task-2\",\"a\":4,\"b\":0}},"
+      "{\"name\":\"checkpoint-end\",\"cat\":\"trace\",\"ph\":\"i\","
+      "\"ts\":1600000,\"pid\":2,\"tid\":2,\"s\":\"t\","
+      "\"args\":{\"seq\":3,\"task\":\"task-2\",\"a\":512,\"b\":100000}},"
       "{\"name\":\"tentative-window-begin\",\"cat\":\"trace\","
       "\"ph\":\"i\",\"ts\":2000000,\"pid\":0,\"tid\":0,\"s\":\"t\","
-      "\"args\":{\"seq\":1,\"a\":5,\"b\":0}},"
+      "\"args\":{\"seq\":4,\"a\":5,\"b\":0}},"
+      "{\"name\":\"recovery-start\",\"cat\":\"trace\",\"ph\":\"i\","
+      "\"ts\":2500000,\"pid\":2,\"tid\":1,\"s\":\"t\","
+      "\"args\":{\"seq\":5,\"task\":\"task-1\",\"a\":1,\"b\":500000}},"
+      "{\"name\":\"recovery-done\",\"cat\":\"trace\",\"ph\":\"i\","
+      "\"ts\":3000000,\"pid\":2,\"tid\":1,\"s\":\"t\","
+      "\"args\":{\"seq\":6,\"task\":\"task-1\",\"a\":1,\"b\":0}},"
       "{\"name\":\"tentative-window-end\",\"cat\":\"trace\",\"ph\":\"i\","
       "\"ts\":4000000,\"pid\":0,\"tid\":0,\"s\":\"t\","
-      "\"args\":{\"seq\":2,\"a\":7,\"b\":0}}"
+      "\"args\":{\"seq\":7,\"a\":7,\"b\":0}}"
       "]}";
   EXPECT_EQ(json, expected);
-}
-
-TEST(SpanProfilerTest, NestedSelfTimesSumToRootTotal) {
-  const TimePoint t0 = TimePoint::Zero();
-  auto at = [&](int64_t us) { return t0 + Duration::Micros(us); };
-  obs::SpanProfiler p;
-  p.Begin(at(0), SpanCategory::kSimRun);
-  p.Begin(at(1000000), SpanCategory::kBatchProcess, /*task=*/1);
-  p.Record(SpanCategory::kCheckpoint, /*task=*/1, at(1200000), at(1500000));
-  p.End(at(2000000));
-  p.Record(SpanCategory::kRecovery, /*task=*/2, at(2000000), at(2250000));
-  p.End(at(3000000));
-
-  ASSERT_EQ(p.size(), 4u);
-  EXPECT_EQ(p.open_depth(), 0u);
-  EXPECT_EQ(p.spans()[1].depth, 1);
-  EXPECT_EQ(p.spans()[2].depth, 2);
-  EXPECT_EQ(p.spans()[2].parent, 1);
-  EXPECT_EQ(p.spans()[3].parent, 0);
-
-  const std::vector<obs::SpanStats> stats = p.AggregateByCategory();
-  ASSERT_EQ(stats.size(), obs::kNumSpanCategories);
-  const auto& sim = stats[static_cast<size_t>(SpanCategory::kSimRun)];
-  const auto& batch =
-      stats[static_cast<size_t>(SpanCategory::kBatchProcess)];
-  const auto& cp = stats[static_cast<size_t>(SpanCategory::kCheckpoint)];
-  const auto& rec = stats[static_cast<size_t>(SpanCategory::kRecovery)];
-  EXPECT_EQ(sim.total, Duration::Micros(3000000));
-  EXPECT_EQ(sim.self, Duration::Micros(1750000));
-  EXPECT_EQ(batch.total, Duration::Micros(1000000));
-  EXPECT_EQ(batch.self, Duration::Micros(700000));
-  EXPECT_EQ(cp.self, Duration::Micros(300000));
-  EXPECT_EQ(rec.self, Duration::Micros(250000));
-
-  // The root's total accounts for every microsecond exactly once: it
-  // equals the sum of self time over all categories.
-  Duration self_sum = Duration::Zero();
-  for (const obs::SpanStats& s : stats) {
-    self_sum += s.self;
-  }
-  EXPECT_EQ(self_sum, sim.total);
-}
-
-TEST(SpanProfilerTest, DisabledProfilerRecordsNothing) {
-  obs::SpanProfiler p;
-  p.set_enabled(false);
-  p.Begin(TimePoint::Zero(), SpanCategory::kSimRun);
-  p.Record(SpanCategory::kCheckpoint, 1, TimePoint::Zero(),
-           TimePoint::Zero() + Duration::Seconds(1));
-  p.End(TimePoint::Zero() + Duration::Seconds(2));
-  EXPECT_EQ(p.size(), 0u);
-  EXPECT_EQ(p.open_depth(), 0u);
 }
 
 /// src(2) -> mid(2) -> sink(1) job mirroring the obs_test harness: PPA
@@ -206,25 +177,36 @@ TEST(ChromeTraceIntegrationTest, FailureRunMeetsAcceptanceCriteria) {
   h.RunFailureScenario();
 
   // (a) The exported trace is Perfetto-shaped and shows the tentative
-  // window as a duration event alongside the profiled spans.
+  // window, the checkpoints and the injected recovery as duration events,
+  // all derived from the trace: one per modeled checkpoint and one per
+  // restored recovery episode.
   const std::string json = JobChromeTraceToJson(*h.job).Serialize();
   EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
             0u);
   EXPECT_NE(json.find("\"tentative-window\""), std::string::npos);
-  EXPECT_NE(json.find("\"sim-run\""), std::string::npos);
-  EXPECT_NE(json.find("\"checkpoint\""), std::string::npos);
-  EXPECT_NE(json.find("\"batch-process\""), std::string::npos);
-  EXPECT_NE(json.find("\"recovery\""), std::string::npos);
-
-  // The profiled span categories cover the run: simulation root,
-  // steady-state batch work, checkpoints, and the injected recovery.
-  const auto stats = h.job->spans().AggregateByCategory();
-  EXPECT_EQ(stats[static_cast<size_t>(SpanCategory::kSimRun)].count, 2);
-  EXPECT_GT(stats[static_cast<size_t>(SpanCategory::kBatchProcess)].count,
-            0);
-  EXPECT_GT(stats[static_cast<size_t>(SpanCategory::kCheckpoint)].count, 0);
-  EXPECT_GT(stats[static_cast<size_t>(SpanCategory::kRecovery)].count, 0);
-  EXPECT_EQ(h.job->spans().open_depth(), 0u);
+  EXPECT_EQ(json.find("\"cat\":\"span\""), std::string::npos);
+  auto count = [&json](const std::string& needle) {
+    int64_t n = 0;
+    for (size_t pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  int64_t modeled_checkpoints = 0;
+  for (const obs::TraceEvent& e :
+       h.job->trace().OfKind(TraceEventKind::kCheckpointEnd)) {
+    modeled_checkpoints += e.b > 0 ? 1 : 0;
+  }
+  EXPECT_GT(modeled_checkpoints, 0);
+  EXPECT_EQ(count("\"cat\":\"checkpoint\""), modeled_checkpoints);
+  int64_t restored = 0;
+  for (const obs::RecoveryTimeline& tl :
+       obs::BuildRecoveryTimelines(h.job->trace())) {
+    restored += tl.restored ? 1 : 0;
+  }
+  EXPECT_GT(restored, 0);
+  EXPECT_EQ(count("\"cat\":\"recovery\""), restored);
 
   // (b) Per-sink stable vs tentative end-to-end latency histograms are
   // populated (task 4 is the single sink task).
@@ -273,10 +255,10 @@ TEST(ChromeTraceIntegrationTest, FailureRunMeetsAcceptanceCriteria) {
   EXPECT_DOUBLE_EQ(last.output_fidelity, 1.0);
   EXPECT_EQ(last.failed_tasks, 0);
 
-  // The run profile carries the new sections for report consumers.
+  // The run profile carries the derived sections for report consumers;
+  // spans are Chrome-trace views only, not a profile section.
   const std::string profile = JobProfileToJson(*h.job).Serialize();
-  EXPECT_NE(profile.find("\"span_aggregate\""), std::string::npos);
-  EXPECT_NE(profile.find("\"spans\""), std::string::npos);
+  EXPECT_EQ(profile.find("\"spans\""), std::string::npos);
   EXPECT_NE(profile.find("\"fidelity_timeseries\""), std::string::npos);
   EXPECT_NE(profile.find("\"sink.latency_tentative_s\""),
             std::string::npos);

@@ -13,7 +13,6 @@
 #include "backend/sim_backend.h"
 #include "engine/operators.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -194,18 +193,19 @@ TEST(MetricsTest, RecordingOrderDoesNotChangeTheHistogram) {
             obs::HistogramToJson(descending).Serialize());
 }
 
+// The flight recorder is a capacity-bounded TraceLog mirrored off the
+// job's main trace (StreamingJob::flight_recorder()).
 TEST(FlightRecorderTest, RingWrapKeepsTheNewestEvents) {
-  obs::FlightRecorder recorder(4);
-  ASSERT_TRUE(recorder.enabled());
-  EXPECT_EQ(recorder.capacity(), 4u);
+  obs::TraceLog ring;
+  ring.set_capacity(4);
   for (int i = 0; i < 10; ++i) {
-    recorder.ring().Record(TimePoint::Zero() + Duration::Seconds(i),
-                           TraceEventKind::kTaskFailed, i, 0);
+    ring.Record(TimePoint::Zero() + Duration::Seconds(i),
+                TraceEventKind::kTaskFailed, i, 0);
   }
-  EXPECT_EQ(recorder.size(), 4u);
-  EXPECT_EQ(recorder.dropped(), 6u);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.dropped(), 6u);
   // The retained tail is the newest four, oldest first.
-  const auto& events = recorder.ring().events();
+  const auto& events = ring.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().task, 6);
   EXPECT_EQ(events.back().task, 9);
@@ -215,40 +215,29 @@ TEST(FlightRecorderTest, MirrorRecordsEvenWithTheTraceDisabled) {
   // The always-on property: the main trace is off (observability
   // disabled), yet its mirror — the flight-recorder ring — still sees
   // every Record call.
-  obs::FlightRecorder recorder(8);
+  obs::TraceLog ring;
+  ring.set_capacity(8);
   obs::TraceLog trace;
   trace.set_enabled(false);
-  trace.set_mirror(&recorder.ring());
+  trace.set_mirror(&ring);
   trace.Record(TimePoint::Zero(), TraceEventKind::kNodeFailure, -1, 2);
   trace.Record(TimePoint::Zero() + Duration::Seconds(1),
                TraceEventKind::kTaskFailed, 5, 2);
   EXPECT_EQ(trace.size(), 0u);
-  EXPECT_EQ(recorder.size(), 2u);
-  EXPECT_EQ(recorder.ring().events()[1].task, 5);
-}
-
-TEST(FlightRecorderTest, ZeroCapacityDisablesRecording) {
-  obs::FlightRecorder recorder(0);
-  EXPECT_FALSE(recorder.enabled());
-  recorder.ring().Record(TimePoint::Zero(), TraceEventKind::kNodeFailure);
-  EXPECT_EQ(recorder.size(), 0u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  // The dump degrades to a valid empty record, not an error.
-  JsonValue dump = obs::FlightRecordToJson(recorder);
-  EXPECT_EQ(dump.Find("recorded")->AsInt(), 0);
-  EXPECT_EQ(dump.Find("events")->size(), 0u);
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.events()[1].task, 5);
 }
 
 TEST(FlightRecorderTest, DumpIsByteIdenticalForIdenticalRuns) {
-  auto feed = [](obs::FlightRecorder* recorder) {
+  auto feed = [](obs::TraceLog* ring) {
+    ring->set_capacity(4);
     for (int i = 0; i < 7; ++i) {
-      recorder->ring().Record(TimePoint::Zero() + Duration::Seconds(i),
-                              TraceEventKind::kCheckpointBegin, i % 3, i,
-                              i * 2, i * 3);
+      ring->Record(TimePoint::Zero() + Duration::Seconds(i),
+                   TraceEventKind::kCheckpointBegin, i % 3, i, i * 2, i * 3);
     }
   };
-  obs::FlightRecorder a(4);
-  obs::FlightRecorder b(4);
+  obs::TraceLog a;
+  obs::TraceLog b;
   feed(&a);
   feed(&b);
   const JsonValue dump_a = obs::FlightRecordToJson(a);
@@ -457,12 +446,10 @@ TEST(ObsIntegrationTest, TraceIsDeterministicAcrossIdenticalRuns) {
   ASSERT_FALSE(a.job->trace().events().empty());
   ASSERT_EQ(a.job->trace().size(), b.job->trace().size());
   EXPECT_EQ(a.job->trace().events(), b.job->trace().events());
-  // The metrics snapshots serialize identically too, and so do the
-  // profiled spans and the fidelity timeseries.
+  // The metrics snapshots serialize identically too, and so does the
+  // fidelity timeseries.
   EXPECT_EQ(obs::MetricsToJson(a.job->metrics()).Serialize(),
             obs::MetricsToJson(b.job->metrics()).Serialize());
-  EXPECT_EQ(obs::SpansToJson(a.job->spans(), nullptr).Serialize(),
-            obs::SpansToJson(b.job->spans(), nullptr).Serialize());
   EXPECT_EQ(
       obs::FidelityTimeseriesToJson(a.job->fidelity_timeseries(), nullptr)
           .Serialize(),
@@ -494,7 +481,6 @@ TEST(ObsIntegrationTest, ObservabilityDoesNotPerturbSimulation) {
   EXPECT_EQ(off.job->trace().size(), 0u);
   EXPECT_TRUE(off.job->metrics().counters().empty());
   EXPECT_TRUE(off.job->metrics().histograms().empty());
-  EXPECT_EQ(off.job->spans().size(), 0u);
   EXPECT_TRUE(off.job->fidelity_timeseries().empty());
 }
 
@@ -541,6 +527,124 @@ TEST(ObsIntegrationTest, FailureRunProducesConsistentProfile) {
   ASSERT_NE(it, histograms.end());
   EXPECT_GT(it->second->count(), 0);
   EXPECT_GE(it->second->Percentile(99), it->second->Percentile(50));
+}
+
+// A sink taken over by its active replica can be the last task to
+// recover; the replica's buffered output is then the first stable
+// delivery after full recovery, so it closes the tentative window. The
+// fidelity sample taken at that delivery must already see the promoted
+// replica as the live primary (OF = IC = 1), not the dead copy it
+// replaced.
+TEST(ObsIntegrationTest, ReplicaTakeoverClosingTheWindowSamplesFullFidelity) {
+  TopologyBuilder b;
+  OperatorId src = b.AddOperator("src", 2);
+  OperatorId mid =
+      b.AddOperator("mid", 2, InputCorrelation::kIndependent, 0.5);
+  OperatorId sink =
+      b.AddOperator("sink", 2, InputCorrelation::kIndependent, 0.5);
+  b.Connect(src, mid, PartitionScheme::kOneToOne);
+  b.Connect(mid, sink, PartitionScheme::kOneToOne);
+  b.SetSourceRate(src, 40.0);
+  auto topo = b.Build();
+  ASSERT_TRUE(topo.ok());
+
+  JobConfig cfg;
+  cfg.ft_mode = FtMode::kPpa;
+  cfg.batch_interval = Duration::Seconds(1);
+  cfg.detection_interval = Duration::Seconds(5);
+  cfg.checkpoint_interval = Duration::Seconds(5);
+  cfg.replica_sync_interval = Duration::Seconds(2);
+  cfg.num_worker_nodes = 6;
+  cfg.num_standby_nodes = 2;
+  cfg.window_batches = 5;
+  cfg.stagger_checkpoints = false;
+  backend::SimBackend loop;
+  StreamingJob job(*std::move(topo), cfg, JobRuntimeDeps(&loop));
+  ASSERT_TRUE(job.BindSource(0, [] {
+                   return std::make_unique<SyntheticSource>(20, 64, 7);
+                 }).ok());
+  for (OperatorId op : {1, 2}) {
+    ASSERT_TRUE(job.BindOperator(op, [] {
+                     return std::make_unique<SlidingWindowAggregateOperator>(
+                         5, 0.5);
+                   }).ok());
+  }
+  // sink[1] (task 5) is actively replicated; mid[0] (task 2) recovers
+  // from its checkpoint and punctures sink[0] meanwhile.
+  TaskSet active(job.topology().num_tasks());
+  active.Add(5);
+  ASSERT_TRUE(job.SetActiveReplicaSet(active).ok());
+  ASSERT_TRUE(job.Start().ok());
+
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(10.5));
+  ASSERT_TRUE(job.InjectNodeFailure(2).ok());  // mid[0]: passive recovery.
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(15.5));
+  ASSERT_TRUE(job.InjectNodeFailure(5).ok());  // sink[1]: replica takeover.
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(60));
+  ASSERT_TRUE(job.AllRecovered());
+
+  // The takeover finished last and its delivery closed the window.
+  const auto windows = obs::ExtractTentativeWindows(job.trace());
+  ASSERT_EQ(windows.size(), 1u);
+  ASSERT_TRUE(windows[0].closed);
+  const auto timelines = obs::BuildRecoveryTimelines(job.trace());
+  ASSERT_EQ(timelines.size(), 2u);
+  EXPECT_EQ(timelines[1].task, 5);
+  EXPECT_LT(timelines[0].restored_at, timelines[1].restored_at);
+  EXPECT_EQ(windows[0].end, timelines[1].restored_at);
+
+  const auto& samples = job.fidelity_timeseries().samples();
+  ASSERT_FALSE(samples.empty());
+  const obs::FidelitySample& last = samples.back();
+  EXPECT_EQ(last.at, windows[0].end);
+  EXPECT_FALSE(last.tentative);
+  EXPECT_EQ(last.failed_tasks, 0);
+  EXPECT_DOUBLE_EQ(last.output_fidelity, 1.0);
+  EXPECT_DOUBLE_EQ(last.internal_completeness, 1.0);
+}
+
+// Two jobs share one backend, and the second starts from inside a drive —
+// how the multi-tenant service admits a queued tenant mid-run. Start()
+// used to re-point the backend's drive bracket at the newest job, so the
+// drive ended a span that job never began and aborted.
+TEST(ObsIntegrationTest, JobStartedInsideASharedDriveRunsClean) {
+  auto make_job = [](backend::SimBackend* loop) {
+    TopologyBuilder b;
+    OperatorId src = b.AddOperator("src", 1);
+    OperatorId sink =
+        b.AddOperator("sink", 1, InputCorrelation::kIndependent, 0.5);
+    b.Connect(src, sink, PartitionScheme::kOneToOne);
+    b.SetSourceRate(src, 20.0);
+    auto topo = b.Build();
+    PPA_CHECK(topo.ok());
+    JobConfig cfg;
+    cfg.ft_mode = FtMode::kCheckpoint;
+    cfg.batch_interval = Duration::Seconds(1);
+    cfg.num_worker_nodes = 2;
+    cfg.num_standby_nodes = 1;
+    auto job = std::make_unique<StreamingJob>(*std::move(topo), cfg,
+                                              JobRuntimeDeps(loop));
+    PPA_CHECK_OK(job->BindSource(0, [] {
+      return std::make_unique<SyntheticSource>(20, 16, 3);
+    }));
+    PPA_CHECK_OK(job->BindOperator(1, [] {
+      return std::make_unique<SlidingWindowAggregateOperator>(3, 0.5);
+    }));
+    return job;
+  };
+  backend::SimBackend loop;
+  std::unique_ptr<StreamingJob> first = make_job(&loop);
+  std::unique_ptr<StreamingJob> second = make_job(&loop);
+  PPA_CHECK_OK(first->Start());
+  loop.ScheduleAfter(Duration::Seconds(5.5),
+                     [&second] { PPA_CHECK_OK(second->Start()); });
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(20));
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(30));
+
+  EXPECT_FALSE(first->sink_records().empty());
+  EXPECT_FALSE(second->sink_records().empty());
+  EXPECT_LT(second->sink_records().size(), first->sink_records().size());
+  EXPECT_GT(second->trace().CountOf(TraceEventKind::kSinkBatchStable), 0);
 }
 
 }  // namespace

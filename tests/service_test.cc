@@ -466,5 +466,23 @@ TEST(MultiTenantCaseTest, GeneratedCaseRunsClean) {
   }
 }
 
+// Case 38 of `chaos_hunt --multi --seeds 39 --intensity high`: eight
+// tenants, two of which queue and are admitted while the service is
+// mid-drive on the shared backend. Every such admission used to abort the
+// run; it must now hold every invariant.
+TEST(MultiTenantCaseTest, TenantsAdmittedMidDriveRunClean) {
+  auto generated = chaos::GenerateMultiTenantCase(
+      chaos::ChaosIntensity::High(), 16975997121914896222ull);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  auto report = chaos::RunMultiTenantCase(*generated);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->tenants_submitted, 8u);
+  EXPECT_EQ(report->tenants_queued, 2u);
+  EXPECT_EQ(report->events_executed, report->events_scheduled);
+  for (const chaos::ChaosViolation& violation : report->violations) {
+    ADD_FAILURE() << "[" << violation.invariant << "] " << violation.message;
+  }
+}
+
 }  // namespace
 }  // namespace ppa
