@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sim_time.h"
 #include "common/status_or.h"
 #include "obs/metrics.h"
 #include "topology/types.h"
@@ -24,7 +23,6 @@ struct TaskCheckpoint {
   /// Number of tuples in the operator state (full checkpoints) or carried
   /// by the delta (drives load-time modeling).
   int64_t state_tuples = 0;
-  TimePoint taken_at = TimePoint::Zero();
   /// False: full (base) checkpoint; true: incremental delta on top of the
   /// preceding chain element (the delta-checkpoint optimization of Hwang
   /// et al., cited in Sec. VII).

@@ -798,7 +798,6 @@ void StreamingJob::OnCheckpoint(TaskId t) {
     TaskCheckpoint cp;
     cp.task = t;
     cp.next_batch = rt->next_batch();
-    cp.taken_at = backend_->now();
     const bool take_delta =
         config_.delta_checkpoints && rt->SupportsDeltaSnapshots() &&
         checkpoints_.Chain(t) != nullptr &&
@@ -1056,11 +1055,11 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
     case RecoveryKind::kActiveReplica: {
       auto it = replicas_.find(t);
       PPA_CHECK(it != replicas_.end());
-      // The replica is the primary now — installed before any takeover
-      // delivery below, so the fidelity sample that delivery records (and
-      // the tentative window it may close) no longer counts `t` as
-      // failed. Its tuples count toward the primary engine counters from
-      // here on.
+      // The replica is the primary now. It is installed before the
+      // takeover delivery below, so the fidelity sample that delivery
+      // records (possibly the one closing the tentative window) does not
+      // count `t` as failed. Its tuples count toward the primary engine
+      // counters from here on.
       primaries_[static_cast<size_t>(t)] = std::move(it->second);
       replicas_.erase(it);
       TaskRuntime* rep = primaries_[static_cast<size_t>(t)].get();

@@ -193,12 +193,12 @@ TEST(CheckpointChainTest, SkipFrontierAdvancesTrimBatch) {
   EXPECT_EQ(store.TrimBatch(0), 6);
   // A blob persisted behind the frontier does not regress the trim
   // point...
-  store.Put(TaskCheckpoint{0, 4, "base", 10, TimePoint::Zero()});
+  store.Put(TaskCheckpoint{0, 4, "base", 10});
   EXPECT_EQ(store.CoveredBatch(0), 4);
   EXPECT_EQ(store.TrimBatch(0), 6);
   // ...and one past it takes over.
   ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 9, "d", 2, TimePoint::Zero()}).ok());
+      store.PutDelta(TaskCheckpoint{0, 9, "d", 2}).ok());
   EXPECT_EQ(store.TrimBatch(0), 9);
   // The frontier is monotone: a stale skip note cannot move it back.
   store.NoteSkipped(0, 3);
@@ -215,16 +215,16 @@ TEST(CheckpointChainTest, ChainDeltaHistogramExactUnderSkips) {
   obs::MetricsRegistry registry;
   CheckpointStore store;
   store.AttachMetrics(&registry);
-  store.Put(TaskCheckpoint{0, 5, "base", 10, TimePoint::Zero()});
+  store.Put(TaskCheckpoint{0, 5, "base", 10});
   store.NoteSkipped(0, 8);
   ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 11, "d1", 3, TimePoint::Zero()}).ok());
+      store.PutDelta(TaskCheckpoint{0, 11, "d1", 3}).ok());
   store.NoteSkipped(0, 14);
   ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 17, "d2", 3, TimePoint::Zero()}).ok());
+      store.PutDelta(TaskCheckpoint{0, 17, "d2", 3}).ok());
   EXPECT_EQ(store.ChainDeltas(0), 2);
   // Rebase: the replaced chain held exactly 2 deltas, skips not counted.
-  store.Put(TaskCheckpoint{0, 20, "base2", 9, TimePoint::Zero()});
+  store.Put(TaskCheckpoint{0, 20, "base2", 9});
   const obs::Histogram* chain_hist =
       registry.histogram("checkpoint.chain_deltas");
   EXPECT_EQ(chain_hist->count(), 1);
@@ -236,14 +236,14 @@ TEST(CheckpointChainTest, ChainDeltaHistogramExactUnderSkips) {
 
 TEST(CheckpointChainTest, StoreSemantics) {
   CheckpointStore store;
-  EXPECT_EQ(store.PutDelta(TaskCheckpoint{0, 5, "d", 10, TimePoint::Zero()})
+  EXPECT_EQ(store.PutDelta(TaskCheckpoint{0, 5, "d", 10})
                 .code(),
             StatusCode::kFailedPrecondition);
-  store.Put(TaskCheckpoint{0, 5, "base", 100, TimePoint::Zero()});
+  store.Put(TaskCheckpoint{0, 5, "base", 100});
   ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 8, "d1", 10, TimePoint::Zero()}).ok());
+      store.PutDelta(TaskCheckpoint{0, 8, "d1", 10}).ok());
   ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 11, "d2", 12, TimePoint::Zero()}).ok());
+      store.PutDelta(TaskCheckpoint{0, 11, "d2", 12}).ok());
   EXPECT_EQ(store.ChainDeltas(0), 2);
   EXPECT_EQ(store.ChainStateTuples(0), 122);
   EXPECT_EQ(store.CoveredBatch(0), 11);
@@ -252,11 +252,11 @@ TEST(CheckpointChainTest, StoreSemantics) {
   EXPECT_EQ(store.Chain(0)->size(), 3u);
   EXPECT_FALSE((*store.Chain(0))[0].is_delta);
   // Regressing delta rejected.
-  EXPECT_EQ(store.PutDelta(TaskCheckpoint{0, 7, "bad", 1, TimePoint::Zero()})
+  EXPECT_EQ(store.PutDelta(TaskCheckpoint{0, 7, "bad", 1})
                 .code(),
             StatusCode::kInvalidArgument);
   // A new full checkpoint resets the chain.
-  store.Put(TaskCheckpoint{0, 20, "base2", 90, TimePoint::Zero()});
+  store.Put(TaskCheckpoint{0, 20, "base2", 90});
   EXPECT_EQ(store.ChainDeltas(0), 0);
   EXPECT_EQ(store.CoveredBatch(0), 20);
 }

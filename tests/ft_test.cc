@@ -13,12 +13,12 @@ TEST(CheckpointStoreTest, LatestWinsAndCoveredBatch) {
   CheckpointStore store;
   EXPECT_EQ(store.Latest(0), nullptr);
   EXPECT_EQ(store.CoveredBatch(0), 0);
-  store.Put(TaskCheckpoint{0, 5, "v1", 100, TimePoint::FromMicros(1)});
-  store.Put(TaskCheckpoint{1, 3, "x", 10, TimePoint::FromMicros(1)});
+  store.Put(TaskCheckpoint{0, 5, "v1", 100});
+  store.Put(TaskCheckpoint{1, 3, "x", 10});
   ASSERT_NE(store.Latest(0), nullptr);
   EXPECT_EQ(store.Latest(0)->blob, "v1");
   EXPECT_EQ(store.CoveredBatch(0), 5);
-  store.Put(TaskCheckpoint{0, 9, "v2", 120, TimePoint::FromMicros(2)});
+  store.Put(TaskCheckpoint{0, 9, "v2", 120});
   EXPECT_EQ(store.Latest(0)->blob, "v2");
   EXPECT_EQ(store.CoveredBatch(0), 9);
   EXPECT_EQ(store.size(), 2u);

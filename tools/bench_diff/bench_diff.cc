@@ -46,7 +46,7 @@ bool IsWallMetric(std::string_view name) {
 
 /// The canonical key of a cell: every scalar member that is neither a
 /// counter nor a wall metric, in insertion order, as "name=value" pairs.
-/// Nested members (e.g. a hot_spans table) never identify a cell.
+/// Nested members (tables, arrays) never identify a cell.
 std::string CellKey(const JsonValue& cell) {
   std::ostringstream key;
   bool first = true;
