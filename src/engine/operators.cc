@@ -8,6 +8,11 @@
 namespace ppa {
 namespace {
 
+/// Bytes PutTuple writes for `t`.
+size_t TupleBytes(const Tuple& t) {
+  return 5 * sizeof(int64_t) + t.key.size();
+}
+
 void PutTuple(BinaryWriter* w, const Tuple& t) {
   w->PutString(t.key);
   w->PutI64(t.value);
@@ -110,6 +115,14 @@ void SlidingWindowAggregateOperator::ProcessBatch(
 
 StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotState() {
   BinaryWriter w;
+  size_t bytes = 2 * sizeof(int64_t);
+  for (const WindowSlice& slice : window_) {
+    bytes += 2 * sizeof(int64_t);
+    for (const Tuple& t : slice.tuples) {
+      bytes += TupleBytes(t);
+    }
+  }
+  w.Reserve(bytes);
   w.PutI64(window_sum_);
   w.PutU64(window_.size());
   for (const WindowSlice& slice : window_) {

@@ -55,6 +55,17 @@ TaskId Router::Route(TaskId producer, OperatorId to_op,
 size_t Router::RouteBatchTo(TaskId producer, OperatorId to_op,
                             const BatchOutput& batch, TaskId consumer,
                             std::vector<Tuple>* out) const {
+  const std::vector<TaskId>& consumers = Consumers(producer, to_op);
+  if (consumers.size() == 1) {
+    // One-to-one and merge edges: the whole batch goes to one consumer.
+    if (consumers[0] != consumer) {
+      return 0;
+    }
+    if (out != nullptr) {
+      out->insert(out->end(), batch.tuples.begin(), batch.tuples.end());
+    }
+    return batch.tuples.size();
+  }
   size_t routed = 0;
   for (const Tuple& t : batch.tuples) {
     if (Route(producer, to_op, t) != consumer) {

@@ -28,7 +28,9 @@ class Router {
 
   /// Routes one buffered batch of `producer` toward `consumer` (a task
   /// of `to_op`): appends the tuples that hash to `consumer` to `out`
-  /// (when non-null) and returns how many routed there. The gather side
+  /// (when non-null), in batch order, and returns how many routed there.
+  /// A singleton consumer set (one-to-one, merge) takes the whole batch
+  /// in one append. The gather side
   /// of a hop — schedulers pass the upstream BatchOutput along with its
   /// lineage so per-hop threading stays in the routing layer.
   size_t RouteBatchTo(TaskId producer, OperatorId to_op,

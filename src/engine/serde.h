@@ -25,6 +25,10 @@ class BinaryWriter {
     data_.append(s.data(), s.size());
   }
 
+  /// Pre-sizes the buffer for `n` more bytes, so a writer that knows its
+  /// final size allocates once instead of doubling through the appends.
+  void Reserve(size_t n) { data_.reserve(data_.size() + n); }
+
   const std::string& data() const& { return data_; }
   std::string data() && { return std::move(data_); }
 

@@ -8,6 +8,11 @@
 namespace ppa {
 namespace {
 
+/// Bytes PutTuple writes for `t`.
+size_t TupleBytes(const Tuple& t) {
+  return 5 * sizeof(int64_t) + t.key.size();
+}
+
 void PutTuple(BinaryWriter* w, const Tuple& t) {
   w->PutString(t.key);
   w->PutI64(t.value);
@@ -55,31 +60,47 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
   if (is_source()) {
     produced = source_->NextBatch(batch, topology_->task(id_).index_in_op);
   } else {
-    // Deterministic round-robin order: by producer, then sequence.
-    std::sort(inputs.begin(), inputs.end(),
-              [](const Tuple& a, const Tuple& b) {
-                if (a.producer != b.producer) {
-                  return a.producer < b.producer;
-                }
-                return a.seq < b.seq;
-              });
-    // Duplicate elimination by per-producer sequence number.
-    std::vector<Tuple> fresh;
-    fresh.reserve(inputs.size());
-    for (Tuple& t : inputs) {
-      auto it = progress_.find(t.producer);
-      if (it != progress_.end() && t.seq <= it->second) {
-        continue;  // Already processed (replayed duplicate).
+    // Deterministic round-robin order: by producer, then sequence. The
+    // scheduler gathers upstream batches in `in_substreams` order, which
+    // already is this order on every producer-ordered topology, so the
+    // sort only runs for inputs that are not (e.g. joins whose edges were
+    // connected out of producer order, or direct callers). Ties are
+    // identical duplicate tuples, so skipping the sort is exact.
+    auto by_producer_seq = [](const Tuple& a, const Tuple& b) {
+      if (a.producer != b.producer) {
+        return a.producer < b.producer;
       }
-      progress_[t.producer] = t.seq;
-      fresh.push_back(std::move(t));
+      return a.seq < b.seq;
+    };
+    if (!std::is_sorted(inputs.begin(), inputs.end(), by_producer_seq)) {
+      std::sort(inputs.begin(), inputs.end(), by_producer_seq);
     }
-    processed_tuples_ += static_cast<int64_t>(fresh.size());
-    obs::Add(tuples_counter_, static_cast<int64_t>(fresh.size()));
+    // Duplicate elimination by per-producer sequence number, compacting
+    // the fresh tuples to the front of `inputs`. Each producer's tuples
+    // form one run, so its progress entry is looked up once per run.
+    auto fresh_end = inputs.begin();
+    for (auto run = inputs.begin(); run != inputs.end();) {
+      const TaskId producer = run->producer;
+      auto [last, new_producer] = progress_.try_emplace(producer, 0);
+      for (; run != inputs.end() && run->producer == producer; ++run) {
+        if (!new_producer && run->seq <= last->second) {
+          continue;  // Already processed (replayed duplicate).
+        }
+        new_producer = false;
+        last->second = run->seq;
+        if (fresh_end != run) {
+          *fresh_end = std::move(*run);
+        }
+        ++fresh_end;
+      }
+    }
+    inputs.erase(fresh_end, inputs.end());
+    processed_tuples_ += static_cast<int64_t>(inputs.size());
+    obs::Add(tuples_counter_, static_cast<int64_t>(inputs.size()));
     const TaskInfo& info = topology_->task(id_);
     BatchContext ctx(batch, info.index_in_op,
                      topology_->op(info.op).parallelism);
-    op_->ProcessBatch(&ctx, fresh);
+    op_->ProcessBatch(&ctx, inputs);
     produced = std::move(ctx.emitted());
   }
   PPA_CHECK(produced.size() < (size_t{1} << 24))
@@ -153,6 +174,17 @@ StatusOr<std::string> TaskRuntime::Snapshot() {
   }
   if (op_ != nullptr) {
     PPA_ASSIGN_OR_RETURN(std::string op_state, op_->SnapshotState());
+    // Sized once: a wide sink's blob runs to megabytes, and growing it by
+    // doubling leaves freed holes that make the heap's footprint depend on
+    // the order of earlier allocations.
+    size_t bytes = sizeof(uint64_t) + op_state.size() + sizeof(uint64_t);
+    for (const BatchOutput& b : output_buffer_) {
+      bytes += 4 * sizeof(int64_t);
+      for (const Tuple& t : b.tuples) {
+        bytes += TupleBytes(t);
+      }
+    }
+    w.Reserve(bytes);
     w.PutString(op_state);
   } else {
     w.PutString("");

@@ -570,26 +570,40 @@ bool StreamingJob::CanProcess(TaskId t, int64_t b) const {
   return true;
 }
 
-std::vector<Tuple> StreamingJob::GatherInputs(TaskId t, int64_t b,
-                                              bool* punctured,
-                                              BatchRunContext* ctx) {
-  std::vector<Tuple> inputs;
+std::vector<Tuple> StreamingJob::GatherInputs(
+    const std::vector<std::unique_ptr<TaskRuntime>>& runtimes, TaskId t,
+    int64_t b, bool* punctured, BatchRunContext* ctx) const {
+  const std::vector<int>& in_substreams = topology_.task(t).in_substreams;
   const OperatorId to_op = topology_.task(t).op;
-  for (int si : topology_.task(t).in_substreams) {
-    const Substream& s = topology_.substreams()[si];
-    const TaskRuntime* up = primaries_[static_cast<size_t>(s.from)].get();
-    const BatchOutput* bo = up->FindBatch(b);
-    if (bo == nullptr) {
+  std::vector<const BatchOutput*> batches(in_substreams.size(), nullptr);
+  size_t expected = 0;
+  for (size_t i = 0; i < in_substreams.size(); ++i) {
+    const Substream& s = topology_.substreams()[in_substreams[i]];
+    const TaskRuntime* up = runtimes[static_cast<size_t>(s.from)].get();
+    batches[i] = up->FindBatch(b);
+    if (batches[i] == nullptr) {
       if (!up->alive() || up->ever_failed()) {
         *punctured = true;
       }
       continue;
     }
-    if (ctx != nullptr) {
-      ctx->ingest_at = std::min(ctx->ingest_at, bo->ingest_at);
-      ctx->hops = std::max(ctx->hops, bo->hops + 1);
+    ctx->ingest_at = std::min(ctx->ingest_at, batches[i]->ingest_at);
+    ctx->hops = std::max(ctx->hops, batches[i]->hops + 1);
+    // The consumer's expected share of the batch: all of it on one-to-one
+    // and merge edges, an even hash split on split and full edges.
+    expected += batches[i]->tuples.size() /
+                router_.Consumers(s.from, to_op).size();
+  }
+  // Appending in `in_substreams` order keeps each upstream batch in
+  // sequence order, so on producer-ordered topologies the result is
+  // already in the (producer, seq) order RunBatch needs.
+  std::vector<Tuple> inputs;
+  inputs.reserve(expected);
+  for (size_t i = 0; i < in_substreams.size(); ++i) {
+    if (batches[i] != nullptr) {
+      const Substream& s = topology_.substreams()[in_substreams[i]];
+      router_.RouteBatchTo(s.from, to_op, *batches[i], t, &inputs);
     }
-    router_.RouteBatchTo(s.from, to_op, *bo, t, &inputs);
   }
   return inputs;
 }
@@ -610,10 +624,8 @@ bool StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
     // Sources (and punctuation-fed batches, which gather no upstream
     // lineage) stamp the batch's nominal tick time.
     ctx.ingest_at = BatchTickTime(b);
-    std::vector<Tuple> inputs;
-    if (!rt->is_source()) {
-      inputs = GatherInputs(t, b, &punctured, &ctx);
-    }
+    std::vector<Tuple> inputs =
+        GatherInputs(primaries_, t, b, &punctured, &ctx);
     const size_t in_count = inputs.size();
     const BatchOutput& out = rt->RunBatch(b, std::move(inputs), true, ctx);
     if (!is_replica) {
@@ -1396,21 +1408,13 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
     for (OperatorId op : topology_.topo_order()) {
       for (TaskId t : topology_.op(op).tasks) {
         TaskRuntime* rt = shadow[static_cast<size_t>(t)].get();
-        std::vector<Tuple> inputs;
         BatchRunContext ctx;
         ctx.ingest_at = BatchTickTime(b);
-        const OperatorId to_op = topology_.task(t).op;
-        for (int si : topology_.task(t).in_substreams) {
-          const Substream& sub = topology_.substreams()[si];
-          const BatchOutput* bo =
-              shadow[static_cast<size_t>(sub.from)]->FindBatch(b);
-          if (bo == nullptr) {
-            continue;  // Upstream warm-up started later than needed.
-          }
-          ctx.ingest_at = std::min(ctx.ingest_at, bo->ingest_at);
-          ctx.hops = std::max(ctx.hops, bo->hops + 1);
-          router_.RouteBatchTo(sub.from, to_op, *bo, t, &inputs);
-        }
+        // Shadow runtimes never fail, so nothing is punctured; a missing
+        // upstream batch only means its warm-up started later than needed.
+        bool punctured = false;
+        std::vector<Tuple> inputs =
+            GatherInputs(shadow, t, b, &punctured, &ctx);
         const size_t in_count = inputs.size();
         const BatchOutput& out = rt->RunBatch(b, std::move(inputs), true, ctx);
         report.reprocessed_tuples +=

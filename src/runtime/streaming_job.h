@@ -311,12 +311,15 @@ class StreamingJob {
   /// True if every upstream of `t` is resolved for batch `b` (data
   /// present, already produced-and-skipped, or punctuation-substituted).
   bool CanProcess(TaskId t, int64_t b) const;
-  /// Collects the batch-`b` tuples routed to `t`; sets *punctured if any
-  /// upstream contributed a punctuation instead of data. Folds the
-  /// upstream batches' latency lineage into `ctx` (earliest ingest,
-  /// max hops + 1) when non-null.
-  std::vector<Tuple> GatherInputs(TaskId t, int64_t b, bool* punctured,
-                                  BatchRunContext* ctx);
+  /// Collects the batch-`b` tuples routed to `t` from the upstream
+  /// runtimes in `runtimes` (indexed by task id: the primaries, or the
+  /// shadow runtimes of reconciliation), concatenated in `in_substreams`
+  /// order. Sets *punctured if any upstream contributed a punctuation
+  /// instead of data, and folds the upstream batches' latency lineage
+  /// into `ctx` (earliest ingest, max hops + 1).
+  std::vector<Tuple> GatherInputs(
+      const std::vector<std::unique_ptr<TaskRuntime>>& runtimes, TaskId t,
+      int64_t b, bool* punctured, BatchRunContext* ctx) const;
 
   /// Nominal source tick time of batch `b` (lineage stamp for sources
   /// and punctuation-fed batches).

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -66,6 +67,13 @@ TEST(StatusOrTest, HoldsValue) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 42);
   EXPECT_TRUE(v.status().ok());
+}
+
+TEST(StatusOrTest, DereferencingAnRvalueMovesTheValue) {
+  StatusOr<std::unique_ptr<int>> v = std::make_unique<int>(7);
+  std::unique_ptr<int> taken = *std::move(v);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 7);
 }
 
 TEST(StatusOrTest, HoldsError) {

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -213,6 +215,73 @@ TEST(RouterTest, NoEdgeYieldsInvalid) {
   EXPECT_TRUE(router.Consumers(t.op(0).tasks[0], 2).empty());
 }
 
+std::vector<Tuple> RouteTupleByTuple(const Router& router, TaskId producer,
+                                     OperatorId to_op,
+                                     const BatchOutput& batch,
+                                     TaskId consumer) {
+  std::vector<Tuple> out;
+  for (const Tuple& t : batch.tuples) {
+    if (router.Route(producer, to_op, t) == consumer) {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
+TEST(RouterTest, RouteBatchToMatchesPerTupleRoute) {
+  // src(3) --one-to-one--> mid(3) --merge--> sink(1); the second round
+  // uses a full mid -> sink(2) edge for the per-tuple hash path.
+  for (PartitionScheme s12 :
+       {PartitionScheme::kMerge, PartitionScheme::kFull}) {
+    Topology t = MakeChain(3, 3, s12 == PartitionScheme::kMerge ? 1 : 2,
+                           PartitionScheme::kOneToOne, s12);
+    Router router(&t);
+    BatchOutput batch;
+    batch.batch = 3;
+    for (int i = 0; i < 50; ++i) {
+      Tuple tuple;
+      tuple.key = "k" + std::to_string(i);
+      tuple.value = i;
+      tuple.batch = 3;
+      tuple.seq = (uint64_t{3} << 24) + static_cast<uint64_t>(i);
+      batch.tuples.push_back(std::move(tuple));
+    }
+    for (OperatorId to_op : {1, 2}) {
+      for (TaskId producer : t.op(to_op - 1).tasks) {
+        for (TaskId consumer : t.op(to_op).tasks) {
+          const std::vector<Tuple> expected =
+              RouteTupleByTuple(router, producer, to_op, batch, consumer);
+          std::vector<Tuple> out = MakeTuples({{"prefix", 7}});
+          const size_t routed =
+              router.RouteBatchTo(producer, to_op, batch, consumer, &out);
+          EXPECT_EQ(routed, expected.size());
+          ASSERT_EQ(out.size(), expected.size() + 1);  // Appends.
+          EXPECT_EQ(out[0].key, "prefix");
+          EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                 out.begin() + 1));
+          // The count-only path replay estimation uses.
+          EXPECT_EQ(router.RouteBatchTo(producer, to_op, batch, consumer,
+                                        nullptr),
+                    expected.size());
+        }
+      }
+    }
+    // One-to-one: producer 0's whole batch goes to mid task 0 only.
+    const TaskId src0 = t.op(0).tasks[0];
+    std::vector<Tuple> out;
+    EXPECT_EQ(router.RouteBatchTo(src0, 1, batch, t.op(1).tasks[0], &out),
+              batch.tuples.size());
+    EXPECT_EQ(out, batch.tuples);
+    // A task that is not a consumer of the edge gets nothing.
+    out.clear();
+    EXPECT_EQ(router.RouteBatchTo(src0, 1, batch, t.op(1).tasks[1], &out), 0u);
+    EXPECT_EQ(router.RouteBatchTo(src0, 1, batch, t.op(2).tasks[0], &out), 0u);
+    EXPECT_EQ(router.RouteBatchTo(src0, 1, batch, t.op(1).tasks[1], nullptr),
+              0u);
+    EXPECT_TRUE(out.empty());
+  }
+}
+
 class CountingSource : public SourceFunction {
  public:
   explicit CountingSource(int per_batch) : per_batch_(per_batch) {}
@@ -270,6 +339,74 @@ TEST(TaskRuntimeTest, ProgressVectorTracksMaxSeq) {
   rt.RunBatch(0, MakeTuples({{"a", 1}, {"b", 2}}, 0, 0));
   ASSERT_EQ(rt.progress_vector().size(), 1u);
   EXPECT_EQ(rt.progress_vector().at(0), 1u);
+}
+
+/// Passes its input through and records the (producer, seq) order it
+/// was handed.
+class RecordingOperator : public PassThroughOperator {
+ public:
+  void ProcessBatch(BatchContext* ctx,
+                    const std::vector<Tuple>& inputs) override {
+    for (const Tuple& t : inputs) {
+      seen.emplace_back(t.producer, t.seq);
+    }
+    PassThroughOperator::ProcessBatch(ctx, inputs);
+  }
+  std::vector<std::pair<TaskId, uint64_t>> seen;
+};
+
+TEST(TaskRuntimeTest, UnsortedProducersAreSortedBeforeProcessing) {
+  Topology t = MakeTinyChain();
+  auto make = [&](RecordingOperator** op) {
+    auto owned = std::make_unique<RecordingOperator>();
+    *op = owned.get();
+    return std::make_unique<TaskRuntime>(&t, t.op(1).tasks[0],
+                                         std::move(owned), nullptr);
+  };
+  RecordingOperator* sorted_op = nullptr;
+  RecordingOperator* unsorted_op = nullptr;
+  auto sorted_rt = make(&sorted_op);
+  auto unsorted_rt = make(&unsorted_op);
+  for (int64_t b = 0; b < 3; ++b) {
+    const std::vector<Tuple> p0 = MakeTuples({{"a", b}, {"b", b}}, 0, b);
+    const std::vector<Tuple> p1 =
+        MakeTuples({{"c", b}, {"d", b}, {"e", b}}, 1, b);
+    std::vector<Tuple> ascending = p0;
+    ascending.insert(ascending.end(), p1.begin(), p1.end());
+    std::vector<Tuple> descending = p1;
+    descending.insert(descending.end(), p0.begin(), p0.end());
+    const BatchOutput& so = sorted_rt->RunBatch(b, ascending);
+    const BatchOutput& uo = unsorted_rt->RunBatch(b, descending);
+    EXPECT_EQ(so.tuples, uo.tuples) << "batch " << b;
+  }
+  EXPECT_EQ(sorted_op->seen, unsorted_op->seen);
+  ASSERT_EQ(sorted_op->seen.size(), 15u);
+  EXPECT_EQ(sorted_op->seen.front(), std::make_pair(TaskId{0}, uint64_t{0}));
+  EXPECT_EQ(unsorted_rt->progress_vector(), sorted_rt->progress_vector());
+  EXPECT_EQ(unsorted_rt->progress_vector().at(0), (uint64_t{2} << 24) + 1);
+  EXPECT_EQ(unsorted_rt->progress_vector().at(1), (uint64_t{2} << 24) + 2);
+  EXPECT_EQ(unsorted_rt->processed_tuples(), 15);
+}
+
+TEST(TaskRuntimeTest, ReplayedPrefixIsDroppedAndFreshSuffixKept) {
+  Topology t = MakeTinyChain();
+  TaskRuntime rt(&t, t.op(1).tasks[0],
+                 std::make_unique<PassThroughOperator>(), nullptr);
+  const std::vector<Tuple> b0 =
+      MakeTuples({{"a", 1}, {"b", 2}, {"c", 3}}, /*producer=*/4, 0);
+  rt.RunBatch(0, b0);
+  // A replayed tail of batch 0 followed by batch 1's fresh tuples, all
+  // from the same producer in one batch.
+  std::vector<Tuple> mixed(b0.begin() + 1, b0.end());
+  const std::vector<Tuple> b1 = MakeTuples({{"d", 4}, {"e", 5}}, 4, 1);
+  mixed.insert(mixed.end(), b1.begin(), b1.end());
+  const BatchOutput& out = rt.RunBatch(1, mixed);
+  ASSERT_EQ(out.tuples.size(), 2u);
+  EXPECT_EQ(out.tuples[0].key, "d");
+  EXPECT_EQ(out.tuples[1].key, "e");
+  EXPECT_EQ(rt.processed_tuples(), 5);
+  ASSERT_EQ(rt.progress_vector().size(), 1u);
+  EXPECT_EQ(rt.progress_vector().at(4), (uint64_t{1} << 24) + 1);
 }
 
 TEST(TaskRuntimeTest, SnapshotRestoreRoundTrip) {

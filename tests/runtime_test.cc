@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -307,6 +308,58 @@ TEST(StreamingJobTest, FailedRunsAreDeterministicToo) {
   ASSERT_EQ(a.reports.size(), b.reports.size());
   EXPECT_EQ(a.reports[0].TotalLatency().micros(),
             b.reports[0].TotalLatency().micros());
+}
+
+/// left(2), right(2) --merge--> join(1). With `right_edge_first` the
+/// right edge is connected first, so the join's `in_substreams` list the
+/// right tasks (higher ids) before the left ones: not producer order.
+std::vector<SinkRecord> RunTwoInputJob(bool right_edge_first) {
+  TopologyBuilder b;
+  OperatorId left = b.AddOperator("left", 2);
+  OperatorId right = b.AddOperator("right", 2);
+  OperatorId join = b.AddOperator("join", 1, InputCorrelation::kCorrelated);
+  if (right_edge_first) {
+    b.Connect(right, join, PartitionScheme::kMerge);
+    b.Connect(left, join, PartitionScheme::kMerge);
+  } else {
+    b.Connect(left, join, PartitionScheme::kMerge);
+    b.Connect(right, join, PartitionScheme::kMerge);
+  }
+  b.SetSourceRate(left, 10.0).SetSourceRate(right, 10.0);
+  auto built = b.Build();
+  PPA_CHECK(built.ok());
+  Topology topo = *std::move(built);
+  std::vector<TaskId> producers;
+  for (int si : topo.task(topo.op(join).tasks[0]).in_substreams) {
+    producers.push_back(topo.substreams()[si].from);
+  }
+  PPA_CHECK(std::is_sorted(producers.begin(), producers.end()) !=
+            right_edge_first);
+
+  backend::SimBackend loop;
+  StreamingJob job(std::move(topo), MakeTestConfig(FtMode::kCheckpoint),
+                   JobRuntimeDeps(&loop));
+  PPA_CHECK_OK(job.BindSource(left, [] {
+    return std::make_unique<SyntheticSource>(6, 16, 3);
+  }));
+  PPA_CHECK_OK(job.BindSource(right, [] {
+    return std::make_unique<SyntheticSource>(4, 16, 11);
+  }));
+  // Pass-through emits in input order, so the sink stream shows the
+  // order the join task consumed its batch in.
+  PPA_CHECK_OK(job.BindOperator(join, [] {
+    return std::make_unique<PassThroughOperator>();
+  }));
+  PPA_CHECK_OK(job.Start());
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(20));
+  return job.sink_records();
+}
+
+TEST(StreamingJobTest, JoinEdgesOutOfProducerOrderMatchSortedInputs) {
+  const std::vector<SinkRecord> sorted = RunTwoInputJob(false);
+  const std::vector<SinkRecord> unsorted = RunTwoInputJob(true);
+  ASSERT_FALSE(sorted.empty());
+  ExpectSameRecords(sorted, unsorted);
 }
 
 TEST(StreamingJobTest, InjectionValidation) {
