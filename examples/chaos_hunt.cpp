@@ -10,11 +10,10 @@
 //     --seeds <n>          cases to run (default 64)
 //     --intensity <low|medium|high>   generator preset (default medium)
 //     --minimize           shrink failing cases with delta debugging
-//     --multi              hunt multi-tenant service cases instead of
-//                          single jobs (2-8 tenants on one shared
-//                          cluster; --minimize is ignored)
+//     --multi              generate service cases instead of single jobs
+//                          (2-8 tenants on one shared cluster)
 //     --replay <file>      run one chaos-case JSON instead of a campaign
-//                          (a multi-tenant case when --multi is given)
+//                          (single-job or service: the file says which)
 //     --report <file>      write the campaign report as JSON
 //     --repro_dir <dir>    write failing (minimized when available)
 //                          cases as <dir>/repro_<seed>.json, each with
@@ -28,9 +27,7 @@
 //     --backend <sim|threads>  substrate the cases execute on; golden
 //                          twins and the minimizer oracle always stay
 //                          on the sim, so "threads" is a fault-injected
-//                          parity sweep (DESIGN.md §16). Rejected (exit
-//                          2) with --multi: multi-tenant campaigns run
-//                          on the sim only
+//                          parity sweep (DESIGN.md §16)
 //     --recovery_mode <ppa|approx|hybrid>  recovery mode stamped into
 //                          every generated case (DESIGN.md §17); the
 //                          error-budget invariant checks the certified
@@ -53,7 +50,6 @@
 #include "bench/driver.h"
 #include "chaos/campaign.h"
 #include "chaos/chaos_run.h"
-#include "chaos/multi_tenant.h"
 #include "exp/progress.h"
 #include "report/experiment_report.h"
 
@@ -78,38 +74,6 @@ void PrintViolations(const std::vector<chaos::ChaosViolation>& violations) {
   }
 }
 
-int ReplayMulti(const std::string& path) {
-  auto text = ReadFile(path);
-  PPA_CHECK_OK(text.status());
-  auto mt_case = chaos::ParseMultiTenantCaseJson(*text);
-  if (!mt_case.ok()) {
-    std::fprintf(stderr, "bad multi-tenant case: %s\n",
-                 mt_case.status().ToString().c_str());
-    return 2;
-  }
-  auto report = chaos::RunMultiTenantCase(*mt_case);
-  if (!report.ok()) {
-    std::fprintf(stderr, "replay failed to execute: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("seed %llu: %zu tenants (%zu admitted, %zu queued), "
-              "%zu/%zu events, %zu sink records, %zu recoveries, "
-              "%zu arbitrations, ended @%.1fs\n",
-              static_cast<unsigned long long>(report->seed),
-              report->tenants_submitted, report->tenants_admitted,
-              report->tenants_queued, report->events_executed,
-              report->events_scheduled, report->sink_records,
-              report->recoveries, report->arbitrations,
-              report->end_seconds);
-  if (report->violations.empty()) {
-    std::printf("all invariants held\n");
-    return 0;
-  }
-  PrintViolations(report->violations);
-  return 1;
-}
-
 int Replay(const std::string& path) {
   auto text = ReadFile(path);
   PPA_CHECK_OK(text.status());
@@ -125,6 +89,12 @@ int Replay(const std::string& path) {
                  report.status().ToString().c_str());
     return 1;
   }
+  if (chaos_case->is_service()) {
+    std::printf("%zu tenants (%zu admitted, %zu queued), "
+                "%zu arbitrations\n",
+                report->tenants_submitted, report->tenants_admitted,
+                report->tenants_queued, report->arbitrations);
+  }
   std::printf("seed %llu: %zu/%zu events executed, %zu sink records, "
               "%zu recoveries, ended @%.1fs\n",
               static_cast<unsigned long long>(report->seed),
@@ -135,10 +105,7 @@ int Replay(const std::string& path) {
     std::printf("all invariants held\n");
     return 0;
   }
-  for (const chaos::ChaosViolation& violation : report->violations) {
-    std::printf("VIOLATION [%s] %s\n", violation.invariant.c_str(),
-                violation.message.c_str());
-  }
+  PrintViolations(report->violations);
   return 1;
 }
 
@@ -154,7 +121,6 @@ int Run(int argc, char** argv) {
   // bounded-error recovery contract; the error-budget invariant then
   // holds measured loss to the certified bound (DESIGN.md §17).
   options.recovery_mode = driver.recovery_mode();
-  bool multi = false;
   std::string replay_path, report_path, repro_dir;
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) {
@@ -174,7 +140,7 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--minimize") == 0) {
       options.minimize = true;
     } else if (std::strcmp(argv[i], "--multi") == 0) {
-      multi = true;
+      options.service_cases = true;
     } else if (std::strcmp(argv[i], "--replay") == 0) {
       replay_path = need_value("--replay");
     } else if (std::strcmp(argv[i], "--report") == 0) {
@@ -187,7 +153,7 @@ int Run(int argc, char** argv) {
     }
   }
   if (!replay_path.empty()) {
-    return multi ? ReplayMulti(replay_path) : Replay(replay_path);
+    return Replay(replay_path);
   }
 
   options.base_seed = driver.seed_or(1);
@@ -196,64 +162,6 @@ int Run(int argc, char** argv) {
   // whatever worker ran it, serialized under the meter's lock. stderr
   // only: the report and stdout stay byte-identical with or without it.
   options.progress = driver.StartProgress(options.num_seeds, "case");
-  if (multi &&
-      options.backend != backend::BackendKind::kSim) {
-    // Multi-tenant cases drive the whole service + tenants on one sim
-    // strand; a threaded sweep for them is future work. Hard error, not
-    // a warning: silently running on the sim would mislabel the report
-    // as a threads parity sweep.
-    std::fprintf(stderr,
-                 "--multi does not support --backend=%s; multi-tenant "
-                 "campaigns run on the sim only\n",
-                 backend::BackendKindToString(options.backend).c_str());
-    return 2;
-  }
-  if (multi) {
-    auto campaign = chaos::RunMultiTenantCampaign(options);
-    PPA_CHECK_OK(campaign.status());
-    for (const chaos::MultiTenantCampaignCaseResult& result :
-         campaign->results) {
-      if (!result.failed()) {
-        continue;
-      }
-      if (!result.error.empty()) {
-        std::printf("case %d (seed %llu): ERROR %s\n", result.index,
-                    static_cast<unsigned long long>(result.seed),
-                    result.error.c_str());
-      } else {
-        for (const chaos::ChaosViolation& violation :
-             result.report.violations) {
-          std::printf("case %d (seed %llu): VIOLATION [%s] %s\n",
-                      result.index,
-                      static_cast<unsigned long long>(result.seed),
-                      violation.invariant.c_str(),
-                      violation.message.c_str());
-        }
-      }
-      if (!repro_dir.empty()) {
-        const std::string path = repro_dir + "/repro_" +
-                                 std::to_string(result.seed) + ".json";
-        PPA_CHECK_OK(WriteJsonFile(
-            path, chaos::MultiTenantCaseToJson(result.mt_case)));
-        std::printf("  repro written to %s\n", path.c_str());
-      }
-    }
-    std::printf("%d/%d multi-tenant cases passed (%d violations)\n",
-                options.num_seeds - campaign->num_failed,
-                options.num_seeds, campaign->num_violations);
-    if (!report_path.empty()) {
-      PPA_CHECK_OK(WriteJsonFile(
-          report_path, chaos::MultiTenantCampaignReportToJson(*campaign)));
-      std::printf("report written to %s\n", report_path.c_str());
-    }
-    driver.metrics().Add(
-        "campaign", chaos::MultiTenantCampaignReportToJson(*campaign));
-    const int driver_exit = driver.Finish("chaos_hunt");
-    if (driver_exit != 0) {
-      return driver_exit;
-    }
-    return campaign->num_failed == 0 ? 0 : 1;
-  }
   auto campaign = chaos::RunCampaign(options);
   PPA_CHECK_OK(campaign.status());
 

@@ -18,7 +18,9 @@ CampaignCaseResult RunOneCaseInner(const CampaignOptions& options,
   result.index = index;
   result.seed = DeriveSeed(options.base_seed, static_cast<uint64_t>(index));
   StatusOr<ChaosCase> generated =
-      GenerateChaosCase(options.intensity, result.seed);
+      options.service_cases
+          ? GenerateServiceCase(options.intensity, result.seed)
+          : GenerateChaosCase(options.intensity, result.seed);
   if (!generated.ok()) {
     result.error = "generate: " + generated.status().ToString();
     return result;
@@ -89,12 +91,28 @@ JsonValue CaseResultToJson(const CampaignCaseResult& result) {
     json.Set("case", ChaosCaseToJson(result.chaos_case));
     return json;
   }
+  const bool service = result.chaos_case.is_service();
+  if (service) {
+    json.Set("tenants_submitted",
+             static_cast<int64_t>(result.report.tenants_submitted));
+    json.Set("tenants_admitted",
+             static_cast<int64_t>(result.report.tenants_admitted));
+    json.Set("tenants_queued",
+             static_cast<int64_t>(result.report.tenants_queued));
+  }
   json.Set("events_scheduled",
            static_cast<int64_t>(result.report.events_scheduled));
   json.Set("events_executed",
            static_cast<int64_t>(result.report.events_executed));
   json.Set("sink_records", static_cast<int64_t>(result.report.sink_records));
   json.Set("recoveries", static_cast<int64_t>(result.report.recoveries));
+  if (service) {
+    json.Set("arbitrations",
+             static_cast<int64_t>(result.report.arbitrations));
+    json.Set("degradations",
+             static_cast<int64_t>(result.report.degradations));
+    json.Set("promotions", static_cast<int64_t>(result.report.promotions));
+  }
   json.Set("end_seconds", result.report.end_seconds);
   JsonValue violations = JsonValue::Array();
   for (const ChaosViolation& violation : result.report.violations) {

@@ -26,6 +26,9 @@ struct CampaignOptions {
   int num_seeds = 64;
   /// Generator preset shared by every case.
   ChaosIntensity intensity;
+  /// Generate service cases (GenerateServiceCase: many tenants on one
+  /// shared pool) instead of single-job ones (GenerateChaosCase).
+  bool service_cases = false;
   /// Execution substrate every case runs on. The golden twin and the
   /// minimizer oracle always stay on the deterministic sim, so a threads
   /// campaign is a fault-injected parity sweep of the threaded backend.

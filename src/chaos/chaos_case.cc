@@ -1,6 +1,8 @@
 #include "chaos/chaos_case.h"
 
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace ppa {
 namespace chaos {
@@ -23,10 +25,36 @@ JobConfig ChaosCase::ToJobConfig() const {
   return config;
 }
 
+service::ServiceConfig ChaosCase::ToServiceConfig() const {
+  service::ServiceConfig config;
+  config.num_worker_nodes = num_worker_nodes;
+  config.num_standby_nodes = num_standby_nodes;
+  config.worker_slots_per_node = worker_slots_per_node;
+  config.standby_slots_per_node = standby_slots_per_node;
+  config.arbitration_slot = Duration::Seconds(arbitration_slot_seconds);
+  return config;
+}
+
+namespace {
+
+template <typename T>
+JsonValue IntArrayToJson(const std::vector<T>& values) {
+  JsonValue array = JsonValue::Array();
+  for (T value : values) {
+    array.Append(static_cast<int64_t>(value));
+  }
+  return array;
+}
+
+}  // namespace
+
 JsonValue ChaosCaseToJson(const ChaosCase& chaos_case) {
+  const bool service = chaos_case.is_service();
   JsonValue json = JsonValue::Object();
   json.Set("seed", static_cast<int64_t>(chaos_case.seed));
-  json.Set("topology_spec", chaos_case.topology_spec);
+  if (!service) {
+    json.Set("topology_spec", chaos_case.topology_spec);
+  }
   json.Set("batch_interval_seconds", chaos_case.batch_interval_seconds);
   json.Set("detection_interval_seconds",
            chaos_case.detection_interval_seconds);
@@ -34,24 +62,37 @@ JsonValue ChaosCaseToJson(const ChaosCase& chaos_case) {
            chaos_case.checkpoint_interval_seconds);
   json.Set("num_worker_nodes", chaos_case.num_worker_nodes);
   json.Set("num_standby_nodes", chaos_case.num_standby_nodes);
+  if (service) {
+    json.Set("worker_slots_per_node", chaos_case.worker_slots_per_node);
+    json.Set("standby_slots_per_node", chaos_case.standby_slots_per_node);
+    json.Set("arbitration_slot_seconds", chaos_case.arbitration_slot_seconds);
+  }
   json.Set("window_batches", chaos_case.window_batches);
-  json.Set("delta_checkpoints", chaos_case.delta_checkpoints);
+  if (!service) {
+    json.Set("delta_checkpoints", chaos_case.delta_checkpoints);
+  }
   json.Set("recovery_mode",
            std::string(af::RecoveryModeToString(chaos_case.recovery_mode)));
   json.Set("af_task_divergence_records",
            chaos_case.af_task_divergence_records);
   json.Set("af_max_certified_loss", chaos_case.af_max_certified_loss);
-  JsonValue domains = JsonValue::Array();
-  for (int domain : chaos_case.node_domains) {
-    domains.Append(domain);
+  json.Set("node_domains", IntArrayToJson(chaos_case.node_domains));
+  if (service) {
+    JsonValue tenants = JsonValue::Array();
+    for (const TenantCase& tenant : chaos_case.tenants) {
+      JsonValue entry = JsonValue::Object();
+      entry.Set("topology_spec", tenant.topology_spec);
+      entry.Set("replica_budget", tenant.replica_budget);
+      entry.Set("priority", tenant.priority);
+      entry.Set("initial_plan", IntArrayToJson(tenant.initial_plan));
+      entry.Set("worker_affinity", IntArrayToJson(tenant.worker_affinity));
+      tenants.Append(std::move(entry));
+    }
+    json.Set("tenants", std::move(tenants));
+  } else {
+    json.Set("initial_plan", IntArrayToJson(chaos_case.initial_plan));
+    json.Set("budget", chaos_case.budget);
   }
-  json.Set("node_domains", std::move(domains));
-  JsonValue plan = JsonValue::Array();
-  for (TaskId t : chaos_case.initial_plan) {
-    plan.Append(static_cast<int64_t>(t));
-  }
-  json.Set("initial_plan", std::move(plan));
-  json.Set("budget", chaos_case.budget);
   json.Set("events", ScenarioToJson(chaos_case.events));
   json.Set("run_for_seconds", chaos_case.run_for_seconds);
   return json;
@@ -76,12 +117,56 @@ StatusOr<double> RequireNumber(const JsonValue& json, const char* key) {
   return value->AsDouble();
 }
 
-StatusOr<int64_t> RequireInt(const JsonValue& json, const char* key) {
+template <typename T = int64_t>
+StatusOr<T> RequireInt(const JsonValue& json, const char* key) {
   PPA_ASSIGN_OR_RETURN(const JsonValue* value, Require(json, key));
   if (!value->is_number()) {
     return InvalidArgument(std::string("'") + key + "' must be a number");
   }
-  return value->AsInt();
+  return static_cast<T>(value->AsInt());
+}
+
+StatusOr<std::string> RequireString(const JsonValue& json, const char* key) {
+  PPA_ASSIGN_OR_RETURN(const JsonValue* value, Require(json, key));
+  if (!value->is_string()) {
+    return InvalidArgument(std::string("'") + key + "' must be a string");
+  }
+  return value->AsString();
+}
+
+template <typename T>
+StatusOr<std::vector<T>> RequireIntArray(const JsonValue& json,
+                                         const char* key) {
+  PPA_ASSIGN_OR_RETURN(const JsonValue* value, Require(json, key));
+  if (!value->is_array()) {
+    return InvalidArgument(std::string("'") + key + "' must be an array");
+  }
+  std::vector<T> values;
+  for (size_t i = 0; i < value->size(); ++i) {
+    if (!value->at(i).is_number()) {
+      return InvalidArgument(std::string("'") + key +
+                             "' entries must be integers");
+    }
+    values.push_back(static_cast<T>(value->at(i).AsInt()));
+  }
+  return values;
+}
+
+StatusOr<TenantCase> TenantCaseFromJson(const JsonValue& json) {
+  if (!json.is_object()) {
+    return InvalidArgument("tenant case must be a JSON object");
+  }
+  TenantCase tenant;
+  PPA_ASSIGN_OR_RETURN(tenant.topology_spec,
+                       RequireString(json, "topology_spec"));
+  PPA_ASSIGN_OR_RETURN(tenant.replica_budget,
+                       RequireInt<int>(json, "replica_budget"));
+  PPA_ASSIGN_OR_RETURN(tenant.priority, RequireInt<int>(json, "priority"));
+  PPA_ASSIGN_OR_RETURN(tenant.initial_plan,
+                       RequireIntArray<TaskId>(json, "initial_plan"));
+  PPA_ASSIGN_OR_RETURN(tenant.worker_affinity,
+                       RequireIntArray<int>(json, "worker_affinity"));
+  return tenant;
 }
 
 }  // namespace
@@ -91,34 +176,47 @@ StatusOr<ChaosCase> ChaosCaseFromJson(const JsonValue& json) {
     return InvalidArgument("chaos case must be a JSON object");
   }
   ChaosCase chaos_case;
-  PPA_ASSIGN_OR_RETURN(int64_t seed, RequireInt(json, "seed"));
-  chaos_case.seed = static_cast<uint64_t>(seed);
-  PPA_ASSIGN_OR_RETURN(const JsonValue* spec,
-                       Require(json, "topology_spec"));
-  if (!spec->is_string()) {
-    return InvalidArgument("'topology_spec' must be a string");
+  PPA_ASSIGN_OR_RETURN(chaos_case.seed, RequireInt<uint64_t>(json, "seed"));
+  const JsonValue* tenants = json.Find("tenants");
+  if (tenants != nullptr) {
+    if (!tenants->is_array() || tenants->size() == 0) {
+      return InvalidArgument("'tenants' must be a non-empty array");
+    }
+    for (size_t i = 0; i < tenants->size(); ++i) {
+      PPA_ASSIGN_OR_RETURN(TenantCase tenant,
+                           TenantCaseFromJson(tenants->at(i)));
+      chaos_case.tenants.push_back(std::move(tenant));
+    }
+    PPA_ASSIGN_OR_RETURN(chaos_case.worker_slots_per_node,
+                         RequireInt<int>(json, "worker_slots_per_node"));
+    PPA_ASSIGN_OR_RETURN(chaos_case.standby_slots_per_node,
+                         RequireInt<int>(json, "standby_slots_per_node"));
+    PPA_ASSIGN_OR_RETURN(chaos_case.arbitration_slot_seconds,
+                         RequireNumber(json, "arbitration_slot_seconds"));
+  } else {
+    PPA_ASSIGN_OR_RETURN(chaos_case.topology_spec,
+                         RequireString(json, "topology_spec"));
   }
-  chaos_case.topology_spec = spec->AsString();
   PPA_ASSIGN_OR_RETURN(chaos_case.batch_interval_seconds,
                        RequireNumber(json, "batch_interval_seconds"));
   PPA_ASSIGN_OR_RETURN(chaos_case.detection_interval_seconds,
                        RequireNumber(json, "detection_interval_seconds"));
   PPA_ASSIGN_OR_RETURN(chaos_case.checkpoint_interval_seconds,
                        RequireNumber(json, "checkpoint_interval_seconds"));
-  PPA_ASSIGN_OR_RETURN(int64_t workers,
-                       RequireInt(json, "num_worker_nodes"));
-  chaos_case.num_worker_nodes = static_cast<int>(workers);
-  PPA_ASSIGN_OR_RETURN(int64_t standbys,
-                       RequireInt(json, "num_standby_nodes"));
-  chaos_case.num_standby_nodes = static_cast<int>(standbys);
+  PPA_ASSIGN_OR_RETURN(chaos_case.num_worker_nodes,
+                       RequireInt<int>(json, "num_worker_nodes"));
+  PPA_ASSIGN_OR_RETURN(chaos_case.num_standby_nodes,
+                       RequireInt<int>(json, "num_standby_nodes"));
   PPA_ASSIGN_OR_RETURN(chaos_case.window_batches,
                        RequireInt(json, "window_batches"));
-  PPA_ASSIGN_OR_RETURN(const JsonValue* deltas,
-                       Require(json, "delta_checkpoints"));
-  if (!deltas->is_bool()) {
-    return InvalidArgument("'delta_checkpoints' must be a bool");
+  if (tenants == nullptr) {
+    PPA_ASSIGN_OR_RETURN(const JsonValue* deltas,
+                         Require(json, "delta_checkpoints"));
+    if (!deltas->is_bool()) {
+      return InvalidArgument("'delta_checkpoints' must be a bool");
+    }
+    chaos_case.delta_checkpoints = deltas->AsBool();
   }
-  chaos_case.delta_checkpoints = deltas->AsBool();
   // The af fields are optional with defaults: repro JSONs that predate
   // approximate fault tolerance parse as exact (kPpa) cases.
   if (const JsonValue* mode = json.Find("recovery_mode"); mode != nullptr) {
@@ -136,31 +234,13 @@ StatusOr<ChaosCase> ChaosCaseFromJson(const JsonValue& json) {
     PPA_ASSIGN_OR_RETURN(chaos_case.af_max_certified_loss,
                          RequireNumber(json, "af_max_certified_loss"));
   }
-  PPA_ASSIGN_OR_RETURN(const JsonValue* domains,
-                       Require(json, "node_domains"));
-  if (!domains->is_array()) {
-    return InvalidArgument("'node_domains' must be an array");
+  PPA_ASSIGN_OR_RETURN(chaos_case.node_domains,
+                       RequireIntArray<int>(json, "node_domains"));
+  if (tenants == nullptr) {
+    PPA_ASSIGN_OR_RETURN(chaos_case.initial_plan,
+                         RequireIntArray<TaskId>(json, "initial_plan"));
+    PPA_ASSIGN_OR_RETURN(chaos_case.budget, RequireInt<int>(json, "budget"));
   }
-  for (size_t i = 0; i < domains->size(); ++i) {
-    if (!domains->at(i).is_number()) {
-      return InvalidArgument("'node_domains' entries must be ints");
-    }
-    chaos_case.node_domains.push_back(
-        static_cast<int>(domains->at(i).AsInt()));
-  }
-  PPA_ASSIGN_OR_RETURN(const JsonValue* plan, Require(json, "initial_plan"));
-  if (!plan->is_array()) {
-    return InvalidArgument("'initial_plan' must be an array");
-  }
-  for (size_t i = 0; i < plan->size(); ++i) {
-    if (!plan->at(i).is_number()) {
-      return InvalidArgument("'initial_plan' entries must be task ids");
-    }
-    chaos_case.initial_plan.push_back(
-        static_cast<TaskId>(plan->at(i).AsInt()));
-  }
-  PPA_ASSIGN_OR_RETURN(int64_t budget, RequireInt(json, "budget"));
-  chaos_case.budget = static_cast<int>(budget);
   PPA_ASSIGN_OR_RETURN(const JsonValue* events, Require(json, "events"));
   PPA_ASSIGN_OR_RETURN(chaos_case.events, ScenarioFromJson(*events));
   PPA_ASSIGN_OR_RETURN(chaos_case.run_for_seconds,

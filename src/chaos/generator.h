@@ -58,6 +58,17 @@ struct ChaosIntensity {
 [[nodiscard]] StatusOr<ChaosCase> GenerateChaosCase(
     const ChaosIntensity& intensity, uint64_t seed);
 
+/// Generates a random-but-valid service case from `seed`: 2-8 tenants
+/// with small random topologies, Zipf-skewed replica budgets, random
+/// priorities, a shared cluster that is sometimes deliberately
+/// standby-starved, a random domain assignment, and a failure/revival
+/// timeline drawn per `intensity` with a bias toward standby-killing
+/// events (budget-starvation pressure). It draws its own RNG sequence,
+/// independent of GenerateChaosCase's. Pure function of
+/// (intensity, seed).
+[[nodiscard]] StatusOr<ChaosCase> GenerateServiceCase(
+    const ChaosIntensity& intensity, uint64_t seed);
+
 }  // namespace chaos
 }  // namespace ppa
 

@@ -10,6 +10,7 @@
 #include "ft/recovery_model.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "service/arbiter.h"
 #include "topology/task_set.h"
 
 namespace ppa {
@@ -239,7 +240,7 @@ class ReplicaBudgetInvariant : public Invariant {
     // primary. Plan swaps must keep the replicas of currently-failed
     // tasks (they may be the recovery path), so the enforced ceiling is
     // budget + #failed.
-    const int64_t budget = context.chaos_case->budget;
+    const int64_t budget = context.replica_budget;
     int64_t running = 0;
     std::set<int64_t> failed;
     for (const obs::TraceEvent& e : context.job->trace().events()) {
@@ -439,6 +440,7 @@ class ErrorBudgetInvariant : public Invariant {
 class EventSanityInvariant : public Invariant {
  public:
   std::string_view name() const override { return "event-sanity"; }
+  bool per_job() const override { return false; }
 
   void Check(const ChaosRunContext& context,
              std::vector<ChaosViolation>* violations) const override {
@@ -468,6 +470,117 @@ class EventSanityInvariant : public Invariant {
   }
 };
 
+class AdmissionSanityInvariant : public Invariant {
+ public:
+  std::string_view name() const override { return "admission-sanity"; }
+  bool per_job() const override { return false; }
+
+  void Check(const ChaosRunContext& context,
+             std::vector<ChaosViolation>* violations) const override {
+    if (context.service == nullptr) {
+      return;
+    }
+    // No evict events exist in a chaos timeline, so a stopped job means
+    // admission double-charged capacity and gave up on a queued tenant.
+    for (int id : context.service->TenantIds()) {
+      const StreamingJob* job = context.service->job(id);
+      if (job != nullptr && job->stopped()) {
+        violations->push_back({std::string(name()),
+                               "tenant " + std::to_string(id) +
+                                   " was evicted during the run"});
+      }
+    }
+  }
+};
+
+class TenantReplicaBudgetInvariant : public Invariant {
+ public:
+  std::string_view name() const override { return "tenant-replica-budget"; }
+  bool per_job() const override { return false; }
+
+  void Check(const ChaosRunContext& context,
+             std::vector<ChaosViolation>* violations) const override {
+    // End-state per-tenant ceiling: placed replicas never exceed the
+    // tenant's budget (zero while degraded) plus its currently-failed
+    // tasks (whose replicas may be the recovery path).
+    const service::ClusterService* svc = context.service;
+    if (svc == nullptr) {
+      return;
+    }
+    for (int id : svc->TenantIds()) {
+      const StreamingJob* job = svc->job(id);
+      if (job == nullptr || job->stopped()) {
+        continue;
+      }
+      const int64_t budget =
+          svc->PhaseOf(id).value() == service::TenantPhase::kDegraded
+              ? 0
+              : svc->spec(id)->replica_budget;
+      const int64_t failed =
+          static_cast<int64_t>(job->UnrecoveredTasks().ToVector().size());
+      const int64_t placed =
+          static_cast<int64_t>(job->cluster().PlacedReplicas());
+      if (placed > budget + failed) {
+        violations->push_back(
+            {std::string(name()),
+             "tenant " + std::to_string(id) + " holds " +
+                 std::to_string(placed) + " placed replicas, ceiling " +
+                 std::to_string(budget) + " + " + std::to_string(failed) +
+                 " failed tasks"});
+      }
+    }
+  }
+};
+
+class ArbitrationOrderInvariant : public Invariant {
+ public:
+  std::string_view name() const override { return "arbitration-order"; }
+  bool per_job() const override { return false; }
+
+  void Check(const ChaosRunContext& context,
+             std::vector<ChaosViolation>* violations) const override {
+    // Every logged decision must match the deterministic policy order
+    // with rank-proportional holds.
+    if (context.service == nullptr) {
+      return;
+    }
+    const Duration slot = context.service->config().arbitration_slot;
+    const std::vector<service::ArbitrationDecision>& log =
+        context.service->arbitration_log();
+    for (size_t d = 0; d < log.size(); ++d) {
+      const service::ArbitrationDecision& decision = log[d];
+      std::vector<service::ArbitrationClaim> claims;
+      claims.reserve(decision.order.size());
+      for (const service::ArbitrationHold& hold : decision.order) {
+        claims.push_back(hold.claim);
+      }
+      const std::vector<service::ArbitrationClaim> expected =
+          service::ArbitrationOrder(claims);
+      for (size_t i = 0; i < decision.order.size(); ++i) {
+        if (decision.order[i].claim.tenant != expected[i].tenant) {
+          violations->push_back(
+              {std::string(name()),
+               "decision " + std::to_string(d) + " ranks tenant " +
+                   std::to_string(decision.order[i].claim.tenant) + " at " +
+                   std::to_string(i) + " but the policy puts tenant " +
+                   std::to_string(expected[i].tenant) + " there"});
+          break;
+        }
+        const Duration want = slot * static_cast<int64_t>(i);
+        if (decision.order[i].hold != want) {
+          violations->push_back(
+              {std::string(name()),
+               "decision " + std::to_string(d) + " holds rank " +
+                   std::to_string(i) + " for " +
+                   std::to_string(decision.order[i].hold.seconds()) +
+                   "s, expected " + std::to_string(want.seconds()) + "s"});
+          break;
+        }
+      }
+    }
+  }
+};
+
 }  // namespace
 
 const std::vector<const Invariant*>& BuiltinInvariants() {
@@ -478,9 +591,14 @@ const std::vector<const Invariant*>& BuiltinInvariants() {
   static const TimelineSanityInvariant timeline_sanity;
   static const ErrorBudgetInvariant error_budget;
   static const EventSanityInvariant event_sanity;
+  static const AdmissionSanityInvariant admission_sanity;
+  static const TenantReplicaBudgetInvariant tenant_replica_budget;
+  static const ArbitrationOrderInvariant arbitration_order;
   static const std::vector<const Invariant*> all = {
-      &exactly_once,    &fidelity_bounds,  &liveness,    &replica_budget,
-      &timeline_sanity, &error_budget,     &event_sanity,
+      &exactly_once,     &fidelity_bounds,       &liveness,
+      &replica_budget,   &timeline_sanity,       &error_budget,
+      &event_sanity,     &admission_sanity,      &tenant_replica_budget,
+      &arbitration_order,
   };
   return all;
 }

@@ -126,6 +126,7 @@ class StreamingJob {
   const Topology& topology() const { return topology_; }
   const JobConfig& config() const { return config_; }
   Cluster& cluster() { return cluster_; }
+  const Cluster& cluster() const { return cluster_; }
   /// The backend running this job's events.
   backend::ExecutionBackend* backend() const { return backend_; }
   /// The backend strand every event of this job is scheduled on.

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gmock/gmock.h>
@@ -12,6 +13,7 @@
 #include "chaos/generator.h"
 #include "chaos/minimizer.h"
 #include "common/random.h"
+#include "report/json.h"
 
 namespace ppa {
 namespace chaos {
@@ -84,12 +86,42 @@ TEST(ChaosCaseJsonTest, RoundTripsNonDefaultRecoveryModeFields) {
   EXPECT_EQ(legacy->recovery_mode, af::RecoveryMode::kPpa);
 }
 
+/// `object` without its member `key`.
+JsonValue WithoutKey(const JsonValue& object, std::string_view key) {
+  JsonValue copy = JsonValue::Object();
+  for (const auto& [name, value] : object.members()) {
+    if (name != key) {
+      copy.Set(name, value);
+    }
+  }
+  return copy;
+}
+
 TEST(ChaosCaseJsonTest, RejectsMissingFields) {
   auto missing = ParseChaosCaseJson("{\"seed\":1}");
   ASSERT_FALSE(missing.ok());
   EXPECT_THAT(missing.status().message(), HasSubstr("missing"));
   EXPECT_EQ(ParseChaosCaseJson("[1,2]").status().code(),
             StatusCode::kInvalidArgument);
+
+  // Service cases require their own keys: every tenant's topology, and
+  // the shared-pool shape.
+  auto service = GenerateServiceCase(ChaosIntensity::Medium(), 777);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const JsonValue json = ChaosCaseToJson(*service);
+  JsonValue tenants = JsonValue::Array();
+  tenants.Append(WithoutKey(json.Find("tenants")->at(0), "topology_spec"));
+  JsonValue no_topology = json;
+  no_topology.Set("tenants", std::move(tenants));
+  auto missing_topology = ChaosCaseFromJson(no_topology);
+  ASSERT_FALSE(missing_topology.ok());
+  EXPECT_THAT(missing_topology.status().message(),
+              HasSubstr("missing 'topology_spec'"));
+  auto missing_slots =
+      ChaosCaseFromJson(WithoutKey(json, "worker_slots_per_node"));
+  ASSERT_FALSE(missing_slots.ok());
+  EXPECT_THAT(missing_slots.status().message(),
+              HasSubstr("missing 'worker_slots_per_node'"));
 }
 
 TEST(ChaosRunTest, GeneratedCaseExecutesCleanly) {
@@ -186,26 +218,31 @@ TEST(CampaignTest, FailingCaseJsonEmbedsTheFlightRecord) {
 }
 
 TEST(CampaignTest, SmokeCampaignPassesAndIsJobCountInvariant) {
-  CampaignOptions options;
-  options.base_seed = 99;
-  options.num_seeds = 6;
-  options.intensity = ChaosIntensity::Medium();
-  options.jobs = 1;
-  auto serial = RunCampaign(options);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(serial->num_failed, 0);
-  EXPECT_EQ(serial->num_violations, 0);
-  ASSERT_EQ(serial->results.size(), 6u);
-  for (const CampaignCaseResult& result : serial->results) {
-    EXPECT_EQ(result.seed,
-              DeriveSeed(options.base_seed,
-                         static_cast<uint64_t>(result.index)));
+  for (const bool service_cases : {false, true}) {
+    SCOPED_TRACE(service_cases ? "service cases" : "single-job cases");
+    CampaignOptions options;
+    options.base_seed = 99;
+    options.num_seeds = 6;
+    options.intensity = ChaosIntensity::Medium();
+    options.service_cases = service_cases;
+    options.jobs = 1;
+    auto serial = RunCampaign(options);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    EXPECT_EQ(serial->num_failed, 0);
+    EXPECT_EQ(serial->num_violations, 0);
+    ASSERT_EQ(serial->results.size(), 6u);
+    for (const CampaignCaseResult& result : serial->results) {
+      EXPECT_EQ(result.seed,
+                DeriveSeed(options.base_seed,
+                           static_cast<uint64_t>(result.index)));
+      EXPECT_EQ(result.chaos_case.is_service(), service_cases);
+    }
+    options.jobs = 3;
+    auto parallel = RunCampaign(options);
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    EXPECT_EQ(CampaignReportToJson(*serial).Serialize(),
+              CampaignReportToJson(*parallel).Serialize());
   }
-  options.jobs = 3;
-  auto parallel = RunCampaign(options);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(CampaignReportToJson(*serial).Serialize(),
-            CampaignReportToJson(*parallel).Serialize());
 }
 
 TEST(CampaignTest, RejectsBadOptions) {
@@ -281,16 +318,33 @@ ChaosCase NoisyFailingCase() {
   return chaos_case;
 }
 
-TEST(MinimizerTest, ShrinksPlantedBugToItsEssentialEvents) {
-  const ChaosCase failing = NoisyFailingCase();
-  ASSERT_GE(failing.events.size(), 20u);
+/// A generated service case with the planted bug's two essential events
+/// spliced into its 10-20 noise events. The fake oracle never runs it, so
+/// the reconcile (not a service event) only marks the bug.
+ChaosCase NoisyFailingServiceCase() {
+  auto generated = GenerateServiceCase(ChaosIntensity::High(), 5);
+  PPA_CHECK_OK(generated.status());
+  ChaosCase chaos_case = *std::move(generated);
+  ScenarioEvent failure;
+  failure.at = chaos_case.events[2].at;
+  failure.kind = ScenarioEvent::Kind::kNodeFailure;
+  failure.node = 1;
+  ScenarioEvent reconcile;
+  reconcile.at = chaos_case.events[7].at;
+  reconcile.kind = ScenarioEvent::Kind::kReconcile;
+  chaos_case.events.insert(chaos_case.events.begin() + 7, reconcile);
+  chaos_case.events.insert(chaos_case.events.begin() + 2, failure);
+  return chaos_case;
+}
+
+void ExpectShrinksPlantedBug(const ChaosCase& failing) {
   int calls = 0;
   const CaseOracle oracle = PlantedBugOracle(&calls);
   auto minimized = MinimizeFailingCase(failing, oracle);
   ASSERT_TRUE(minimized.ok()) << minimized.status();
   EXPECT_EQ(minimized->invariant, "planted-bug");
   EXPECT_LE(minimized->minimized.events.size(), 3u)
-      << "ddmin must strip the 20 noise events";
+      << "ddmin must strip the noise events";
   EXPECT_EQ(minimized->oracle_calls, calls)
       << "every oracle call is accounted (baseline included)";
 
@@ -314,8 +368,27 @@ TEST(MinimizerTest, ShrinksPlantedBugToItsEssentialEvents) {
   EXPECT_LT(minimized->minimized.num_standby_nodes,
             failing.num_standby_nodes);
   EXPECT_LT(minimized->minimized.run_for_seconds, failing.run_for_seconds);
-  EXPECT_LT(minimized->minimized.initial_plan.size(),
-            failing.initial_plan.size());
+  if (failing.is_service()) {
+    // Tenants carry their own plans; the shrinker leaves them alone.
+    EXPECT_EQ(minimized->minimized.tenants, failing.tenants);
+  } else {
+    EXPECT_LT(minimized->minimized.initial_plan.size(),
+              failing.initial_plan.size());
+  }
+}
+
+TEST(MinimizerTest, ShrinksPlantedBugToItsEssentialEvents) {
+  const ChaosCase failing = NoisyFailingCase();
+  ASSERT_GE(failing.events.size(), 20u);
+  ExpectShrinksPlantedBug(failing);
+}
+
+// The same ddmin, offset and structure phases shrink a service case.
+TEST(MinimizerTest, ShrinksPlantedBugInAServiceCase) {
+  const ChaosCase failing = NoisyFailingServiceCase();
+  ASSERT_GE(failing.events.size(), 12u);
+  ASSERT_GE(failing.num_standby_nodes, 2);
+  ExpectShrinksPlantedBug(failing);
 }
 
 TEST(MinimizerTest, PassingCaseIsRejected) {

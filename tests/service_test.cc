@@ -5,8 +5,10 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include "chaos/chaos_case.h"
+#include "chaos/chaos_run.h"
 #include "chaos/generator.h"
-#include "chaos/multi_tenant.h"
+#include "common/random.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "runtime/cluster.h"
@@ -386,11 +388,11 @@ TEST(ServiceDrillTest, ReportIsByteIdenticalAcrossRuns) {
             RunDrillToReport(&loop_b, &svc_b));
 }
 
-TEST(ServiceDrillTest, DrillPassesEveryMultiTenantInvariant) {
-  // The same drill expressed as a multi-tenant chaos case: the runner
-  // checks per-tenant exactly-once stable output against fault-free
-  // goldens plus the service-level budget and arbitration invariants.
-  chaos::MultiTenantCase mt_case;
+TEST(ServiceDrillTest, DrillPassesEveryServiceInvariant) {
+  // The same drill expressed as a service chaos case: the runner checks
+  // per-tenant exactly-once stable output against fault-free goldens plus
+  // the service-level budget and arbitration invariants.
+  chaos::ChaosCase mt_case;
   mt_case.seed = 16;
   mt_case.num_worker_nodes = 12;
   mt_case.num_standby_nodes = 8;
@@ -418,7 +420,7 @@ TEST(ServiceDrillTest, DrillPassesEveryMultiTenantInvariant) {
   mt_case.events.push_back(failure);
   mt_case.run_for_seconds = 60;
 
-  auto report = chaos::RunMultiTenantCase(mt_case);
+  auto report = chaos::RunChaosCase(mt_case);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->tenants_admitted, 16u);
   EXPECT_EQ(report->tenants_queued, 0u);
@@ -429,34 +431,34 @@ TEST(ServiceDrillTest, DrillPassesEveryMultiTenantInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-tenant chaos cases.
+// Service chaos cases: a ChaosCase with tenants.
 
-TEST(MultiTenantCaseTest, JsonRoundTrips) {
+TEST(ServiceCaseTest, JsonRoundTrips) {
   auto generated =
-      chaos::GenerateMultiTenantCase(chaos::ChaosIntensity::Medium(), 777);
+      chaos::GenerateServiceCase(chaos::ChaosIntensity::Medium(), 777);
   ASSERT_TRUE(generated.ok()) << generated.status();
-  auto parsed = chaos::ParseMultiTenantCaseJson(
-      chaos::MultiTenantCaseToJson(*generated).Serialize());
+  auto parsed = chaos::ParseChaosCaseJson(
+      chaos::ChaosCaseToJson(*generated).Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(*parsed, *generated);
 }
 
-TEST(MultiTenantCaseTest, SameSeedSameCase) {
-  auto a = chaos::GenerateMultiTenantCase(chaos::ChaosIntensity::Medium(), 9);
-  auto b = chaos::GenerateMultiTenantCase(chaos::ChaosIntensity::Medium(), 9);
+TEST(ServiceCaseTest, SameSeedSameCase) {
+  auto a = chaos::GenerateServiceCase(chaos::ChaosIntensity::Medium(), 9);
+  auto b = chaos::GenerateServiceCase(chaos::ChaosIntensity::Medium(), 9);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
-  auto c = chaos::GenerateMultiTenantCase(chaos::ChaosIntensity::Medium(), 10);
+  auto c = chaos::GenerateServiceCase(chaos::ChaosIntensity::Medium(), 10);
   ASSERT_TRUE(c.ok());
   EXPECT_FALSE(*a == *c);
 }
 
-TEST(MultiTenantCaseTest, GeneratedCaseRunsClean) {
+TEST(ServiceCaseTest, GeneratedCaseRunsClean) {
   auto generated =
-      chaos::GenerateMultiTenantCase(chaos::ChaosIntensity::Low(), 7);
+      chaos::GenerateServiceCase(chaos::ChaosIntensity::Low(), 7);
   ASSERT_TRUE(generated.ok()) << generated.status();
-  auto report = chaos::RunMultiTenantCase(*generated);
+  auto report = chaos::RunChaosCase(*generated);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->seed, 7u);
   EXPECT_EQ(report->events_executed, report->events_scheduled);
@@ -470,17 +472,71 @@ TEST(MultiTenantCaseTest, GeneratedCaseRunsClean) {
 // tenants, two of which queue and are admitted while the service is
 // mid-drive on the shared backend. Every such admission used to abort the
 // run; it must now hold every invariant.
-TEST(MultiTenantCaseTest, TenantsAdmittedMidDriveRunClean) {
-  auto generated = chaos::GenerateMultiTenantCase(
+TEST(ServiceCaseTest, TenantsAdmittedMidDriveRunClean) {
+  auto generated = chaos::GenerateServiceCase(
       chaos::ChaosIntensity::High(), 16975997121914896222ull);
   ASSERT_TRUE(generated.ok()) << generated.status();
-  auto report = chaos::RunMultiTenantCase(*generated);
+  auto report = chaos::RunChaosCase(*generated);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->tenants_submitted, 8u);
   EXPECT_EQ(report->tenants_queued, 2u);
   EXPECT_EQ(report->events_executed, report->events_scheduled);
   for (const chaos::ChaosViolation& violation : report->violations) {
     ADD_FAILURE() << "[" << violation.invariant << "] " << violation.message;
+  }
+}
+
+// The recovery mode reaches service cases: an approx case keeps its mode
+// through the case JSON, runs every tenant with checkpoint thinning, and
+// holds every invariant (error-budget included).
+TEST(ServiceCaseTest, ApproxCaseRoundTripsAndRunsClean) {
+  auto generated =
+      chaos::GenerateServiceCase(chaos::ChaosIntensity::Medium(), 777);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  chaos::ChaosCase approx = *generated;
+  approx.recovery_mode = af::RecoveryMode::kApprox;
+  approx.af_task_divergence_records = 1234;
+  approx.af_max_certified_loss = 0.5;
+  auto parsed =
+      chaos::ParseChaosCaseJson(chaos::ChaosCaseToJson(approx).Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(*parsed, approx);
+  EXPECT_EQ(parsed->recovery_mode, af::RecoveryMode::kApprox);
+
+  auto report = chaos::RunChaosCase(*parsed);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->events_executed, report->events_scheduled);
+  EXPECT_GT(report->sink_records, 0u);
+  for (const chaos::ChaosViolation& violation : report->violations) {
+    ADD_FAILURE() << "[" << violation.invariant << "] " << violation.message;
+  }
+}
+
+// The service layer on the threaded backend: the first four cases of a
+// medium `chaos_hunt --multi` campaign produce the same counters and the
+// same violations on threads as on the sim.
+TEST(ServiceCaseParity, FourGeneratedCasesMatchOnSimAndThreads) {
+  for (uint64_t index = 0; index < 4; ++index) {
+    auto generated = chaos::GenerateServiceCase(
+        chaos::ChaosIntensity::Medium(), DeriveSeed(1, index));
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    auto sim = chaos::RunChaosCase(*generated, chaos::BuiltinInvariants(),
+                                   backend::BackendKind::kSim);
+    auto threads = chaos::RunChaosCase(
+        *generated, chaos::BuiltinInvariants(), backend::BackendKind::kThreads);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    ASSERT_TRUE(threads.ok()) << threads.status();
+    SCOPED_TRACE("case " + std::to_string(index));
+    EXPECT_EQ(threads->tenants_admitted, sim->tenants_admitted);
+    EXPECT_EQ(threads->tenants_queued, sim->tenants_queued);
+    EXPECT_EQ(threads->events_executed, sim->events_executed);
+    EXPECT_EQ(threads->sink_records, sim->sink_records);
+    EXPECT_EQ(threads->recoveries, sim->recoveries);
+    EXPECT_EQ(threads->arbitrations, sim->arbitrations);
+    EXPECT_EQ(threads->degradations, sim->degradations);
+    EXPECT_EQ(threads->promotions, sim->promotions);
+    EXPECT_EQ(threads->end_seconds, sim->end_seconds);
+    EXPECT_EQ(threads->violations, sim->violations);
   }
 }
 
