@@ -8,6 +8,16 @@
 //   fig6 — 2 producers x 2000 tuples (an O1 task of the Fig. 6 workload);
 //   wide — 1536 producers x 1 tuple (the scale_cluster 4096-node sink).
 //
+// BM_TaskSnapshot and BM_TaskRestore time one full task checkpoint,
+// TaskRuntime::Snapshot and TaskRuntime::Restore of its blob. Shapes:
+//   fig6_source — a Fig. 6 source task with 10 buffered batches x 2000
+//                 tuples;
+//   fig6_o1     — an O1 SlidingWindowAggregateOperator task with a full
+//                 10-slice window of 4000-tuple slices (2 producers x
+//                 2000) and its 10 buffered output batches;
+//   wide_mid    — a scale_cluster 4096-node mid task: 1-tuple batches, a
+//                 30-slice window and 30 buffered batches.
+//
 //   ./build/bench/layers --benchmark_min_time=0.05
 
 #include <benchmark/benchmark.h>
@@ -19,8 +29,10 @@
 #include "common/logging.h"
 #include "engine/operator.h"
 #include "engine/router.h"
+#include "engine/operators.h"
 #include "engine/task_runtime.h"
 #include "topology/topology.h"
+#include "workloads/synthetic_recovery.h"
 
 namespace ppa {
 namespace {
@@ -95,6 +107,117 @@ BENCHMARK(BM_GatherRunBatch)
     ->ArgNames({"producers", "tuples"})
     ->Args({2, 2000})
     ->Args({1536, 1});
+
+enum TaskShape : int64_t { kFig6Source, kFig6O1, kWideMid };
+
+/// A task of one checkpoint shape, loaded with its state, and an empty
+/// twin of it that a snapshot restores into.
+struct LoadedTask {
+  Topology topo;
+  std::unique_ptr<TaskRuntime> runtime;
+  std::unique_ptr<TaskRuntime> twin;
+};
+
+std::unique_ptr<LoadedTask> LoadTask(int64_t shape) {
+  constexpr int kKeySpace = 1024;
+  constexpr uint64_t kSeed = 42;
+  TopologyBuilder builder;
+  const OperatorId src = builder.AddOperator("src", 2);
+  const OperatorId o1 = builder.AddOperator("o1", 1);
+  builder.Connect(src, o1, PartitionScheme::kMerge);
+  auto built = builder.Build();
+  PPA_CHECK_OK(built.status());
+  auto lt = std::make_unique<LoadedTask>();
+  lt->topo = *std::move(built);
+  const Topology* topo = &lt->topo;
+  const TaskId source = topo->op(src).tasks[0];
+  const TaskId consumer = topo->op(o1).tasks[0];
+
+  if (shape == kFig6Source) {
+    for (auto* rt : {&lt->runtime, &lt->twin}) {
+      *rt = std::make_unique<TaskRuntime>(
+          topo, source, nullptr,
+          std::make_unique<SyntheticSource>(2000, kKeySpace, kSeed));
+    }
+    for (int64_t b = 0; b < 10; ++b) {
+      lt->runtime->RunBatch(b, {});
+    }
+    return lt;
+  }
+
+  const bool wide = shape == kWideMid;
+  const int64_t window = wide ? 30 : 10;
+  const double selectivity = wide ? 1.0 : 0.5;
+  for (auto* rt : {&lt->runtime, &lt->twin}) {
+    *rt = std::make_unique<TaskRuntime>(
+        topo, consumer,
+        std::make_unique<SlidingWindowAggregateOperator>(window, selectivity),
+        nullptr);
+  }
+  // The inputs the producers would send, stamped with each producer's
+  // batch and sequence numbers.
+  const int producers = wide ? 1 : 2;
+  SyntheticSource input(wide ? 1 : 2000, kKeySpace, kSeed);
+  for (int64_t b = 0; b < window; ++b) {
+    std::vector<Tuple> inputs;
+    for (int p = 0; p < producers; ++p) {
+      std::vector<Tuple> part = input.NextBatch(b, p);
+      for (size_t i = 0; i < part.size(); ++i) {
+        part[i].batch = b;
+        part[i].seq = (static_cast<uint64_t>(b) << 24) + i;
+        part[i].producer = topo->op(src).tasks[static_cast<size_t>(p)];
+      }
+      inputs.insert(inputs.end(), part.begin(), part.end());
+    }
+    lt->runtime->RunBatch(b, std::move(inputs));
+  }
+  return lt;
+}
+
+void SetTaskCounters(benchmark::State& state, const TaskRuntime& rt,
+                     size_t blob_bytes) {
+  static const char* const kLabels[] = {"fig6_source", "fig6_o1",
+                                        "wide_mid"};
+  state.SetLabel(kLabels[state.range(0)]);
+  state.SetItemsProcessed(state.iterations() *
+                          (rt.BufferedTuples() + rt.StateSizeTuples()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(blob_bytes));
+}
+
+void BM_TaskSnapshot(benchmark::State& state) {
+  const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));
+  size_t bytes = 0;
+  for (auto _ : state) {
+    StatusOr<std::string> blob = lt->runtime->Snapshot();
+    PPA_CHECK_OK(blob.status());
+    bytes = blob->size();
+    benchmark::DoNotOptimize(blob->data());
+    benchmark::ClobberMemory();
+  }
+  SetTaskCounters(state, *lt->runtime, bytes);
+}
+BENCHMARK(BM_TaskSnapshot)
+    ->ArgNames({"shape"})
+    ->Arg(kFig6Source)
+    ->Arg(kFig6O1)
+    ->Arg(kWideMid);
+
+void BM_TaskRestore(benchmark::State& state) {
+  const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));
+  StatusOr<std::string> blob = lt->runtime->Snapshot();
+  PPA_CHECK_OK(blob.status());
+  for (auto _ : state) {
+    PPA_CHECK_OK(lt->twin->Restore(*blob));
+    benchmark::ClobberMemory();
+  }
+  SetTaskCounters(state, *lt->twin, blob->size());
+}
+BENCHMARK(BM_TaskRestore)
+    ->ArgNames({"shape"})
+    ->Arg(kFig6Source)
+    ->Arg(kFig6O1)
+    ->Arg(kWideMid);
 
 }  // namespace
 }  // namespace ppa

@@ -3,35 +3,14 @@
 #include <algorithm>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "engine/serde.h"
 
 namespace ppa {
 namespace {
 
-/// Bytes PutTuple writes for `t`.
-size_t TupleBytes(const Tuple& t) {
-  return 5 * sizeof(int64_t) + t.key.size();
-}
-
-void PutTuple(BinaryWriter* w, const Tuple& t) {
-  w->PutString(t.key);
-  w->PutI64(t.value);
-  w->PutI64(t.batch);
-  w->PutU64(t.seq);
-  w->PutI64(t.producer);
-}
-
-StatusOr<Tuple> GetTuple(BinaryReader* r) {
-  Tuple t;
-  PPA_ASSIGN_OR_RETURN(t.key, r->GetString());
-  PPA_ASSIGN_OR_RETURN(t.value, r->GetI64());
-  PPA_ASSIGN_OR_RETURN(t.batch, r->GetI64());
-  PPA_ASSIGN_OR_RETURN(uint64_t seq, r->GetU64());
-  t.seq = seq;
-  PPA_ASSIGN_OR_RETURN(int64_t producer, r->GetI64());
-  t.producer = static_cast<TaskId>(producer);
-  return t;
-}
+/// Encoded bytes of a window slice's header: batch and tuple count.
+constexpr size_t kSliceHeaderBytes = 2 * sizeof(int64_t);
 
 }  // namespace
 
@@ -82,12 +61,25 @@ SlidingWindowAggregateOperator::SlidingWindowAggregateOperator(
     int64_t window_batches, double selectivity)
     : window_batches_(window_batches), selectivity_(selectivity) {}
 
+void SlidingWindowAggregateOperator::PushSlice(int64_t batch,
+                                               std::vector<Tuple> tuples) {
+  for (const Tuple& t : tuples) {
+    window_sum_ += t.value;
+  }
+  window_tuples_ += static_cast<int64_t>(tuples.size());
+  window_bytes_ += kSliceHeaderBytes + EncodedTupleBytes(tuples);
+  window_.push_back(WindowSlice{batch, std::move(tuples)});
+}
+
 void SlidingWindowAggregateOperator::Evict(int64_t current_batch) {
   while (!window_.empty() &&
          window_.front().batch <= current_batch - window_batches_) {
-    for (const Tuple& t : window_.front().tuples) {
+    const std::vector<Tuple>& tuples = window_.front().tuples;
+    for (const Tuple& t : tuples) {
       window_sum_ -= t.value;
     }
+    window_tuples_ -= static_cast<int64_t>(tuples.size());
+    window_bytes_ -= kSliceHeaderBytes + EncodedTupleBytes(tuples);
     window_.pop_front();
   }
 }
@@ -95,13 +87,7 @@ void SlidingWindowAggregateOperator::Evict(int64_t current_batch) {
 void SlidingWindowAggregateOperator::ProcessBatch(
     BatchContext* ctx, const std::vector<Tuple>& inputs) {
   Evict(ctx->batch_index());
-  WindowSlice slice;
-  slice.batch = ctx->batch_index();
-  slice.tuples = inputs;
-  for (const Tuple& t : inputs) {
-    window_sum_ += t.value;
-  }
-  window_.push_back(std::move(slice));
+  PushSlice(ctx->batch_index(), inputs);
   // Emit a window aggregate for a `selectivity` fraction of the batch's
   // tuples: every tuple whose position survives the deterministic stride.
   const size_t n = inputs.size();
@@ -114,24 +100,18 @@ void SlidingWindowAggregateOperator::ProcessBatch(
 }
 
 StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotState() {
+  const size_t bytes = 2 * sizeof(int64_t) + window_bytes_;
   BinaryWriter w;
-  size_t bytes = 2 * sizeof(int64_t);
-  for (const WindowSlice& slice : window_) {
-    bytes += 2 * sizeof(int64_t);
-    for (const Tuple& t : slice.tuples) {
-      bytes += TupleBytes(t);
-    }
-  }
   w.Reserve(bytes);
   w.PutI64(window_sum_);
   w.PutU64(window_.size());
   for (const WindowSlice& slice : window_) {
     w.PutI64(slice.batch);
     w.PutU64(slice.tuples.size());
-    for (const Tuple& t : slice.tuples) {
-      PutTuple(&w, t);
-    }
+    w.PutTuples(slice.tuples);
   }
+  PPA_CHECK(w.size() == bytes)
+      << "window snapshot is " << w.size() << " bytes, presized " << bytes;
   snapshot_marker_ = window_.empty() ? -1 : window_.back().batch;
   return std::move(w).data();
 }
@@ -157,9 +137,7 @@ StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotDelta(
     }
     w.PutI64(slice.batch);
     w.PutU64(slice.tuples.size());
-    for (const Tuple& t : slice.tuples) {
-      PutTuple(&w, t);
-    }
+    w.PutTuples(slice.tuples);
   }
   snapshot_marker_ = horizon;
   if (delta_tuples != nullptr) {
@@ -173,22 +151,17 @@ Status SlidingWindowAggregateOperator::ApplyDelta(const std::string& delta) {
   PPA_ASSIGN_OR_RETURN(int64_t horizon, r.GetI64());
   PPA_ASSIGN_OR_RETURN(uint64_t slices, r.GetU64());
   for (uint64_t i = 0; i < slices; ++i) {
-    WindowSlice slice;
-    PPA_ASSIGN_OR_RETURN(slice.batch, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(uint64_t tuples, r.GetU64());
-    if (!window_.empty() && slice.batch <= window_.back().batch) {
+    PPA_ASSIGN_OR_RETURN(int64_t batch, r.GetI64());
+    PPA_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
+    if (!window_.empty() && batch <= window_.back().batch) {
       return InvalidArgument("delta slices out of order (slice " +
-                             std::to_string(slice.batch) + " <= window back " +
+                             std::to_string(batch) + " <= window back " +
                              std::to_string(window_.back().batch) +
                              ", horizon " + std::to_string(horizon) + ")");
     }
-    slice.tuples.reserve(tuples);
-    for (uint64_t j = 0; j < tuples; ++j) {
-      PPA_ASSIGN_OR_RETURN(Tuple t, GetTuple(&r));
-      window_sum_ += t.value;
-      slice.tuples.push_back(std::move(t));
-    }
-    window_.push_back(std::move(slice));
+    std::vector<Tuple> tuples;
+    PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
+    PushSlice(batch, std::move(tuples));
   }
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in window delta");
@@ -201,20 +174,18 @@ Status SlidingWindowAggregateOperator::ApplyDelta(const std::string& delta) {
 Status SlidingWindowAggregateOperator::RestoreState(
     const std::string& snapshot) {
   BinaryReader r(snapshot);
-  window_.clear();
-  PPA_ASSIGN_OR_RETURN(window_sum_, r.GetI64());
+  Reset();
+  PPA_ASSIGN_OR_RETURN(int64_t window_sum, r.GetI64());
   PPA_ASSIGN_OR_RETURN(uint64_t slices, r.GetU64());
   for (uint64_t i = 0; i < slices; ++i) {
-    WindowSlice slice;
-    PPA_ASSIGN_OR_RETURN(slice.batch, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(uint64_t tuples, r.GetU64());
-    slice.tuples.reserve(tuples);
-    for (uint64_t j = 0; j < tuples; ++j) {
-      PPA_ASSIGN_OR_RETURN(Tuple t, GetTuple(&r));
-      slice.tuples.push_back(std::move(t));
-    }
-    window_.push_back(std::move(slice));
+    PPA_ASSIGN_OR_RETURN(int64_t batch, r.GetI64());
+    PPA_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
+    std::vector<Tuple> tuples;
+    PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
+    PushSlice(batch, std::move(tuples));
   }
+  // The blob's sum is authoritative, not the recount.
+  window_sum_ = window_sum;
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in window snapshot");
   }
@@ -225,15 +196,9 @@ Status SlidingWindowAggregateOperator::RestoreState(
 void SlidingWindowAggregateOperator::Reset() {
   window_.clear();
   window_sum_ = 0;
+  window_tuples_ = 0;
+  window_bytes_ = 0;
   snapshot_marker_ = -1;
-}
-
-int64_t SlidingWindowAggregateOperator::StateSizeTuples() const {
-  int64_t total = 0;
-  for (const WindowSlice& slice : window_) {
-    total += static_cast<int64_t>(slice.tuples.size());
-  }
-  return total;
 }
 
 WindowedKeyCountOperator::WindowedKeyCountOperator(int64_t window_batches)
@@ -389,6 +354,9 @@ Status SymmetricWindowJoinOperator::RestoreSide(const std::string& blob,
   for (uint64_t i = 0; i < keys; ++i) {
     PPA_ASSIGN_OR_RETURN(std::string key, r.GetString());
     PPA_ASSIGN_OR_RETURN(uint64_t entries, r.GetU64());
+    if (entries > r.remaining() / (2 * sizeof(int64_t))) {
+      return OutOfRange("join entry count exceeds buffer");
+    }
     std::vector<Entry> list;
     list.reserve(entries);
     for (uint64_t j = 0; j < entries; ++j) {

@@ -60,7 +60,7 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
   StatusOr<std::string> SnapshotDelta(int64_t* delta_tuples) override;
   Status ApplyDelta(const std::string& delta) override;
   void Reset() override;
-  int64_t StateSizeTuples() const override;
+  int64_t StateSizeTuples() const override { return window_tuples_; }
 
   int64_t window_batches() const { return window_batches_; }
 
@@ -70,6 +70,9 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
     std::vector<Tuple> tuples;
   };
 
+  /// With Evict() and Reset(), the only ways slices enter and leave
+  /// window_; they keep the sum and the size counters exact.
+  void PushSlice(int64_t batch, std::vector<Tuple> tuples);
   void Evict(int64_t current_batch);
 
   int64_t window_batches_;
@@ -77,6 +80,10 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
   std::deque<WindowSlice> window_;
   /// Running sum of values in the window, maintained incrementally.
   int64_t window_sum_ = 0;
+  /// Tuples in window_ and their encoded bytes (slice headers included),
+  /// so SnapshotState() presizes its blob without walking the window.
+  int64_t window_tuples_ = 0;
+  size_t window_bytes_ = 0;
   /// Highest slice batch included in the last full or delta snapshot
   /// (-1: none) — the delta baseline.
   int64_t snapshot_marker_ = -1;

@@ -5,11 +5,27 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/status_or.h"
+#include "engine/tuple.h"
 
 namespace ppa {
+
+/// Wire layout of one tuple, the unit of checkpoint state and output
+/// buffers: u64 key length, the key bytes, then i64 value, i64 batch,
+/// u64 seq and i64 producer. kTupleFixedBytes is everything but the key.
+inline constexpr size_t kTupleFixedBytes = 5 * sizeof(int64_t);
+
+/// Bytes BinaryWriter::PutTuples writes for `tuples`.
+inline size_t EncodedTupleBytes(const std::vector<Tuple>& tuples) {
+  size_t bytes = kTupleFixedBytes * tuples.size();
+  for (const Tuple& t : tuples) {
+    bytes += t.key.size();
+  }
+  return bytes;
+}
 
 /// Minimal binary serialization used for operator state snapshots and
 /// checkpoints. Fixed-width little-endian encoding; values are written and
@@ -25,10 +41,30 @@ class BinaryWriter {
     data_.append(s.data(), s.size());
   }
 
+  /// Appends every tuple of `tuples` in the tuple wire layout (the count
+  /// is the caller's to write). One resize, then fixed-width stores.
+  void PutTuples(const std::vector<Tuple>& tuples) {
+    const size_t start = data_.size();
+    data_.resize(start + EncodedTupleBytes(tuples));
+    char* out = data_.data() + start;
+    for (const Tuple& t : tuples) {
+      const uint64_t key_size = t.key.size();
+      std::memcpy(out, &key_size, sizeof(key_size));
+      out += sizeof(key_size);
+      std::memcpy(out, t.key.data(), key_size);
+      out += key_size;
+      const int64_t fixed[4] = {t.value, t.batch, static_cast<int64_t>(t.seq),
+                                t.producer};
+      std::memcpy(out, fixed, sizeof(fixed));
+      out += sizeof(fixed);
+    }
+  }
+
   /// Pre-sizes the buffer for `n` more bytes, so a writer that knows its
   /// final size allocates once instead of doubling through the appends.
   void Reserve(size_t n) { data_.reserve(data_.size() + n); }
 
+  size_t size() const { return data_.size(); }
   const std::string& data() const& { return data_; }
   std::string data() && { return std::move(data_); }
 
@@ -69,6 +105,42 @@ class BinaryReader {
     pos_ += n;
     return s;
   }
+
+  /// Appends `count` tuples written by BinaryWriter::PutTuples to `out`.
+  /// A count that cannot fit in the remaining bytes is rejected before
+  /// anything is reserved, so a corrupt count fails instead of allocating.
+  Status GetTuples(uint64_t count, std::vector<Tuple>* out) {
+    if (count > remaining() / kTupleFixedBytes) {
+      return OutOfRange("tuple count exceeds buffer");
+    }
+    out->reserve(out->size() + count);
+    for (uint64_t i = 0; i < count; ++i) {
+      // The key length and the fixed fields must fit, then the key.
+      const size_t left = remaining();
+      uint64_t key_size = 0;
+      if (left >= kTupleFixedBytes) {
+        std::memcpy(&key_size, data_.data() + pos_, sizeof(key_size));
+      }
+      if (left < kTupleFixedBytes || key_size > left - kTupleFixedBytes) {
+        return OutOfRange("truncated tuple");
+      }
+      const char* in = data_.data() + pos_ + sizeof(key_size);
+      Tuple& t = out->emplace_back();
+      t.key.assign(in, key_size);
+      in += key_size;
+      int64_t fixed[4] = {};
+      std::memcpy(fixed, in, sizeof(fixed));
+      t.value = fixed[0];
+      t.batch = fixed[1];
+      t.seq = static_cast<uint64_t>(fixed[2]);
+      t.producer = static_cast<TaskId>(fixed[3]);
+      pos_ += kTupleFixedBytes + key_size;
+    }
+    return OkStatus();
+  }
+
+  /// Bytes not yet consumed.
+  [[nodiscard]] size_t remaining() const { return data_.size() - pos_; }
 
   /// True when the whole buffer has been consumed.
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }

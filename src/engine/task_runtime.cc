@@ -8,29 +8,32 @@
 namespace ppa {
 namespace {
 
-/// Bytes PutTuple writes for `t`.
-size_t TupleBytes(const Tuple& t) {
-  return 5 * sizeof(int64_t) + t.key.size();
+/// Encoded bytes of a buffered batch's header: batch, ingest time, hops and
+/// tuple count.
+constexpr size_t kBatchHeaderBytes = 4 * sizeof(int64_t);
+
+size_t EncodedBatchBytes(const BatchOutput& b) {
+  return kBatchHeaderBytes + EncodedTupleBytes(b.tuples);
 }
 
-void PutTuple(BinaryWriter* w, const Tuple& t) {
-  w->PutString(t.key);
-  w->PutI64(t.value);
-  w->PutI64(t.batch);
-  w->PutU64(t.seq);
-  w->PutI64(t.producer);
+void PutBatch(BinaryWriter* w, const BatchOutput& b) {
+  w->PutI64(b.batch);
+  w->PutI64(b.ingest_at.micros());
+  w->PutI64(b.hops);
+  w->PutU64(b.tuples.size());
+  w->PutTuples(b.tuples);
 }
 
-StatusOr<Tuple> GetTuple(BinaryReader* r) {
-  Tuple t;
-  PPA_ASSIGN_OR_RETURN(t.key, r->GetString());
-  PPA_ASSIGN_OR_RETURN(t.value, r->GetI64());
-  PPA_ASSIGN_OR_RETURN(t.batch, r->GetI64());
-  PPA_ASSIGN_OR_RETURN(uint64_t seq, r->GetU64());
-  t.seq = seq;
-  PPA_ASSIGN_OR_RETURN(int64_t producer, r->GetI64());
-  t.producer = static_cast<TaskId>(producer);
-  return t;
+StatusOr<BatchOutput> GetBatch(BinaryReader* r) {
+  BatchOutput b;
+  PPA_ASSIGN_OR_RETURN(b.batch, r->GetI64());
+  PPA_ASSIGN_OR_RETURN(int64_t ingest_us, r->GetI64());
+  b.ingest_at = TimePoint::FromMicros(ingest_us);
+  PPA_ASSIGN_OR_RETURN(int64_t hops, r->GetI64());
+  b.hops = static_cast<int32_t>(hops);
+  PPA_ASSIGN_OR_RETURN(uint64_t tuples, r->GetU64());
+  PPA_RETURN_IF_ERROR(r->GetTuples(tuples, &b.tuples));
+  return b;
 }
 
 }  // namespace
@@ -119,8 +122,7 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
   obs::Add(batches_counter_);
   ++next_batch_;
   if (emit_downstream) {
-    output_buffer_.push_back(
-        BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
+    PushBatch(BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
     return output_buffer_.back();
   }
   scratch_ = BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops};
@@ -138,19 +140,28 @@ const BatchOutput* TaskRuntime::FindBatch(int64_t batch) const {
   return &*it;
 }
 
+void TaskRuntime::PushBatch(BatchOutput b) {
+  buffered_tuples_ += static_cast<int64_t>(b.tuples.size());
+  buffered_bytes_ += EncodedBatchBytes(b);
+  output_buffer_.push_back(std::move(b));
+}
+
+void TaskRuntime::ClearOutputBuffer() {
+  output_buffer_.clear();
+  buffered_tuples_ = 0;
+  buffered_bytes_ = 0;
+}
+
 void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
   while (!output_buffer_.empty() &&
          output_buffer_.front().batch <= up_to_batch) {
+    // The destructor walks the batch's tuples next, so sizing it here
+    // reads nothing it would not have read anyway.
+    const BatchOutput& front = output_buffer_.front();
+    buffered_tuples_ -= static_cast<int64_t>(front.tuples.size());
+    buffered_bytes_ -= EncodedBatchBytes(front);
     output_buffer_.pop_front();
   }
-}
-
-int64_t TaskRuntime::BufferedTuples() const {
-  int64_t total = 0;
-  for (const BatchOutput& b : output_buffer_) {
-    total += static_cast<int64_t>(b.tuples.size());
-  }
-  return total;
 }
 
 int64_t TaskRuntime::BufferedTuplesAfter(int64_t after_batch) const {
@@ -164,41 +175,35 @@ int64_t TaskRuntime::BufferedTuplesAfter(int64_t after_batch) const {
 }
 
 StatusOr<std::string> TaskRuntime::Snapshot() {
+  std::string op_state;
+  if (op_ != nullptr) {
+    PPA_ASSIGN_OR_RETURN(op_state, op_->SnapshotState());
+  }
   snapshot_next_batch_ = next_batch_;
+  // Sized once from the running buffer count: a wide sink's blob runs to
+  // megabytes, and growing it by doubling leaves freed holes that make the
+  // heap's footprint depend on the order of earlier allocations.
+  const size_t bytes =
+      sizeof(int64_t) +                                          // next batch
+      sizeof(uint64_t) + progress_.size() * 2 * sizeof(int64_t) +  // progress
+      sizeof(uint64_t) + op_state.size() +                       // op state
+      sizeof(uint64_t) + buffered_bytes_;                        // buffer
   BinaryWriter w;
+  w.Reserve(bytes);
   w.PutI64(next_batch_);
   w.PutU64(progress_.size());
   for (const auto& [producer, seq] : progress_) {
     w.PutI64(producer);
     w.PutU64(seq);
   }
-  if (op_ != nullptr) {
-    PPA_ASSIGN_OR_RETURN(std::string op_state, op_->SnapshotState());
-    // Sized once: a wide sink's blob runs to megabytes, and growing it by
-    // doubling leaves freed holes that make the heap's footprint depend on
-    // the order of earlier allocations.
-    size_t bytes = sizeof(uint64_t) + op_state.size() + sizeof(uint64_t);
-    for (const BatchOutput& b : output_buffer_) {
-      bytes += 4 * sizeof(int64_t);
-      for (const Tuple& t : b.tuples) {
-        bytes += TupleBytes(t);
-      }
-    }
-    w.Reserve(bytes);
-    w.PutString(op_state);
-  } else {
-    w.PutString("");
-  }
+  w.PutString(op_state);
   w.PutU64(output_buffer_.size());
   for (const BatchOutput& b : output_buffer_) {
-    w.PutI64(b.batch);
-    w.PutI64(b.ingest_at.micros());
-    w.PutI64(b.hops);
-    w.PutU64(b.tuples.size());
-    for (const Tuple& t : b.tuples) {
-      PutTuple(&w, t);
-    }
+    PutBatch(&w, b);
   }
+  PPA_CHECK(w.size() == bytes)
+      << topology_->TaskLabel(id_) << " snapshot is " << w.size()
+      << " bytes, presized " << bytes;
   return std::move(w).data();
 }
 
@@ -217,22 +222,11 @@ Status TaskRuntime::Restore(const std::string& checkpoint) {
   if (op_ != nullptr) {
     PPA_RETURN_IF_ERROR(op_->RestoreState(op_state));
   }
-  output_buffer_.clear();
+  ClearOutputBuffer();
   PPA_ASSIGN_OR_RETURN(uint64_t batches, r.GetU64());
   for (uint64_t i = 0; i < batches; ++i) {
-    BatchOutput b;
-    PPA_ASSIGN_OR_RETURN(b.batch, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(int64_t ingest_us, r.GetI64());
-    b.ingest_at = TimePoint::FromMicros(ingest_us);
-    PPA_ASSIGN_OR_RETURN(int64_t hops, r.GetI64());
-    b.hops = static_cast<int32_t>(hops);
-    PPA_ASSIGN_OR_RETURN(uint64_t tuples, r.GetU64());
-    b.tuples.reserve(tuples);
-    for (uint64_t j = 0; j < tuples; ++j) {
-      PPA_ASSIGN_OR_RETURN(Tuple t, GetTuple(&r));
-      b.tuples.push_back(std::move(t));
-    }
-    output_buffer_.push_back(std::move(b));
+    PPA_ASSIGN_OR_RETURN(BatchOutput b, GetBatch(&r));
+    PushBatch(std::move(b));
   }
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in task checkpoint");
@@ -272,13 +266,7 @@ StatusOr<TaskRuntime::DeltaSnapshot> TaskRuntime::SnapshotDelta() {
     if (b.batch < snapshot_next_batch_) {
       continue;
     }
-    w.PutI64(b.batch);
-    w.PutI64(b.ingest_at.micros());
-    w.PutI64(b.hops);
-    w.PutU64(b.tuples.size());
-    for (const Tuple& t : b.tuples) {
-      PutTuple(&w, t);
-    }
+    PutBatch(&w, b);
     delta.state_tuples += static_cast<int64_t>(b.tuples.size());
   }
   delta.state_tuples += op_delta_tuples;
@@ -308,22 +296,11 @@ Status TaskRuntime::ApplyDelta(const std::string& delta) {
   PPA_ASSIGN_OR_RETURN(int64_t trim_below, r.GetI64());
   PPA_ASSIGN_OR_RETURN(uint64_t fresh, r.GetU64());
   for (uint64_t i = 0; i < fresh; ++i) {
-    BatchOutput b;
-    PPA_ASSIGN_OR_RETURN(b.batch, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(int64_t ingest_us, r.GetI64());
-    b.ingest_at = TimePoint::FromMicros(ingest_us);
-    PPA_ASSIGN_OR_RETURN(int64_t hops, r.GetI64());
-    b.hops = static_cast<int32_t>(hops);
-    PPA_ASSIGN_OR_RETURN(uint64_t tuples, r.GetU64());
+    PPA_ASSIGN_OR_RETURN(BatchOutput b, GetBatch(&r));
     if (!output_buffer_.empty() && b.batch <= output_buffer_.back().batch) {
       return InvalidArgument("delta buffer batches out of order");
     }
-    b.tuples.reserve(tuples);
-    for (uint64_t j = 0; j < tuples; ++j) {
-      PPA_ASSIGN_OR_RETURN(Tuple t, GetTuple(&r));
-      b.tuples.push_back(std::move(t));
-    }
-    output_buffer_.push_back(std::move(b));
+    PushBatch(std::move(b));
   }
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in task delta");
@@ -338,7 +315,7 @@ void TaskRuntime::Reset(int64_t next_batch) {
   next_batch_ = next_batch;
   snapshot_next_batch_ = next_batch;
   progress_.clear();
-  output_buffer_.clear();
+  ClearOutputBuffer();
   if (op_ != nullptr) {
     op_->Reset();
   }

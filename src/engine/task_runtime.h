@@ -89,7 +89,7 @@ class TaskRuntime {
   void TrimOutputBuffer(int64_t up_to_batch);
 
   /// Total tuples currently buffered.
-  int64_t BufferedTuples() const;
+  int64_t BufferedTuples() const { return buffered_tuples_; }
   /// Tuples buffered in batches with index > `after_batch`.
   int64_t BufferedTuplesAfter(int64_t after_batch) const;
 
@@ -154,6 +154,11 @@ class TaskRuntime {
   }
 
  private:
+  /// With TrimOutputBuffer(), the only ways batches enter and leave
+  /// output_buffer_; they keep the buffer counters exact.
+  void PushBatch(BatchOutput b);
+  void ClearOutputBuffer();
+
   const Topology* topology_;
   TaskId id_;
   std::unique_ptr<OperatorFunction> op_;
@@ -173,6 +178,11 @@ class TaskRuntime {
   BatchOutput scratch_;
   obs::Counter* tuples_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;
+  /// Tuples in output_buffer_ and their encoded bytes (batch headers
+  /// included), kept by every change to the buffer so Snapshot() presizes
+  /// its blob without walking it.
+  int64_t buffered_tuples_ = 0;
+  size_t buffered_bytes_ = 0;
 };
 
 }  // namespace ppa

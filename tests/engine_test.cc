@@ -493,5 +493,421 @@ TEST(TaskRuntimeTest, FailureFlags) {
   EXPECT_TRUE(rt.ever_failed());
 }
 
+// --- Checkpoint wire format ---------------------------------------------
+//
+// Every expected blob below is built with the per-field PutString / PutI64
+// / PutU64 sequence, so the bulk tuple codec is pinned to the layout
+// `u64 key length, key bytes, i64 value, i64 batch, u64 seq, i64 producer`.
+
+void PutTupleByField(BinaryWriter* w, const Tuple& t) {
+  w->PutString(t.key);
+  w->PutI64(t.value);
+  w->PutI64(t.batch);
+  w->PutU64(t.seq);
+  w->PutI64(t.producer);
+}
+
+void PutBatchByField(BinaryWriter* w, const BatchOutput& b) {
+  w->PutI64(b.batch);
+  w->PutI64(b.ingest_at.micros());
+  w->PutI64(b.hops);
+  w->PutU64(b.tuples.size());
+  for (const Tuple& t : b.tuples) {
+    PutTupleByField(w, t);
+  }
+}
+
+void PutProgressByField(BinaryWriter* w, const TaskRuntime& rt) {
+  w->PutU64(rt.progress_vector().size());
+  for (const auto& [producer, seq] : rt.progress_vector()) {
+    w->PutI64(producer);
+    w->PutU64(seq);
+  }
+}
+
+/// A window slice as the test fed it: batch index and input tuples.
+using FedSlice = std::pair<int64_t, std::vector<Tuple>>;
+
+std::string WindowBlobByField(int64_t window_sum,
+                              const std::vector<FedSlice>& slices) {
+  BinaryWriter w;
+  w.PutI64(window_sum);
+  w.PutU64(slices.size());
+  for (const auto& [batch, tuples] : slices) {
+    w.PutI64(batch);
+    w.PutU64(tuples.size());
+    for (const Tuple& t : tuples) {
+      PutTupleByField(&w, t);
+    }
+  }
+  return std::move(w).data();
+}
+
+/// Input batch `b` of the window tests: three tuples from producer 0, one
+/// with a key too long for the small-string buffer.
+std::vector<Tuple> WindowInput(int64_t b) {
+  return MakeTuples({{"a", b}, {"a-key-longer-than-any-small-string", 2 * b},
+                     {"", -b}},
+                    /*producer=*/0, b);
+}
+
+std::unique_ptr<TaskRuntime> MakeWindowTask(const Topology& t) {
+  return std::make_unique<TaskRuntime>(
+      &t, t.op(1).tasks[0],
+      std::make_unique<SlidingWindowAggregateOperator>(3, 1.0), nullptr);
+}
+
+TEST(SerdeTest, PutTuplesMatchesPerFieldEncoding) {
+  std::vector<Tuple> tuples =
+      MakeTuples({{"k", 7}, {"", -3}, {"a-key-longer-than-any-small-string", 1}},
+                 /*producer=*/5, /*batch=*/9);
+  tuples[1].producer = kInvalidTaskId;  // Raw source input.
+  tuples[2].seq = ~uint64_t{0};
+  BinaryWriter bulk;
+  bulk.PutTuples(tuples);
+  BinaryWriter by_field;
+  for (const Tuple& t : tuples) {
+    PutTupleByField(&by_field, t);
+  }
+  EXPECT_EQ(bulk.data(), by_field.data());
+  EXPECT_EQ(bulk.size(), EncodedTupleBytes(tuples));
+
+  BinaryReader r(bulk.data());
+  std::vector<Tuple> back;
+  ASSERT_TRUE(r.GetTuples(tuples.size(), &back).ok());
+  EXPECT_EQ(back, tuples);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(SerdeTest, GetTuplesRejectsCountsAndKeysBeyondTheBuffer) {
+  BinaryWriter w;
+  w.PutTuples(MakeTuples({{"key", 1}}));
+  std::vector<Tuple> out;
+  BinaryReader too_many(w.data());
+  EXPECT_EQ(too_many.GetTuples(uint64_t{1} << 62, &out).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(too_many.GetTuples(2, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(out.empty());
+
+  BinaryWriter huge_key;
+  huge_key.PutU64(~uint64_t{0});
+  huge_key.PutI64(0);
+  huge_key.PutI64(0);
+  huge_key.PutU64(0);
+  huge_key.PutI64(0);
+  BinaryReader r(huge_key.data());
+  EXPECT_EQ(r.GetTuples(1, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(CheckpointWireFormatTest, SourceTaskSnapshotMatchesPerFieldLayout) {
+  Topology t = MakeTinyChain();
+  TaskRuntime rt(&t, t.op(0).tasks[0], nullptr,
+                 std::make_unique<CountingSource>(3));
+  for (int64_t b = 0; b < 4; ++b) {
+    BatchRunContext ctx;
+    ctx.ingest_at = TimePoint::FromMicros(1000 * b + 17);
+    ctx.hops = static_cast<int32_t>(b + 1);
+    rt.RunBatch(b, {}, /*emit_downstream=*/true, ctx);
+  }
+  rt.TrimOutputBuffer(0);
+  auto snap = rt.Snapshot();
+  ASSERT_TRUE(snap.ok());
+
+  BinaryWriter w;
+  w.PutI64(4);
+  PutProgressByField(&w, rt);
+  w.PutString("");
+  w.PutU64(3);
+  for (const BatchOutput& b : rt.output_buffer()) {
+    PutBatchByField(&w, b);
+  }
+  EXPECT_EQ(*snap, w.data());
+}
+
+TEST(CheckpointWireFormatTest, WindowTaskSnapshotAndDeltaMatchPerFieldLayout) {
+  Topology t = MakeTinyChain();
+  auto rt = MakeWindowTask(t);
+  std::vector<FedSlice> fed;
+  for (int64_t b = 0; b < 5; ++b) {
+    fed.emplace_back(b, WindowInput(b));
+    rt->RunBatch(b, fed.back().second);
+  }
+  rt->TrimOutputBuffer(1);
+  auto snap = rt->Snapshot();
+  ASSERT_TRUE(snap.ok());
+
+  // The window holds batches 2..4; each batch sums to 2 * b.
+  const std::vector<FedSlice> window(fed.begin() + 2, fed.end());
+  BinaryWriter w;
+  w.PutI64(5);
+  PutProgressByField(&w, *rt);
+  w.PutString(WindowBlobByField(2 * (2 + 3 + 4), window));
+  w.PutU64(3);
+  for (const BatchOutput& b : rt->output_buffer()) {
+    PutBatchByField(&w, b);
+  }
+  EXPECT_EQ(*snap, w.data());
+
+  for (int64_t b = 5; b < 7; ++b) {
+    fed.emplace_back(b, WindowInput(b));
+    rt->RunBatch(b, fed.back().second);
+  }
+  auto delta = rt->SnapshotDelta();
+  ASSERT_TRUE(delta.ok());
+  BinaryWriter op_delta;
+  op_delta.PutI64(6);  // Horizon: the newest slice.
+  op_delta.PutU64(2);
+  for (int64_t b = 5; b < 7; ++b) {
+    op_delta.PutI64(b);
+    op_delta.PutU64(fed[static_cast<size_t>(b)].second.size());
+    for (const Tuple& tu : fed[static_cast<size_t>(b)].second) {
+      PutTupleByField(&op_delta, tu);
+    }
+  }
+  BinaryWriter d;
+  d.PutI64(7);
+  PutProgressByField(&d, *rt);
+  d.PutString(op_delta.data());
+  d.PutI64(2);  // Trim level: the oldest buffered batch.
+  d.PutU64(2);
+  for (const BatchOutput& b : rt->output_buffer()) {
+    if (b.batch >= 5) {
+      PutBatchByField(&d, b);
+    }
+  }
+  EXPECT_EQ(delta->blob, d.data());
+  EXPECT_EQ(delta->state_tuples, 4 * 3);
+}
+
+/// A full snapshot and a following delta of a window task.
+struct WindowCheckpoints {
+  std::string snapshot;
+  std::string delta;
+  std::string window_state;
+};
+
+WindowCheckpoints MakeWindowCheckpoints(const Topology& t) {
+  auto rt = MakeWindowTask(t);
+  for (int64_t b = 0; b < 4; ++b) {
+    rt->RunBatch(b, WindowInput(b));
+  }
+  WindowCheckpoints out;
+  out.snapshot = *rt->Snapshot();
+  rt->RunBatch(4, WindowInput(4));
+  out.delta = rt->SnapshotDelta()->blob;
+  SlidingWindowAggregateOperator op(3, 1.0);
+  for (int64_t b = 0; b < 4; ++b) {
+    BatchContext ctx(b, 0, 1);
+    op.ProcessBatch(&ctx, WindowInput(b));
+  }
+  out.window_state = *op.SnapshotState();
+  return out;
+}
+
+TEST(CheckpointWireFormatTest, EveryTruncatedCheckpointIsRejected) {
+  Topology t = MakeTinyChain();
+  const WindowCheckpoints cp = MakeWindowCheckpoints(t);
+  TaskRuntime src(&t, t.op(0).tasks[0], nullptr,
+                  std::make_unique<CountingSource>(2));
+  for (int64_t b = 0; b < 3; ++b) {
+    src.RunBatch(b, {});
+  }
+  const std::string source_snapshot = *src.Snapshot();
+
+  for (size_t n = 0; n < cp.snapshot.size(); ++n) {
+    EXPECT_FALSE(MakeWindowTask(t)->Restore(cp.snapshot.substr(0, n)).ok())
+        << "task snapshot prefix " << n;
+  }
+  for (size_t n = 0; n < source_snapshot.size(); ++n) {
+    TaskRuntime fresh(&t, t.op(0).tasks[0], nullptr,
+                      std::make_unique<CountingSource>(2));
+    EXPECT_FALSE(fresh.Restore(source_snapshot.substr(0, n)).ok())
+        << "source snapshot prefix " << n;
+  }
+  for (size_t n = 0; n < cp.window_state.size(); ++n) {
+    SlidingWindowAggregateOperator op(3, 1.0);
+    EXPECT_FALSE(op.RestoreState(cp.window_state.substr(0, n)).ok())
+        << "window snapshot prefix " << n;
+  }
+  for (size_t n = 0; n < cp.delta.size(); ++n) {
+    auto rt = MakeWindowTask(t);
+    ASSERT_TRUE(rt->Restore(cp.snapshot).ok());
+    EXPECT_FALSE(rt->ApplyDelta(cp.delta.substr(0, n)).ok())
+        << "delta prefix " << n;
+  }
+  // The whole blobs still restore.
+  auto rt = MakeWindowTask(t);
+  ASSERT_TRUE(rt->Restore(cp.snapshot).ok());
+  EXPECT_TRUE(rt->ApplyDelta(cp.delta).ok());
+}
+
+TEST(CheckpointWireFormatTest, CorruptTupleCountsAreOutOfRange) {
+  constexpr uint64_t kHuge = uint64_t{1} << 62;
+  Topology t = MakeTinyChain();
+
+  // A source-task snapshot with one buffered batch claiming 2^62 tuples.
+  BinaryWriter task;
+  task.PutI64(1);
+  task.PutU64(0);
+  task.PutString("");
+  task.PutU64(1);
+  task.PutI64(0);
+  task.PutI64(0);
+  task.PutI64(1);
+  task.PutU64(kHuge);
+  TaskRuntime src(&t, t.op(0).tasks[0], nullptr,
+                  std::make_unique<CountingSource>(1));
+  EXPECT_EQ(src.Restore(task.data()).code(), StatusCode::kOutOfRange);
+
+  // A window with one slice claiming 2^62 tuples, directly and inside a
+  // task checkpoint. The same bytes read as a full snapshot (sum 0) and
+  // as a delta (horizon 0).
+  BinaryWriter window;
+  window.PutI64(0);
+  window.PutU64(1);
+  window.PutI64(0);
+  window.PutU64(kHuge);
+  SlidingWindowAggregateOperator op(3, 1.0);
+  EXPECT_EQ(op.RestoreState(window.data()).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(op.ApplyDelta(window.data()).code(), StatusCode::kOutOfRange);
+  BinaryWriter window_task;
+  window_task.PutI64(1);
+  window_task.PutU64(0);
+  window_task.PutString(window.data());
+  window_task.PutU64(0);
+  EXPECT_EQ(MakeWindowTask(t)->Restore(window_task.data()).code(),
+            StatusCode::kOutOfRange);
+
+  // A task delta whose one fresh buffered batch claims 2^62 tuples.
+  BinaryWriter empty_delta;
+  empty_delta.PutI64(-1);
+  empty_delta.PutU64(0);
+  BinaryWriter task_delta;
+  task_delta.PutI64(1);
+  task_delta.PutU64(0);
+  task_delta.PutString(empty_delta.data());
+  task_delta.PutI64(0);
+  task_delta.PutU64(1);
+  task_delta.PutI64(0);
+  task_delta.PutI64(0);
+  task_delta.PutI64(1);
+  task_delta.PutU64(kHuge);
+  EXPECT_EQ(MakeWindowTask(t)->ApplyDelta(task_delta.data()).code(),
+            StatusCode::kOutOfRange);
+
+  // A join side whose one key claims 2^62 window entries.
+  BinaryWriter side;
+  side.PutU64(1);
+  side.PutString("k");
+  side.PutU64(kHuge);
+  BinaryWriter empty_side;
+  empty_side.PutU64(0);
+  BinaryWriter join;
+  join.PutString(side.data());
+  join.PutString(empty_side.data());
+  SymmetricWindowJoinOperator join_op(
+      3, [](const Tuple& tu) { return tu.value < 1000; });
+  EXPECT_EQ(join_op.RestoreState(join.data()).code(), StatusCode::kOutOfRange);
+}
+
+/// Tuple counts recovered by decoding a window task's Snapshot() blob.
+struct DecodedCounts {
+  int64_t state_tuples = 0;
+  int64_t buffered_tuples = 0;
+};
+
+DecodedCounts DecodeWindowTaskSnapshot(const std::string& blob) {
+  DecodedCounts counts;
+  BinaryReader r(blob);
+  EXPECT_TRUE(r.GetI64().ok());
+  const uint64_t entries = *r.GetU64();
+  for (uint64_t i = 0; i < 2 * entries; ++i) {
+    EXPECT_TRUE(r.GetU64().ok());
+  }
+  const std::string op_state = *r.GetString();
+  BinaryReader w(op_state);
+  EXPECT_TRUE(w.GetI64().ok());
+  const uint64_t slices = *w.GetU64();
+  for (uint64_t i = 0; i < slices; ++i) {
+    EXPECT_TRUE(w.GetI64().ok());
+    const uint64_t n = *w.GetU64();
+    std::vector<Tuple> tuples;
+    EXPECT_TRUE(w.GetTuples(n, &tuples).ok());
+    counts.state_tuples += static_cast<int64_t>(n);
+  }
+  EXPECT_TRUE(w.exhausted());
+  const uint64_t batches = *r.GetU64();
+  for (uint64_t i = 0; i < batches; ++i) {
+    for (int field = 0; field < 3; ++field) {
+      EXPECT_TRUE(r.GetI64().ok());
+    }
+    const uint64_t n = *r.GetU64();
+    std::vector<Tuple> tuples;
+    EXPECT_TRUE(r.GetTuples(n, &tuples).ok());
+    counts.buffered_tuples += static_cast<int64_t>(n);
+  }
+  EXPECT_TRUE(r.exhausted());
+  return counts;
+}
+
+/// Snapshot() aborts if its presized length is off, so a successful
+/// snapshot checks the byte counters; the tuple counters are compared with
+/// a recount of the buffer and of the decoded blob.
+void ExpectCountersExact(TaskRuntime* rt, const std::string& when) {
+  SCOPED_TRACE(when);
+  int64_t walked = 0;
+  for (const BatchOutput& b : rt->output_buffer()) {
+    walked += static_cast<int64_t>(b.tuples.size());
+  }
+  EXPECT_EQ(rt->BufferedTuples(), walked);
+  auto snap = rt->Snapshot();
+  ASSERT_TRUE(snap.ok());
+  const DecodedCounts decoded = DecodeWindowTaskSnapshot(*snap);
+  EXPECT_EQ(rt->BufferedTuples(), decoded.buffered_tuples);
+  EXPECT_EQ(rt->StateSizeTuples(), decoded.state_tuples);
+}
+
+TEST(CheckpointWireFormatTest, SizeCountersTrackEveryBufferAndWindowChange) {
+  Topology t = MakeTinyChain();
+  auto a = MakeWindowTask(t);
+  ExpectCountersExact(a.get(), "empty");
+  for (int64_t b = 0; b < 6; ++b) {
+    a->RunBatch(b, WindowInput(b));
+  }
+  a->TrimOutputBuffer(2);
+  ExpectCountersExact(a.get(), "after RunBatch and TrimOutputBuffer");
+  EXPECT_EQ(a->BufferedTuples(), 9);
+  EXPECT_EQ(a->StateSizeTuples(), 9);
+  const std::string base = *a->Snapshot();
+  for (int64_t b = 6; b < 8; ++b) {
+    a->RunBatch(b, WindowInput(b));
+  }
+  a->RunBatch(8, WindowInput(8), /*emit_downstream=*/false);
+  a->TrimOutputBuffer(4);
+  auto delta = a->SnapshotDelta();
+  ASSERT_TRUE(delta.ok());
+
+  auto b = MakeWindowTask(t);
+  ASSERT_TRUE(b->Restore(base).ok());
+  ExpectCountersExact(b.get(), "after Restore");
+  ASSERT_TRUE(b->ApplyDelta(delta->blob).ok());
+  ExpectCountersExact(b.get(), "after ApplyDelta");
+  EXPECT_EQ(b->BufferedTuples(), a->BufferedTuples());
+  EXPECT_EQ(b->StateSizeTuples(), a->StateSizeTuples());
+  EXPECT_EQ(*b->Snapshot(), *a->Snapshot());
+
+  b->Reset(3);
+  ExpectCountersExact(b.get(), "after Reset");
+  EXPECT_EQ(b->BufferedTuples(), 0);
+  EXPECT_EQ(b->StateSizeTuples(), 0);
+  b->RunBatch(3, WindowInput(3));
+  b->TrimOutputBuffer(3);
+  b->RunBatch(4, WindowInput(4));
+  ExpectCountersExact(b.get(), "after Reset, RunBatch and TrimOutputBuffer");
+  EXPECT_EQ(b->BufferedTuples(), 3);
+  EXPECT_EQ(b->StateSizeTuples(), 6);
+}
+
 }  // namespace
 }  // namespace ppa
