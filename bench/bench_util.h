@@ -132,116 +132,63 @@ class BenchMetricsSink {
   JsonValue runs_ = JsonValue::Array();
 };
 
-/// Captures one Chrome/Perfetto trace from a benchmark run and writes it
-/// to the configured path. One Trace Event document holds one timeline,
-/// so the first captured run wins; constructed with an empty path (no
-/// `--chrome_trace_out` flag, see bench::Driver) every call is a no-op.
-/// Write() falls back to an empty (but valid) trace when no run captured
-/// anything, so the flag always produces a loadable file.
-class ChromeTraceSink {
+/// Captures one JSON document from a benchmark run (a Chrome/Perfetto
+/// trace, a flight-record dump) and writes it to the configured path. One
+/// document holds one timeline or post-mortem, so the first captured run
+/// wins; constructed with an empty path (the flag was absent, see
+/// bench::Driver) every call is a no-op. Write() falls back to the
+/// `fallback` document when no run captured anything, so the flag always
+/// produces a valid file.
+class JsonDocumentSink {
  public:
-  ChromeTraceSink() = default;
-  explicit ChromeTraceSink(std::string path) : path_(std::move(path)) {}
+  JsonDocumentSink() = default;
+  /// `label` names the document in the stdout/stderr messages; `hint`
+  /// follows the path in the "written" line.
+  JsonDocumentSink(std::string path, std::string label, JsonValue fallback,
+                   std::string hint = "")
+      : path_(std::move(path)),
+        label_(std::move(label)),
+        hint_(std::move(hint)),
+        document_(std::move(fallback)) {}
 
   bool enabled() const { return !path_.empty(); }
-  bool captured() const { return captured_; }
 
-  /// Keeps `trace` (a Fig6Result::chrome_trace or
-  /// obs::ChromeTraceToJson value) if none was captured yet.
-  void Capture(JsonValue trace) {
+  /// Keeps `document` if none was captured yet.
+  void Capture(JsonValue document) {
     if (enabled() && !captured_) {
-      trace_ = std::move(trace);
+      document_ = std::move(document);
       captured_ = true;
     }
   }
 
-  /// Writes the captured trace (or an empty valid one) to the configured
+  /// Writes the captured document (or the fallback) to the configured
   /// path. Returns false after printing to stderr on filesystem errors;
   /// true otherwise, including when disabled.
   bool Write() {
     if (!enabled()) {
       return true;
     }
-    if (!captured_) {
-      trace_ = obs::EmptyChromeTrace();
-    }
     std::FILE* f = std::fopen(path_.c_str(), "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot write chrome trace to %s\n",
+      std::fprintf(stderr, "cannot write %s to %s\n", label_.c_str(),
                    path_.c_str());
       return false;
     }
-    const std::string text = trace_.Pretty();
+    const std::string text = document_.Pretty();
     std::fwrite(text.data(), 1, text.size(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    std::printf("chrome trace written to %s (load in chrome://tracing or "
-                "https://ui.perfetto.dev)\n",
-                path_.c_str());
+    std::printf("%s written to %s%s\n", label_.c_str(), path_.c_str(),
+                hint_.c_str());
     return true;
   }
 
  private:
   std::string path_;
+  std::string label_;
+  std::string hint_;
   bool captured_ = false;
-  JsonValue trace_;
-};
-
-/// Captures one flight-record dump (a report::JobFlightRecordToJson /
-/// obs::FlightRecordToJson value) and writes it to the configured path.
-/// Mirrors ChromeTraceSink: one document holds one post-mortem, so the
-/// first captured run wins; constructed with an empty path (no
-/// `--flight_record_out` flag, see bench::Driver) every call is a no-op,
-/// and Write() falls back to a valid empty record so the flag always
-/// produces a parseable file.
-class FlightRecordSink {
- public:
-  FlightRecordSink() = default;
-  explicit FlightRecordSink(std::string path) : path_(std::move(path)) {}
-
-  bool enabled() const { return !path_.empty(); }
-  bool captured() const { return captured_; }
-
-  /// Keeps `record` if none was captured yet.
-  void Capture(JsonValue record) {
-    if (enabled() && !captured_) {
-      record_ = std::move(record);
-      captured_ = true;
-    }
-  }
-
-  /// Writes the captured record (or an empty valid one) to the
-  /// configured path. Returns false after printing to stderr on
-  /// filesystem errors; true otherwise, including when disabled.
-  bool Write() {
-    if (!enabled()) {
-      return true;
-    }
-    if (!captured_) {
-      record_ = JsonValue::Object();
-      record_.Set("capacity", 0);
-      record_.Set("dropped", 0);
-      record_.Set("recorded", 0);
-      record_.Set("events", JsonValue::Array());
-    }
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write flight record to %s\n",
-                   path_.c_str());
-      return false;
-    }
-    const std::string text = record_.Pretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("flight record written to %s\n", path_.c_str());
-    return true;
-  }
-
- private:
-  std::string path_;
-  bool captured_ = false;
-  JsonValue record_;
+  JsonValue document_;
 };
 
 struct Fig6Options {

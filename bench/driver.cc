@@ -87,8 +87,16 @@ Driver Driver::FromArgs(int* argc, char** argv) {
     driver.jobs_ = ThreadPool::DefaultParallelism();
   }
   driver.metrics_ = BenchMetricsSink(metrics_path);
-  driver.traces_ = ChromeTraceSink(trace_path);
-  driver.flight_ = FlightRecordSink(flight_path);
+  driver.traces_ = JsonDocumentSink(
+      trace_path, "chrome trace", obs::EmptyChromeTrace(),
+      " (load in chrome://tracing or https://ui.perfetto.dev)");
+  JsonValue empty_record = JsonValue::Object();
+  empty_record.Set("capacity", 0);
+  empty_record.Set("dropped", 0);
+  empty_record.Set("recorded", 0);
+  empty_record.Set("events", JsonValue::Array());
+  driver.flight_ = JsonDocumentSink(flight_path, "flight record",
+                                    std::move(empty_record));
   return driver;
 }
 

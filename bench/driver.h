@@ -113,10 +113,10 @@ class Driver {
   BenchMetricsSink& metrics() { return metrics_; }
 
   /// Trace sink (no-op unless --chrome_trace_out was given).
-  ChromeTraceSink& traces() { return traces_; }
+  JsonDocumentSink& traces() { return traces_; }
 
   /// Flight-record sink (no-op unless --flight_record_out was given).
-  FlightRecordSink& flight() { return flight_; }
+  JsonDocumentSink& flight() { return flight_; }
 
   /// True when --progress was given.
   [[nodiscard]] bool progress() const { return progress_; }
@@ -156,8 +156,8 @@ class Driver {
   backend::BackendKind backend_ = backend::BackendKind::kSim;
   af::RecoveryMode recovery_mode_ = af::RecoveryMode::kPpa;
   BenchMetricsSink metrics_;
-  ChromeTraceSink traces_;
-  FlightRecordSink flight_;
+  JsonDocumentSink traces_;
+  JsonDocumentSink flight_;
   std::unique_ptr<exp::ProgressMeter> meter_;
   std::unique_ptr<exp::ParallelRunner> runner_;
 };

@@ -2,9 +2,10 @@
 //
 // BM_GatherRunBatch times the task data path of one batch: routing every
 // upstream batch of a merge edge into the consumer's input vector (the
-// job scheduler's gather) and TaskRuntime::RunBatch's ordering and
-// duplicate elimination. The consumer's operator drops its input, so the
-// operator's own work is excluded. Shapes:
+// job scheduler's gather), TaskRuntime::RunBatch's ordering and
+// duplicate elimination, and the sink's trim of the produced batch. The
+// consumer's operator drops its input, so the operator's own work is
+// excluded. Shapes:
 //   fig6 — 2 producers x 2000 tuples (an O1 task of the Fig. 6 workload);
 //   wide — 1536 producers x 1 tuple (the scale_cluster 4096-node sink).
 //
@@ -98,7 +99,8 @@ void BM_GatherRunBatch(benchmark::State& state) {
                               topo.task(s.from).index_in_op)],
                           consumer, &inputs);
     }
-    runtime.RunBatch(b, std::move(inputs), /*emit_downstream=*/false);
+    runtime.RunBatch(b, std::move(inputs));
+    runtime.TrimOutputBuffer(b);
   }
   state.SetItemsProcessed(state.iterations() * producers *
                           tuples_per_producer);

@@ -54,7 +54,6 @@ TaskRuntime::TaskRuntime(const Topology* topology, TaskId id,
 
 const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
                                          std::vector<Tuple> inputs,
-                                         bool emit_downstream,
                                          const BatchRunContext& ctx) {
   PPA_CHECK(batch == next_batch_)
       << topology_->TaskLabel(id_) << " expected batch " << next_batch_
@@ -121,12 +120,8 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
   emitted_tuples_ += static_cast<int64_t>(produced.size());
   obs::Add(batches_counter_);
   ++next_batch_;
-  if (emit_downstream) {
-    PushBatch(BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
-    return output_buffer_.back();
-  }
-  scratch_ = BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops};
-  return scratch_;
+  PushBatch(BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
+  return output_buffer_.back();
 }
 
 const BatchOutput* TaskRuntime::FindBatch(int64_t batch) const {
@@ -162,16 +157,6 @@ void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
     buffered_bytes_ -= EncodedBatchBytes(front);
     output_buffer_.pop_front();
   }
-}
-
-int64_t TaskRuntime::BufferedTuplesAfter(int64_t after_batch) const {
-  int64_t total = 0;
-  for (const BatchOutput& b : output_buffer_) {
-    if (b.batch > after_batch) {
-      total += static_cast<int64_t>(b.tuples.size());
-    }
-  }
-  return total;
 }
 
 StatusOr<std::string> TaskRuntime::Snapshot() {

@@ -66,13 +66,8 @@ class TaskRuntime {
   /// seen (per-producer sequence number) are dropped — the duplicate
   /// elimination of Sec. V-B. Appends the outputs to the output buffer,
   /// advances next_batch(), and returns the produced batch.
-  /// When `emit_downstream` is false the outputs are produced (state still
-  /// advances) but not retained in the buffer — used for state-rebuilding
-  /// replay of batches whose downstream consumption already happened
-  /// tentatively.
   /// `ctx` stamps the produced batch's latency lineage.
   const BatchOutput& RunBatch(int64_t batch, std::vector<Tuple> inputs,
-                              bool emit_downstream = true,
                               const BatchRunContext& ctx = {});
 
   /// Output buffer (oldest batch first).
@@ -90,8 +85,6 @@ class TaskRuntime {
 
   /// Total tuples currently buffered.
   int64_t BufferedTuples() const { return buffered_tuples_; }
-  /// Tuples buffered in batches with index > `after_batch`.
-  int64_t BufferedTuplesAfter(int64_t after_batch) const;
 
   /// Serializes the full task checkpoint: next batch, dedup map, operator
   /// state, and output buffer (Sec. II-B: "computation state and output
@@ -173,9 +166,6 @@ class TaskRuntime {
   int64_t emitted_tuples_ = 0;
   std::map<TaskId, uint64_t> progress_;
   std::deque<BatchOutput> output_buffer_;
-  /// Scratch slot for the return value of RunBatch when emit_downstream is
-  /// false.
-  BatchOutput scratch_;
   obs::Counter* tuples_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;
   /// Tuples in output_buffer_ and their encoded bytes (batch headers

@@ -57,12 +57,14 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
       backend_(deps.backend),
       strand_(deps.strand == kAutoStrand ? deps.backend->NewStrand()
                                          : deps.strand),
+      private_pool_(deps.pool == nullptr),
       router_(&topology_),
-      cluster_(deps.pool != nullptr
-                   ? std::move(deps.pool)
-                   : std::make_shared<NodePool>(config.num_worker_nodes,
-                                                config.num_standby_nodes)),
-      active_set_(topology_.num_tasks()) {
+      cluster_(private_pool_
+                   ? std::make_shared<NodePool>(config.num_worker_nodes,
+                                                config.num_standby_nodes)
+                   : std::move(deps.pool)),
+      active_set_(topology_.num_tasks()),
+      replicas_(static_cast<size_t>(topology_.num_tasks())) {
   // A shared pool defines the real cluster shape; keep the config's view
   // of it consistent (Start() checks num_standby_nodes, for example).
   config_.num_worker_nodes = cluster_.num_workers();
@@ -198,11 +200,6 @@ Status StreamingJob::SetActiveReplicaSet(const TaskSet& tasks) {
   return OkStatus();
 }
 
-TaskRuntime* StreamingJob::replica(TaskId t) {
-  auto it = replicas_.find(t);
-  return it == replicas_.end() ? nullptr : it->second.get();
-}
-
 Status StreamingJob::Start() {
   if (started_) {
     return FailedPrecondition("job already started");
@@ -231,8 +228,8 @@ Status StreamingJob::Start() {
     primaries_.back()->AttachMetrics(m_tuples_primary_, m_batches_primary_);
   }
   for (TaskId t : active_set_.ToVector()) {
-    replicas_[t] = MakeRuntime(t);
-    replicas_[t]->AttachMetrics(m_tuples_replica_, m_batches_replica_);
+    replicas_[static_cast<size_t>(t)] = MakeRuntime(t);
+    replica(t)->AttachMetrics(m_tuples_replica_, m_batches_replica_);
   }
 
   // Placement: keep any pins made through cluster() before Start; fill the
@@ -259,7 +256,9 @@ Status StreamingJob::Start() {
   }
 
   started_ = true;
-  if (config_.observability) {
+  // Tenants of a shared pool share the backend too: one attaching it
+  // would take its counters away from every other tenant.
+  if (config_.observability && private_pool_) {
     backend_->AttachMetrics(&metrics_);
   }
 
@@ -418,7 +417,7 @@ Status StreamingJob::ActivateReplica(TaskId t) {
   }
   PPA_RETURN_IF_ERROR(cluster_.PlaceReplicaAuto(t));
   rep->AttachMetrics(m_tuples_replica_, m_batches_replica_);
-  replicas_[t] = std::move(rep);
+  replicas_[static_cast<size_t>(t)] = std::move(rep);
   trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaActivated, t,
                 cluster_.NodeOfReplica(t));
   obs::Add(m_replica_activations_);
@@ -437,28 +436,23 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
   }
   // Deactivate replicas leaving the plan (never while their primary is
   // failed or recovering: the replica may be the recovery path).
-  for (auto it = replicas_.begin(); it != replicas_.end();) {
-    const TaskId t = it->first;
+  for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
     const bool busy = recovering_.count(t) > 0 ||
                       !primaries_[static_cast<size_t>(t)]->alive();
-    if (!tasks.Contains(t) && !busy) {
+    if (replica(t) != nullptr && !tasks.Contains(t) && !busy) {
       cluster_.RemoveReplica(t);
-      active_set_.Remove(t);
       trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaDeactivated, t);
       obs::Add(m_replica_deactivations_);
-      it = replicas_.erase(it);
-    } else {
-      ++it;
+      replicas_[static_cast<size_t>(t)].reset();
     }
   }
   // Activate replicas entering the plan.
   for (TaskId t : tasks.ToVector()) {
-    if (replicas_.count(t) > 0 || recovering_.count(t) > 0 ||
+    if (replica(t) != nullptr || recovering_.count(t) > 0 ||
         !primaries_[static_cast<size_t>(t)]->alive()) {
       continue;
     }
     PPA_RETURN_IF_ERROR(ActivateReplica(t));
-    active_set_.Add(t);
   }
   Advance();  // New replicas catch up from the buffered outputs.
   return OkStatus();
@@ -535,64 +529,53 @@ int64_t StreamingJob::CurrentBufferedTuples() const {
 }
 
 void StreamingJob::Advance() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (OperatorId op : topology_.topo_order()) {
-      for (TaskId t : topology_.op(op).tasks) {
-        progress |= TryAdvance(primaries_[static_cast<size_t>(t)].get(),
-                               /*is_replica=*/false);
-        auto rep = replicas_.find(t);
-        if (rep != replicas_.end()) {
-          progress |= TryAdvance(rep->second.get(), /*is_replica=*/true);
-        }
+  // One pass suffices: every runtime, replica or not, gathers from
+  // upstream primaries, which come earlier in topological order, so
+  // running a task never unblocks one visited before it.
+  for (OperatorId op : topology_.topo_order()) {
+    for (TaskId t : topology_.op(op).tasks) {
+      TryAdvance(primaries_[static_cast<size_t>(t)].get(),
+                 /*is_replica=*/false);
+      if (replica(t) != nullptr) {
+        TryAdvance(replica(t), /*is_replica=*/true);
       }
     }
   }
 }
 
-bool StreamingJob::CanProcess(TaskId t, int64_t b) const {
-  for (int si : topology_.task(t).in_substreams) {
-    const Substream& s = topology_.substreams()[si];
-    const TaskRuntime* up = primaries_[static_cast<size_t>(s.from)].get();
-    if (up->FindBatch(b) != nullptr) {
-      continue;  // Data present.
-    }
-    if (up->alive() && up->next_batch() > b) {
-      continue;  // Produced in the past but no longer buffered (trimmed or
-                 // skipped by recovery): resolved, possibly degraded.
-    }
-    if (!up->alive() && punctured_tasks_.count(s.from) > 0) {
-      continue;  // Master-injected batch-over punctuation (Sec. V-B).
-    }
-    return false;
-  }
-  return true;
-}
-
-std::vector<Tuple> StreamingJob::GatherInputs(
-    const std::vector<std::unique_ptr<TaskRuntime>>& runtimes, TaskId t,
-    int64_t b, bool* punctured, BatchRunContext* ctx) const {
+const BatchOutput* StreamingJob::RunStep(
+    const std::vector<std::unique_ptr<TaskRuntime>>& runtimes,
+    TaskRuntime* rt, int64_t b, int64_t* work, bool* punctured) {
+  const TaskId t = rt->id();
   const std::vector<int>& in_substreams = topology_.task(t).in_substreams;
   const OperatorId to_op = topology_.task(t).op;
+  // Sources (and punctuation-fed batches, which gather no upstream
+  // lineage) stamp the batch's nominal tick time.
+  BatchRunContext ctx;
+  ctx.ingest_at = BatchTickTime(b);
   std::vector<const BatchOutput*> batches(in_substreams.size(), nullptr);
   size_t expected = 0;
   for (size_t i = 0; i < in_substreams.size(); ++i) {
     const Substream& s = topology_.substreams()[in_substreams[i]];
     const TaskRuntime* up = runtimes[static_cast<size_t>(s.from)].get();
     batches[i] = up->FindBatch(b);
-    if (batches[i] == nullptr) {
-      if (!up->alive() || up->ever_failed()) {
-        *punctured = true;
-      }
-      continue;
+    if (batches[i] != nullptr) {
+      ctx.ingest_at = std::min(ctx.ingest_at, batches[i]->ingest_at);
+      ctx.hops = std::max(ctx.hops, batches[i]->hops + 1);
+      // The consumer's expected share of the batch: all of it on
+      // one-to-one and merge edges, an even hash split on split and full
+      // edges.
+      expected += batches[i]->tuples.size() /
+                  router_.Consumers(s.from, to_op).size();
+    } else if (up->alive() && up->next_batch() > b) {
+      // Produced in the past but no longer buffered (trimmed, or skipped
+      // by recovery): resolved, degraded if the upstream ever failed.
+      *punctured |= up->ever_failed();
+    } else if (!up->alive() && punctured_tasks_.count(s.from) > 0) {
+      *punctured = true;  // Master-injected batch-over punctuation (Sec. V-B).
+    } else {
+      return nullptr;  // Blocked until the upstream produces or is punctured.
     }
-    ctx->ingest_at = std::min(ctx->ingest_at, batches[i]->ingest_at);
-    ctx->hops = std::max(ctx->hops, batches[i]->hops + 1);
-    // The consumer's expected share of the batch: all of it on one-to-one
-    // and merge edges, an even hash split on split and full edges.
-    expected += batches[i]->tuples.size() /
-                router_.Consumers(s.from, to_op).size();
   }
   // Appending in `in_substreams` order keeps each upstream batch in
   // sequence order, so on producer-ordered topologies the result is
@@ -605,89 +588,77 @@ std::vector<Tuple> StreamingJob::GatherInputs(
       router_.RouteBatchTo(s.from, to_op, *batches[i], t, &inputs);
     }
   }
-  return inputs;
+  const size_t in_count = inputs.size();
+  const BatchOutput& out = rt->RunBatch(b, std::move(inputs), ctx);
+  *work = static_cast<int64_t>(rt->is_source() ? out.tuples.size()
+                                               : in_count);
+  return &out;
 }
 
-bool StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
-  if (rt == nullptr || !rt->alive()) {
-    return false;
+void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
+  if (!rt->alive()) {
+    return;
   }
   const TaskId t = rt->id();
-  bool advanced = false;
   while (rt->next_batch() <= frontier_) {
     const int64_t b = rt->next_batch();
-    if (!rt->is_source() && !CanProcess(t, b)) {
-      break;
-    }
+    int64_t work = 0;
     bool punctured = false;
-    BatchRunContext ctx;
-    // Sources (and punctuation-fed batches, which gather no upstream
-    // lineage) stamp the batch's nominal tick time.
-    ctx.ingest_at = BatchTickTime(b);
-    std::vector<Tuple> inputs =
-        GatherInputs(primaries_, t, b, &punctured, &ctx);
-    const size_t in_count = inputs.size();
-    const BatchOutput& out = rt->RunBatch(b, std::move(inputs), true, ctx);
-    if (!is_replica) {
-      const double work =
-          rt->is_source() ? static_cast<double>(out.tuples.size())
-                          : static_cast<double>(in_count);
-      processing_us_[static_cast<size_t>(t)] +=
-          work * config_.process_cost_per_tuple_us;
-      if (config_.recovery_mode != af::RecoveryMode::kPpa) {
-        // Conservative un-persisted drift: every record processed since
-        // the task's last persisted blob could be forfeited by a thinned
-        // recovery (DESIGN.md §17). Cleared when a blob lands.
-        const int64_t records = static_cast<int64_t>(work);
-        divergence_.Observe(t, records,
-                            records * static_cast<int64_t>(sizeof(Tuple)),
-                            topology_.task(t).weight);
-      }
-      if (!rt->is_source()) {
-        obs::Observe(m_tuples_per_batch_, static_cast<double>(in_count));
-      }
-      if (punctured) {
-        degraded_batches_.insert(b);
-      }
-      if (topology_.IsSinkTask(t)) {
-        // Batches replayed by a recovered sink were already delivered to
-        // the user before the failure; suppress the duplicates.
-        if (b > sink_recorded_until_[static_cast<size_t>(t)]) {
-          const bool tentative =
-              punctured || degraded_batches_.count(b) > 0;
-          for (const Tuple& tuple : out.tuples) {
-            sink_records_.push_back(SinkRecord{
-                tuple, tentative, backend_->now(), false, out.ingest_at});
-          }
-          sink_recorded_until_[static_cast<size_t>(t)] = b;
-          RecordSinkBatch(t, b, static_cast<int64_t>(out.tuples.size()),
-                          tentative, out.ingest_at, out.hops);
-        }
-        // Sinks have no subscribers; their buffer is not needed for
-        // replay.
-        rt->TrimOutputBuffer(b);
-      }
+    const BatchOutput* out = RunStep(primaries_, rt, b, &work, &punctured);
+    if (out == nullptr) {
+      return;
     }
-    advanced = true;
+    if (is_replica) {
+      continue;
+    }
+    processing_us_[static_cast<size_t>(t)] +=
+        static_cast<double>(work) * config_.process_cost_per_tuple_us;
+    if (config_.recovery_mode != af::RecoveryMode::kPpa) {
+      // Conservative un-persisted drift: every record processed since the
+      // task's last persisted blob could be forfeited by a thinned
+      // recovery (DESIGN.md §17). Cleared when a blob lands.
+      divergence_.Observe(t, work, work * static_cast<int64_t>(sizeof(Tuple)),
+                          topology_.task(t).weight);
+    }
+    if (!rt->is_source()) {
+      obs::Observe(m_tuples_per_batch_, static_cast<double>(work));
+    }
+    if (punctured) {
+      degraded_batches_.insert(b);
+    }
+    if (topology_.IsSinkTask(t)) {
+      DeliverSinkBatch(t, *out);
+      // Sinks have no subscribers; their buffer is not needed for replay.
+      rt->TrimOutputBuffer(b);
+    }
   }
-  return advanced;
 }
 
-void StreamingJob::RecordSinkBatch(TaskId t, int64_t batch, int64_t tuples,
-                                   bool tentative, TimePoint ingest_at,
-                                   int32_t hops) {
+void StreamingJob::DeliverSinkBatch(TaskId t, const BatchOutput& out) {
+  int64_t& recorded_until = sink_recorded_until_[static_cast<size_t>(t)];
+  if (out.batch <= recorded_until) {
+    return;  // Already delivered before a failure; replayed duplicate.
+  }
+  recorded_until = out.batch;
+  const int64_t batch = out.batch;
+  const int64_t tuples = static_cast<int64_t>(out.tuples.size());
+  const bool tentative = degraded_batches_.count(batch) > 0;
+  for (const Tuple& tuple : out.tuples) {
+    sink_records_.push_back(
+        SinkRecord{tuple, tentative, backend_->now(), false, out.ingest_at});
+  }
   obs::Add(m_sink_records_, tuples);
   if (tentative) {
     obs::Add(m_sink_tentative_, tuples);
   }
-  const double latency_s = (backend_->now() - ingest_at).seconds();
+  const double latency_s = (backend_->now() - out.ingest_at).seconds();
   obs::Observe(tentative ? m_sink_latency_tentative_ : m_sink_latency_stable_,
                latency_s);
   obs::Observe(tentative
                    ? m_sink_task_latency_tentative_[static_cast<size_t>(t)]
                    : m_sink_task_latency_stable_[static_cast<size_t>(t)],
                latency_s);
-  obs::Observe(m_sink_lineage_hops_, static_cast<double>(hops));
+  obs::Observe(m_sink_lineage_hops_, static_cast<double>(out.hops));
   trace_.Record(backend_->now(),
                 tentative ? obs::TraceEventKind::kSinkBatchTentative
                           : obs::TraceEventKind::kSinkBatchStable,
@@ -751,7 +722,7 @@ bool StreamingJob::ApproxEligible(TaskId t) const {
       // Hybrid placement rule (DESIGN.md §17): tasks under the active
       // replica plan (the planner's high-weight picks) stay exact; the
       // rest run under the bounded-error contract.
-      return !active_set_.Contains(t) && replicas_.count(t) == 0;
+      return replicas_[static_cast<size_t>(t)] == nullptr;
   }
   return false;
 }
@@ -877,9 +848,9 @@ void StreamingJob::TrimUpstreamBuffers(TaskId checkpointed) {
       min_covered = std::min(min_covered, checkpoints_.TrimBatch(os.to));
       // Consumer replicas read from this buffer as well; keep what they
       // have not yet processed.
-      auto rep = replicas_.find(os.to);
-      if (rep != replicas_.end() && rep->second->alive()) {
-        min_covered = std::min(min_covered, rep->second->next_batch());
+      const TaskRuntime* rep = replica(os.to);
+      if (rep != nullptr && rep->alive()) {
+        min_covered = std::min(min_covered, rep->next_batch());
       }
     }
     if (min_covered > 0 && min_covered != INT64_MAX) {
@@ -895,9 +866,9 @@ void StreamingJob::OnReplicaSync() {
       const Substream& os = topology_.substreams()[osi];
       level = std::min(
           level, primaries_[static_cast<size_t>(os.to)]->next_batch());
-      auto rep = replicas_.find(os.to);
-      if (rep != replicas_.end() && rep->second->alive()) {
-        level = std::min(level, rep->second->next_batch());
+      const TaskRuntime* rep = replica(os.to);
+      if (rep != nullptr && rep->alive()) {
+        level = std::min(level, rep->next_batch());
       }
     }
     return level == INT64_MAX ? frontier_ + 1 : level;
@@ -908,8 +879,9 @@ void StreamingJob::OnReplicaSync() {
   const int64_t sink_retention =
       config_.detection_interval.micros() / config_.batch_interval.micros() +
       2;
-  for (auto& [t, rep] : replicas_) {
-    if (rep->alive()) {
+  for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
+    TaskRuntime* rep = replica(t);
+    if (rep != nullptr && rep->alive()) {
       if (topology_.IsSinkTask(t)) {
         rep->TrimOutputBuffer(frontier_ - sink_retention);
       } else {
@@ -1065,15 +1037,14 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
   punctured_tasks_.erase(t);
   switch (kind) {
     case RecoveryKind::kActiveReplica: {
-      auto it = replicas_.find(t);
-      PPA_CHECK(it != replicas_.end());
+      PPA_CHECK(replica(t) != nullptr);
       // The replica is the primary now. It is installed before the
       // takeover delivery below, so the fidelity sample that delivery
       // records (possibly the one closing the tentative window) does not
       // count `t` as failed. Its tuples count toward the primary engine
       // counters from here on.
-      primaries_[static_cast<size_t>(t)] = std::move(it->second);
-      replicas_.erase(it);
+      primaries_[static_cast<size_t>(t)] =
+          std::move(replicas_[static_cast<size_t>(t)]);
       TaskRuntime* rep = primaries_[static_cast<size_t>(t)].get();
       rep->MarkAlive();
       rep->AttachMetrics(m_tuples_primary_, m_batches_primary_);
@@ -1082,25 +1053,13 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
         // the replica's buffered outputs from there on (the takeover
         // "resend buffered tuples" of Sec. V-B, here to the end user).
         for (const BatchOutput& bo : rep->output_buffer()) {
-          if (bo.batch <= sink_recorded_until_[static_cast<size_t>(t)]) {
-            continue;
-          }
-          const bool tentative = degraded_batches_.count(bo.batch) > 0;
-          for (const Tuple& tuple : bo.tuples) {
-            sink_records_.push_back(SinkRecord{
-                tuple, tentative, backend_->now(), false, bo.ingest_at});
-          }
-          sink_recorded_until_[static_cast<size_t>(t)] = bo.batch;
-          RecordSinkBatch(t, bo.batch,
-                          static_cast<int64_t>(bo.tuples.size()), tentative,
-                          bo.ingest_at, bo.hops);
+          DeliverSinkBatch(t, bo);
         }
         rep->TrimOutputBuffer(frontier_);
       }
       // The placement follows the takeover: the standby node now hosts
       // the primary and its replica slot is free again.
       PPA_CHECK_OK(cluster_.PromoteReplicaToPrimary(t));
-      active_set_.Remove(t);
       if (checkpoints_.Chain(t) != nullptr) {
         // The new primary's snapshot marker dates from replica
         // activation, so its next delta could overlap slices the dead
@@ -1167,11 +1126,9 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
   // A replica that died with its standby node cannot serve anyone again
   // (revivals never resurrect replica runtimes); drop its registration so
   // the consumed slot returns to the budget for a future plan apply.
-  auto stale = replicas_.find(t);
-  if (stale != replicas_.end() && !stale->second->alive()) {
-    replicas_.erase(stale);
+  if (replica(t) != nullptr && !replica(t)->alive()) {
+    replicas_[static_cast<size_t>(t)].reset();
     cluster_.RemoveReplica(t);
-    active_set_.Remove(t);
     trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaDeactivated, t);
     obs::Add(m_replica_deactivations_);
   }
@@ -1407,27 +1364,23 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
   for (int64_t b = start; b <= report.to_batch; ++b) {
     for (OperatorId op : topology_.topo_order()) {
       for (TaskId t : topology_.op(op).tasks) {
-        TaskRuntime* rt = shadow[static_cast<size_t>(t)].get();
-        BatchRunContext ctx;
-        ctx.ingest_at = BatchTickTime(b);
-        // Shadow runtimes never fail, so nothing is punctured; a missing
-        // upstream batch only means its warm-up started later than needed.
+        int64_t work = 0;
         bool punctured = false;
-        std::vector<Tuple> inputs =
-            GatherInputs(shadow, t, b, &punctured, &ctx);
-        const size_t in_count = inputs.size();
-        const BatchOutput& out = rt->RunBatch(b, std::move(inputs), true, ctx);
-        report.reprocessed_tuples +=
-            rt->is_source() ? static_cast<int64_t>(out.tuples.size())
-                            : static_cast<int64_t>(in_count);
+        const BatchOutput* out = RunStep(
+            shadow, shadow[static_cast<size_t>(t)].get(), b, &work, &punctured);
+        // Shadow runtimes never fail, so every upstream has run batch b
+        // earlier in this topological pass.
+        PPA_CHECK(out != nullptr) << "shadow " << topology_.TaskLabel(t)
+                                  << " blocked at batch " << b;
+        report.reprocessed_tuples += work;
         if (topology_.IsSinkTask(t) && degraded_batches_.count(b) > 0) {
-          for (const Tuple& tuple : out.tuples) {
+          for (const Tuple& tuple : out->tuples) {
             SinkRecord record;
             record.tuple = tuple;
             record.tentative = false;
             record.emitted_at = backend_->now();
             record.correction = true;
-            record.ingest_at = out.ingest_at;
+            record.ingest_at = out->ingest_at;
             report.corrected.push_back(record);
           }
         }

@@ -248,7 +248,9 @@ class StreamingJob {
     return primaries_[static_cast<size_t>(t)].get();
   }
   /// The replica runtime, or nullptr.
-  TaskRuntime* replica(TaskId t);
+  TaskRuntime* replica(TaskId t) {
+    return replicas_[static_cast<size_t>(t)].get();
+  }
 
   const std::vector<SinkRecord>& sink_records() const { return sink_records_; }
   const std::vector<RecoveryReport>& recovery_reports() const {
@@ -306,21 +308,17 @@ class StreamingJob {
   int64_t PeakBufferedTuples() const { return peak_buffered_tuples_; }
 
  private:
-  /// Dataflow scheduler: advances every runnable task until quiescence.
+  /// Dataflow scheduler: one topological pass (DESIGN.md §3.5).
   void Advance();
-  bool TryAdvance(TaskRuntime* rt, bool is_replica);
-  /// True if every upstream of `t` is resolved for batch `b` (data
-  /// present, already produced-and-skipped, or punctuation-substituted).
-  bool CanProcess(TaskId t, int64_t b) const;
-  /// Collects the batch-`b` tuples routed to `t` from the upstream
-  /// runtimes in `runtimes` (indexed by task id: the primaries, or the
-  /// shadow runtimes of reconciliation), concatenated in `in_substreams`
-  /// order. Sets *punctured if any upstream contributed a punctuation
-  /// instead of data, and folds the upstream batches' latency lineage
-  /// into `ctx` (earliest ingest, max hops + 1).
-  std::vector<Tuple> GatherInputs(
-      const std::vector<std::unique_ptr<TaskRuntime>>& runtimes, TaskId t,
-      int64_t b, bool* punctured, BatchRunContext* ctx) const;
+  void TryAdvance(TaskRuntime* rt, bool is_replica);
+  /// Runs batch `b` of `rt` on its inputs gathered from `runtimes` (by
+  /// task id: the primaries, or reconciliation's shadow runtimes), or
+  /// returns nullptr if an upstream blocks `b`. Sets *work to the tuples
+  /// processed (inputs, or a source's outputs) and *punctured if a
+  /// punctuation stood in for an upstream's data.
+  const BatchOutput* RunStep(
+      const std::vector<std::unique_ptr<TaskRuntime>>& runtimes,
+      TaskRuntime* rt, int64_t b, int64_t* work, bool* punctured);
 
   /// Nominal source tick time of batch `b` (lineage stamp for sources
   /// and punctuation-fed batches).
@@ -354,13 +352,11 @@ class StreamingJob {
   /// config_.observability is false: every handle stays nullptr and the
   /// trace is disabled).
   void InitObservability();
-  /// Books one delivered sink batch: counters, end-to-end latency
-  /// histograms (stable vs. tentative, aggregate and per sink task), the
-  /// stable/tentative trace event, the tentative-window open/close
-  /// transitions, and — while a window is open — one OF/IC fidelity
-  /// sample.
-  void RecordSinkBatch(TaskId t, int64_t batch, int64_t tuples,
-                       bool tentative, TimePoint ingest_at, int32_t hops);
+  /// Delivers sink batch `out` of `t` unless a replay already did
+  /// (tentative if the batch is degraded) and books it: counters, latency
+  /// histograms, the sink trace event, the tentative-window transitions
+  /// and, while a window is open, one OF/IC fidelity sample.
+  void DeliverSinkBatch(TaskId t, const BatchOutput& out);
   /// Emits kTaskCaughtUp for recovered tasks that reached the frontier.
   void NoteCaughtUpTasks();
 
@@ -386,16 +382,20 @@ class StreamingJob {
   backend::ExecutionBackend* backend_;
   /// The one strand all of this job's events run on (see class comment).
   uint64_t strand_;
+  /// Built its own node pool: only then is the backend the job's alone.
+  bool private_pool_;
   Router router_;
   Cluster cluster_;
   CheckpointStore checkpoints_;
 
   std::vector<OperatorFactory> op_factories_;
   std::vector<SourceFactory> source_factories_;
+  /// The replica plan for Start(); afterwards replicas_ is the plan.
   TaskSet active_set_;
 
+  /// Indexed by task id; a null replica slot means no replica.
   std::vector<std::unique_ptr<TaskRuntime>> primaries_;
-  std::map<TaskId, std::unique_ptr<TaskRuntime>> replicas_;
+  std::vector<std::unique_ptr<TaskRuntime>> replicas_;
 
   int64_t frontier_ = -1;
   /// Time of the first batch tick (anchor of BatchTickTime()).

@@ -449,7 +449,6 @@ TEST(TaskRuntimeTest, FindBatchAndTrim) {
   EXPECT_NE(rt.FindBatch(4), nullptr);
   EXPECT_EQ(rt.FindBatch(5), nullptr);
   EXPECT_EQ(rt.BufferedTuples(), 10);
-  EXPECT_EQ(rt.BufferedTuplesAfter(2), 4);
   rt.TrimOutputBuffer(2);
   EXPECT_EQ(rt.FindBatch(2), nullptr);
   EXPECT_NE(rt.FindBatch(3), nullptr);
@@ -608,7 +607,7 @@ TEST(CheckpointWireFormatTest, SourceTaskSnapshotMatchesPerFieldLayout) {
     BatchRunContext ctx;
     ctx.ingest_at = TimePoint::FromMicros(1000 * b + 17);
     ctx.hops = static_cast<int32_t>(b + 1);
-    rt.RunBatch(b, {}, /*emit_downstream=*/true, ctx);
+    rt.RunBatch(b, {}, ctx);
   }
   rt.TrimOutputBuffer(0);
   auto snap = rt.Snapshot();
@@ -883,7 +882,6 @@ TEST(CheckpointWireFormatTest, SizeCountersTrackEveryBufferAndWindowChange) {
   for (int64_t b = 6; b < 8; ++b) {
     a->RunBatch(b, WindowInput(b));
   }
-  a->RunBatch(8, WindowInput(8), /*emit_downstream=*/false);
   a->TrimOutputBuffer(4);
   auto delta = a->SnapshotDelta();
   ASSERT_TRUE(delta.ok());

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -381,6 +383,110 @@ TEST(StreamingJobTest, InjectionValidation) {
   EXPECT_EQ(job.InjectNodeFailure(999).code(), StatusCode::kInvalidArgument);
   PPA_CHECK_OK(job.InjectNodeFailure(1));
   EXPECT_EQ(job.InjectNodeFailure(1).code(), StatusCode::kFailedPrecondition);
+}
+
+/// The recovery kind the master last chose for `t`, if it detected a
+/// failure of `t` at all.
+std::optional<RecoveryKind> LastRecoveryKind(const StreamingJob& job,
+                                             TaskId t) {
+  std::optional<RecoveryKind> kind;
+  for (const RecoveryReport& report : job.recovery_reports()) {
+    for (const TaskRecoverySpec& spec : report.specs) {
+      if (spec.task == t) {
+        kind = spec.kind;
+      }
+    }
+  }
+  return kind;
+}
+
+/// The one-pass property of StreamingJob's data plane: once an engine
+/// event returns, no alive primary or replica can still run a batch up to
+/// the frontier — its next batch waits on a dead upstream that has not
+/// been punctured. Returns how many runtimes were waiting. Assumes every
+/// task fails at most once, so a detected dead task is punctured exactly
+/// when the master did not recover it from an active replica.
+int ExpectNothingRunnable(StreamingJob& job, const std::string& when) {
+  const Topology& topo = job.topology();
+  int waiting = 0;
+  for (TaskId t = 0; t < topo.num_tasks(); ++t) {
+    for (const TaskRuntime* rt : {job.primary(t), job.replica(t)}) {
+      if (rt == nullptr || !rt->alive() || rt->next_batch() > job.frontier()) {
+        continue;
+      }
+      const int64_t b = rt->next_batch();
+      bool blocked = false;
+      for (int si : topo.task(t).in_substreams) {
+        const TaskId u = topo.substreams()[si].from;
+        const TaskRuntime* up = job.primary(u);
+        const std::optional<RecoveryKind> kind = LastRecoveryKind(job, u);
+        const bool punctured =
+            kind.has_value() && *kind != RecoveryKind::kActiveReplica;
+        blocked |= !up->alive() && up->FindBatch(b) == nullptr && !punctured;
+      }
+      EXPECT_TRUE(blocked) << when << ": " << topo.TaskLabel(t)
+                           << (rt == job.replica(t) ? " replica" : "")
+                           << " could still run batch " << b;
+      ++waiting;
+    }
+  }
+  return waiting;
+}
+
+TEST(StreamingJobTest, OnePassLeavesNoRunnableTask) {
+  backend::SimBackend loop;
+  StreamingJob job(MakeTestTopology(), MakeTestConfig(FtMode::kPpa),
+                   JobRuntimeDeps(&loop));
+  PPA_CHECK_OK(job.BindSource(0, [] {
+    return std::make_unique<SyntheticSource>(20, 64, 7);
+  }));
+  for (OperatorId op : {1, 2}) {
+    PPA_CHECK_OK(job.BindOperator(op, [] {
+      return std::make_unique<SlidingWindowAggregateOperator>(5, 0.5);
+    }));
+  }
+  TaskSet active(5);
+  active.Add(3);  // mid[1] is taken over by its replica; mid[0] restores.
+  PPA_CHECK_OK(job.SetActiveReplicaSet(active));
+  PPA_CHECK_OK(job.Start());
+
+  int waiting = 0;
+  auto step_until = [&](double seconds) {
+    while (loop.now() < TimePoint::Zero() + Duration::Seconds(seconds)) {
+      loop.RunUntil(loop.now() + Duration::Millis(500));
+      waiting += ExpectNothingRunnable(
+          job, "t=" + std::to_string(loop.now().seconds()));
+    }
+  };
+  step_until(12.5);
+  // Correlated failure of both mid tasks (nodes 2 and 3): until detection
+  // the sink waits on two dead, unpunctured upstreams.
+  PPA_CHECK_OK(job.InjectNodeFailure(2));
+  PPA_CHECK_OK(job.InjectNodeFailure(3));
+  waiting += ExpectNothingRunnable(job, "after the failure");
+  step_until(30);
+  ASSERT_TRUE(job.AllRecovered());
+  ASSERT_EQ(job.recovery_reports().size(), 1u);
+  EXPECT_EQ(LastRecoveryKind(job, 2), RecoveryKind::kCheckpoint);
+  EXPECT_EQ(LastRecoveryKind(job, 3), RecoveryKind::kActiveReplica);
+  // New replicas catch up from the upstream buffers inside the apply.
+  TaskSet plan(5);
+  plan.Add(2);
+  plan.Add(4);
+  PPA_CHECK_OK(job.ApplyActiveReplicaSet(plan));
+  ASSERT_NE(job.replica(2), nullptr);
+  ASSERT_NE(job.replica(4), nullptr);
+  waiting += ExpectNothingRunnable(job, "after ApplyActiveReplicaSet");
+  step_until(40);
+
+  EXPECT_GT(waiting, 0) << "the sink must have waited for detection";
+  bool any_tentative = false;
+  for (const SinkRecord& r : job.sink_records()) {
+    any_tentative |= r.tentative;
+  }
+  EXPECT_TRUE(any_tentative) << "punctuations must have fed the sink";
+  EXPECT_EQ(job.replica(2)->next_batch(), job.frontier() + 1);
+  EXPECT_EQ(job.replica(4)->next_batch(), job.frontier() + 1);
 }
 
 TEST(ClusterTest, PlacementAndFailure) {

@@ -11,11 +11,13 @@
 #include "common/random.h"
 #include "common/sim_time.h"
 #include "common/status.h"
+#include "exp/run_spec.h"
 #include "runtime/cluster.h"
 #include "runtime/scenario.h"
 #include "service/arbiter.h"
 #include "service/cluster_service.h"
 #include "service/tenant.h"
+#include "topology/serialize.h"
 #include "backend/sim_backend.h"
 
 namespace ppa {
@@ -283,6 +285,58 @@ TEST(ServiceTest, StandbyLossDegradesLeastImportantTenantAndReviveRestores) {
   EXPECT_EQ(*svc.PhaseOf(*b_id), service::TenantPhase::kRunning);
   EXPECT_EQ(svc.stats().promotions, 1);
   EXPECT_EQ(svc.job(*b_id)->cluster().NodeOfReplica(1), 3);
+}
+
+/// Names in `registry` of the backend's own counters ("sim." on the
+/// simulator, "backend." on threads).
+std::vector<std::string> BackendMetricNames(
+    const obs::MetricsRegistry& registry) {
+  std::vector<std::string> names;
+  for (const auto& [name, counter] : registry.counters()) {
+    if (name.rfind("sim.", 0) == 0 || name.rfind("backend.", 0) == 0) {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+TEST(ServiceTest, TenantsNeverTakeTheSharedBackendCounters) {
+  backend::SimBackend loop;
+  service::ServiceConfig config;
+  config.num_worker_nodes = 2;
+  config.num_standby_nodes = 1;
+  config.worker_slots_per_node = 2;
+  service::ClusterService svc(config, &loop);
+  std::vector<int> ids;
+  for (int i = 0; i < 2; ++i) {
+    service::TenantSpec spec;
+    spec.topology_spec = kChain2;
+    auto id = svc.Submit(std::move(spec));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  loop.RunUntil(At(10));
+  // The backend is shared: attaching it to one tenant's registry would
+  // leave every other tenant's backend counters frozen at that admission.
+  for (int id : ids) {
+    const obs::MetricsRegistry& registry = svc.job(id)->metrics();
+    EXPECT_THAT(BackendMetricNames(registry), ::testing::IsEmpty())
+        << "tenant " << id;
+    EXPECT_GT(registry.counters().at("job.batch_ticks")->value(), 0);
+  }
+
+  // A job on its own cluster has the backend to itself and keeps its
+  // counters.
+  backend::SimBackend own_loop;
+  auto topo = ParseTopologySpec(kChain2);
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  const JobConfig job_config = JobConfig::PpaDefaults();
+  StreamingJob job(*topo, job_config, JobRuntimeDeps(&own_loop));
+  PPA_CHECK_OK(exp::BindGenericWorkload(*topo, job_config, &job));
+  PPA_CHECK_OK(job.Start());
+  own_loop.RunUntil(At(10));
+  EXPECT_EQ(job.metrics().counters().at("sim.events_processed")->value(),
+            own_loop.events_processed());
 }
 
 // ---------------------------------------------------------------------------
