@@ -19,14 +19,23 @@
 //   wide_mid    — a scale_cluster 4096-node mid task: 1-tuple batches, a
 //                 30-slice window and 30 buffered batches.
 //
+// BM_StrandDispatch times the execution backend's per-callback dispatch
+// on one strand (every StreamingJob's shape): a chain of kDispatchChain
+// callbacks, each scheduling the next 1 us later, driven with one
+// RunUntil per iteration. The callbacks do no work, so the time is the
+// backend's own: timer insertion, the ordered pop and, on threads, the
+// worker hand-off and wake-ups. Variants: sim, threads (2 workers).
+//
 //   ./build/bench/layers --benchmark_min_time=0.05
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "backend/execution_backend.h"
 #include "common/logging.h"
 #include "engine/operator.h"
 #include "engine/router.h"
@@ -220,6 +229,34 @@ BENCHMARK(BM_TaskRestore)
     ->Arg(kFig6Source)
     ->Arg(kFig6O1)
     ->Arg(kWideMid);
+
+constexpr int kDispatchChain = 1000;
+
+void BM_StrandDispatch(benchmark::State& state, backend::BackendKind kind) {
+  backend::ThreadedBackendOptions options;
+  options.num_shards = 2;
+  const std::unique_ptr<backend::ExecutionBackend> be =
+      backend::MakeBackend(kind, options);
+  // Touched only by the chain's callbacks, which one strand serializes,
+  // and by this loop between drives.
+  int remaining = 0;
+  std::function<void()> step = [&] {
+    if (--remaining > 0) {
+      (void)be->ScheduleAfter(Duration::Micros(1), step);
+    }
+  };
+  for (auto _ : state) {
+    remaining = kDispatchChain;
+    (void)be->ScheduleAfter(Duration::Micros(1), step);
+    be->RunUntil(be->now() + Duration::Micros(kDispatchChain));
+  }
+  PPA_CHECK(remaining == 0);
+  state.SetItemsProcessed(state.iterations() * kDispatchChain);
+}
+BENCHMARK_CAPTURE(BM_StrandDispatch, sim, backend::BackendKind::kSim)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_StrandDispatch, threads, backend::BackendKind::kThreads)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace ppa

@@ -21,8 +21,8 @@ namespace backend {
 
 /// Which execution substrate runs a job's events. kSim is the
 /// deterministic discrete-event simulator (the correctness oracle for
-/// every other backend); kThreads executes the same schedule on a real
-/// worker pool with bounded mailboxes (DESIGN.md §16).
+/// every other backend); kThreads executes the same schedule on real
+/// worker threads that pull timers in sim order (DESIGN.md §16).
 enum class BackendKind {
   kSim,
   kThreads,
@@ -39,11 +39,9 @@ enum class BackendKind {
 /// Tuning knobs for backend::ThreadedBackend; every field has a usable
 /// default so `MakeBackend(BackendKind::kThreads)` just works.
 struct ThreadedBackendOptions {
-  /// Worker shards (mailbox lanes). <= 0 means "hardware parallelism".
+  /// Worker threads, and so the most callbacks that run at once. <= 0
+  /// means one fewer than the hardware parallelism (at least 1).
   int num_shards = 0;
-  /// Bounded per-shard mailbox depth; producers block when the mailbox is
-  /// full (backpressure, DESIGN.md §16).
-  size_t mailbox_capacity = 1024;
   /// 0 runs virtual time as fast as the machine allows; a positive value
   /// paces dispatch so one simulated second takes `time_scale` wall
   /// seconds (1.0 = real time).

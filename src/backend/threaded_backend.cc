@@ -1,7 +1,6 @@
 #include "backend/threaded_backend.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/wall_clock.h"
@@ -22,22 +21,18 @@ thread_local int64_t tls_now_us = 0;
 
 ThreadedBackend::ThreadedBackend(const ThreadedBackendOptions& options)
     : time_scale_(options.time_scale) {
-  int shards = options.num_shards > 0
-                   ? options.num_shards
-                   : std::max(1, ThreadPool::DefaultParallelism() - 1);
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<BoundedMpscQueue<WorkItem>>(
-        options.mailbox_capacity));
+  const int workers = options.num_shards > 0
+                          ? options.num_shards
+                          : std::max(1, ThreadPool::DefaultParallelism() - 1);
+  pool_ = std::make_unique<ThreadPool>(workers);
+  for (int i = 0; i < workers; ++i) {
+    pool_->Submit([this] { WorkerLoop(); });
   }
-  // One thread per shard plus one the pump occupies for its lifetime.
-  pool_ = std::make_unique<ThreadPool>(shards + 1);
-  pool_->Submit([this] { PumpLoop(); });
 }
 
 ThreadedBackend::~ThreadedBackend() {
   Stop();
-  pool_.reset();  // drains the drain tasks, then joins
+  pool_.reset();  // the workers return on stop; join them
 }
 
 TimePoint ThreadedBackend::now() const {
@@ -66,10 +61,15 @@ uint64_t ThreadedBackend::ScheduleAfterOn(uint64_t strand, Duration delay,
   timers_.emplace(TimerKey{at.micros(), seq},
                   TimerEntry{strand, std::move(fn)});
   live_.emplace(seq, at);
-  if (strands_[strand].timers++ == 0) {
-    ++pending_strands_;
+  StrandState& s = strands_[strand];
+  if (s.timers++ == 0 && !s.busy) {
+    ++ready_strands_;
   }
-  timer_cv_.NotifyAll();
+  // A busy strand's own worker picks this timer up when its callback
+  // returns, so only an idle strand's due timer needs another worker.
+  if (!s.busy && driving_ && at <= drive_deadline_) {
+    work_cv_.NotifyOne();
+  }
   return seq;
 }
 
@@ -83,8 +83,9 @@ bool ThreadedBackend::Cancel(uint64_t id) {
   if (timer == timers_.end()) {
     return false;  // unreachable: live_ and timers_ move in lock step
   }
-  if (--strands_[timer->second.strand].timers == 0) {
-    --pending_strands_;
+  StrandState& s = strands_[timer->second.strand];
+  if (--s.timers == 0 && !s.busy) {
+    --ready_strands_;
   }
   timers_.erase(timer);
   live_.erase(live);
@@ -93,123 +94,112 @@ bool ThreadedBackend::Cancel(uint64_t id) {
 
 std::map<ThreadedBackend::TimerKey, ThreadedBackend::TimerEntry>::iterator
 ThreadedBackend::FirstDispatchable() {
-  if (!driving_) {
+  if (!driving_ || ready_strands_ == 0) {
     return timers_.end();
   }
-  std::set<uint64_t> gated;
   for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    TimePoint at = TimePoint::FromMicros(it->first.at_us);
-    if (at > drive_deadline_) {
-      return timers_.end();  // ordered by time: nothing further qualifies
+    if (TimePoint::FromMicros(it->first.at_us) > drive_deadline_) {
+      break;  // ordered by time: nothing further qualifies
     }
-    uint64_t strand = it->second.strand;
-    if (gated.count(strand) != 0) {
-      continue;  // a later timer of a gated strand is never dispatchable
-    }
-    const StrandState& s = strands_[strand];
-    if (s.outstanding == 0 || at == s.ts) {
+    if (!strands_[it->second.strand].busy) {
       return it;
-    }
-    gated.insert(strand);
-    if (gated.size() >= pending_strands_) {
-      return timers_.end();  // every strand with timers is gated
     }
   }
   return timers_.end();
 }
 
-void ThreadedBackend::PumpLoop() {
+void ThreadedBackend::WorkerLoop() {
+  std::function<void()> fn;
+  uint64_t strand = 0;
+  bool ran = false;
   for (;;) {
-    WorkItem item;
-    size_t shard = 0;
+    TimePoint at;
     {
       MutexLock lock(&mu_);
+      if (ran) {
+        StrandState& s = strands_[strand];
+        s.busy = false;
+        if (s.timers > 0) {
+          ++ready_strands_;
+        }
+        --in_flight_;
+        ++events_processed_;
+        if (events_counter_ != nullptr) {
+          events_counter_->Increment();
+        }
+      }
       std::map<TimerKey, TimerEntry>::iterator it;
       for (;;) {
         if (stopped_) {
-          pump_exited_ = true;
-          done_cv_.NotifyAll();
           return;
         }
         it = FirstDispatchable();
         if (it == timers_.end()) {
-          timer_cv_.Wait(&mu_);
+          if (in_flight_ == 0) {
+            done_cv_.NotifyAll();  // no strand busy, nothing due: drained
+          }
+          work_cv_.Wait(&mu_);
           continue;
         }
         if (time_scale_ > 0.0) {
+          const TimePoint due = TimePoint::FromMicros(it->first.at_us);
           if (!anchored_) {
             anchored_ = true;
             anchor_wall_ = WallClockSeconds();
-            anchor_sim_ = TimePoint::FromMicros(it->first.at_us);
+            anchor_sim_ = due;
           }
-          double target =
-              anchor_wall_ +
-              (TimePoint::FromMicros(it->first.at_us) - anchor_sim_)
-                      .seconds() *
-                  time_scale_;
-          double wall = WallClockSeconds();
+          const double target =
+              anchor_wall_ + (due - anchor_sim_).seconds() * time_scale_;
+          const double wall = WallClockSeconds();
           if (wall < target) {
             // Sleep at most the remaining gap; an earlier timer may be
             // inserted meanwhile, so re-scan after every wakeup.
-            (void)timer_cv_.WaitFor(&mu_, target - wall);
+            (void)work_cv_.WaitFor(&mu_, target - wall);
             continue;
           }
         }
         break;
       }
-      item.strand = it->second.strand;
-      item.at = TimePoint::FromMicros(it->first.at_us);
-      item.fn = std::move(it->second.fn);
+      strand = it->second.strand;
+      at = TimePoint::FromMicros(it->first.at_us);
+      fn = std::move(it->second.fn);
       live_.erase(it->first.seq);
-      if (--strands_[item.strand].timers == 0) {
-        --pending_strands_;
-      }
       timers_.erase(it);
-      StrandState& s = strands_[item.strand];
-      ++s.outstanding;
-      s.ts = item.at;
+      StrandState& s = strands_[strand];
+      --s.timers;
+      s.busy = true;
+      --ready_strands_;
       ++in_flight_;
-      if (frontier_ < item.at) {
-        frontier_ = item.at;
+      if (frontier_ < at) {
+        frontier_ = at;
       }
-      shard = static_cast<size_t>(item.strand) % shards_.size();
+      if (FirstDispatchable() != timers_.end()) {
+        work_cv_.NotifyOne();  // another strand can run beside this one
+      }
     }
-    // Outside the lock: a full mailbox blocks the pump here — that stall
-    // is the backpressure contract (see class comment).
-    uint64_t strand = item.strand;
-    PushOutcome outcome = shards_[shard]->Push(std::move(item));
-    if (outcome == PushOutcome::kClosed) {
-      FinishItem(strand);  // stopping: undo the dispatch bookkeeping
-      continue;
-    }
-    if (outcome == PushOutcome::kMustDrain) {
-      pool_->Submit([this, shard] { DrainShard(shard); });
-    }
-  }
-}
-
-void ThreadedBackend::DrainShard(size_t shard) {
-  WorkItem item;
-  while (shards_[shard]->Pop(&item)) {
     tls_backend = this;
-    tls_now_us = item.at.micros();
-    item.fn();
+    tls_now_us = at.micros();
+    fn();
     tls_backend = nullptr;
-    item.fn = nullptr;  // release captures before signalling completion
-    FinishItem(item.strand);
+    fn = nullptr;  // release captures before booking completion
+    ran = true;
   }
 }
 
-void ThreadedBackend::FinishItem(uint64_t strand) {
-  MutexLock lock(&mu_);
-  --strands_[strand].outstanding;
-  --in_flight_;
-  ++events_processed_;
-  if (events_counter_ != nullptr) {
-    events_counter_->Increment();
+void ThreadedBackend::Drive(TimePoint deadline) {
+  driving_ = true;
+  drive_deadline_ = deadline;
+  work_cv_.NotifyAll();
+  for (;;) {
+    const bool due =
+        !timers_.empty() &&
+        TimePoint::FromMicros(timers_.begin()->first.at_us) <= deadline;
+    if (stopped_ || (in_flight_ == 0 && !due)) {
+      break;
+    }
+    done_cv_.Wait(&mu_);
   }
-  timer_cv_.NotifyAll();
-  done_cv_.NotifyAll();
+  driving_ = false;
 }
 
 void ThreadedBackend::RunUntil(TimePoint deadline) {
@@ -217,20 +207,7 @@ void ThreadedBackend::RunUntil(TimePoint deadline) {
   if (stopped_) {
     return;
   }
-  driving_ = true;
-  drive_deadline_ = deadline;
-  timer_cv_.NotifyAll();
-  for (;;) {
-    bool work_left =
-        in_flight_ > 0 ||
-        (!timers_.empty() &&
-         TimePoint::FromMicros(timers_.begin()->first.at_us) <= deadline);
-    if (stopped_ || !work_left) {
-      break;
-    }
-    done_cv_.Wait(&mu_);
-  }
-  driving_ = false;
+  Drive(deadline);
   if (frontier_ < deadline) {
     frontier_ = deadline;  // EventLoop::RunUntil advances now() likewise
   }
@@ -241,44 +218,20 @@ void ThreadedBackend::RunUntilIdle() {
   if (stopped_) {
     return;
   }
-  driving_ = true;
-  drive_deadline_ = TimePoint::Max();
-  timer_cv_.NotifyAll();
-  while (!stopped_ && (in_flight_ > 0 || !timers_.empty())) {
-    done_cv_.Wait(&mu_);
-  }
-  driving_ = false;
+  Drive(TimePoint::Max());
 }
 
 void ThreadedBackend::Stop() {
-  {
-    MutexLock lock(&mu_);
-    if (stopped_) {
-      // Idempotent, but still wait out the pump for destructor safety.
-      while (!pump_exited_) {
-        done_cv_.Wait(&mu_);
-      }
-      return;
-    }
-    stopped_ = true;
-    timers_.clear();
-    live_.clear();
-    for (auto& [strand, state] : strands_) {
-      state.timers = 0;
-    }
-    pending_strands_ = 0;
-    timer_cv_.NotifyAll();
-    done_cv_.NotifyAll();
-  }
-  // Unblock a pump stuck pushing into a full mailbox and make the drains
-  // discard queued items instead of running them.
-  for (auto& shard : shards_) {
-    shard->Close();
-  }
   MutexLock lock(&mu_);
-  while (!pump_exited_) {
-    done_cv_.Wait(&mu_);
+  stopped_ = true;
+  timers_.clear();
+  live_.clear();
+  for (auto& [id, state] : strands_) {
+    state.timers = 0;
   }
+  ready_strands_ = 0;
+  work_cv_.NotifyAll();
+  done_cv_.NotifyAll();
 }
 
 int64_t ThreadedBackend::events_processed() const {

@@ -6,9 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 
-#include "backend/bounded_queue.h"
 #include "backend/execution_backend.h"
 #include "common/sim_time.h"
 #include "common/thread_annotations.h"
@@ -21,52 +19,54 @@ class Counter;
 
 namespace backend {
 
-/// Real-thread execution backend: a sharded worker pool (common/
-/// thread_pool) fed through bounded MPSC mailboxes, with virtual-time
-/// timers dispatched by a pump.
+/// Real-thread execution backend: N worker threads (common/thread_pool)
+/// that pull virtual-time timers straight from one ordered timer map.
 ///
 /// ## How parity with the simulator is kept (DESIGN.md §16)
 ///
-/// Timers live in one ordered set keyed (firing time, schedule sequence)
-/// — the exact order the deterministic EventLoop fires them. The pump
-/// dispatches a timer of strand S only when
+/// Timers live in one ordered map keyed (firing time, schedule sequence)
+/// — the exact order the deterministic EventLoop fires them. A worker
+/// takes the first timer of strand S only when
 ///
 ///   (a) its firing time is within the current drive's deadline, and
-///   (b) S has no callback in flight, OR the timer fires at the same
-///       instant as the one(s) already in flight for S.
+///   (b) S has no callback running.
 ///
-/// (b) is sound because a callback running at time t can only schedule
-/// at >= t with a larger sequence number, so nothing the in-flight work
-/// produces can belong *before* an equal-time timer already dispatched;
-/// equal-time timers of one strand land in the same FIFO mailbox in
-/// sequence order. Each strand therefore executes exactly the
-/// (time, sequence) order the simulator would use, while distinct strands
-/// run in parallel across shards. Cross-strand interleaving is
-/// unspecified — which is why a StreamingJob occupies a single strand.
+/// (b) serializes each strand: a callback running at time t can only
+/// schedule at >= t with a larger sequence number, so the next timer of S
+/// in map order is exactly the one the simulator would fire next. Each
+/// strand therefore executes the simulator's (time, sequence) order while
+/// distinct strands run in parallel on distinct workers. Cross-strand
+/// interleaving is unspecified — which is why a StreamingJob occupies a
+/// single strand.
 ///
-/// ## Backpressure
+/// At most one callback runs per strand and at most N run at once; the
+/// timer map is the only queue.
 ///
-/// Mailboxes are bounded (ThreadedBackendOptions::mailbox_capacity); the
-/// pump blocks pushing into a full shard until its drain catches up, so a
-/// slow shard throttles dispatch instead of growing an unbounded queue.
+/// ## Wake-ups
+///
+/// The worker that finishes a callback picks the next timer itself, so a
+/// one-strand job hands nothing between threads from event to event.
+/// Scheduling wakes one idle worker only when the timer's strand is idle
+/// and the timer is due within the current drive; a worker that takes a
+/// timer wakes one more only if another strand is still dispatchable.
 ///
 /// ## Pacing
 ///
 /// With time_scale == 0 virtual time free-runs (a drive finishes as fast
-/// as the machine allows). With time_scale > 0 the pump holds each timer
+/// as the machine allows). With time_scale > 0 a worker holds each timer
 /// until `time_scale` wall-seconds per simulated second have elapsed
 /// since the first dispatch, giving soft real-time playback.
 ///
 /// ## Lifecycle
 ///
 /// RunUntil / RunUntilIdle block the driver thread until the drive's work
-/// has fully drained, so between drives no callback is executing and the
-/// mailboxes are empty — that quiescence is what makes it safe to read
-/// job state (sink records, metrics) from the driver between drives, and
-/// to destroy the backend. Stop() (or the destructor) drops undispatched
-/// timers and discards still-queued mailbox items without running them,
-/// mirroring how destroying an EventLoop drops its queue; the backend is
-/// unusable afterwards.
+/// has fully drained, so between drives no callback is executing — that
+/// quiescence is what makes it safe to read job state (sink records,
+/// metrics) from that thread between drives, and to destroy the backend.
+/// Stop() drops undispatched timers without running them, mirroring how
+/// destroying an EventLoop drops its queue; a callback already running
+/// finishes, and the destructor joins the workers. The backend is
+/// unusable after Stop().
 class ThreadedBackend final : public ExecutionBackend {
  public:
   explicit ThreadedBackend(const ThreadedBackendOptions& options = {});
@@ -92,9 +92,6 @@ class ThreadedBackend final : public ExecutionBackend {
   void AttachMetrics(obs::MetricsRegistry* registry) override
       PPA_EXCLUDES(mu_);
 
-  /// Worker shards (mailbox lanes) in use.
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
  private:
   /// Global timer order: (firing time, schedule sequence) ascending —
   /// identical to EventLoop's priority order, see class comment.
@@ -109,47 +106,35 @@ class ThreadedBackend final : public ExecutionBackend {
     uint64_t strand = 0;
     std::function<void()> fn;
   };
-  /// One dispatched callback travelling through a shard mailbox.
-  struct WorkItem {
-    uint64_t strand = 0;
-    TimePoint at;
-    std::function<void()> fn;
-  };
-  /// Dispatch bookkeeping for one strand (see gating rule (b) above).
+  /// Dispatch bookkeeping for one strand (gate (b) above).
   struct StrandState {
-    /// Callbacks dispatched but not yet completed.
-    int outstanding = 0;
-    /// Firing time of the most recently dispatched callback.
-    TimePoint ts;
+    /// A callback of this strand is running.
+    bool busy = false;
     /// Undispatched timers belonging to this strand.
     size_t timers = 0;
   };
 
-  /// The pump: runs as a long-lived pool task, dispatching timers into
-  /// shard mailboxes until Stop().
-  void PumpLoop() PPA_EXCLUDES(mu_);
-  /// Single consumer of one shard's mailbox (started via the drain-claim
-  /// handshake, see bounded_queue.h).
-  void DrainShard(size_t shard) PPA_EXCLUDES(mu_);
-  /// First timer satisfying the dispatch gate, or timers_.end(). The scan
-  /// inspects at most one timer per strand (later same-strand timers can
-  /// never be dispatchable when the first is not).
+  /// One worker: takes the first dispatchable timer, runs it unlocked,
+  /// and books its completion, until Stop().
+  void WorkerLoop() PPA_EXCLUDES(mu_);
+  /// Opens a drive to `deadline`, wakes the workers and blocks until no
+  /// callback runs and no timer is due by `deadline` (or Stop()).
+  void Drive(TimePoint deadline) PPA_REQUIRES(mu_);
+  /// First timer satisfying the dispatch gate, or timers_.end(). O(1)
+  /// when no idle strand has a timer (every one-strand job between its
+  /// own callbacks).
   std::map<TimerKey, TimerEntry>::iterator FirstDispatchable()
       PPA_REQUIRES(mu_);
-  /// Marks one completed callback and wakes the pump / driver.
-  void FinishItem(uint64_t strand) PPA_EXCLUDES(mu_);
 
   const double time_scale_;
-  /// Immutable after construction (the queues themselves synchronize
-  /// internally); needs no guard.
-  std::vector<std::unique_ptr<BoundedMpscQueue<WorkItem>>> shards_;
   /// Immutable after construction; ThreadPool is internally synchronized.
   std::unique_ptr<ThreadPool> pool_;
 
   mutable Mutex mu_;
-  /// Wakes the pump: new timer, completion, drive start, or stop.
-  CondVar timer_cv_;
-  /// Wakes the driver (RunUntil/Stop) and anyone waiting for quiescence.
+  /// Wakes idle workers: a dispatchable timer, drive start, or stop.
+  CondVar work_cv_;
+  /// Wakes the thread blocked in RunUntil/RunUntilIdle once the drive is
+  /// drained.
   CondVar done_cv_;
   /// Undispatched timers in global (time, sequence) order.
   std::map<TimerKey, TimerEntry> timers_ PPA_GUARDED_BY(mu_);
@@ -157,29 +142,26 @@ class ThreadedBackend final : public ExecutionBackend {
   std::map<uint64_t, TimePoint> live_ PPA_GUARDED_BY(mu_);
   /// Per-strand dispatch state; entries are created on first use.
   std::map<uint64_t, StrandState> strands_ PPA_GUARDED_BY(mu_);
-  /// Number of strands with at least one undispatched timer (lets the
-  /// dispatch scan stop early).
-  size_t pending_strands_ PPA_GUARDED_BY(mu_) = 0;
+  /// Strands that are not busy and have at least one timer (lets the
+  /// dispatch scan return at once when there are none).
+  size_t ready_strands_ PPA_GUARDED_BY(mu_) = 0;
   /// Next schedule sequence / timer id (EventLoop also starts at 1).
   uint64_t next_seq_ PPA_GUARDED_BY(mu_) = 1;
   /// Next strand id NewStrand() mints (0 is the implicit default strand).
   uint64_t next_strand_ PPA_GUARDED_BY(mu_) = 1;
-  /// Callbacks dispatched into mailboxes and not yet completed.
+  /// Callbacks taken by a worker and not yet completed.
   int64_t in_flight_ PPA_GUARDED_BY(mu_) = 0;
   /// Completed callback count (events_processed()).
   int64_t events_processed_ PPA_GUARDED_BY(mu_) = 0;
   /// High-water mark of dispatched/driven virtual time — now() outside
   /// callbacks.
   TimePoint frontier_ PPA_GUARDED_BY(mu_);
-  /// True while a RunUntil/RunUntilIdle drive is in progress; the pump
-  /// dispatches nothing between drives (EventLoop parity).
+  /// True while a RunUntil/RunUntilIdle drive is in progress; workers
+  /// dispatch nothing between drives (EventLoop parity).
   bool driving_ PPA_GUARDED_BY(mu_) = false;
   /// The active drive's dispatch ceiling (gate (a) in the class comment).
   TimePoint drive_deadline_ PPA_GUARDED_BY(mu_);
   bool stopped_ PPA_GUARDED_BY(mu_) = false;
-  /// Set by the pump task on exit; Stop() waits for it before returning
-  /// so the destructor never races the pump.
-  bool pump_exited_ PPA_GUARDED_BY(mu_) = false;
   /// Wall/virtual anchor for pacing; latched at the first paced dispatch.
   bool anchored_ PPA_GUARDED_BY(mu_) = false;
   double anchor_wall_ PPA_GUARDED_BY(mu_) = 0.0;

@@ -85,11 +85,6 @@ struct JobConfig {
   bool delta_checkpoints = false;
   int max_delta_chain = 8;
 
-  /// Generate tentative outputs (batch-over punctuations on behalf of
-  /// failed tasks) once a failure is detected. Forced on for kPpa; the
-  /// pure baselines of Sec. VI-A block instead.
-  bool tentative_outputs = false;
-
   /// Record metrics and sim-time trace events (src/obs/) while the job
   /// runs. Recording is write-only — it never feeds back into
   /// scheduling — so disabling it must not change any simulation output
@@ -113,8 +108,8 @@ struct JobConfig {
   /// processing ratios. Benchmarks and tests start from this preset.
   [[nodiscard]] static JobConfig CheckpointDefaults();
 
-  /// CheckpointDefaults() with `ft_mode = kPpa` (tentative outputs are
-  /// forced on by StreamingJob for that mode).
+  /// CheckpointDefaults() with `ft_mode = kPpa` (the only mode that
+  /// emits tentative outputs).
   [[nodiscard]] static JobConfig PpaDefaults();
 };
 

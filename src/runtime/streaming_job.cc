@@ -70,9 +70,6 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
   config_.num_worker_nodes = cluster_.num_workers();
   config_.num_standby_nodes = cluster_.num_standbys();
   PPA_CHECK_OK(config_.Validate());
-  if (config_.ft_mode == FtMode::kPpa) {
-    config_.tentative_outputs = true;
-  }
   op_factories_.resize(static_cast<size_t>(topology_.num_operators()));
   source_factories_.resize(static_cast<size_t>(topology_.num_operators()));
   processing_us_.assign(static_cast<size_t>(topology_.num_tasks()), 0.0);
@@ -390,19 +387,24 @@ StatusOr<Topology> StreamingJob::ObservedTopology() {
   return builder.Build();
 }
 
+Status StreamingJob::RestoreChain(TaskId t, TaskRuntime* rt) {
+  // The chain's base is a full snapshot; later elements are deltas.
+  const std::vector<TaskCheckpoint>& chain = *checkpoints_.Chain(t);
+  PPA_RETURN_IF_ERROR(rt->Restore(chain[0].blob));
+  for (size_t i = 1; i < chain.size(); ++i) {
+    PPA_RETURN_IF_ERROR(rt->ApplyDelta(chain[i].blob));
+  }
+  return OkStatus();
+}
+
 Status StreamingJob::ActivateReplica(TaskId t) {
   std::unique_ptr<TaskRuntime> rep = MakeRuntime(t);
-  const std::vector<TaskCheckpoint>* chain = checkpoints_.Chain(t);
-  if (chain != nullptr) {
+  if (checkpoints_.Chain(t) != nullptr) {
     // "Send the corresponding checkpoint to the destination node and
     // initialize the replica's state with it" (Sec. V-C); the replica then
     // catches up from the upstream output buffers, which the checkpoint
     // trimming protocol guarantees still cover everything past the chain.
-    // The chain's base is a full snapshot; later elements are deltas.
-    PPA_RETURN_IF_ERROR(rep->Restore((*chain)[0].blob));
-    for (size_t i = 1; i < chain->size(); ++i) {
-      PPA_RETURN_IF_ERROR(rep->ApplyDelta((*chain)[i].blob));
-    }
+    PPA_RETURN_IF_ERROR(RestoreChain(t, rep.get()));
   } else {
     // No checkpoint yet: direct state transfer from the primary.
     PPA_ASSIGN_OR_RETURN(std::string blob,
@@ -1002,7 +1004,7 @@ void StreamingJob::OnDetection() {
     }
     for (const TaskRecoverySpec& spec : report.specs) {
       recovering_[spec.task] = spec.kind;
-      if (config_.tentative_outputs &&
+      if (config_.ft_mode == FtMode::kPpa &&
           spec.kind != RecoveryKind::kActiveReplica) {
         punctured_tasks_.insert(spec.task);
       }
@@ -1070,12 +1072,8 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
     }
     case RecoveryKind::kCheckpoint: {
       TaskRuntime* rt = primaries_[static_cast<size_t>(t)].get();
-      const std::vector<TaskCheckpoint>* chain = checkpoints_.Chain(t);
-      if (chain != nullptr) {
-        PPA_CHECK_OK(rt->Restore((*chain)[0].blob));
-        for (size_t i = 1; i < chain->size(); ++i) {
-          PPA_CHECK_OK(rt->ApplyDelta((*chain)[i].blob));
-        }
+      if (checkpoints_.Chain(t) != nullptr) {
+        PPA_CHECK_OK(RestoreChain(t, rt));
       } else {
         rt->Reset(0);
       }

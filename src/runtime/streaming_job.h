@@ -339,6 +339,9 @@ class StreamingJob {
   void OnReplicaSync();
   void OnDetection();
   void OnAdaptation();
+  /// Loads `t`'s checkpoint chain (which must exist) into `rt`: the full
+  /// base, then each delta in order.
+  Status RestoreChain(TaskId t, TaskRuntime* rt);
   /// Creates a replica for `t` seeded from the primary's latest checkpoint
   /// (or a live snapshot) so it can catch up from upstream buffers.
   Status ActivateReplica(TaskId t);

@@ -1,18 +1,19 @@
-// Tests for src/backend/: the BoundedMpscQueue backpressure contract, the
-// ThreadedBackend dispatch order, the SimBackend "adapter adds nothing"
-// identity, and the cross-backend parity oracle (DESIGN.md §16) — the sim
-// run is the golden output the threaded backend must reproduce, including
-// under fault injection.
+// Tests for src/backend/: the ThreadedBackend dispatch order and its
+// per-strand serialization and worker bound, the SimBackend "adapter adds
+// nothing" identity, and the cross-backend parity oracle (DESIGN.md §16) —
+// the sim run is the golden output the threaded backend must reproduce,
+// including under fault injection.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "backend/bounded_queue.h"
 #include "backend/execution_backend.h"
 #include "backend/sim_backend.h"
 #include "backend/threaded_backend.h"
@@ -20,8 +21,6 @@
 #include "chaos/generator.h"
 #include "chaos/invariants.h"
 #include "common/random.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "engine/operators.h"
 #include "exp/parity.h"
 #include "exp/run_spec.h"
@@ -54,136 +53,12 @@ TEST(BackendFactory, KindSpellingRoundTrips) {
   EXPECT_FALSE(backend::ParseBackendKind("").ok());
 }
 
-// --- BoundedMpscQueue -----------------------------------------------------
-
-TEST(BoundedMpscQueue, FifoOrderAndDrainClaimHandshake) {
-  backend::BoundedMpscQueue<int> q(8);
-  EXPECT_EQ(q.Push(1), backend::PushOutcome::kMustDrain);
-  EXPECT_EQ(q.Push(2), backend::PushOutcome::kQueued);
-  EXPECT_EQ(q.Push(3), backend::PushOutcome::kQueued);
-
-  int v = 0;
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1);
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2);
-  ASSERT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 3);
-  // Empty: the claim is released...
-  EXPECT_FALSE(q.Pop(&v));
-  // ...so the next push claims it again.
-  EXPECT_EQ(q.Push(4), backend::PushOutcome::kMustDrain);
-}
-
-TEST(BoundedMpscQueue, BackpressureKeepsTheQueueBounded) {
-  constexpr size_t kCapacity = 2;
-  constexpr size_t kItems = 200;
-  backend::BoundedMpscQueue<int> q(kCapacity);
-  ThreadPool producer(1);
-  producer.Submit([&q] {
-    for (size_t i = 0; i < kItems; ++i) {
-      ASSERT_NE(q.Push(static_cast<int>(i)), backend::PushOutcome::kClosed);
-    }
-  });
-
-  std::vector<int> got;
-  while (got.size() < kItems) {
-    // The producer blocks whenever the queue is at capacity, so its depth
-    // can never exceed kCapacity no matter how far this consumer lags.
-    EXPECT_LE(q.size(), kCapacity);
-    int v = 0;
-    if (q.Pop(&v)) {
-      got.push_back(v);
-    }
-  }
-  for (size_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(got[i], static_cast<int>(i));
-  }
-  // The producer task has returned (every push was consumed), so the pool
-  // destructor joins without new submissions racing it.
-}
-
-TEST(BoundedMpscQueue, MultiProducerDeliversEverythingFifoPerProducer) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 200;
-  constexpr size_t kTotal =
-      static_cast<size_t>(kProducers) * static_cast<size_t>(kPerProducer);
-  backend::BoundedMpscQueue<int> q(16);
-
-  // The drain-claim protocol exactly as the threaded backend runs it:
-  // whichever push claims the drain submits the single consumer as a pool
-  // task, so consumption is serialized while producers run concurrently.
-  Mutex mu;
-  std::vector<int> got;
-  std::atomic<size_t> delivered{0};
-  {
-    ThreadPool pool(kProducers + 1);
-    auto drain = [&q, &mu, &got, &delivered] {
-      int v = 0;
-      while (q.Pop(&v)) {
-        {
-          MutexLock lock(&mu);
-          got.push_back(v);
-        }
-        delivered.fetch_add(1);
-      }
-    };
-    for (int p = 0; p < kProducers; ++p) {
-      pool.Submit([&q, &pool, &drain, p] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          if (q.Push(p * kPerProducer + i) ==
-              backend::PushOutcome::kMustDrain) {
-            pool.Submit(drain);
-          }
-        }
-      });
-    }
-    // Quiesce before the pool destructor: once every item is delivered no
-    // task submits again (Submit during teardown is illegal).
-    while (delivered.load() < kTotal) {
-    }
-  }
-
-  ASSERT_EQ(got.size(), kTotal);
-  // FIFO per producer: each producer's values appear in increasing order.
-  std::vector<int> next(kProducers, 0);
-  for (int v : got) {
-    int p = v / kPerProducer;
-    int i = v % kPerProducer;
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, kProducers);
-    EXPECT_EQ(i, next[static_cast<size_t>(p)]) << "producer " << p;
-    next[static_cast<size_t>(p)] = i + 1;
-  }
-}
-
-TEST(BoundedMpscQueue, CloseUnblocksAProducerAndDiscardsQueuedItems) {
-  backend::BoundedMpscQueue<int> q(1);
-  EXPECT_EQ(q.Push(1), backend::PushOutcome::kMustDrain);
-
-  std::atomic<bool> saw_closed{false};
-  {
-    ThreadPool producer(1);
-    producer.Submit([&q, &saw_closed] {
-      // Blocks — the queue is at capacity — until Close() wakes it.
-      saw_closed.store(q.Push(2) == backend::PushOutcome::kClosed);
-    });
-    q.Close();
-    // Pool destructor joins the producer task.
-  }
-  EXPECT_TRUE(saw_closed.load());
-  // After Close, pops discard leftovers and report empty; pushes reject.
-  int v = 0;
-  EXPECT_FALSE(q.Pop(&v));
-  EXPECT_EQ(q.Push(3), backend::PushOutcome::kClosed);
-}
-
 // --- ThreadedBackend scheduling drills ------------------------------------
 
 TEST(ThreadedBackend, RunsTimersInSimOrderOnOneStrand) {
   backend::ThreadedBackend be;
   // Same-strand callbacks are serialized with happens-before edges through
-  // the mailbox, so this plain vector needs no lock.
+  // the backend mutex, so this plain vector needs no lock.
   std::vector<std::string> order;
   auto record = [&be, &order](std::string label, int64_t want_us) {
     return [&be, &order, label, want_us] {
@@ -292,6 +167,64 @@ TEST(ThreadedBackend, StrandsRunIndependentlyAndInOrder) {
                 i);
     }
   }
+}
+
+TEST(ThreadedBackend, EqualTimeTimersOfOneStrandNeverOverlap) {
+  backend::ThreadedBackendOptions options;
+  options.num_shards = 4;
+  backend::ThreadedBackend be(options);
+  constexpr int kTimers = 256;
+  // Every timer fires at the same instant on strand 0; four idle workers
+  // must still run them one at a time, in schedule order.
+  std::atomic<bool> inside{false};
+  std::atomic<int> overlaps{0};
+  std::vector<int> order;  // serialized by the strand, so no lock
+  for (int i = 0; i < kTimers; ++i) {
+    (void)be.ScheduleAfter(Duration::Seconds(1), [&inside, &overlaps,
+                                                  &order, i] {
+      if (inside.exchange(true)) {
+        ++overlaps;
+      }
+      order.push_back(i);
+      inside.store(false);
+    });
+  }
+  be.RunUntilIdle();
+  EXPECT_EQ(overlaps.load(), 0);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kTimers));
+  for (int i = 0; i < kTimers; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
+}
+
+TEST(ThreadedBackend, NeverRunsMoreCallbacksThanWorkers) {
+  backend::ThreadedBackendOptions options;
+  options.num_shards = 2;
+  backend::ThreadedBackend be(options);
+  constexpr int kStrands = 16;
+  constexpr int kPerStrand = 8;
+  std::atomic<int> running{0};
+  std::atomic<int> high_water{0};
+  auto body = [&running, &high_water] {
+    const int now_running = running.fetch_add(1) + 1;
+    int seen = high_water.load();
+    while (now_running > seen &&
+           !high_water.compare_exchange_weak(seen, now_running)) {
+    }
+    // Hold the worker briefly so sibling strands get a chance to overlap.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    running.fetch_sub(1);
+  };
+  for (int s = 0; s < kStrands; ++s) {
+    const uint64_t strand = s == 0 ? 0 : be.NewStrand();
+    for (int i = 0; i < kPerStrand; ++i) {
+      (void)be.ScheduleAfterOn(strand, Duration::Seconds(1), body);
+    }
+  }
+  be.RunUntilIdle();
+  EXPECT_EQ(be.events_processed(), kStrands * kPerStrand);
+  EXPECT_GE(high_water.load(), 1);
+  EXPECT_LE(high_water.load(), 2);
 }
 
 // --- SimBackend adapter identity -------------------------------------------
