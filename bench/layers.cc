@@ -26,6 +26,11 @@
 // backend's own: timer insertion, the ordered pop and, on threads, the
 // worker hand-off and wake-ups. Variants: sim, threads (2 workers).
 //
+// BM_OutputFidelity times one sample of a run's fidelity series
+// (DeriveFidelitySeries): ComputeOutputFidelity plus
+// ComputeInternalCompleteness on the scale_cluster 4096-node topology
+// (src 1536 -> mid 1536 -> sink 1, 3,073 tasks) with 64 mid tasks failed.
+//
 //   ./build/bench/layers --benchmark_min_time=0.05
 
 #include <benchmark/benchmark.h>
@@ -41,6 +46,9 @@
 #include "engine/router.h"
 #include "engine/operators.h"
 #include "engine/task_runtime.h"
+#include "fidelity/metrics.h"
+#include "topology/serialize.h"
+#include "topology/task_set.h"
 #include "topology/topology.h"
 #include "workloads/synthetic_recovery.h"
 
@@ -257,6 +265,28 @@ BENCHMARK_CAPTURE(BM_StrandDispatch, sim, backend::BackendKind::kSim)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_StrandDispatch, threads, backend::BackendKind::kThreads)
     ->UseRealTime();
+
+void BM_OutputFidelity(benchmark::State& state) {
+  constexpr size_t kFailedMids = 64;
+  auto topo = ParseTopologySpec(
+      "operator src 1536 rate=4\n"
+      "operator mid 1536\n"
+      "operator sink 1\n"
+      "edge src mid one-to-one\n"
+      "edge mid sink merge\n");
+  PPA_CHECK_OK(topo.status());
+  const std::vector<TaskId>& mids = topo->op(1).tasks;
+  TaskSet failed(topo->num_tasks());
+  for (size_t i = 0; i < kFailedMids; ++i) {
+    failed.Add(mids[i * mids.size() / kFailedMids]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeOutputFidelity(*topo, failed));
+    benchmark::DoNotOptimize(ComputeInternalCompleteness(*topo, failed));
+  }
+  state.SetItemsProcessed(state.iterations() * topo->num_tasks());
+}
+BENCHMARK(BM_OutputFidelity)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ppa

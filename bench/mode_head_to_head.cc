@@ -166,8 +166,7 @@ CellResult RunCell(const CellSpec& spec, backend::BackendKind backend_kind) {
     result.recovery_latency_s =
         job.recovery_reports()[0].TotalLatency().seconds();
   }
-  for (const obs::FidelitySample& sample :
-       job.fidelity_timeseries().samples()) {
+  for (const obs::FidelitySample& sample : job.fidelity_timeseries()) {
     if (sample.failed_tasks > 0) {
       result.min_output_fidelity =
           std::min(result.min_output_fidelity, sample.output_fidelity);

@@ -318,8 +318,8 @@ StatusOr<ChaosRunReport> RunChaosCase(
   }
   if (!report.violations.empty() && report.flight_record.is_null() &&
       !jobs.empty()) {
-    // Attach the post-mortem: the flight recorder's bounded tail of
-    // trace events leading up to the end of the failing run.
+    // Attach the post-mortem: the flight record, the tail of trace
+    // events leading up to the end of the failing run.
     report.flight_record = JobFlightRecordToJson(*jobs.front().job);
   }
   return report;

@@ -145,7 +145,8 @@ class FidelityBoundsInvariant : public Invariant {
 
   void Check(const ChaosRunContext& context,
              std::vector<ChaosViolation>* violations) const override {
-    const auto& samples = context.job->fidelity_timeseries().samples();
+    const std::vector<obs::FidelitySample> samples =
+        context.job->fidelity_timeseries();
     for (const obs::FidelitySample& sample : samples) {
       if (sample.output_fidelity < 0.0 || sample.output_fidelity > 1.0 ||
           sample.internal_completeness < 0.0 ||

@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ppa {
@@ -11,6 +12,29 @@ std::string LabelFor(const TaskLabeler& labeler, int64_t task) {
     return "";
   }
   return labeler != nullptr ? labeler(task) : std::to_string(task);
+}
+
+/// TraceToJson of the trace's events from index `first` on.
+JsonValue EventsToJson(const TraceLog& trace, size_t first,
+                       const TaskLabeler& labeler) {
+  JsonValue out = JsonValue::Array();
+  for (size_t i = first; i < trace.size(); ++i) {
+    const TraceEvent& e = trace.events()[i];
+    JsonValue ev = JsonValue::Object();
+    ev.Set("t_s", e.at.seconds());
+    ev.Set("seq", static_cast<int64_t>(e.seq));
+    ev.Set("kind", std::string(TraceEventKindToString(e.kind)));
+    if (e.task >= 0) {
+      ev.Set("task", LabelFor(labeler, e.task));
+    }
+    if (e.node >= 0) {
+      ev.Set("node", e.node);
+    }
+    ev.Set("a", e.a);
+    ev.Set("b", e.b);
+    out.Append(std::move(ev));
+  }
+  return out;
 }
 
 }  // namespace
@@ -54,23 +78,7 @@ JsonValue MetricsToJson(const MetricsRegistry& registry) {
 }
 
 JsonValue TraceToJson(const TraceLog& trace, const TaskLabeler& labeler) {
-  JsonValue out = JsonValue::Array();
-  for (const TraceEvent& e : trace.events()) {
-    JsonValue ev = JsonValue::Object();
-    ev.Set("t_s", e.at.seconds());
-    ev.Set("seq", static_cast<int64_t>(e.seq));
-    ev.Set("kind", std::string(TraceEventKindToString(e.kind)));
-    if (e.task >= 0) {
-      ev.Set("task", LabelFor(labeler, e.task));
-    }
-    if (e.node >= 0) {
-      ev.Set("node", e.node);
-    }
-    ev.Set("a", e.a);
-    ev.Set("b", e.b);
-    out.Append(std::move(ev));
-  }
-  return out;
+  return EventsToJson(trace, 0, labeler);
 }
 
 JsonValue TimelinesToJson(const std::vector<RecoveryTimeline>& timelines,
@@ -124,10 +132,10 @@ JsonValue TraceStatsToJson(const TraceLog& trace) {
   return out;
 }
 
-JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
+JsonValue FidelityTimeseriesToJson(const std::vector<FidelitySample>& series,
                                    const TaskLabeler& labeler) {
   JsonValue out = JsonValue::Array();
-  for (const FidelitySample& sample : series.samples()) {
+  for (const FidelitySample& sample : series) {
     JsonValue s = JsonValue::Object();
     s.Set("t_s", sample.at.seconds());
     s.Set("batch", sample.batch);
@@ -143,7 +151,7 @@ JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
 
 JsonValue RunProfileToJson(const MetricsRegistry& registry,
                            const TraceLog& trace, const TaskLabeler& labeler,
-                           const FidelityTimeseries* fidelity) {
+                           const std::vector<FidelitySample>* fidelity) {
   JsonValue out = JsonValue::Object();
   out.Set("metrics", MetricsToJson(registry));
   out.Set("recovery_timelines",
@@ -159,13 +167,15 @@ JsonValue RunProfileToJson(const MetricsRegistry& registry,
   return out;
 }
 
-JsonValue FlightRecordToJson(const TraceLog& ring,
+JsonValue FlightRecordToJson(const TraceLog& trace, size_t capacity,
                              const TaskLabeler& labeler) {
+  const size_t kept = std::min(capacity, trace.size());
+  const auto recorded = static_cast<int64_t>(trace.size() + trace.dropped());
   JsonValue out = JsonValue::Object();
-  out.Set("capacity", static_cast<int64_t>(ring.capacity()));
-  out.Set("dropped", static_cast<int64_t>(ring.dropped()));
-  out.Set("recorded", static_cast<int64_t>(ring.size() + ring.dropped()));
-  out.Set("events", TraceToJson(ring, labeler));
+  out.Set("capacity", static_cast<int64_t>(capacity));
+  out.Set("dropped", recorded - static_cast<int64_t>(kept));
+  out.Set("recorded", recorded);
+  out.Set("events", EventsToJson(trace, trace.size() - kept, labeler));
   return out;
 }
 

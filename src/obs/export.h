@@ -1,10 +1,11 @@
 #ifndef PPA_OBS_EXPORT_H_
 #define PPA_OBS_EXPORT_H_
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "obs/fidelity_timeseries.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -47,7 +48,7 @@ JsonValue TraceStatsToJson(const TraceLog& trace);
 /// Array of {"t_s":..,"batch":..,"sink":..,"tentative":..,
 /// "output_fidelity":..,"internal_completeness":..,"failed_tasks":..}
 /// — the OF(t)/IC(t) curve sampled per degraded sink delivery.
-JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
+JsonValue FidelityTimeseriesToJson(const std::vector<FidelitySample>& series,
                                    const TaskLabeler& labeler = nullptr);
 
 /// The machine-readable profile of one run: metrics snapshot, recovery
@@ -56,16 +57,17 @@ JsonValue FidelityTimeseriesToJson(const FidelityTimeseries& series,
 JsonValue RunProfileToJson(const MetricsRegistry& registry,
                            const TraceLog& trace,
                            const TaskLabeler& labeler = nullptr,
-                           const FidelityTimeseries* fidelity = nullptr);
+                           const std::vector<FidelitySample>* fidelity =
+                               nullptr);
 
-/// Serializes a flight record — a bounded TraceLog holding the last N
-/// events of a run:
-/// {"capacity":..,"dropped":..,"recorded":..,"events":[...]} where
-/// `recorded` counts every event ever fed to the ring (retained +
-/// dropped) and `events` is the retained tail in TraceToJson shape.
-/// Contains only sim-time data, so identical runs serialize
-/// byte-identically.
-JsonValue FlightRecordToJson(const TraceLog& ring,
+/// The flight record of a run: a view of the last `capacity` events of
+/// `trace`, as {"capacity":..,"dropped":..,"recorded":..,"events":[...]}
+/// where `recorded` counts every event the trace ever saw (retained +
+/// evicted), `dropped` the ones older than the tail, and `events` is the
+/// tail in TraceToJson shape. The fields match what a ring of `capacity`
+/// events fed by the same Record() calls would hold. Contains only
+/// sim-time data, so identical runs serialize byte-identically.
+JsonValue FlightRecordToJson(const TraceLog& trace, size_t capacity,
                              const TaskLabeler& labeler = nullptr);
 
 }  // namespace obs

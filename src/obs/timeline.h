@@ -60,6 +60,29 @@ struct TentativeWindow {
   bool closed = false;
 };
 
+/// One point of the OF(t)/IC(t) curve behind fig08/fig10's end-of-run
+/// scalar: the paper's closed-form metrics evaluated against the primary
+/// tasks failed when a sink delivered a batch during a tentative window.
+/// The runtime derives the series from the trace (DESIGN.md §8.3); obs
+/// only defines and serializes it.
+struct FidelitySample {
+  TimePoint at;
+  /// Batch index the sink delivered.
+  int64_t batch = -1;
+  /// Sink task that delivered it.
+  int64_t sink_task = -1;
+  /// Whether that delivery was flagged tentative.
+  bool tentative = false;
+  /// Output fidelity (Eq. 4) of the current failure set.
+  double output_fidelity = 1.0;
+  /// Internal completeness of the current failure set.
+  double internal_completeness = 1.0;
+  /// Number of failed (not yet restored) primary tasks.
+  int64_t failed_tasks = 0;
+
+  bool operator==(const FidelitySample&) const = default;
+};
+
 /// Scans the trace in order and folds kTaskFailed / kRecoveryStart /
 /// kRecoveryDone / kTaskCaughtUp into per-episode timelines, ordered by
 /// failure time (insertion order for ties).

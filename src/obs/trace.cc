@@ -62,9 +62,6 @@ void TraceLog::set_capacity(size_t capacity) {
 
 void TraceLog::Record(TimePoint at, TraceEventKind kind, int64_t task,
                       int node, int64_t a, int64_t b) {
-  if (mirror_ != nullptr) {
-    mirror_->Record(at, kind, task, node, a, b);
-  }
   if (!enabled_) {
     return;
   }

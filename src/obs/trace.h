@@ -120,15 +120,6 @@ class TraceLog {
   /// Events evicted oldest-first to respect the capacity.
   uint64_t dropped() const { return dropped_; }
 
-  /// Forwards every Record() call into `mirror` as well (nullptr
-  /// detaches), *regardless of this log's enabled state* — the
-  /// flight-recorder hookup: the main trace may be disabled
-  /// (observability off) while the bounded post-mortem ring keeps
-  /// recording. The mirror assigns its own sequence numbers and applies
-  /// its own capacity/enabled policy. Not owned; must outlive this log.
-  void set_mirror(TraceLog* mirror) { mirror_ = mirror; }
-  TraceLog* mirror() const { return mirror_; }
-
   void Record(TimePoint at, TraceEventKind kind, int64_t task = -1,
               int node = -1, int64_t a = 0, int64_t b = 0);
 
@@ -147,7 +138,6 @@ class TraceLog {
   size_t capacity_ = 0;
   uint64_t dropped_ = 0;
   uint64_t next_seq_ = 0;
-  TraceLog* mirror_ = nullptr;
   std::deque<TraceEvent> events_;
 };
 

@@ -151,9 +151,9 @@ obs::TaskLabeler MakeTaskLabeler(const Topology* topology) {
 }  // namespace
 
 JsonValue JobProfileToJson(const StreamingJob& job) {
+  const std::vector<obs::FidelitySample> fidelity = job.fidelity_timeseries();
   return obs::RunProfileToJson(job.metrics(), job.trace(),
-                               MakeTaskLabeler(&job.topology()),
-                               &job.fidelity_timeseries());
+                               MakeTaskLabeler(&job.topology()), &fidelity);
 }
 
 JsonValue JobChromeTraceToJson(const StreamingJob& job) {
@@ -161,7 +161,8 @@ JsonValue JobChromeTraceToJson(const StreamingJob& job) {
 }
 
 JsonValue JobFlightRecordToJson(const StreamingJob& job) {
-  return obs::FlightRecordToJson(job.flight_recorder(),
+  return obs::FlightRecordToJson(job.trace(),
+                                 StreamingJob::kFlightRecorderCapacity,
                                  MakeTaskLabeler(&job.topology()));
 }
 

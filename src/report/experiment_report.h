@@ -41,9 +41,9 @@ JsonValue JobProfileToJson(const StreamingJob& job);
 JsonValue JobChromeTraceToJson(const StreamingJob& job);
 
 /// The job's flight record (obs::FlightRecordToJson with topology task
-/// labels): the last StreamingJob::kFlightRecorderCapacity trace events,
-/// available even when observability is off. The post-mortem attachment
-/// of chaos repros and --flight_record_out dumps.
+/// labels): a view of the last StreamingJob::kFlightRecorderCapacity
+/// trace events, empty when observability is off. The post-mortem
+/// attachment of chaos repros and --flight_record_out dumps.
 JsonValue JobFlightRecordToJson(const StreamingJob& job);
 
 /// Writes `value` pretty-printed to `path` (truncates). Filesystem errors

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
-#include "fidelity/metrics.h"
+#include "runtime/fidelity_series.h"
 
 namespace ppa {
 
@@ -82,12 +82,6 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
 
 void StreamingJob::InitObservability() {
   trace_.set_enabled(config_.observability);
-  // The flight recorder mirrors the trace *before* the observability
-  // gate: the bounded post-mortem ring keeps recording even when the
-  // full trace is off.
-  flight_.set_capacity(kFlightRecorderCapacity);
-  trace_.set_mirror(&flight_);
-  fidelity_.set_enabled(config_.observability);
   m_sink_task_latency_stable_.assign(
       static_cast<size_t>(topology_.num_tasks()), nullptr);
   m_sink_task_latency_tentative_.assign(
@@ -486,15 +480,16 @@ void StreamingJob::OnBatchTick() {
   }
   ++frontier_;
   Advance();
-  const int64_t buffered = CurrentBufferedTuples();
+  int64_t buffered = 0;
+  int64_t batches = 0;
+  for (const auto& rt : primaries_) {
+    buffered += rt->BufferedTuples();
+    batches += static_cast<int64_t>(rt->output_buffer().size());
+  }
   peak_buffered_tuples_ = std::max(peak_buffered_tuples_, buffered);
   obs::Add(m_batch_ticks_);
   obs::Set(m_buffered_tuples_, static_cast<double>(buffered));
   if (m_output_buffer_batches_ != nullptr) {
-    int64_t batches = 0;
-    for (const auto& rt : primaries_) {
-      batches += static_cast<int64_t>(rt->output_buffer().size());
-    }
     obs::Set(m_output_buffer_batches_, static_cast<double>(batches));
     // Floor estimate of replay-buffer memory: tuples and batch headers at
     // their in-memory struct size (keys are small ints here, so payload
@@ -520,6 +515,11 @@ void StreamingJob::NoteCaughtUpTasks() {
       ++it;
     }
   }
+}
+
+std::vector<obs::FidelitySample> StreamingJob::fidelity_timeseries() const {
+  PPA_CHECK(trace_.dropped() == 0);
+  return DeriveFidelitySeries(topology_, trace_);
 }
 
 int64_t StreamingJob::CurrentBufferedTuples() const {
@@ -665,7 +665,6 @@ void StreamingJob::DeliverSinkBatch(TaskId t, const BatchOutput& out) {
                 tentative ? obs::TraceEventKind::kSinkBatchTentative
                           : obs::TraceEventKind::kSinkBatchStable,
                 t, -1, batch, tuples);
-  const bool was_open = tentative_window_open_;
   if (tentative && !tentative_window_open_) {
     trace_.Record(backend_->now(), obs::TraceEventKind::kTentativeWindowBegin,
                   -1, -1, batch);
@@ -685,32 +684,6 @@ void StreamingJob::DeliverSinkBatch(TaskId t, const BatchOutput& out) {
     trace_.Record(backend_->now(), obs::TraceEventKind::kTentativeWindowEnd,
                   -1, -1, tentative_window_last_batch_);
     tentative_window_open_ = false;
-  }
-  // Live fidelity timeseries: one OF/IC sample per sink delivery while a
-  // tentative window is open (or opening/closing), computed from the
-  // currently-failed primaries. Stable steady-state batches are skipped:
-  // there OF == IC == 1 by construction.
-  if (fidelity_.enabled() && (tentative || was_open)) {
-    TaskSet failed(topology_.num_tasks());
-    int64_t num_failed = 0;
-    for (TaskId u = 0; u < topology_.num_tasks(); ++u) {
-      if (!primaries_[static_cast<size_t>(u)]->alive()) {
-        failed.Add(u);
-        ++num_failed;
-      }
-    }
-    obs::FidelitySample sample;
-    sample.at = backend_->now();
-    sample.batch = batch;
-    sample.sink_task = t;
-    sample.tentative = tentative;
-    sample.failed_tasks = num_failed;
-    if (num_failed > 0) {
-      sample.output_fidelity = ComputeOutputFidelity(topology_, failed);
-      sample.internal_completeness =
-          ComputeInternalCompleteness(topology_, failed);
-    }
-    fidelity_.Record(sample);
   }
 }
 
@@ -1040,11 +1013,10 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
   switch (kind) {
     case RecoveryKind::kActiveReplica: {
       PPA_CHECK(replica(t) != nullptr);
-      // The replica is the primary now. It is installed before the
-      // takeover delivery below, so the fidelity sample that delivery
-      // records (possibly the one closing the tentative window) does not
-      // count `t` as failed. Its tuples count toward the primary engine
-      // counters from here on.
+      // The replica is the primary now, installed before the takeover
+      // delivery below; the fidelity series counts `t` alive from that
+      // delivery on, ahead of its recovery-done event. Its tuples count
+      // toward the primary engine counters from here on.
       primaries_[static_cast<size_t>(t)] =
           std::move(replicas_[static_cast<size_t>(t)]);
       TaskRuntime* rep = primaries_[static_cast<size_t>(t)].get();
@@ -1237,8 +1209,7 @@ Status StreamingJob::ReviveNode(int node) {
     return FailedPrecondition("node is alive");
   }
   cluster_.ReviveNode(node);
-  trace_.Record(backend_->now(), obs::TraceEventKind::kNodeRevived, -1, node);
-  return OkStatus();
+  return NotifyNodeRevived(node);
 }
 
 Status StreamingJob::NotifyNodeRevived(int node) {

@@ -16,8 +16,8 @@
 #include "engine/task_runtime.h"
 #include "ft/checkpoint.h"
 #include "ft/recovery_model.h"
-#include "obs/fidelity_timeseries.h"
 #include "obs/metrics.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "backend/execution_backend.h"
 #include "runtime/cluster.h"
@@ -110,8 +110,8 @@ struct RecoveryReport {
 /// from the driver thread between drives.
 class StreamingJob {
  public:
-  /// Events the flight recorder keeps: enough to cover several detection
-  /// intervals of a busy job without ever mattering for memory.
+  /// Trace events a flight record keeps (JobFlightRecordToJson): enough
+  /// to cover several detection intervals of a busy job.
   static constexpr size_t kFlightRecorderCapacity = 256;
 
   /// `deps.backend` must be non-null and outlive the job; a null
@@ -186,6 +186,8 @@ class StreamingJob {
   /// replica placement and future failures again; tasks whose primaries
   /// live on it keep whatever recovery state the normal detection path
   /// gave them (revival never resurrects a failed runtime by itself).
+  /// ReviveNode == pool ReviveNode + NotifyNodeRevived, so a stopped job
+  /// revives the node but records nothing.
   Status ReviveNode(int node);
 
   /// Revives every failed node of a failure domain (rack power restored).
@@ -275,18 +277,17 @@ class StreamingJob {
   /// "subsystem.metric"; empty when config().observability is false).
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// The job's sim-time trace (failures, checkpoints, recovery phases,
-  /// tentative/stable sink emissions).
+  /// tentative/stable sink emissions): the one record of the run. Recovery
+  /// timelines, tentative windows, the fidelity series, the flight record
+  /// and the Chrome trace are views of it (DESIGN.md §8). Empty when
+  /// config().observability is false.
   const obs::TraceLog& trace() const { return trace_; }
-  /// OF(t)/IC(t) samples taken per sink delivery during tentative
-  /// windows (empty when observability is off or no window opened).
-  const obs::FidelityTimeseries& fidelity_timeseries() const {
-    return fidelity_;
-  }
-  /// The always-on bounded post-mortem ring: the last
-  /// kFlightRecorderCapacity trace events, recorded even when
-  /// config().observability is false (chaos repros and crash dumps read
-  /// this).
-  const obs::TraceLog& flight_recorder() const { return flight_; }
+  /// The OF(t)/IC(t) series folded from trace() by DeriveFidelitySeries:
+  /// one sample per sink delivery during tentative windows, plus the
+  /// stable delivery closing each window. Empty when observability is off
+  /// or no window opened. Folds the whole run, so it PPA_CHECKs that the
+  /// trace evicted nothing.
+  std::vector<obs::FidelitySample> fidelity_timeseries() const;
 
   /// Cumulative normal-processing CPU microseconds of a task.
   double ProcessingCostUs(TaskId t) const {
@@ -357,8 +358,8 @@ class StreamingJob {
   void InitObservability();
   /// Delivers sink batch `out` of `t` unless a replay already did
   /// (tentative if the batch is degraded) and books it: counters, latency
-  /// histograms, the sink trace event, the tentative-window transitions
-  /// and, while a window is open, one OF/IC fidelity sample.
+  /// histograms, the sink trace event and the tentative-window
+  /// transitions.
   void DeliverSinkBatch(TaskId t, const BatchOutput& out);
   /// Emits kTaskCaughtUp for recovered tasks that reached the frontier.
   void NoteCaughtUpTasks();
@@ -453,11 +454,6 @@ class StreamingJob {
   /// obs::Add/Set/Observe helpers make every call site null-safe.
   obs::MetricsRegistry metrics_;
   obs::TraceLog trace_;
-  /// Always-on bounded tail of trace_ (fed as its mirror) holding the
-  /// last kFlightRecorderCapacity events. Unlike everything else here it
-  /// is NOT gated by config_.observability.
-  obs::TraceLog flight_;
-  obs::FidelityTimeseries fidelity_;
   /// A tentative-output window is open (kTentativeWindowBegin emitted,
   /// end not yet seen).
   bool tentative_window_open_ = false;

@@ -6,6 +6,7 @@
 // tentative latency histograms, and a fidelity timeseries with at least
 // one sample per tentative sink batch).
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -231,13 +232,16 @@ TEST(ChromeTraceIntegrationTest, FailureRunMeetsAcceptanceCriteria) {
 
   // (c) The fidelity timeseries has at least one sample per tentative
   // sink batch, dips below OF = 1 while degraded, and closes at OF = 1.
-  const obs::FidelityTimeseries& fidelity = h.job->fidelity_timeseries();
+  const std::vector<obs::FidelitySample> fidelity =
+      h.job->fidelity_timeseries();
   const int64_t tentative_batches =
       h.job->trace().CountOf(TraceEventKind::kSinkBatchTentative);
   ASSERT_GT(tentative_batches, 0);
   int64_t tentative_samples = 0;
   bool degraded_sample = false;
-  for (const obs::FidelitySample& s : fidelity.samples()) {
+  double min_output_fidelity = 1.0;
+  for (const obs::FidelitySample& s : fidelity) {
+    min_output_fidelity = std::min(min_output_fidelity, s.output_fidelity);
     if (s.tentative) {
       ++tentative_samples;
     }
@@ -248,9 +252,9 @@ TEST(ChromeTraceIntegrationTest, FailureRunMeetsAcceptanceCriteria) {
   }
   EXPECT_GE(tentative_samples, tentative_batches);
   EXPECT_TRUE(degraded_sample);
-  EXPECT_LT(fidelity.MinOutputFidelity(), 1.0);
-  ASSERT_FALSE(fidelity.samples().empty());
-  const obs::FidelitySample& last = fidelity.samples().back();
+  EXPECT_LT(min_output_fidelity, 1.0);
+  ASSERT_FALSE(fidelity.empty());
+  const obs::FidelitySample& last = fidelity.back();
   EXPECT_FALSE(last.tentative);
   EXPECT_DOUBLE_EQ(last.output_fidelity, 1.0);
   EXPECT_EQ(last.failed_tasks, 0);

@@ -111,6 +111,25 @@ TEST(StreamingJobTest, DoubleStartRejected) {
   EXPECT_EQ(job->Start().code(), StatusCode::kFailedPrecondition);
 }
 
+// A stopped job records nothing more: failure injection and revival both
+// go through the Notify* hooks, which return early once Stop() ran.
+TEST(StreamingJobTest, StoppedJobRecordsNoRevival) {
+  backend::SimBackend loop;
+  auto job = MakeMiscJob(&loop, FtMode::kCheckpoint);
+  PPA_CHECK_OK(job->Start());
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(5.5));
+  const int node = job->cluster().NodeOfPrimary(2);
+  PPA_CHECK_OK(job->InjectNodeFailure(node));
+  job->Stop();
+  const size_t recorded = job->trace().size();
+  EXPECT_TRUE(job->ReviveNode(node).ok());
+  EXPECT_TRUE(job->cluster().NodeAlive(node));
+  EXPECT_TRUE(job->InjectNodeFailure(node).ok());
+  EXPECT_FALSE(job->cluster().NodeAlive(node));
+  EXPECT_EQ(job->trace().size(), recorded);
+  EXPECT_EQ(job->trace().CountOf(obs::TraceEventKind::kNodeRevived), 0);
+}
+
 TEST(LoggingTest, LevelGate) {
   const LogLevel original = GetLogLevel();
   SetLogLevel(LogLevel::kError);

@@ -11,11 +11,15 @@
 #include <gtest/gtest.h>
 
 #include "backend/sim_backend.h"
+#include "common/hash.h"
 #include "engine/operators.h"
+#include "fidelity/metrics.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "report/experiment_report.h"
+#include "runtime/fidelity_series.h"
 #include "runtime/streaming_job.h"
 #include "workloads/synthetic_recovery.h"
 
@@ -193,8 +197,9 @@ TEST(MetricsTest, RecordingOrderDoesNotChangeTheHistogram) {
             obs::HistogramToJson(descending).Serialize());
 }
 
-// The flight recorder is a capacity-bounded TraceLog mirrored off the
-// job's main trace (StreamingJob::flight_recorder()).
+// A flight record is the tail of the job's trace
+// (obs::FlightRecordToJson); a capacity-bounded TraceLog keeps the same
+// tail as it records.
 TEST(FlightRecorderTest, RingWrapKeepsTheNewestEvents) {
   obs::TraceLog ring;
   ring.set_capacity(4);
@@ -211,37 +216,19 @@ TEST(FlightRecorderTest, RingWrapKeepsTheNewestEvents) {
   EXPECT_EQ(events.back().task, 9);
 }
 
-TEST(FlightRecorderTest, MirrorRecordsEvenWithTheTraceDisabled) {
-  // The always-on property: the main trace is off (observability
-  // disabled), yet its mirror — the flight-recorder ring — still sees
-  // every Record call.
-  obs::TraceLog ring;
-  ring.set_capacity(8);
-  obs::TraceLog trace;
-  trace.set_enabled(false);
-  trace.set_mirror(&ring);
-  trace.Record(TimePoint::Zero(), TraceEventKind::kNodeFailure, -1, 2);
-  trace.Record(TimePoint::Zero() + Duration::Seconds(1),
-               TraceEventKind::kTaskFailed, 5, 2);
-  EXPECT_EQ(trace.size(), 0u);
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.events()[1].task, 5);
-}
-
 TEST(FlightRecorderTest, DumpIsByteIdenticalForIdenticalRuns) {
-  auto feed = [](obs::TraceLog* ring) {
-    ring->set_capacity(4);
+  auto feed = [](obs::TraceLog* trace) {
     for (int i = 0; i < 7; ++i) {
-      ring->Record(TimePoint::Zero() + Duration::Seconds(i),
-                   TraceEventKind::kCheckpointBegin, i % 3, i, i * 2, i * 3);
+      trace->Record(TimePoint::Zero() + Duration::Seconds(i),
+                    TraceEventKind::kCheckpointBegin, i % 3, i, i * 2, i * 3);
     }
   };
   obs::TraceLog a;
   obs::TraceLog b;
   feed(&a);
   feed(&b);
-  const JsonValue dump_a = obs::FlightRecordToJson(a);
-  const JsonValue dump_b = obs::FlightRecordToJson(b);
+  const JsonValue dump_a = obs::FlightRecordToJson(a, /*capacity=*/4);
+  const JsonValue dump_b = obs::FlightRecordToJson(b, /*capacity=*/4);
   EXPECT_EQ(dump_a.Serialize(), dump_b.Serialize());
   // Shape: capacity/dropped/recorded plus the retained tail.
   EXPECT_EQ(dump_a.Find("capacity")->AsInt(), 4);
@@ -529,6 +516,85 @@ TEST(ObsIntegrationTest, FailureRunProducesConsistentProfile) {
   EXPECT_GE(it->second->Percentile(99), it->second->Percentile(50));
 }
 
+// The derived views are pinned to what the job recorded when they were
+// stores of their own: the fidelity series verbatim, the flight record by
+// size and FNV-1a hash of its serialization.
+TEST(ObsIntegrationTest, FidelitySeriesAndFlightRecordGolden) {
+  JobHarness h(/*observability=*/true);
+  h.RunFailureScenario();
+  EXPECT_EQ(
+      obs::FidelityTimeseriesToJson(h.job->fidelity_timeseries()).Serialize(),
+      R"([{"t_s":12,"batch":11,"sink":"4","tentative":true,)"
+      R"("output_fidelity":0.5,"internal_completeness":0.5,"failed_tasks":1},)"
+      R"({"t_s":12,"batch":12,"sink":"4","tentative":true,)"
+      R"("output_fidelity":0.5,"internal_completeness":0.5,"failed_tasks":1},)"
+      R"({"t_s":13,"batch":13,"sink":"4","tentative":false,)"
+      R"("output_fidelity":1,"internal_completeness":1,"failed_tasks":0}])");
+  const JsonValue flight = JobFlightRecordToJson(*h.job);
+  EXPECT_EQ(flight.Find("capacity")->AsInt(), 256);
+  EXPECT_EQ(flight.Find("dropped")->AsInt(), 0);
+  EXPECT_EQ(flight.Find("recorded")->AsInt(), 190);
+  const std::string text = flight.Serialize();
+  EXPECT_EQ(text.size(), 15697u);
+  EXPECT_EQ(Fnv1a64(text), 0x429fb4d0a69afd83ULL);
+}
+
+// DeriveFidelitySeries on a hand-built trace of src(2) -> mid(2) ->
+// sink(1): a takeover delivery proves the sink alive, stable deliveries
+// outside a window yield nothing, and a task failing twice is re-marked.
+TEST(DeriveFidelitySeriesTest, FoldsFailuresTakeoversAndWindows) {
+  TopologyBuilder b;
+  OperatorId src = b.AddOperator("src", 2);
+  OperatorId mid =
+      b.AddOperator("mid", 2, InputCorrelation::kIndependent, 0.5);
+  OperatorId sink =
+      b.AddOperator("sink", 1, InputCorrelation::kIndependent, 0.5);
+  b.Connect(src, mid, PartitionScheme::kOneToOne);
+  b.Connect(mid, sink, PartitionScheme::kMerge);
+  b.SetSourceRate(src, 40.0);
+  auto topo = b.Build();
+  ASSERT_TRUE(topo.ok());
+  constexpr int64_t kMid0 = 2;
+  constexpr int64_t kSink = 4;
+
+  obs::TraceLog trace;
+  auto at = [](int s) { return TimePoint::Zero() + Duration::Seconds(s); };
+  trace.Record(at(1), TraceEventKind::kSinkBatchStable, kSink, -1, 1, 10);
+  // Episode 1: mid[0] and the sink fail; the sink's replica takes over
+  // and delivers before recovery-done.
+  trace.Record(at(2), TraceEventKind::kTaskFailed, kMid0, 2);
+  trace.Record(at(2), TraceEventKind::kTaskFailed, kSink, 4);
+  trace.Record(at(3), TraceEventKind::kSinkBatchTentative, kSink, -1, 3, 5);
+  trace.Record(at(3), TraceEventKind::kTentativeWindowBegin, -1, -1, 3);
+  trace.Record(at(3), TraceEventKind::kRecoveryDone, kSink, -1, 0);
+  trace.Record(at(4), TraceEventKind::kRecoveryDone, kMid0, -1, 1);
+  trace.Record(at(5), TraceEventKind::kSinkBatchStable, kSink, -1, 5, 10);
+  trace.Record(at(5), TraceEventKind::kTentativeWindowEnd, -1, -1, 3);
+  trace.Record(at(6), TraceEventKind::kSinkBatchStable, kSink, -1, 6, 10);
+  // Episode 2: mid[0] fails again.
+  trace.Record(at(7), TraceEventKind::kTaskFailed, kMid0, 2);
+  trace.Record(at(8), TraceEventKind::kSinkBatchTentative, kSink, -1, 8, 5);
+  trace.Record(at(8), TraceEventKind::kTentativeWindowBegin, -1, -1, 8);
+  trace.Record(at(9), TraceEventKind::kRecoveryDone, kMid0, -1, 1);
+  trace.Record(at(10), TraceEventKind::kSinkBatchStable, kSink, -1, 10, 10);
+  trace.Record(at(10), TraceEventKind::kTentativeWindowEnd, -1, -1, 8);
+
+  const std::vector<obs::FidelitySample> series =
+      DeriveFidelitySeries(*topo, trace);
+  TaskSet mid0_failed(topo->num_tasks());
+  mid0_failed.Add(kMid0);
+  const double of = ComputeOutputFidelity(*topo, mid0_failed);
+  const double ic = ComputeInternalCompleteness(*topo, mid0_failed);
+  ASSERT_LT(of, 1.0);
+  const std::vector<obs::FidelitySample> expected = {
+      {at(3), 3, kSink, true, of, ic, 1},
+      {at(5), 5, kSink, false, 1.0, 1.0, 0},
+      {at(8), 8, kSink, true, of, ic, 1},
+      {at(10), 10, kSink, false, 1.0, 1.0, 0},
+  };
+  EXPECT_EQ(series, expected);
+}
+
 // A sink taken over by its active replica can be the last task to
 // recover; the replica's buffered output is then the first stable
 // delivery after full recovery, so it closes the tentative window. The
@@ -593,7 +659,7 @@ TEST(ObsIntegrationTest, ReplicaTakeoverClosingTheWindowSamplesFullFidelity) {
   EXPECT_LT(timelines[0].restored_at, timelines[1].restored_at);
   EXPECT_EQ(windows[0].end, timelines[1].restored_at);
 
-  const auto& samples = job.fidelity_timeseries().samples();
+  const std::vector<obs::FidelitySample> samples = job.fidelity_timeseries();
   ASSERT_FALSE(samples.empty());
   const obs::FidelitySample& last = samples.back();
   EXPECT_EQ(last.at, windows[0].end);
