@@ -140,14 +140,6 @@ class ExecutionBackend {
                       std::function<void()> fn) {
     return ScheduleAfterOn(strand, at - now(), std::move(fn));
   }
-
-  /// Posts `fn` to `strand` "now": it runs at the current virtual time,
-  /// after everything already scheduled for that instant. Identical
-  /// semantics on every backend (it is a zero-delay schedule), which is
-  /// what keeps cross-backend parity byte-exact.
-  void Post(uint64_t strand, std::function<void()> fn) {
-    (void)ScheduleAfterOn(strand, Duration::Zero(), std::move(fn));
-  }
 };
 
 /// Builds a backend of the requested kind; `options` only affects

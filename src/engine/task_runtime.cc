@@ -98,7 +98,6 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
     }
     inputs.erase(fresh_end, inputs.end());
     processed_tuples_ += static_cast<int64_t>(inputs.size());
-    obs::Add(tuples_counter_, static_cast<int64_t>(inputs.size()));
     const TaskInfo& info = topology_->task(id_);
     BatchContext ctx(batch, info.index_in_op,
                      topology_->op(info.op).parallelism);
@@ -118,7 +117,6 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
     t.producer = id_;
   }
   emitted_tuples_ += static_cast<int64_t>(produced.size());
-  obs::Add(batches_counter_);
   ++next_batch_;
   PushBatch(BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
   return output_buffer_.back();

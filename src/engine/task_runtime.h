@@ -12,7 +12,6 @@
 #include "common/status_or.h"
 #include "engine/operator.h"
 #include "engine/tuple.h"
-#include "obs/metrics.h"
 #include "topology/topology.h"
 
 namespace ppa {
@@ -137,15 +136,6 @@ class TaskRuntime {
     return progress_;
   }
 
-  /// Registers shared counters bumped on every RunBatch (input tuples
-  /// consumed and batches executed). Either may be nullptr; the job wires
-  /// primaries, replicas, and shadow runtimes to different counters.
-  void AttachMetrics(obs::Counter* tuples_counter,
-                     obs::Counter* batches_counter) {
-    tuples_counter_ = tuples_counter;
-    batches_counter_ = batches_counter;
-  }
-
  private:
   /// With TrimOutputBuffer(), the only ways batches enter and leave
   /// output_buffer_; they keep the buffer counters exact.
@@ -166,8 +156,6 @@ class TaskRuntime {
   int64_t emitted_tuples_ = 0;
   std::map<TaskId, uint64_t> progress_;
   std::deque<BatchOutput> output_buffer_;
-  obs::Counter* tuples_counter_ = nullptr;
-  obs::Counter* batches_counter_ = nullptr;
   /// Tuples in output_buffer_ and their encoded bytes (batch headers
   /// included), kept by every change to the buffer so Snapshot() presizes
   /// its blob without walking it.

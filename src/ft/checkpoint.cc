@@ -4,39 +4,13 @@
 
 namespace ppa {
 
-void CheckpointStore::AttachMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    bytes_histogram_ = nullptr;
-    chain_deltas_histogram_ = nullptr;
-    full_counter_ = nullptr;
-    delta_counter_ = nullptr;
-    skipped_counter_ = nullptr;
-    store_bytes_gauge_ = nullptr;
-    return;
-  }
-  bytes_histogram_ = registry->histogram("checkpoint.bytes");
-  chain_deltas_histogram_ = registry->histogram("checkpoint.chain_deltas");
-  full_counter_ = registry->counter("checkpoint.full");
-  delta_counter_ = registry->counter("checkpoint.delta");
-  skipped_counter_ = registry->counter("checkpoint.skipped");
-  store_bytes_gauge_ = registry->gauge("checkpoint.store_blob_bytes");
-}
-
 void CheckpointStore::Put(TaskCheckpoint checkpoint) {
   checkpoint.is_delta = false;
-  obs::Observe(bytes_histogram_, static_cast<double>(checkpoint.blob.size()));
-  obs::Add(full_counter_);
   auto& chain = chains_[checkpoint.task];
-  if (!chain.empty()) {
-    // How long the replaced chain got before this rebase.
-    obs::Observe(chain_deltas_histogram_,
-                 static_cast<double>(chain.size() - 1));
-    for (const TaskCheckpoint& cp : chain) {
-      total_bytes_ -= static_cast<int64_t>(cp.blob.size());
-    }
+  for (const TaskCheckpoint& cp : chain) {
+    total_bytes_ -= static_cast<int64_t>(cp.blob.size());
   }
   total_bytes_ += static_cast<int64_t>(checkpoint.blob.size());
-  obs::Set(store_bytes_gauge_, static_cast<double>(total_bytes_));
   chain.clear();
   chain.push_back(std::move(checkpoint));
 }
@@ -50,10 +24,7 @@ Status CheckpointStore::PutDelta(TaskCheckpoint checkpoint) {
     return InvalidArgument("delta checkpoint regresses coverage");
   }
   checkpoint.is_delta = true;
-  obs::Observe(bytes_histogram_, static_cast<double>(checkpoint.blob.size()));
-  obs::Add(delta_counter_);
   total_bytes_ += static_cast<int64_t>(checkpoint.blob.size());
-  obs::Set(store_bytes_gauge_, static_cast<double>(total_bytes_));
   it->second.push_back(std::move(checkpoint));
   return OkStatus();
 }
@@ -101,7 +72,6 @@ void CheckpointStore::NoteSkipped(TaskId task, int64_t next_batch) {
   if (next_batch > frontier) {
     frontier = next_batch;
   }
-  obs::Add(skipped_counter_);
 }
 
 int64_t CheckpointStore::SkippedFrontier(TaskId task) const {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status_or.h"
-#include "obs/metrics.h"
 #include "topology/types.h"
 
 namespace ppa {
@@ -83,23 +82,6 @@ class CheckpointStore {
   /// gauge updates stay cheap at thousands of tasks.
   int64_t TotalBlobBytes() const { return total_bytes_; }
 
-  /// Drops everything (used between experiment repetitions).
-  void Clear() {
-    chains_.clear();
-    skipped_frontier_.clear();
-    total_bytes_ = 0;
-    obs::Set(store_bytes_gauge_, 0.0);
-  }
-
-  /// Publishes "checkpoint.bytes" (per-checkpoint blob size histogram),
-  /// the "checkpoint.full"/"checkpoint.delta"/"checkpoint.skipped"
-  /// counters, the "checkpoint.store_blob_bytes" gauge (TotalBlobBytes
-  /// after every Put/PutDelta/Clear), and the "checkpoint.chain_deltas"
-  /// histogram (deltas a chain accumulated before a full checkpoint
-  /// rebased it; skipped checkpoints are not chain elements and never
-  /// inflate it) to `registry` (nullptr detaches).
-  void AttachMetrics(obs::MetricsRegistry* registry);
-
  private:
   std::map<TaskId, std::vector<TaskCheckpoint>> chains_;
   /// Thinned coverage per task (NoteSkipped); kept outside the chains so
@@ -107,12 +89,6 @@ class CheckpointStore {
   std::map<TaskId, int64_t> skipped_frontier_;
   /// Sum of blob sizes over all chains (incremental TotalBlobBytes).
   int64_t total_bytes_ = 0;
-  obs::Histogram* bytes_histogram_ = nullptr;
-  obs::Histogram* chain_deltas_histogram_ = nullptr;
-  obs::Counter* full_counter_ = nullptr;
-  obs::Counter* delta_counter_ = nullptr;
-  obs::Counter* skipped_counter_ = nullptr;
-  obs::Gauge* store_bytes_gauge_ = nullptr;
 };
 
 }  // namespace ppa

@@ -124,14 +124,6 @@ JsonValue TentativeWindowsToJson(
   return out;
 }
 
-JsonValue TraceStatsToJson(const TraceLog& trace) {
-  JsonValue out = JsonValue::Object();
-  out.Set("capacity", static_cast<int64_t>(trace.capacity()));
-  out.Set("dropped", static_cast<int64_t>(trace.dropped()));
-  out.Set("retained", static_cast<int64_t>(trace.size()));
-  return out;
-}
-
 JsonValue FidelityTimeseriesToJson(const std::vector<FidelitySample>& series,
                                    const TaskLabeler& labeler) {
   JsonValue out = JsonValue::Array();
@@ -162,7 +154,6 @@ JsonValue RunProfileToJson(const MetricsRegistry& registry,
     out.Set("fidelity_timeseries",
             FidelityTimeseriesToJson(*fidelity, labeler));
   }
-  out.Set("trace_stats", TraceStatsToJson(trace));
   out.Set("trace", TraceToJson(trace, labeler));
   return out;
 }
@@ -170,7 +161,7 @@ JsonValue RunProfileToJson(const MetricsRegistry& registry,
 JsonValue FlightRecordToJson(const TraceLog& trace, size_t capacity,
                              const TaskLabeler& labeler) {
   const size_t kept = std::min(capacity, trace.size());
-  const auto recorded = static_cast<int64_t>(trace.size() + trace.dropped());
+  const auto recorded = static_cast<int64_t>(trace.size());
   JsonValue out = JsonValue::Object();
   out.Set("capacity", static_cast<int64_t>(capacity));
   out.Set("dropped", recorded - static_cast<int64_t>(kept));

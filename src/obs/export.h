@@ -39,12 +39,6 @@ JsonValue TimelinesToJson(const std::vector<RecoveryTimeline>& timelines,
 /// "closed":..}.
 JsonValue TentativeWindowsToJson(const std::vector<TentativeWindow>& windows);
 
-/// {"capacity":..,"dropped":..,"retained":..} — how much of the run the
-/// trace ring actually kept. capacity 0 means unbounded; a non-zero
-/// dropped count flags that trace-derived views (timelines, windows) saw
-/// a truncated history.
-JsonValue TraceStatsToJson(const TraceLog& trace);
-
 /// Array of {"t_s":..,"batch":..,"sink":..,"tentative":..,
 /// "output_fidelity":..,"internal_completeness":..,"failed_tasks":..}
 /// — the OF(t)/IC(t) curve sampled per degraded sink delivery.
@@ -62,8 +56,8 @@ JsonValue RunProfileToJson(const MetricsRegistry& registry,
 
 /// The flight record of a run: a view of the last `capacity` events of
 /// `trace`, as {"capacity":..,"dropped":..,"recorded":..,"events":[...]}
-/// where `recorded` counts every event the trace ever saw (retained +
-/// evicted), `dropped` the ones older than the tail, and `events` is the
+/// where `recorded` counts every event of the trace, `dropped` the ones
+/// older than the tail, and `events` is the
 /// tail in TraceToJson shape. The fields match what a ring of `capacity`
 /// events fed by the same Record() calls would hold. Contains only
 /// sim-time data, so identical runs serialize byte-identically.

@@ -49,25 +49,10 @@ std::string_view TraceEventKindToString(TraceEventKind kind) {
   return "?";
 }
 
-void TraceLog::set_capacity(size_t capacity) {
-  capacity_ = capacity;
-  if (capacity_ == 0) {
-    return;
-  }
-  while (events_.size() > capacity_) {
-    events_.pop_front();
-    ++dropped_;
-  }
-}
-
 void TraceLog::Record(TimePoint at, TraceEventKind kind, int64_t task,
                       int node, int64_t a, int64_t b) {
   if (!enabled_) {
     return;
-  }
-  if (capacity_ > 0 && events_.size() == capacity_) {
-    events_.pop_front();
-    ++dropped_;
   }
   events_.push_back(TraceEvent{at, next_seq_++, kind, task, node, a, b});
 }
@@ -97,12 +82,6 @@ const TraceEvent* TraceLog::FirstOf(TraceEventKind kind) const {
     }
   }
   return nullptr;
-}
-
-void TraceLog::Clear() {
-  events_.clear();
-  next_seq_ = 0;
-  dropped_ = 0;
 }
 
 }  // namespace obs

@@ -98,12 +98,8 @@ struct TraceEvent {
 /// Append-only log of sim-time trace events. Events carry the insertion
 /// sequence number, so two events recorded at the same instant keep their
 /// causal order (mirroring the event loop's same-instant FIFO guarantee).
-/// Disabled logs drop events at the recording site. An optional capacity
-/// bounds memory on long simulations: once full, each new event evicts
-/// the oldest one (deterministically — eviction depends only on the
-/// recorded sequence, never on allocation behavior) and `dropped()`
-/// counts the evictions. Sequence numbers keep advancing across drops,
-/// so surviving events retain their global order.
+/// Disabled logs drop events at the recording site. The log is
+/// unbounded; a std::deque grows without reallocating what it holds.
 class TraceLog {
  public:
   TraceLog() = default;
@@ -112,13 +108,6 @@ class TraceLog {
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
-
-  /// Caps the log at `capacity` events (0 = unbounded, the default).
-  /// Shrinking below the current size evicts oldest-first immediately.
-  void set_capacity(size_t capacity);
-  size_t capacity() const { return capacity_; }
-  /// Events evicted oldest-first to respect the capacity.
-  uint64_t dropped() const { return dropped_; }
 
   void Record(TimePoint at, TraceEventKind kind, int64_t task = -1,
               int node = -1, int64_t a = 0, int64_t b = 0);
@@ -131,12 +120,8 @@ class TraceLog {
   /// First event of `kind`, or nullptr.
   const TraceEvent* FirstOf(TraceEventKind kind) const;
 
-  void Clear();
-
  private:
   bool enabled_ = true;
-  size_t capacity_ = 0;
-  uint64_t dropped_ = 0;
   uint64_t next_seq_ = 0;
   std::deque<TraceEvent> events_;
 };

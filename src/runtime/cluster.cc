@@ -23,23 +23,6 @@ std::vector<int> Cluster::NodesInDomain(int domain) const {
   return pool_->NodesInDomain(domain);
 }
 
-void Cluster::FailNode(int node) {
-  pool_->FailNode(node);
-  obs::Add(node_failures_counter_);
-}
-
-void Cluster::AttachMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    node_failures_counter_ = nullptr;
-    replica_placements_counter_ = nullptr;
-    return;
-  }
-  node_failures_counter_ = registry->counter("cluster.node_failures");
-  replica_placements_counter_ = registry->counter("cluster.replica_placements");
-}
-
-void Cluster::ReviveNode(int node) { pool_->ReviveNode(node); }
-
 void Cluster::SetConstraints(PlacementConstraints constraints) {
   constraints_ = std::move(constraints);
 }
@@ -112,7 +95,6 @@ Status Cluster::PlaceReplicas(const std::vector<TaskId>& tasks) {
     }
     SetReplicaNode(t, num_workers() + next);
     next = (next + 1) % num_standbys();
-    obs::Add(replica_placements_counter_);
   }
   return OkStatus();
 }
@@ -190,7 +172,6 @@ Status Cluster::PlaceReplicaAuto(TaskId task) {
     return ResourceExhausted("no alive standby node available");
   }
   SetReplicaNode(task, best_node);
-  obs::Add(replica_placements_counter_);
   return OkStatus();
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "runtime/node_pool.h"
 #include "topology/topology.h"
 
@@ -60,8 +59,8 @@ class Cluster {
   [[nodiscard]] bool IsStandby(int node) const { return pool_->IsStandby(node); }
   /// True iff `node` has not failed (or has been revived).
   [[nodiscard]] bool NodeAlive(int node) const { return pool_->NodeAlive(node); }
-  void FailNode(int node);
-  void ReviveNode(int node);
+  void FailNode(int node) { pool_->FailNode(node); }
+  void ReviveNode(int node) { pool_->ReviveNode(node); }
 
   /// Failure domains model the correlated-failure root causes of Sec. I
   /// (shared switches, racks, power): nodes in one domain fail together.
@@ -130,10 +129,6 @@ class Cluster {
   /// Worker nodes that host at least one primary (this view only).
   std::vector<int> NodesHostingPrimaries() const;
 
-  /// Publishes "cluster.node_failures" and "cluster.replica_placements"
-  /// to `registry` (nullptr detaches).
-  void AttachMetrics(obs::MetricsRegistry* registry);
-
  private:
   void EnsureTask(TaskId task);
   /// Moves the primary of `task` to `node` (-1 = unplaced), keeping the
@@ -151,8 +146,6 @@ class Cluster {
   int placed_replicas_ = 0;
   std::vector<int> primary_node_;  // task -> node (-1 unplaced)
   std::vector<int> replica_node_;  // task -> node (-1 none)
-  obs::Counter* node_failures_counter_ = nullptr;
-  obs::Counter* replica_placements_counter_ = nullptr;
 };
 
 }  // namespace ppa

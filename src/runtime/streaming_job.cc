@@ -114,6 +114,10 @@ void StreamingJob::InitObservability() {
       metrics_.gauge("engine.buffered_bytes_estimate");
   m_router_max_fanout_ = metrics_.gauge("router.max_fanout");
   m_checkpoint_bytes_total_ = metrics_.gauge("checkpoint.store_bytes");
+  m_checkpoint_full_ = metrics_.counter("checkpoint.full");
+  m_checkpoint_delta_ = metrics_.counter("checkpoint.delta");
+  m_checkpoint_bytes_ = metrics_.histogram("checkpoint.bytes");
+  m_checkpoint_chain_deltas_ = metrics_.histogram("checkpoint.chain_deltas");
   m_checkpoint_duration_us_ = metrics_.histogram("checkpoint.duration_us");
   m_checkpoint_state_tuples_ = metrics_.histogram("checkpoint.state_tuples");
   m_recovery_latency_s_ = metrics_.histogram("recovery.latency_s");
@@ -135,8 +139,6 @@ void StreamingJob::InitObservability() {
     m_sink_task_latency_tentative_[static_cast<size_t>(t)] =
         metrics_.histogram(prefix + ".latency_tentative_s");
   }
-  cluster_.AttachMetrics(&metrics_);
-  checkpoints_.AttachMetrics(&metrics_);
   // Static routing-fanout profile: consumer-set size of every
   // (producer task, downstream operator) edge. Fixed by the topology, so
   // record it once here rather than per routed batch.
@@ -216,11 +218,9 @@ Status StreamingJob::Start() {
   primaries_.clear();
   for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
     primaries_.push_back(MakeRuntime(t));
-    primaries_.back()->AttachMetrics(m_tuples_primary_, m_batches_primary_);
   }
   for (TaskId t : active_set_.ToVector()) {
     replicas_[static_cast<size_t>(t)] = MakeRuntime(t);
-    replica(t)->AttachMetrics(m_tuples_replica_, m_batches_replica_);
   }
 
   // Placement: keep any pins made through cluster() before Start; fill the
@@ -412,7 +412,6 @@ Status StreamingJob::ActivateReplica(TaskId t) {
     rep->FastForward(checkpoints_.TrimBatch(t));
   }
   PPA_RETURN_IF_ERROR(cluster_.PlaceReplicaAuto(t));
-  rep->AttachMetrics(m_tuples_replica_, m_batches_replica_);
   replicas_[static_cast<size_t>(t)] = std::move(rep);
   trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaActivated, t,
                 cluster_.NodeOfReplica(t));
@@ -518,7 +517,6 @@ void StreamingJob::NoteCaughtUpTasks() {
 }
 
 std::vector<obs::FidelitySample> StreamingJob::fidelity_timeseries() const {
-  PPA_CHECK(trace_.dropped() == 0);
   return DeriveFidelitySeries(topology_, trace_);
 }
 
@@ -573,7 +571,7 @@ const BatchOutput* StreamingJob::RunStep(
       // Produced in the past but no longer buffered (trimmed, or skipped
       // by recovery): resolved, degraded if the upstream ever failed.
       *punctured |= up->ever_failed();
-    } else if (!up->alive() && punctured_tasks_.count(s.from) > 0) {
+    } else if (!up->alive() && IsPunctured(s.from)) {
       *punctured = true;  // Master-injected batch-over punctuation (Sec. V-B).
     } else {
       return nullptr;  // Blocked until the upstream produces or is punctured.
@@ -606,10 +604,15 @@ void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
     const int64_t b = rt->next_batch();
     int64_t work = 0;
     bool punctured = false;
+    const int64_t processed_before = rt->processed_tuples();
     const BatchOutput* out = RunStep(primaries_, rt, b, &work, &punctured);
     if (out == nullptr) {
       return;
     }
+    // Post-dedup inputs, as RunBatch counts them.
+    obs::Add(is_replica ? m_tuples_replica_ : m_tuples_primary_,
+             rt->processed_tuples() - processed_before);
+    obs::Add(is_replica ? m_batches_replica_ : m_batches_primary_);
     if (is_replica) {
       continue;
     }
@@ -781,9 +784,18 @@ void StreamingJob::OnCheckpoint(TaskId t) {
     const Duration cp_cost = Duration::Micros(static_cast<int64_t>(cp_us));
     if (take_delta) {
       PPA_CHECK_OK(checkpoints_.PutDelta(std::move(cp)));
+      obs::Add(m_checkpoint_delta_);
     } else {
+      if (checkpoints_.Chain(t) != nullptr) {
+        // How long the replaced chain got before this rebase; skipped
+        // checkpoints are no chain elements and never inflate it.
+        obs::Observe(m_checkpoint_chain_deltas_,
+                     static_cast<double>(checkpoints_.ChainDeltas(t)));
+      }
       checkpoints_.Put(std::move(cp));
+      obs::Add(m_checkpoint_full_);
     }
+    obs::Observe(m_checkpoint_bytes_, static_cast<double>(blob_bytes));
     checkpoint_rebase_.erase(t);
     ++checkpoint_count_[static_cast<size_t>(t)];
     checkpoint_us_[static_cast<size_t>(t)] += cp_us;
@@ -977,10 +989,6 @@ void StreamingJob::OnDetection() {
     }
     for (const TaskRecoverySpec& spec : report.specs) {
       recovering_[spec.task] = spec.kind;
-      if (config_.ft_mode == FtMode::kPpa &&
-          spec.kind != RecoveryKind::kActiveReplica) {
-        punctured_tasks_.insert(spec.task);
-      }
       const Duration offset = report.schedule.completion.at(spec.task);
       trace_.Record(backend_->now(), obs::TraceEventKind::kRecoveryStart,
                     spec.task, -1, static_cast<int64_t>(spec.kind),
@@ -1009,7 +1017,6 @@ void StreamingJob::OnDetection() {
 
 void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
   recovering_.erase(t);
-  punctured_tasks_.erase(t);
   switch (kind) {
     case RecoveryKind::kActiveReplica: {
       PPA_CHECK(replica(t) != nullptr);
@@ -1021,7 +1028,6 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
           std::move(replicas_[static_cast<size_t>(t)]);
       TaskRuntime* rep = primaries_[static_cast<size_t>(t)].get();
       rep->MarkAlive();
-      rep->AttachMetrics(m_tuples_primary_, m_batches_primary_);
       if (topology_.IsSinkTask(t)) {
         // The dead primary's records stop where delivery stopped; deliver
         // the replica's buffered outputs from there on (the takeover
@@ -1135,7 +1141,6 @@ Status StreamingJob::NotifyNodeFailed(int node) {
   }
   obs::Add(m_node_failures_);
   last_failure_time_ = backend_->now();
-  last_failure_batch_ = frontier_;
   int64_t primaries_lost = 0;
   for (TaskId t : cluster_.PrimariesOn(node)) {
     if (primaries_[static_cast<size_t>(t)]->alive()) {

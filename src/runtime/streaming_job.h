@@ -285,8 +285,7 @@ class StreamingJob {
   /// The OF(t)/IC(t) series folded from trace() by DeriveFidelitySeries:
   /// one sample per sink delivery during tentative windows, plus the
   /// stable delivery closing each window. Empty when observability is off
-  /// or no window opened. Folds the whole run, so it PPA_CHECKs that the
-  /// trace evicted nothing.
+  /// or no window opened.
   std::vector<obs::FidelitySample> fidelity_timeseries() const;
 
   /// Cumulative normal-processing CPU microseconds of a task.
@@ -320,6 +319,13 @@ class StreamingJob {
   const BatchOutput* RunStep(
       const std::vector<std::unique_ptr<TaskRuntime>>& runtimes,
       TaskRuntime* rt, int64_t b, int64_t* work, bool* punctured);
+  /// True if failed task `t` is replaced by punctuations in tentative
+  /// mode: PPA, with a recovery pending that no active replica covers.
+  bool IsPunctured(TaskId t) const {
+    auto it = recovering_.find(t);
+    return config_.ft_mode == FtMode::kPpa && it != recovering_.end() &&
+           it->second != RecoveryKind::kActiveReplica;
+  }
 
   /// Nominal source tick time of batch `b` (lineage stamp for sources
   /// and punctuation-fed batches).
@@ -408,12 +414,9 @@ class StreamingJob {
   std::set<TaskId> undetected_failures_;
   /// Tasks whose recovery is pending (detected, completion scheduled).
   std::map<TaskId, RecoveryKind> recovering_;
-  /// Failed tasks replaced by punctuations in tentative mode.
-  std::set<TaskId> punctured_tasks_;
   /// Batches that were processed with at least one punctuation.
   std::set<int64_t> degraded_batches_;
   TimePoint last_failure_time_;
-  int64_t last_failure_batch_ = -1;
 
   std::vector<SinkRecord> sink_records_;
   /// Per-task highest batch already delivered to the user (duplicate
@@ -486,6 +489,10 @@ class StreamingJob {
   obs::Gauge* m_buffered_bytes_estimate_ = nullptr;
   obs::Gauge* m_router_max_fanout_ = nullptr;
   obs::Gauge* m_checkpoint_bytes_total_ = nullptr;
+  obs::Counter* m_checkpoint_full_ = nullptr;
+  obs::Counter* m_checkpoint_delta_ = nullptr;
+  obs::Histogram* m_checkpoint_bytes_ = nullptr;
+  obs::Histogram* m_checkpoint_chain_deltas_ = nullptr;
   obs::Histogram* m_checkpoint_duration_us_ = nullptr;
   obs::Histogram* m_checkpoint_state_tuples_ = nullptr;
   obs::Histogram* m_recovery_latency_s_ = nullptr;

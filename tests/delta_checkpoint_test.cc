@@ -208,32 +208,6 @@ TEST(CheckpointChainTest, SkipFrontierAdvancesTrimBatch) {
   EXPECT_EQ(store.TrimBatch(1), 0);
 }
 
-TEST(CheckpointChainTest, ChainDeltaHistogramExactUnderSkips) {
-  // Skipped blobs must be invisible to the chain-shape metrics: the
-  // chain-delta-length histogram records exactly the persisted deltas
-  // replaced at each rebase, and only the skip counter sees the skips.
-  obs::MetricsRegistry registry;
-  CheckpointStore store;
-  store.AttachMetrics(&registry);
-  store.Put(TaskCheckpoint{0, 5, "base", 10});
-  store.NoteSkipped(0, 8);
-  ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 11, "d1", 3}).ok());
-  store.NoteSkipped(0, 14);
-  ASSERT_TRUE(
-      store.PutDelta(TaskCheckpoint{0, 17, "d2", 3}).ok());
-  EXPECT_EQ(store.ChainDeltas(0), 2);
-  // Rebase: the replaced chain held exactly 2 deltas, skips not counted.
-  store.Put(TaskCheckpoint{0, 20, "base2", 9});
-  const obs::Histogram* chain_hist =
-      registry.histogram("checkpoint.chain_deltas");
-  EXPECT_EQ(chain_hist->count(), 1);
-  EXPECT_EQ(chain_hist->sum(), 2.0);
-  EXPECT_EQ(registry.counter("checkpoint.skipped")->value(), 2);
-  EXPECT_EQ(registry.counter("checkpoint.full")->value(), 2);
-  EXPECT_EQ(registry.counter("checkpoint.delta")->value(), 2);
-}
-
 TEST(CheckpointChainTest, StoreSemantics) {
   CheckpointStore store;
   EXPECT_EQ(store.PutDelta(TaskCheckpoint{0, 5, "d", 10})
@@ -480,6 +454,67 @@ TEST_F(DeltaJobTest, EmptyChainApproxRestoreStartsFresh) {
   EXPECT_EQ(cert.restored_batch, 0);
   EXPECT_GT(cert.resumed_batch, 0);
   EXPECT_GT(cert.forfeited.records, 0);
+}
+
+TEST_F(DeltaJobTest, ChainDeltaHistogramExactUnderSkips) {
+  // The job books every checkpoint metric itself. Under approximate
+  // recovery with delta chains and one failure, the counters must agree
+  // with the job's own accounting, and skipped checkpoints must stay
+  // invisible to the chain-delta-length histogram.
+  backend::SimBackend loop;
+  JobConfig cfg = Config(/*delta=*/true);
+  cfg.recovery_mode = af::RecoveryMode::kApprox;
+  cfg.error_budget.task_divergence_records = 100;
+  cfg.error_budget.job_divergence_records = 10'000;
+  cfg.error_budget.max_certified_loss = 1.0;
+  auto job = MakeJobWithConfig(&loop, cfg);
+  PPA_CHECK_OK(job->Start());
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(16.5));
+  PPA_CHECK_OK(job->InjectNodeFailure(job->cluster().NodeOfPrimary(2)));
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(60));
+  ASSERT_TRUE(job->AllRecovered());
+  ASSERT_GT(job->CheckpointsSkipped(), 0);
+
+  const obs::MetricsRegistry& m = job->metrics();
+  const int64_t full = m.counters().at("checkpoint.full")->value();
+  const int64_t delta = m.counters().at("checkpoint.delta")->value();
+  int64_t persisted = 0;
+  int64_t open_deltas = 0;
+  for (TaskId t = 0; t < job->topology().num_tasks(); ++t) {
+    persisted += job->CheckpointCount(t);
+    open_deltas += job->checkpoint_store().ChainDeltas(t);
+  }
+  EXPECT_GT(delta, 0);
+  EXPECT_EQ(full + delta, persisted);
+  EXPECT_EQ(m.histograms().at("checkpoint.bytes")->count(), persisted);
+  // Every persisted delta either sits in a live chain or was replaced by
+  // a rebase, which recorded the replaced chain's length: the histogram
+  // sums exactly the real deltas, whatever was skipped in between.
+  const obs::Histogram* chain =
+      m.histograms().at("checkpoint.chain_deltas").get();
+  EXPECT_GT(chain->count(), 0);
+  EXPECT_EQ(chain->count(),
+            full - static_cast<int64_t>(job->checkpoint_store().size()));
+  EXPECT_EQ(static_cast<int64_t>(chain->sum()) + open_deltas, delta);
+  EXPECT_EQ(m.counters().at("af.checkpoints_skipped")->value(),
+            job->CheckpointsSkipped());
+}
+
+TEST_F(DeltaJobTest, EngineCountersMatchRuntimes) {
+  backend::SimBackend loop;
+  auto job = MakeJob(&loop, /*delta=*/true);
+  PPA_CHECK_OK(job->Start());
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(30));
+  int64_t tuples = 0;
+  int64_t batches = 0;
+  for (TaskId t = 0; t < job->topology().num_tasks(); ++t) {
+    tuples += job->primary(t)->processed_tuples();
+    batches += job->primary(t)->next_batch();
+  }
+  const obs::MetricsRegistry& m = job->metrics();
+  EXPECT_GT(tuples, 0);
+  EXPECT_EQ(m.counters().at("engine.tuples_processed")->value(), tuples);
+  EXPECT_EQ(m.counters().at("engine.batches_processed")->value(), batches);
 }
 
 TEST_F(DeltaJobTest, DeltaCheckpointsAreCheaper) {

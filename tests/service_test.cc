@@ -339,6 +339,46 @@ TEST(ServiceTest, TenantsNeverTakeTheSharedBackendCounters) {
             own_loop.events_processed());
 }
 
+TEST(ServiceTest, TenantsBookNodeFailuresOnlyAsJobMetrics) {
+  backend::SimBackend loop;
+  service::ServiceConfig config;
+  config.num_worker_nodes = 2;
+  config.num_standby_nodes = 1;
+  config.worker_slots_per_node = 2;
+  service::ClusterService svc(config, &loop);
+  std::vector<int> ids;
+  for (int i = 0; i < 2; ++i) {
+    service::TenantSpec spec;
+    spec.topology_spec = kChain2;
+    auto id = svc.Submit(std::move(spec));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  loop.RunUntil(At(5));
+  PPA_CHECK_OK(svc.InjectNodeFailure(1));
+  loop.RunUntil(At(10));
+  // The pool fails nodes for every tenant at once, so the job is the one
+  // place a tenant's node failures are counted; the cluster view books
+  // nothing of its own.
+  for (int id : ids) {
+    const obs::MetricsRegistry& registry = svc.job(id)->metrics();
+    EXPECT_EQ(registry.counters().at("job.node_failures")->value(), 1)
+        << "tenant " << id;
+    std::vector<std::string> cluster_keys;
+    auto collect = [&](const auto& metrics) {
+      for (const auto& [name, handle] : metrics) {
+        if (name.rfind("cluster.", 0) == 0) {
+          cluster_keys.push_back(name);
+        }
+      }
+    };
+    collect(registry.counters());
+    collect(registry.gauges());
+    collect(registry.histograms());
+    EXPECT_THAT(cluster_keys, ::testing::IsEmpty()) << "tenant " << id;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The 16-tenant correlated-failure drill.
 
