@@ -15,17 +15,6 @@ Duration RecoverySchedule::MaxLatency() const {
   return max;
 }
 
-Duration RecoverySchedule::MaxLatencyOf(const std::vector<TaskId>& tasks) const {
-  Duration max = Duration::Zero();
-  for (TaskId t : tasks) {
-    auto it = completion.find(t);
-    if (it != completion.end()) {
-      max = std::max(max, it->second);
-    }
-  }
-  return max;
-}
-
 RecoverySchedule ComputeRecoverySchedule(
     const Topology& topology, const std::vector<TaskRecoverySpec>& specs,
     const RecoveryCostModel& model) {

@@ -61,8 +61,6 @@ struct RecoverySchedule {
   /// Latest completion among all tasks (the paper's "recovery latency" of
   /// the failure as a whole). Zero if no task failed.
   [[nodiscard]] Duration MaxLatency() const;
-  /// Latest completion among the given subset (e.g. PPA-0.5-active).
-  [[nodiscard]] Duration MaxLatencyOf(const std::vector<TaskId>& tasks) const;
 };
 
 /// Computes recovery completion offsets for a set of simultaneously failed

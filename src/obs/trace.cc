@@ -65,24 +65,5 @@ int64_t TraceLog::CountOf(TraceEventKind kind) const {
   return count;
 }
 
-std::vector<TraceEvent> TraceLog::OfKind(TraceEventKind kind) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind) {
-      out.push_back(e);
-    }
-  }
-  return out;
-}
-
-const TraceEvent* TraceLog::FirstOf(TraceEventKind kind) const {
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind) {
-      return &e;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace obs
 }  // namespace ppa

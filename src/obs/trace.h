@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <string_view>
-#include <vector>
 
 #include "common/sim_time.h"
 
@@ -13,7 +12,7 @@ namespace obs {
 
 /// Structured sim-time events recorded by the runtime. Payload fields `a`
 /// and `b` are kind-specific (documented per enumerator) so an event is
-/// five words and recording never allocates per event beyond vector
+/// five words and recording never allocates per event beyond the log's
 /// growth.
 enum class TraceEventKind : uint8_t {
   /// A cluster node was killed. node = node id, a = primaries lost.
@@ -116,9 +115,6 @@ class TraceLog {
   size_t size() const { return events_.size(); }
 
   int64_t CountOf(TraceEventKind kind) const;
-  std::vector<TraceEvent> OfKind(TraceEventKind kind) const;
-  /// First event of `kind`, or nullptr.
-  const TraceEvent* FirstOf(TraceEventKind kind) const;
 
  private:
   bool enabled_ = true;

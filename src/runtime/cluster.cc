@@ -232,16 +232,4 @@ std::vector<TaskId> Cluster::ReplicasOn(int node) const {
   return tasks;
 }
 
-std::vector<int> Cluster::NodesHostingPrimaries() const {
-  std::vector<int> nodes;
-  for (int node : primary_node_) {
-    if (node >= 0 &&
-        std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
-      nodes.push_back(node);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
-}
-
 }  // namespace ppa

@@ -126,9 +126,6 @@ class Cluster {
   /// Replicas placed on `node` (this view only).
   std::vector<TaskId> ReplicasOn(int node) const;
 
-  /// Worker nodes that host at least one primary (this view only).
-  std::vector<int> NodesHostingPrimaries() const;
-
  private:
   void EnsureTask(TaskId task);
   /// Moves the primary of `task` to `node` (-1 = unplaced), keeping the

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "runtime/fidelity_series.h"
+#include "runtime/trace_metrics.h"
 
 namespace ppa {
 
@@ -24,30 +25,32 @@ std::string_view FtModeToString(FtMode mode) {
   return "?";
 }
 
-Duration RecoveryReport::ActiveLatency() const {
+namespace {
+
+/// Latest completion among the report's tasks recovered from an active
+/// replica (`active`) or passively (`!active`).
+Duration MaxLatencyWhere(const RecoveryReport& report, bool active) {
   Duration max = Duration::Zero();
-  for (const TaskRecoverySpec& spec : specs) {
-    if (spec.kind == RecoveryKind::kActiveReplica) {
-      auto it = schedule.completion.find(spec.task);
-      if (it != schedule.completion.end()) {
-        max = std::max(max, it->second);
-      }
+  for (const TaskRecoverySpec& spec : report.specs) {
+    if ((spec.kind == RecoveryKind::kActiveReplica) != active) {
+      continue;
+    }
+    auto it = report.schedule.completion.find(spec.task);
+    if (it != report.schedule.completion.end()) {
+      max = std::max(max, it->second);
     }
   }
   return max;
 }
 
+}  // namespace
+
+Duration RecoveryReport::ActiveLatency() const {
+  return MaxLatencyWhere(*this, true);
+}
+
 Duration RecoveryReport::PassiveLatency() const {
-  Duration max = Duration::Zero();
-  for (const TaskRecoverySpec& spec : specs) {
-    if (spec.kind != RecoveryKind::kActiveReplica) {
-      auto it = schedule.completion.find(spec.task);
-      if (it != schedule.completion.end()) {
-        max = std::max(max, it->second);
-      }
-    }
-  }
-  return max;
+  return MaxLatencyWhere(*this, false);
 }
 
 StreamingJob::StreamingJob(Topology topology, JobConfig config,
@@ -94,18 +97,13 @@ void StreamingJob::InitObservability() {
   m_batches_primary_ = metrics_.counter("engine.batches_processed");
   m_tuples_replica_ = metrics_.counter("engine.replica_tuples_processed");
   m_batches_replica_ = metrics_.counter("engine.replica_batches_processed");
-  m_node_failures_ = metrics_.counter("job.node_failures");
-  m_task_failures_ = metrics_.counter("job.task_failures");
-  m_recoveries_active_ = metrics_.counter("recovery.active_started");
-  m_recoveries_passive_ = metrics_.counter("recovery.passive_started");
-  m_replica_activations_ = metrics_.counter("job.replica_activations");
-  m_replica_deactivations_ = metrics_.counter("job.replica_deactivations");
-  m_sink_records_ = metrics_.counter("sink.records");
-  m_sink_tentative_ = metrics_.counter("sink.tentative_records");
+  // The trace-folded entries are created here with the rest, zero-valued,
+  // so the registry is allocated at construction rather than on the first
+  // metrics() read, which books them.
+  FoldTraceMetrics(trace_, config_.recovery_mode != af::RecoveryMode::kPpa,
+                   &trace_folded_, &metrics_);
   m_sink_corrections_ = metrics_.counter("sink.correction_records");
   if (config_.recovery_mode != af::RecoveryMode::kPpa) {
-    m_af_skipped_ = metrics_.counter("af.checkpoints_skipped");
-    m_af_forfeited_records_ = metrics_.counter("af.forfeited_records");
     m_af_certified_loss_ = metrics_.histogram("af.certified_loss");
   }
   m_buffered_tuples_ = metrics_.gauge("job.buffered_tuples");
@@ -116,15 +114,9 @@ void StreamingJob::InitObservability() {
   m_checkpoint_bytes_total_ = metrics_.gauge("checkpoint.store_bytes");
   m_checkpoint_full_ = metrics_.counter("checkpoint.full");
   m_checkpoint_delta_ = metrics_.counter("checkpoint.delta");
-  m_checkpoint_bytes_ = metrics_.histogram("checkpoint.bytes");
   m_checkpoint_chain_deltas_ = metrics_.histogram("checkpoint.chain_deltas");
   m_checkpoint_duration_us_ = metrics_.histogram("checkpoint.duration_us");
   m_checkpoint_state_tuples_ = metrics_.histogram("checkpoint.state_tuples");
-  m_recovery_latency_s_ = metrics_.histogram("recovery.latency_s");
-  m_recovery_active_latency_s_ =
-      metrics_.histogram("recovery.active_latency_s");
-  m_recovery_passive_latency_s_ =
-      metrics_.histogram("recovery.passive_latency_s");
   m_tuples_per_batch_ = metrics_.histogram("engine.tuples_per_batch");
   m_sink_latency_stable_ = metrics_.histogram("sink.latency_stable_s");
   m_sink_latency_tentative_ = metrics_.histogram("sink.latency_tentative_s");
@@ -243,7 +235,6 @@ Status StreamingJob::Start() {
     PPA_RETURN_IF_ERROR(cluster_.PlaceReplicaAuto(t));
     trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaActivated, t,
                   cluster_.NodeOfReplica(t));
-    obs::Add(m_replica_activations_);
   }
 
   started_ = true;
@@ -415,7 +406,6 @@ Status StreamingJob::ActivateReplica(TaskId t) {
   replicas_[static_cast<size_t>(t)] = std::move(rep);
   trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaActivated, t,
                 cluster_.NodeOfReplica(t));
-  obs::Add(m_replica_activations_);
   return OkStatus();
 }
 
@@ -437,7 +427,6 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
     if (replica(t) != nullptr && !tasks.Contains(t) && !busy) {
       cluster_.RemoveReplica(t);
       trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaDeactivated, t);
-      obs::Add(m_replica_deactivations_);
       replicas_[static_cast<size_t>(t)].reset();
     }
   }
@@ -514,6 +503,14 @@ void StreamingJob::NoteCaughtUpTasks() {
       ++it;
     }
   }
+}
+
+const obs::MetricsRegistry& StreamingJob::metrics() const {
+  if (config_.observability) {
+    FoldTraceMetrics(trace_, config_.recovery_mode != af::RecoveryMode::kPpa,
+                     &trace_folded_, &metrics_);
+  }
+  return metrics_;
 }
 
 std::vector<obs::FidelitySample> StreamingJob::fidelity_timeseries() const {
@@ -652,10 +649,6 @@ void StreamingJob::DeliverSinkBatch(TaskId t, const BatchOutput& out) {
     sink_records_.push_back(
         SinkRecord{tuple, tentative, backend_->now(), false, out.ingest_at});
   }
-  obs::Add(m_sink_records_, tuples);
-  if (tentative) {
-    obs::Add(m_sink_tentative_, tuples);
-  }
   const double latency_s = (backend_->now() - out.ingest_at).seconds();
   obs::Observe(tentative ? m_sink_latency_tentative_ : m_sink_latency_stable_,
                latency_s);
@@ -751,7 +744,6 @@ void StreamingJob::OnCheckpoint(TaskId t) {
     checkpoints_.NoteSkipped(t, rt->next_batch());
     trace_.Record(backend_->now(), obs::TraceEventKind::kCheckpointSkipped, t,
                   -1, rt->next_batch(), divergence_.OfTask(t).records);
-    obs::Add(m_af_skipped_);
     TrimUpstreamBuffers(t);
   } else if (rt->alive()) {
     trace_.Record(backend_->now(), obs::TraceEventKind::kCheckpointBegin, t, -1,
@@ -795,7 +787,6 @@ void StreamingJob::OnCheckpoint(TaskId t) {
       checkpoints_.Put(std::move(cp));
       obs::Add(m_checkpoint_full_);
     }
-    obs::Observe(m_checkpoint_bytes_, static_cast<double>(blob_bytes));
     checkpoint_rebase_.erase(t);
     ++checkpoint_count_[static_cast<size_t>(t)];
     checkpoint_us_[static_cast<size_t>(t)] += cp_us;
@@ -993,14 +984,6 @@ void StreamingJob::OnDetection() {
       trace_.Record(backend_->now(), obs::TraceEventKind::kRecoveryStart,
                     spec.task, -1, static_cast<int64_t>(spec.kind),
                     offset.micros());
-      if (spec.kind == RecoveryKind::kActiveReplica) {
-        obs::Add(m_recoveries_active_);
-        obs::Observe(m_recovery_active_latency_s_, offset.seconds());
-      } else {
-        obs::Add(m_recoveries_passive_);
-        obs::Observe(m_recovery_passive_latency_s_, offset.seconds());
-      }
-      obs::Observe(m_recovery_latency_s_, offset.seconds());
       ScheduleManaged(offset, [this, t = spec.task, k = spec.kind] {
         CompleteRecovery(t, k);
       });
@@ -1080,7 +1063,6 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
                       obs::TraceEventKind::kDivergenceCertified, t, -1,
                       cert.forfeited.records,
                       static_cast<int64_t>(cert.certified_loss * 1e6));
-        obs::Add(m_af_forfeited_records_, cert.forfeited.records);
         obs::Observe(m_af_certified_loss_, cert.certified_loss);
         approx_certificates_.push_back(std::move(cert));
       }
@@ -1106,7 +1088,6 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
     replicas_[static_cast<size_t>(t)].reset();
     cluster_.RemoveReplica(t);
     trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaDeactivated, t);
-    obs::Add(m_replica_deactivations_);
   }
   trace_.Record(backend_->now(), obs::TraceEventKind::kRecoveryDone, t, -1,
                 static_cast<int64_t>(kind));
@@ -1139,7 +1120,6 @@ Status StreamingJob::NotifyNodeFailed(int node) {
   if (stopped_) {
     return OkStatus();
   }
-  obs::Add(m_node_failures_);
   last_failure_time_ = backend_->now();
   int64_t primaries_lost = 0;
   for (TaskId t : cluster_.PrimariesOn(node)) {
@@ -1155,7 +1135,6 @@ Status StreamingJob::NotifyNodeFailed(int node) {
       rt->MarkFailed();
       undetected_failures_.insert(t);
       trace_.Record(backend_->now(), obs::TraceEventKind::kTaskFailed, t, node);
-      obs::Add(m_task_failures_);
     }
   }
   for (TaskId t : cluster_.ReplicasOn(node)) {

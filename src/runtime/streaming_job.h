@@ -275,7 +275,10 @@ class StreamingJob {
 
   /// The job's metric registry (counters/gauges/histograms named
   /// "subsystem.metric"; empty when config().observability is false).
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  /// Entries that are folds of trace() are booked here, from the events
+  /// recorded since the last call (FoldTraceMetrics), so call it between
+  /// drives, never concurrently with one, and re-read after each drive.
+  const obs::MetricsRegistry& metrics() const;
   /// The job's sim-time trace (failures, checkpoints, recovery phases,
   /// tentative/stable sink emissions): the one record of the run. Recovery
   /// timelines, tentative windows, the fidelity series, the flight record
@@ -358,14 +361,14 @@ class StreamingJob {
   /// Trims upstream output buffers given fresh checkpoint coverage.
   void TrimUpstreamBuffers(TaskId checkpointed);
 
-  /// Creates the metric handles and attaches subcomponents (no-op when
-  /// config_.observability is false: every handle stays nullptr and the
-  /// trace is disabled).
+  /// Enables the trace and creates the metric handles when
+  /// config_.observability is on; otherwise every handle stays nullptr
+  /// and the trace is disabled.
   void InitObservability();
   /// Delivers sink batch `out` of `t` unless a replay already did
-  /// (tentative if the batch is degraded) and books it: counters, latency
-  /// histograms, the sink trace event and the tentative-window
-  /// transitions.
+  /// (tentative if the batch is degraded) and books it: latency
+  /// histograms, the sink trace event (the sink.* counters fold it) and
+  /// the tentative-window transitions.
   void DeliverSinkBatch(TaskId t, const BatchOutput& out);
   /// Emits kTaskCaughtUp for recovered tasks that reached the frontier.
   void NoteCaughtUpTasks();
@@ -455,7 +458,9 @@ class StreamingJob {
   /// Observability (src/obs/): write-only recording, gated by
   /// config_.observability. All handles are nullptr when disabled; the
   /// obs::Add/Set/Observe helpers make every call site null-safe.
-  obs::MetricsRegistry metrics_;
+  mutable obs::MetricsRegistry metrics_;
+  /// Events of trace_ that metrics() has folded into metrics_.
+  mutable size_t trace_folded_ = 0;
   obs::TraceLog trace_;
   /// A tentative-output window is open (kTentativeWindowBegin emitted,
   /// end not yet seen).
@@ -472,17 +477,7 @@ class StreamingJob {
   obs::Counter* m_batches_primary_ = nullptr;
   obs::Counter* m_tuples_replica_ = nullptr;
   obs::Counter* m_batches_replica_ = nullptr;
-  obs::Counter* m_node_failures_ = nullptr;
-  obs::Counter* m_task_failures_ = nullptr;
-  obs::Counter* m_recoveries_active_ = nullptr;
-  obs::Counter* m_recoveries_passive_ = nullptr;
-  obs::Counter* m_replica_activations_ = nullptr;
-  obs::Counter* m_replica_deactivations_ = nullptr;
-  obs::Counter* m_sink_records_ = nullptr;
-  obs::Counter* m_sink_tentative_ = nullptr;
   obs::Counter* m_sink_corrections_ = nullptr;
-  obs::Counter* m_af_skipped_ = nullptr;
-  obs::Counter* m_af_forfeited_records_ = nullptr;
   obs::Histogram* m_af_certified_loss_ = nullptr;
   obs::Gauge* m_buffered_tuples_ = nullptr;
   obs::Gauge* m_output_buffer_batches_ = nullptr;
@@ -491,13 +486,9 @@ class StreamingJob {
   obs::Gauge* m_checkpoint_bytes_total_ = nullptr;
   obs::Counter* m_checkpoint_full_ = nullptr;
   obs::Counter* m_checkpoint_delta_ = nullptr;
-  obs::Histogram* m_checkpoint_bytes_ = nullptr;
   obs::Histogram* m_checkpoint_chain_deltas_ = nullptr;
   obs::Histogram* m_checkpoint_duration_us_ = nullptr;
   obs::Histogram* m_checkpoint_state_tuples_ = nullptr;
-  obs::Histogram* m_recovery_latency_s_ = nullptr;
-  obs::Histogram* m_recovery_active_latency_s_ = nullptr;
-  obs::Histogram* m_recovery_passive_latency_s_ = nullptr;
   obs::Histogram* m_tuples_per_batch_ = nullptr;
   obs::Histogram* m_sink_latency_stable_ = nullptr;
   obs::Histogram* m_sink_latency_tentative_ = nullptr;

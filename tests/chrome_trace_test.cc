@@ -195,9 +195,9 @@ TEST(ChromeTraceIntegrationTest, FailureRunMeetsAcceptanceCriteria) {
     return n;
   };
   int64_t modeled_checkpoints = 0;
-  for (const obs::TraceEvent& e :
-       h.job->trace().OfKind(TraceEventKind::kCheckpointEnd)) {
-    modeled_checkpoints += e.b > 0 ? 1 : 0;
+  for (const obs::TraceEvent& e : h.job->trace().events()) {
+    modeled_checkpoints +=
+        e.kind == TraceEventKind::kCheckpointEnd && e.b > 0 ? 1 : 0;
   }
   EXPECT_GT(modeled_checkpoints, 0);
   EXPECT_EQ(count("\"cat\":\"checkpoint\""), modeled_checkpoints);

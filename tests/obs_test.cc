@@ -4,12 +4,14 @@
 // recording is deterministic, and disabling it does not change the
 // simulation.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "backend/execution_backend.h"
 #include "backend/sim_backend.h"
 #include "common/hash.h"
 #include "engine/operators.h"
@@ -250,10 +252,6 @@ TEST(TraceTest, SameInstantEventsKeepInsertionOrder) {
   EXPECT_EQ(events[1].task, 5);
   EXPECT_EQ(events[2].task, 6);
   EXPECT_EQ(trace.CountOf(TraceEventKind::kTaskFailed), 2);
-  const TraceEvent* first = trace.FirstOf(TraceEventKind::kTaskFailed);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->task, 5);
-  EXPECT_EQ(trace.FirstOf(TraceEventKind::kCheckpointBegin), nullptr);
 }
 
 TEST(TraceTest, DisabledLogDropsEvents) {
@@ -338,21 +336,38 @@ TEST(ExportTest, JsonShape) {
   EXPECT_NE(json.find("task-2"), std::string::npos);
 }
 
-/// src(2) -> mid(2) -> sink(1) job used by the integration tests below.
-struct JobHarness {
-  explicit JobHarness(bool observability) {
-    TopologyBuilder b;
-    OperatorId src = b.AddOperator("src", 2);
-    OperatorId mid =
-        b.AddOperator("mid", 2, InputCorrelation::kIndependent, 0.5);
-    OperatorId sink =
-        b.AddOperator("sink", 1, InputCorrelation::kIndependent, 0.5);
-    b.Connect(src, mid, PartitionScheme::kOneToOne);
-    b.Connect(mid, sink, PartitionScheme::kMerge);
-    b.SetSourceRate(src, 40.0);
-    auto topo = b.Build();
-    PPA_CHECK(topo.ok());
+/// src(2) -> mid(2) -> sink(1) (tasks 0-1, 2-3 and 4) with sliding-window
+/// operators: the job of the integration tests below.
+std::unique_ptr<StreamingJob> MakePipelineJob(backend::ExecutionBackend* be,
+                                              const JobConfig& cfg) {
+  TopologyBuilder b;
+  OperatorId src = b.AddOperator("src", 2);
+  OperatorId mid =
+      b.AddOperator("mid", 2, InputCorrelation::kIndependent, 0.5);
+  OperatorId sink =
+      b.AddOperator("sink", 1, InputCorrelation::kIndependent, 0.5);
+  b.Connect(src, mid, PartitionScheme::kOneToOne);
+  b.Connect(mid, sink, PartitionScheme::kMerge);
+  b.SetSourceRate(src, 40.0);
+  auto topo = b.Build();
+  PPA_CHECK(topo.ok());
+  auto job = std::make_unique<StreamingJob>(*std::move(topo), cfg,
+                                            JobRuntimeDeps(be));
+  PPA_CHECK_OK(job->BindSource(0, [] {
+    return std::make_unique<SyntheticSource>(20, 64, 7);
+  }));
+  for (OperatorId op : {1, 2}) {
+    PPA_CHECK_OK(job->BindOperator(op, [] {
+      return std::make_unique<SlidingWindowAggregateOperator>(5, 0.5);
+    }));
+  }
+  return job;
+}
 
+/// The pipeline job under PPA with mid[1] replicated, on the simulator.
+struct JobHarness {
+  explicit JobHarness(bool observability,
+                      af::RecoveryMode recovery_mode = af::RecoveryMode::kPpa) {
     JobConfig cfg;
     cfg.ft_mode = FtMode::kPpa;
     cfg.batch_interval = Duration::Seconds(1);
@@ -364,16 +379,8 @@ struct JobHarness {
     cfg.window_batches = 5;
     cfg.stagger_checkpoints = false;
     cfg.observability = observability;
-
-    job = std::make_unique<StreamingJob>(*std::move(topo), cfg, JobRuntimeDeps(&loop));
-    PPA_CHECK_OK(job->BindSource(0, [] {
-      return std::make_unique<SyntheticSource>(20, 64, 7);
-    }));
-    for (OperatorId op : {1, 2}) {
-      PPA_CHECK_OK(job->BindOperator(op, [] {
-        return std::make_unique<SlidingWindowAggregateOperator>(5, 0.5);
-      }));
-    }
+    cfg.recovery_mode = recovery_mode;
+    job = MakePipelineJob(&loop, cfg);
     TaskSet active(job->topology().num_tasks());
     active.Add(3);  // mid[1] gets a replica; mid[0] (task 2) stays
                     // passive-only, so its failure degrades the sink.
@@ -443,13 +450,20 @@ TEST(ObsIntegrationTest, FailureRunProducesConsistentProfile) {
   JobHarness h(/*observability=*/true);
   h.RunFailureScenario();
   const obs::TraceLog& trace = h.job->trace();
+  auto first_of = [&trace](TraceEventKind kind) -> const TraceEvent* {
+    for (const TraceEvent& e : trace.events()) {
+      if (e.kind == kind) {
+        return &e;
+      }
+    }
+    return nullptr;
+  };
 
   // The failure shows up as node + task events in causal order.
-  const TraceEvent* node_failure =
-      trace.FirstOf(TraceEventKind::kNodeFailure);
+  const TraceEvent* node_failure = first_of(TraceEventKind::kNodeFailure);
   ASSERT_NE(node_failure, nullptr);
   EXPECT_DOUBLE_EQ(node_failure->at.seconds(), 10.5);
-  const TraceEvent* task_failed = trace.FirstOf(TraceEventKind::kTaskFailed);
+  const TraceEvent* task_failed = first_of(TraceEventKind::kTaskFailed);
   ASSERT_NE(task_failed, nullptr);
   EXPECT_GT(task_failed->seq, node_failure->seq);
 
@@ -470,7 +484,7 @@ TEST(ObsIntegrationTest, FailureRunProducesConsistentProfile) {
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_TRUE(windows[0].closed);
   const TraceEvent* first_tentative =
-      trace.FirstOf(TraceEventKind::kSinkBatchTentative);
+      first_of(TraceEventKind::kSinkBatchTentative);
   ASSERT_NE(first_tentative, nullptr);
   EXPECT_EQ(windows[0].begin, first_tentative->at);
   EXPECT_EQ(windows[0].first_batch, first_tentative->a);
@@ -505,6 +519,167 @@ TEST(ObsIntegrationTest, FidelitySeriesAndFlightRecordGolden) {
   const std::string text = flight.Serialize();
   EXPECT_EQ(text.size(), 15697u);
   EXPECT_EQ(Fnv1a64(text), 0x429fb4d0a69afd83ULL);
+}
+
+// Pins the whole metrics registry of the failure scenario, exact and
+// approximate: which registry entries are booked directly and which are
+// folded from the trace must not change a byte of the profile.
+TEST(ObsIntegrationTest, MetricsRegistryGolden) {
+  struct Case {
+    af::RecoveryMode mode;
+    size_t size;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {af::RecoveryMode::kPpa, 3053u, 0xaba840150bce6c09ULL},
+      {af::RecoveryMode::kApprox, 3194u, 0xecefb68afdd13612ULL},
+  };
+  for (const Case& c : cases) {
+    JobHarness h(/*observability=*/true, c.mode);
+    h.RunFailureScenario();
+    const std::string text = obs::MetricsToJson(h.job->metrics()).Serialize();
+    EXPECT_EQ(text.size(), c.size) << af::RecoveryModeToString(c.mode);
+    EXPECT_EQ(Fnv1a64(text), c.hash) << af::RecoveryModeToString(c.mode);
+  }
+}
+
+// Runs a PPA pipeline job whose src[1] and mid[1] have active replicas:
+// one correlated failure of the src[1] and both mid nodes recovers src[1]
+// and mid[1] from their replicas and mid[0] from its checkpoint, and the
+// sink emits tentative output meanwhile. Under approximate recovery the
+// tight budget thins the checkpoint chains, so mid[0] forfeits records.
+// With `read_mid_run`, metrics() is read once before the failure.
+std::unique_ptr<StreamingJob> RunFoldDrill(backend::ExecutionBackend* be,
+                                           af::RecoveryMode mode,
+                                           bool read_mid_run) {
+  JobConfig cfg;
+  cfg.ft_mode = FtMode::kPpa;
+  cfg.recovery_mode = mode;
+  cfg.batch_interval = Duration::Seconds(1);
+  cfg.detection_interval = Duration::Seconds(2);
+  cfg.checkpoint_interval = Duration::Seconds(3);
+  cfg.num_worker_nodes = 5;
+  cfg.num_standby_nodes = 5;
+  cfg.stagger_checkpoints = false;
+  cfg.error_budget.task_divergence_records = 100;
+  cfg.error_budget.job_divergence_records = 10'000;
+  cfg.error_budget.max_certified_loss = 1.0;
+  auto job = MakePipelineJob(be, cfg);
+  TaskSet active(job->topology().num_tasks());
+  active.Add(1);
+  active.Add(3);
+  PPA_CHECK_OK(job->SetActiveReplicaSet(active));
+  PPA_CHECK_OK(job->Start());
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(16.5));
+  if (read_mid_run) {
+    (void)job->metrics();
+  }
+  std::vector<int> nodes;
+  for (TaskId t : {1, 2, 3}) {
+    nodes.push_back(job->cluster().NodeOfPrimary(t));
+  }
+  for (int node : nodes) {
+    PPA_CHECK_OK(job->InjectNodeFailure(node));
+  }
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(60));
+  return job;
+}
+
+// The registry entries folded from the trace agree with the job's own
+// accounting, which never reads the trace, on both backends.
+TEST(TraceMetricsTest, FoldMatchesJobState) {
+  for (backend::BackendKind kind :
+       {backend::BackendKind::kSim, backend::BackendKind::kThreads}) {
+    for (af::RecoveryMode mode :
+         {af::RecoveryMode::kPpa, af::RecoveryMode::kApprox}) {
+      SCOPED_TRACE(backend::BackendKindToString(kind) + " " +
+                   std::string(af::RecoveryModeToString(mode)));
+      auto be = backend::MakeBackend(kind);
+      auto job = RunFoldDrill(be.get(), mode, /*read_mid_run=*/false);
+      ASSERT_TRUE(job->AllRecovered());
+      const obs::MetricsRegistry& m = job->metrics();
+      auto counter = [&m](const char* name) {
+        return m.counters().at(name)->value();
+      };
+
+      int64_t active = 0;
+      int64_t passive = 0;
+      Duration active_latency = Duration::Zero();
+      Duration passive_latency = Duration::Zero();
+      for (const RecoveryReport& r : job->recovery_reports()) {
+        for (const TaskRecoverySpec& spec : r.specs) {
+          ++(spec.kind == RecoveryKind::kActiveReplica ? active : passive);
+        }
+        active_latency = std::max(active_latency, r.ActiveLatency());
+        passive_latency = std::max(passive_latency, r.PassiveLatency());
+      }
+      EXPECT_EQ(active, 2);
+      EXPECT_EQ(passive, 1);
+      EXPECT_EQ(counter("recovery.active_started"), active);
+      EXPECT_EQ(counter("recovery.passive_started"), passive);
+      const auto& hist = m.histograms();
+      EXPECT_EQ(hist.at("recovery.latency_s")->count(), active + passive);
+      EXPECT_EQ(hist.at("recovery.active_latency_s")->count(), active);
+      EXPECT_EQ(hist.at("recovery.passive_latency_s")->count(), passive);
+      EXPECT_EQ(hist.at("recovery.active_latency_s")->max(),
+                active_latency.seconds());
+      EXPECT_EQ(hist.at("recovery.passive_latency_s")->max(),
+                passive_latency.seconds());
+
+      int64_t records = 0;
+      int64_t tentative = 0;
+      for (const SinkRecord& r : job->sink_records()) {
+        records += r.correction ? 0 : 1;
+        tentative += !r.correction && r.tentative ? 1 : 0;
+      }
+      EXPECT_GT(tentative, 0);
+      EXPECT_EQ(counter("sink.records"), records);
+      EXPECT_EQ(counter("sink.tentative_records"), tentative);
+
+      int64_t checkpoints = 0;
+      for (TaskId t = 0; t < job->topology().num_tasks(); ++t) {
+        checkpoints += job->CheckpointCount(t);
+      }
+      const obs::Histogram* bytes = hist.at("checkpoint.bytes").get();
+      EXPECT_GT(checkpoints, 0);
+      EXPECT_EQ(bytes->count(), checkpoints);
+      EXPECT_EQ(static_cast<int64_t>(bytes->sum()),
+                job->CheckpointBytesWritten());
+
+      if (mode == af::RecoveryMode::kPpa) {
+        EXPECT_EQ(m.counters().count("af.checkpoints_skipped"), 0u);
+        EXPECT_EQ(m.counters().count("af.forfeited_records"), 0u);
+        continue;
+      }
+      int64_t forfeited = 0;
+      for (const af::ApproxCertificate& cert : job->approx_certificates()) {
+        forfeited += cert.forfeited.records;
+      }
+      EXPECT_GT(job->CheckpointsSkipped(), 0);
+      EXPECT_GT(forfeited, 0);
+      EXPECT_EQ(counter("af.checkpoints_skipped"), job->CheckpointsSkipped());
+      EXPECT_EQ(counter("af.forfeited_records"), forfeited);
+    }
+  }
+}
+
+// metrics() folds only the events recorded since its last call: a job
+// read mid-run ends with the same registry as a twin read only at the end.
+TEST(TraceMetricsTest, MidRunReadBooksEachEventOnce) {
+  for (backend::BackendKind kind :
+       {backend::BackendKind::kSim, backend::BackendKind::kThreads}) {
+    for (af::RecoveryMode mode :
+         {af::RecoveryMode::kPpa, af::RecoveryMode::kApprox}) {
+      SCOPED_TRACE(backend::BackendKindToString(kind) + " " +
+                   std::string(af::RecoveryModeToString(mode)));
+      auto read_be = backend::MakeBackend(kind);
+      auto twin_be = backend::MakeBackend(kind);
+      auto read = RunFoldDrill(read_be.get(), mode, /*read_mid_run=*/true);
+      auto twin = RunFoldDrill(twin_be.get(), mode, /*read_mid_run=*/false);
+      EXPECT_EQ(obs::MetricsToJson(read->metrics()).Serialize(),
+                obs::MetricsToJson(twin->metrics()).Serialize());
+    }
+  }
 }
 
 // DeriveFidelitySeries on a hand-built trace of src(2) -> mid(2) ->

@@ -508,8 +508,6 @@ TEST(ClusterTest, PlacementAndFailure) {
   cluster.ReviveNode(0);
   EXPECT_TRUE(cluster.NodeAlive(0));
   EXPECT_EQ(cluster.PrimariesOn(0), (std::vector<TaskId>{0, 3}));
-  EXPECT_EQ(cluster.NodesHostingPrimaries(),
-            (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(cluster.PlacePrimary(0, 4).code(),
             StatusCode::kInvalidArgument);  // Standby node.
 }
