@@ -135,7 +135,7 @@ class ExecutionBackend {
   }
 
   /// Schedules `fn` on `strand` at absolute virtual time `at` (clamped to
-  /// now(), matching EventLoop::Schedule).
+  /// now(), like a negative delay).
   uint64_t ScheduleAt(uint64_t strand, TimePoint at,
                       std::function<void()> fn) {
     return ScheduleAfterOn(strand, at - now(), std::move(fn));

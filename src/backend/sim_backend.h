@@ -1,72 +1,71 @@
 #ifndef PPA_BACKEND_SIM_BACKEND_H_
 #define PPA_BACKEND_SIM_BACKEND_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "backend/execution_backend.h"
+#include "backend/timer_queue.h"
 #include "common/sim_time.h"
-#include "sim/event_loop.h"
+#include "obs/metrics.h"
 
 namespace ppa {
 namespace backend {
 
-/// The deterministic backend: a 1:1 adapter over sim::EventLoop. Every
-/// call forwards unchanged, so a job driven through SimBackend produces
-/// byte-identical output to one driven on a raw EventLoop — that identity
-/// is itself a tested invariant (tests/backend_test.cc) because it is
-/// what makes this backend the parity oracle for all others.
+/// The deterministic discrete-event simulator that replaces the paper's
+/// wall-clock EC2 cluster (DESIGN.md §3.1), and the parity oracle for
+/// every other backend (§16). Callbacks run one at a time on the driver's
+/// thread in TimerQueue order, (firing time, schedule sequence), so a run
+/// is exactly reproducible.
 ///
-/// Strands are bookkeeping only: the simulator is single-threaded, and
-/// the (time, insertion) order the EventLoop already enforces is exactly
-/// the per-strand order the interface promises.
+/// Strands are bookkeeping only: the one global order is already the
+/// per-strand order the interface promises.
 class SimBackend final : public ExecutionBackend {
  public:
-  /// Owns a fresh EventLoop.
-  SimBackend();
-
-  /// Wraps an external loop the caller keeps owning (lets tests and
-  /// transitional call sites share one loop between old and new APIs).
-  explicit SimBackend(EventLoop* loop);
-
-  ~SimBackend() override;
-
   BackendKind kind() const override { return BackendKind::kSim; }
-  TimePoint now() const override { return loop_->now(); }
+  /// Virtual time; advances only while running events (and to the
+  /// deadline at the end of RunUntil).
+  TimePoint now() const override { return now_; }
   uint64_t NewStrand() override { return next_strand_++; }
 
   uint64_t ScheduleAfterOn(uint64_t strand, Duration delay,
-                           std::function<void()> fn) override {
-    (void)strand;
-    return loop_->ScheduleAfter(delay, std::move(fn));
+                           std::function<void()> fn) override;
+
+  [[nodiscard]] bool Cancel(uint64_t id) override;
+
+  void RunUntil(TimePoint deadline) override {
+    Drive(deadline);
+    now_ = std::max(now_, deadline);
   }
+  void RunUntilIdle() override { Drive(TimePoint::Max()); }
+  /// Drops every pending timer without running it.
+  void Stop() override { queue_.Clear(); }
 
-  [[nodiscard]] bool Cancel(uint64_t id) override {
-    return loop_->Cancel(id);
-  }
+  int64_t events_processed() const override { return events_processed_; }
+  size_t pending() const override { return queue_.size(); }
 
-  void RunUntil(TimePoint deadline) override { loop_->RunUntil(deadline); }
-  void RunUntilIdle() override { loop_->RunUntilIdle(); }
-  void Stop() override {}  // nothing runs between drives; drop nothing
-
-  int64_t events_processed() const override {
-    return loop_->events_processed();
-  }
-  size_t pending() const override { return loop_->pending(); }
-
-  void AttachMetrics(obs::MetricsRegistry* registry) override {
-    loop_->AttachMetrics(registry);
-  }
-
-  /// The wrapped loop (tests drive it directly to prove the adapter adds
-  /// nothing).
-  EventLoop* loop() { return loop_; }
+  /// Publishes "sim.events_processed", "sim.queue_depth",
+  /// "sim.events_cancelled" (Cancel() calls that hit a live event), and
+  /// "sim.queue_occupancy" (a histogram of the pending-event count sampled
+  /// at each executed event: the load profile over the run, where the
+  /// gauge only keeps min/max/last).
+  void AttachMetrics(obs::MetricsRegistry* registry) override;
 
  private:
-  std::unique_ptr<EventLoop> owned_;  // null when wrapping an external loop
-  EventLoop* loop_;
+  /// Runs timers in order until none is due by `deadline`; leaves now()
+  /// at the last one run.
+  void Drive(TimePoint deadline);
+
+  TimerQueue queue_;
+  TimePoint now_ = TimePoint::Zero();
   uint64_t next_strand_ = 1;  // strand 0 always exists
+  int64_t events_processed_ = 0;
+  obs::Counter* events_counter_ = nullptr;
+  obs::Counter* cancelled_counter_ = nullptr;
+  obs::Gauge* queue_depth_gauge_ = nullptr;
+  obs::Histogram* queue_occupancy_ = nullptr;
 };
 
 }  // namespace backend

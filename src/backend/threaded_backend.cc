@@ -1,6 +1,7 @@
 #include "backend/threaded_backend.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/wall_clock.h"
@@ -51,16 +52,13 @@ uint64_t ThreadedBackend::NewStrand() {
 uint64_t ThreadedBackend::ScheduleAfterOn(uint64_t strand, Duration delay,
                                           std::function<void()> fn) {
   if (delay < Duration::Zero()) {
-    delay = Duration::Zero();  // clamp, matching EventLoop::ScheduleAfter
+    delay = Duration::Zero();  // clamp, matching SimBackend
   }
   MutexLock lock(&mu_);
   TimePoint base =
       tls_backend == this ? TimePoint::FromMicros(tls_now_us) : frontier_;
   TimePoint at = base + delay;
-  uint64_t seq = next_seq_++;
-  timers_.emplace(TimerKey{at.micros(), seq},
-                  TimerEntry{strand, std::move(fn)});
-  live_.emplace(seq, at);
+  uint64_t id = timers_.Push(at, strand, std::move(fn));
   StrandState& s = strands_[strand];
   if (s.timers++ == 0 && !s.busy) {
     ++ready_strands_;
@@ -70,35 +68,28 @@ uint64_t ThreadedBackend::ScheduleAfterOn(uint64_t strand, Duration delay,
   if (!s.busy && driving_ && at <= drive_deadline_) {
     work_cv_.NotifyOne();
   }
-  return seq;
+  return id;
 }
 
 bool ThreadedBackend::Cancel(uint64_t id) {
   MutexLock lock(&mu_);
-  auto live = live_.find(id);
-  if (live == live_.end()) {
+  std::optional<uint64_t> strand = timers_.Cancel(id);
+  if (!strand) {
     return false;  // already ran, already cancelled, or never existed
   }
-  auto timer = timers_.find(TimerKey{live->second.micros(), id});
-  if (timer == timers_.end()) {
-    return false;  // unreachable: live_ and timers_ move in lock step
-  }
-  StrandState& s = strands_[timer->second.strand];
+  StrandState& s = strands_[*strand];
   if (--s.timers == 0 && !s.busy) {
     --ready_strands_;
   }
-  timers_.erase(timer);
-  live_.erase(live);
   return true;
 }
 
-std::map<ThreadedBackend::TimerKey, ThreadedBackend::TimerEntry>::iterator
-ThreadedBackend::FirstDispatchable() {
+TimerQueue::iterator ThreadedBackend::FirstDispatchable() {
   if (!driving_ || ready_strands_ == 0) {
     return timers_.end();
   }
   for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    if (TimePoint::FromMicros(it->first.at_us) > drive_deadline_) {
+    if (it->first.at > drive_deadline_) {
       break;  // ordered by time: nothing further qualifies
     }
     if (!strands_[it->second.strand].busy) {
@@ -124,11 +115,9 @@ void ThreadedBackend::WorkerLoop() {
         }
         --in_flight_;
         ++events_processed_;
-        if (events_counter_ != nullptr) {
-          events_counter_->Increment();
-        }
+        obs::Add(events_counter_);
       }
-      std::map<TimerKey, TimerEntry>::iterator it;
+      TimerQueue::iterator it;
       for (;;) {
         if (stopped_) {
           return;
@@ -142,7 +131,7 @@ void ThreadedBackend::WorkerLoop() {
           continue;
         }
         if (time_scale_ > 0.0) {
-          const TimePoint due = TimePoint::FromMicros(it->first.at_us);
+          const TimePoint due = it->first.at;
           if (!anchored_) {
             anchored_ = true;
             anchor_wall_ = WallClockSeconds();
@@ -161,10 +150,8 @@ void ThreadedBackend::WorkerLoop() {
         break;
       }
       strand = it->second.strand;
-      at = TimePoint::FromMicros(it->first.at_us);
-      fn = std::move(it->second.fn);
-      live_.erase(it->first.seq);
-      timers_.erase(it);
+      at = it->first.at;
+      fn = timers_.Take(it);
       StrandState& s = strands_[strand];
       --s.timers;
       s.busy = true;
@@ -191,9 +178,7 @@ void ThreadedBackend::Drive(TimePoint deadline) {
   drive_deadline_ = deadline;
   work_cv_.NotifyAll();
   for (;;) {
-    const bool due =
-        !timers_.empty() &&
-        TimePoint::FromMicros(timers_.begin()->first.at_us) <= deadline;
+    const bool due = !timers_.empty() && timers_.begin()->first.at <= deadline;
     if (stopped_ || (in_flight_ == 0 && !due)) {
       break;
     }
@@ -209,7 +194,7 @@ void ThreadedBackend::RunUntil(TimePoint deadline) {
   }
   Drive(deadline);
   if (frontier_ < deadline) {
-    frontier_ = deadline;  // EventLoop::RunUntil advances now() likewise
+    frontier_ = deadline;  // SimBackend::RunUntil advances now() likewise
   }
 }
 
@@ -224,8 +209,7 @@ void ThreadedBackend::RunUntilIdle() {
 void ThreadedBackend::Stop() {
   MutexLock lock(&mu_);
   stopped_ = true;
-  timers_.clear();
-  live_.clear();
+  timers_.Clear();
   for (auto& [id, state] : strands_) {
     state.timers = 0;
   }
@@ -241,7 +225,7 @@ int64_t ThreadedBackend::events_processed() const {
 
 size_t ThreadedBackend::pending() const {
   MutexLock lock(&mu_);
-  return live_.size();
+  return timers_.size();
 }
 
 void ThreadedBackend::AttachMetrics(obs::MetricsRegistry* registry) {

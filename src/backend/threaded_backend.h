@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "backend/execution_backend.h"
+#include "backend/timer_queue.h"
 #include "common/sim_time.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -20,12 +21,12 @@ class Counter;
 namespace backend {
 
 /// Real-thread execution backend: N worker threads (common/thread_pool)
-/// that pull virtual-time timers straight from one ordered timer map.
+/// that pull virtual-time timers straight from one TimerQueue.
 ///
 /// ## How parity with the simulator is kept (DESIGN.md §16)
 ///
-/// Timers live in one ordered map keyed (firing time, schedule sequence)
-/// — the exact order the deterministic EventLoop fires them. A worker
+/// Timers live in one TimerQueue, ordered (firing time, schedule sequence)
+/// — the same queue and order SimBackend fires them in. A worker
 /// takes the first timer of strand S only when
 ///
 ///   (a) its firing time is within the current drive's deadline, and
@@ -33,14 +34,14 @@ namespace backend {
 ///
 /// (b) serializes each strand: a callback running at time t can only
 /// schedule at >= t with a larger sequence number, so the next timer of S
-/// in map order is exactly the one the simulator would fire next. Each
+/// in queue order is exactly the one the simulator would fire next. Each
 /// strand therefore executes the simulator's (time, sequence) order while
 /// distinct strands run in parallel on distinct workers. Cross-strand
 /// interleaving is unspecified — which is why a StreamingJob occupies a
 /// single strand.
 ///
 /// At most one callback runs per strand and at most N run at once; the
-/// timer map is the only queue.
+/// TimerQueue is the only queue.
 ///
 /// ## Wake-ups
 ///
@@ -63,8 +64,8 @@ namespace backend {
 /// has fully drained, so between drives no callback is executing — that
 /// quiescence is what makes it safe to read job state (sink records,
 /// metrics) from that thread between drives, and to destroy the backend.
-/// Stop() drops undispatched timers without running them, mirroring how
-/// destroying an EventLoop drops its queue; a callback already running
+/// Stop() drops undispatched timers without running them, as
+/// SimBackend::Stop does; a callback already running
 /// finishes, and the destructor joins the workers. The backend is
 /// unusable after Stop().
 class ThreadedBackend final : public ExecutionBackend {
@@ -93,19 +94,6 @@ class ThreadedBackend final : public ExecutionBackend {
       PPA_EXCLUDES(mu_);
 
  private:
-  /// Global timer order: (firing time, schedule sequence) ascending —
-  /// identical to EventLoop's priority order, see class comment.
-  struct TimerKey {
-    int64_t at_us = 0;
-    uint64_t seq = 0;
-    bool operator<(const TimerKey& o) const {
-      return at_us != o.at_us ? at_us < o.at_us : seq < o.seq;
-    }
-  };
-  struct TimerEntry {
-    uint64_t strand = 0;
-    std::function<void()> fn;
-  };
   /// Dispatch bookkeeping for one strand (gate (b) above).
   struct StrandState {
     /// A callback of this strand is running.
@@ -123,8 +111,7 @@ class ThreadedBackend final : public ExecutionBackend {
   /// First timer satisfying the dispatch gate, or timers_.end(). O(1)
   /// when no idle strand has a timer (every one-strand job between its
   /// own callbacks).
-  std::map<TimerKey, TimerEntry>::iterator FirstDispatchable()
-      PPA_REQUIRES(mu_);
+  TimerQueue::iterator FirstDispatchable() PPA_REQUIRES(mu_);
 
   const double time_scale_;
   /// Immutable after construction; ThreadPool is internally synchronized.
@@ -136,17 +123,14 @@ class ThreadedBackend final : public ExecutionBackend {
   /// Wakes the thread blocked in RunUntil/RunUntilIdle once the drive is
   /// drained.
   CondVar done_cv_;
-  /// Undispatched timers in global (time, sequence) order.
-  std::map<TimerKey, TimerEntry> timers_ PPA_GUARDED_BY(mu_);
-  /// Live (cancellable) timer ids -> firing time, for O(log n) Cancel.
-  std::map<uint64_t, TimePoint> live_ PPA_GUARDED_BY(mu_);
+  /// Undispatched timers in global (time, sequence) order; their
+  /// sequence numbers are the timer ids.
+  TimerQueue timers_ PPA_GUARDED_BY(mu_);
   /// Per-strand dispatch state; entries are created on first use.
   std::map<uint64_t, StrandState> strands_ PPA_GUARDED_BY(mu_);
   /// Strands that are not busy and have at least one timer (lets the
   /// dispatch scan return at once when there are none).
   size_t ready_strands_ PPA_GUARDED_BY(mu_) = 0;
-  /// Next schedule sequence / timer id (EventLoop also starts at 1).
-  uint64_t next_seq_ PPA_GUARDED_BY(mu_) = 1;
   /// Next strand id NewStrand() mints (0 is the implicit default strand).
   uint64_t next_strand_ PPA_GUARDED_BY(mu_) = 1;
   /// Callbacks taken by a worker and not yet completed.
@@ -157,7 +141,7 @@ class ThreadedBackend final : public ExecutionBackend {
   /// callbacks.
   TimePoint frontier_ PPA_GUARDED_BY(mu_);
   /// True while a RunUntil/RunUntilIdle drive is in progress; workers
-  /// dispatch nothing between drives (EventLoop parity).
+  /// dispatch nothing between drives (SimBackend parity).
   bool driving_ PPA_GUARDED_BY(mu_) = false;
   /// The active drive's dispatch ceiling (gate (a) in the class comment).
   TimePoint drive_deadline_ PPA_GUARDED_BY(mu_);

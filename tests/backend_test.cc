@@ -1,13 +1,15 @@
-// Tests for src/backend/: the ThreadedBackend dispatch order and its
-// per-strand serialization and worker bound, the SimBackend "adapter adds
-// nothing" identity, and the cross-backend parity oracle (DESIGN.md §16) —
-// the sim run is the golden output the threaded backend must reproduce,
-// including under fault injection.
+// Tests for src/backend/: the timer contract both backends keep (one
+// suite, run on each), the SimBackend metrics, the ThreadedBackend
+// per-strand serialization and worker bound, and the cross-backend parity
+// oracle (DESIGN.md §16) — the sim run is the golden output the threaded
+// backend must reproduce, including under fault injection.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,13 +26,22 @@
 #include "engine/operators.h"
 #include "exp/parity.h"
 #include "exp/run_spec.h"
+#include "obs/metrics.h"
 #include "runtime/job_deps.h"
 #include "runtime/streaming_job.h"
-#include "sim/event_loop.h"
 #include "tests/test_topologies.h"
 #include "workloads/synthetic_recovery.h"
 
 namespace ppa {
+namespace backend {
+
+// Names the parameter of the BackendContract instances ("sim", "threads").
+void PrintTo(BackendKind kind, std::ostream* os) {
+  *os << BackendKindToString(kind);
+}
+
+}  // namespace backend
+
 namespace {
 
 // --- factory / flag spelling ---------------------------------------------
@@ -53,86 +64,204 @@ TEST(BackendFactory, KindSpellingRoundTrips) {
   EXPECT_FALSE(backend::ParseBackendKind("").ok());
 }
 
-// --- ThreadedBackend scheduling drills ------------------------------------
+// --- the timer contract, on both backends --------------------------------
 
-TEST(ThreadedBackend, RunsTimersInSimOrderOnOneStrand) {
-  backend::ThreadedBackend be;
-  // Same-strand callbacks are serialized with happens-before edges through
-  // the backend mutex, so this plain vector needs no lock.
+// Every case drives strand 0 from the test thread. On the threaded backend
+// same-strand callbacks are serialized with happens-before edges through
+// the backend mutex, and a drive returns only once they have finished, so
+// the plain locals below need no locks.
+class BackendContract : public ::testing::TestWithParam<backend::BackendKind> {
+ protected:
+  BackendContract() : be_(backend::MakeBackend(GetParam())) {}
+
+  static TimePoint At(int64_t us) { return TimePoint::FromMicros(us); }
+
+  std::unique_ptr<backend::ExecutionBackend> be_;
+};
+
+TEST_P(BackendContract, FiresInTimeOrder) {
   std::vector<std::string> order;
-  auto record = [&be, &order](std::string label, int64_t want_us) {
-    return [&be, &order, label, want_us] {
-      EXPECT_EQ(be.now().micros(), want_us) << label;
+  auto record = [this, &order](std::string label, int64_t want_us) {
+    return [this, &order, label, want_us] {
+      EXPECT_EQ(be_->now().micros(), want_us) << label;
       order.push_back(label);
     };
   };
-  (void)be.ScheduleAfter(Duration::Seconds(5), record("t5", 5000000));
-  (void)be.ScheduleAfter(Duration::Seconds(1), record("t1a", 1000000));
-  (void)be.ScheduleAfter(Duration::Seconds(3), record("t3", 3000000));
+  (void)be_->ScheduleAfter(Duration::Seconds(5), record("t5", 5000000));
+  (void)be_->ScheduleAfter(Duration::Seconds(1), record("t1a", 1000000));
+  (void)be_->ScheduleAfter(Duration::Seconds(3), record("t3", 3000000));
   // Equal firing times run in schedule order (the sim's FIFO tie-break).
-  (void)be.ScheduleAfter(Duration::Seconds(1), record("t1b", 1000000));
-  EXPECT_EQ(be.pending(), 4u);
+  (void)be_->ScheduleAfter(Duration::Seconds(1), record("t1b", 1000000));
+  EXPECT_EQ(be_->pending(), 4u);
 
-  be.RunUntil(TimePoint::Zero() + Duration::Seconds(10));
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"t1a", "t1b", "t3", "t5"}));
-  EXPECT_EQ(be.events_processed(), 4);
-  EXPECT_EQ(be.pending(), 0u);
-  // Outside callbacks now() is the drive horizon, exactly like the sim.
-  EXPECT_EQ(be.now().micros(), 10000000);
+  be_->RunUntil(TimePoint::Zero() + Duration::Seconds(10));
+  EXPECT_EQ(order, (std::vector<std::string>{"t1a", "t1b", "t3", "t5"}));
+  EXPECT_EQ(be_->events_processed(), 4);
+  EXPECT_EQ(be_->pending(), 0u);
+  // Outside callbacks now() is the drive horizon.
+  EXPECT_EQ(be_->now().micros(), 10000000);
 }
 
-TEST(ThreadedBackend, CallbacksChainAndRunUntilIdleDrains) {
-  backend::ThreadedBackend be;
+TEST_P(BackendContract, SameInstantIsFifo) {
   std::vector<int> order;
-  (void)be.ScheduleAfter(Duration::Seconds(1), [&be, &order] {
-    order.push_back(1);
-    (void)be.ScheduleAfter(Duration::Seconds(1), [&be, &order] {
-      order.push_back(2);
-      (void)be.ScheduleAfter(Duration::Seconds(1),
-                             [&order] { order.push_back(3); });
-    });
+  for (int i = 0; i < 5; ++i) {
+    (void)be_->ScheduleAt(0, At(50), [&order, i] { order.push_back(i); });
+  }
+  be_->RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST_P(BackendContract, NowAdvancesToEventTime) {
+  TimePoint seen;
+  (void)be_->ScheduleAt(0, At(12345), [this, &seen] { seen = be_->now(); });
+  be_->RunUntilIdle();
+  EXPECT_EQ(seen, At(12345));
+  // RunUntilIdle leaves now() at the last event, not at a deadline.
+  EXPECT_EQ(be_->now(), At(12345));
+}
+
+TEST_P(BackendContract, RunUntilStopsAtDeadline) {
+  int fired = 0;
+  (void)be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
+  (void)be_->ScheduleAt(0, At(900), [&fired] { ++fired; });
+  be_->RunUntil(At(500));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(be_->now(), At(500));
+  EXPECT_EQ(be_->pending(), 1u);
+  be_->RunUntil(At(1000));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(be_->now(), At(1000));
+}
+
+TEST_P(BackendContract, ScheduleAfterUsesCurrentTime) {
+  TimePoint seen;
+  (void)be_->ScheduleAt(0, At(100), [this, &seen] {
+    (void)be_->ScheduleAfter(Duration::Micros(50),
+                             [this, &seen] { seen = be_->now(); });
   });
+  be_->RunUntilIdle();
+  EXPECT_EQ(seen, At(150));
+}
+
+TEST_P(BackendContract, PastEventsClampToNow) {
+  TimePoint absolute;
+  TimePoint relative;
+  (void)be_->ScheduleAt(0, At(200), [this, &absolute, &relative] {
+    (void)be_->ScheduleAt(0, At(10),
+                          [this, &absolute] { absolute = be_->now(); });
+    (void)be_->ScheduleAfter(Duration::Micros(-30),
+                             [this, &relative] { relative = be_->now(); });
+  });
+  be_->RunUntilIdle();
+  EXPECT_EQ(absolute, At(200));
+  EXPECT_EQ(relative, At(200));
+}
+
+TEST_P(BackendContract, CancelPreventsExecution) {
+  int fired = 0;
+  uint64_t keep = be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
+  uint64_t cancelled = be_->ScheduleAt(0, At(200), [&fired] { fired += 100; });
+  EXPECT_TRUE(be_->Cancel(cancelled));
+  EXPECT_FALSE(be_->Cancel(cancelled));  // double cancel
+  EXPECT_FALSE(be_->Cancel(9999));       // never existed
+  be_->RunUntilIdle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(be_->Cancel(keep));  // already ran
+}
+
+TEST_P(BackendContract, CancelAfterRunIsRejected) {
+  // Regression: cancelling an id whose event already fired used to return
+  // true and make pending() underflow.
+  int fired = 0;
+  uint64_t ran = be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
+  uint64_t live = be_->ScheduleAt(0, At(900), [&fired] { ++fired; });
+  EXPECT_EQ(be_->pending(), 2u);
+  be_->RunUntil(At(500));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(be_->pending(), 1u);
+  EXPECT_FALSE(be_->Cancel(ran));  // already executed: not cancellable
+  EXPECT_EQ(be_->pending(), 1u);   // no underflow
+  EXPECT_TRUE(be_->Cancel(live));
+  EXPECT_EQ(be_->pending(), 0u);
+  be_->RunUntilIdle();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST_P(BackendContract, PendingExactAcrossCancelAndRun) {
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(be_->ScheduleAt(0, At(100 * (i + 1)), [] {}));
+  }
+  EXPECT_EQ(be_->pending(), 6u);
+  EXPECT_TRUE(be_->Cancel(ids[2]));
+  EXPECT_TRUE(be_->Cancel(ids[4]));
+  EXPECT_EQ(be_->pending(), 4u);
+  // Fires ids[0] and ids[1]; ids[3] and ids[5] stay pending.
+  be_->RunUntil(At(350));
+  EXPECT_EQ(be_->pending(), 2u);
+  EXPECT_FALSE(be_->Cancel(ids[0]));
+  EXPECT_FALSE(be_->Cancel(ids[2]));  // cancelled before it was due
+  EXPECT_EQ(be_->pending(), 2u);
+  be_->RunUntilIdle();
+  EXPECT_EQ(be_->pending(), 0u);
+  EXPECT_EQ(be_->events_processed(), 4);
+}
+
+TEST_P(BackendContract, RecurringEventChain) {
+  int count = 0;
+  std::function<void()> tick = [this, &count, &tick] {
+    ++count;
+    if (count < 10) {
+      (void)be_->ScheduleAfter(Duration::Millis(10), tick);
+    }
+  };
+  (void)be_->ScheduleAfter(Duration::Zero(), tick);
+  be_->RunUntilIdle();
+  EXPECT_EQ(count, 10);
+  EXPECT_EQ(be_->events_processed(), 10);
+  EXPECT_EQ(be_->now(), At(90 * 1000));
+}
+
+TEST_P(BackendContract, StopDropsPendingTimersWithoutRunningThem) {
+  int fired = 0;
+  (void)be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
+  (void)be_->ScheduleAt(0, At(200), [&fired] { ++fired; });
+  be_->Stop();
+  EXPECT_EQ(be_->pending(), 0u);
+  be_->RunUntil(At(1000));
+  be_->RunUntilIdle();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(be_->events_processed(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, BackendContract,
+    ::testing::Values(backend::BackendKind::kSim,
+                      backend::BackendKind::kThreads),
+    [](const ::testing::TestParamInfo<backend::BackendKind>& info) {
+      return backend::BackendKindToString(info.param);
+    });
+
+// --- SimBackend metrics ----------------------------------------------------
+
+TEST(SimBackend, MetricsCountProcessedEventsAndDepth) {
+  backend::SimBackend be;
+  obs::MetricsRegistry registry;
+  be.AttachMetrics(&registry);
+  (void)be.ScheduleAfter(Duration::Micros(100), [] {});
+  (void)be.ScheduleAfter(Duration::Micros(200), [] {});
+  uint64_t id = be.ScheduleAfter(Duration::Micros(300), [] {});
+  EXPECT_EQ(registry.gauge("sim.queue_depth")->value(), 3.0);
+  EXPECT_TRUE(be.Cancel(id));
+  EXPECT_EQ(registry.gauge("sim.queue_depth")->value(), 2.0);
+  EXPECT_EQ(registry.counter("sim.events_cancelled")->value(), 1);
   be.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(be.now().micros(), 3000000);
-  EXPECT_EQ(be.events_processed(), 3);
+  EXPECT_EQ(registry.counter("sim.events_processed")->value(), 2);
+  EXPECT_EQ(registry.gauge("sim.queue_depth")->value(), 0.0);
+  EXPECT_EQ(registry.histogram("sim.queue_occupancy")->count(), 2u);
 }
 
-TEST(ThreadedBackend, NothingRunsPastTheDriveDeadline) {
-  backend::ThreadedBackend be;
-  std::atomic<bool> ran{false};
-  (void)be.ScheduleAfter(Duration::Seconds(10), [&ran] { ran.store(true); });
-  be.RunUntil(TimePoint::Zero() + Duration::Seconds(5));
-  EXPECT_FALSE(ran.load());
-  EXPECT_EQ(be.now().micros(), 5000000);
-  EXPECT_EQ(be.pending(), 1u);
-  be.RunUntil(TimePoint::Zero() + Duration::Seconds(10));
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadedBackend, CancelPreventsExecution) {
-  backend::ThreadedBackend be;
-  std::atomic<int> fired{0};
-  uint64_t keep =
-      be.ScheduleAfter(Duration::Seconds(1), [&fired] { ++fired; });
-  uint64_t cancelled =
-      be.ScheduleAfter(Duration::Seconds(2), [&fired] { fired += 100; });
-  EXPECT_TRUE(be.Cancel(cancelled));
-  EXPECT_FALSE(be.Cancel(cancelled));  // already gone
-  be.RunUntilIdle();
-  EXPECT_EQ(fired.load(), 1);
-  EXPECT_FALSE(be.Cancel(keep));  // already ran
-}
-
-TEST(ThreadedBackend, StopDropsPendingTimersWithoutRunningThem) {
-  backend::ThreadedBackend be;
-  std::atomic<bool> ran{false};
-  (void)be.ScheduleAfter(Duration::Seconds(1), [&ran] { ran.store(true); });
-  be.Stop();
-  EXPECT_FALSE(ran.load());
-  EXPECT_EQ(be.events_processed(), 0);
-}
+// --- ThreadedBackend: strands and workers ----------------------------------
 
 TEST(ThreadedBackend, StrandsRunIndependentlyAndInOrder) {
   backend::ThreadedBackendOptions options;
@@ -227,31 +356,9 @@ TEST(ThreadedBackend, NeverRunsMoreCallbacksThanWorkers) {
   EXPECT_LE(high_water.load(), 2);
 }
 
-// --- SimBackend adapter identity -------------------------------------------
-
-TEST(SimBackend, ForwardsToTheWrappedLoop) {
-  EventLoop loop;
-  backend::SimBackend be(&loop);
-  std::vector<int> order;
-  // Interleave scheduling through the adapter and the raw loop: both feed
-  // the same queue and fire in one (time, insertion) order.
-  (void)be.ScheduleAfter(Duration::Seconds(2), [&order] { order.push_back(2); });
-  (void)loop.ScheduleAfter(Duration::Seconds(1),
-                           [&order] { order.push_back(1); });
-  (void)be.ScheduleAfter(Duration::Seconds(3), [&order] { order.push_back(3); });
-  // Driving the raw loop runs callbacks scheduled through the adapter.
-  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(2));
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  // And vice versa.
-  be.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(be.now(), loop.now());
-  EXPECT_EQ(be.events_processed(), loop.events_processed());
-}
-
-// Shared drill used by the byte-identity and parity tests below: the
-// fig07/fig08 shape — a windowed chain job, a mid-run failure (one node or
-// every worker node), then recovery and a quiet tail.
+// The drill behind the stable-output parity test below: the fig07 shape — a
+// windowed chain job, a mid-run node failure, then recovery and a quiet
+// tail.
 struct DrillResult {
   std::vector<SinkRecord> records;
   size_t recoveries = 0;
@@ -286,13 +393,12 @@ JobConfig MakeDrillConfig(FtMode mode) {
   return cfg;
 }
 
-/// Runs the drill on an already-constructed backend, driving it through
-/// `drive` so the caller chooses adapter-driving vs raw-loop-driving.
-template <typename DriveFn>
-DrillResult RunDrill(backend::ExecutionBackend* be, FtMode mode,
-                     bool correlated, DriveFn drive) {
+/// Runs the fig07-shaped drill (checkpoint recovery, one node dies) on an
+/// already-constructed backend.
+DrillResult RunDrill(backend::ExecutionBackend* be) {
   Topology topo = MakeDrillTopology();
-  StreamingJob job(topo, MakeDrillConfig(mode), JobRuntimeDeps(be));
+  StreamingJob job(topo, MakeDrillConfig(FtMode::kCheckpoint),
+                   JobRuntimeDeps(be));
   PPA_CHECK_OK(job.BindSource(0, [] {
     return std::make_unique<SyntheticSource>(20, 64, 7);
   }));
@@ -302,17 +408,9 @@ DrillResult RunDrill(backend::ExecutionBackend* be, FtMode mode,
     }));
   }
   PPA_CHECK_OK(job.Start());
-  drive(TimePoint::Zero() + Duration::Seconds(20));
-  if (correlated) {
-    // fig08 shape: every worker node that hosts work dies at once.
-    for (int node = 0; node < 5; ++node) {
-      PPA_CHECK_OK(job.InjectNodeFailure(node));
-    }
-  } else {
-    // fig07 shape: one node dies.
-    PPA_CHECK_OK(job.InjectNodeFailure(1));
-  }
-  drive(TimePoint::Zero() + Duration::Seconds(60));
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(20));
+  PPA_CHECK_OK(job.InjectNodeFailure(1));
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(60));
   DrillResult result;
   result.records = job.sink_records();
   result.recoveries = job.recovery_reports().size();
@@ -334,42 +432,6 @@ void ExpectIdenticalOutput(const DrillResult& a, const DrillResult& b) {
   }
 }
 
-TEST(SimBackend, Fig07DrillIsByteIdenticalToDrivingTheEventLoopDirectly) {
-  // Side A: the job sits on a SimBackend, but the test drives the wrapped
-  // EventLoop directly — the pre-refactor execution path.
-  EventLoop loop;
-  backend::SimBackend wrapped(&loop);
-  DrillResult direct =
-      RunDrill(&wrapped, FtMode::kCheckpoint, /*correlated=*/false,
-               [&loop](TimePoint t) { loop.RunUntil(t); });
-
-  // Side B: everything goes through the backend interface.
-  backend::SimBackend be;
-  DrillResult adapted =
-      RunDrill(&be, FtMode::kCheckpoint, /*correlated=*/false,
-               [&be](TimePoint t) { be.RunUntil(t); });
-
-  EXPECT_GT(adapted.records.size(), 0u);
-  EXPECT_GT(adapted.recoveries, 0u);
-  ExpectIdenticalOutput(direct, adapted);
-}
-
-TEST(SimBackend, Fig08CorrelatedDrillIsByteIdenticalToEventLoopDirect) {
-  EventLoop loop;
-  backend::SimBackend wrapped(&loop);
-  DrillResult direct =
-      RunDrill(&wrapped, FtMode::kActiveReplication, /*correlated=*/true,
-               [&loop](TimePoint t) { loop.RunUntil(t); });
-
-  backend::SimBackend be;
-  DrillResult adapted =
-      RunDrill(&be, FtMode::kActiveReplication, /*correlated=*/true,
-               [&be](TimePoint t) { be.RunUntil(t); });
-
-  EXPECT_GT(adapted.records.size(), 0u);
-  ExpectIdenticalOutput(direct, adapted);
-}
-
 // --- ThreadedBackend vs sim: stable output parity --------------------------
 
 TEST(ThreadedBackend, DrillStableOutputMatchesTheSimExactly) {
@@ -377,14 +439,10 @@ TEST(ThreadedBackend, DrillStableOutputMatchesTheSimExactly) {
   // record stream: a single-strand job is deterministic on the threaded
   // backend, so even tentative records must match the sim run.
   backend::SimBackend sim;
-  DrillResult golden =
-      RunDrill(&sim, FtMode::kCheckpoint, /*correlated=*/false,
-               [&sim](TimePoint t) { sim.RunUntil(t); });
+  DrillResult golden = RunDrill(&sim);
 
   backend::ThreadedBackend threads;
-  DrillResult real =
-      RunDrill(&threads, FtMode::kCheckpoint, /*correlated=*/false,
-               [&threads](TimePoint t) { threads.RunUntil(t); });
+  DrillResult real = RunDrill(&threads);
 
   EXPECT_GT(golden.records.size(), 0u);
   ExpectIdenticalOutput(golden, real);

@@ -149,7 +149,7 @@ int ModuleRank(std::string_view module) {
       {"topology", 1}, {"json", 1},
       {"obs", 2},      {"fidelity", 2},
       {"af", 3},
-      {"sim", 3},      {"engine", 3},   {"ft", 3},
+      {"engine", 3},   {"ft", 3},
       {"backend", 4},
       {"planner", 5},  {"runtime", 5},
       {"workloads", 6}, {"report", 6},
@@ -249,16 +249,17 @@ std::vector<Diagnostic> CheckLayering(const std::vector<SourceFile>& files) {
       if (target == module) {
         continue;
       }
-      // Sim-isolation: the deterministic simulator is an implementation
-      // detail of the sim execution backend. Only src/backend/ may include
-      // sim/ headers; everything else (engine, ft, runtime, ...) must go
-      // through backend::ExecutionBackend so the same code runs on real
-      // threads. Emitted instead of the generic layer diagnostic.
-      if (target == "sim" && module != "backend") {
+      // Sim-isolation: the concrete backends (the simulator and the
+      // threaded backend) are implementation details of src/backend/.
+      // Everything else (engine, ft, runtime, ...) must go through
+      // backend::ExecutionBackend so the same code runs on either.
+      // Emitted instead of the generic layer diagnostic.
+      if (edge.target == "backend/sim_backend.h" ||
+          edge.target == "backend/threaded_backend.h") {
         diags.push_back(
             {path, edge.line, "sim-isolation",
              "include of \"" + edge.target + "\": only src/backend/ may "
-             "depend on the simulator; use backend::ExecutionBackend so "
+             "name a concrete backend; use backend::ExecutionBackend so "
              "the code stays backend-neutral (DESIGN.md §16)"});
         continue;
       }

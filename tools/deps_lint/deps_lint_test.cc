@@ -18,7 +18,7 @@ bool HasRule(const std::vector<Diagnostic>& diags, const std::string& rule) {
 TEST(DepsLintModules, RanksFollowTheLayeringContract) {
   EXPECT_EQ(ModuleRank("common"), 0);
   EXPECT_LT(ModuleRank("topology"), ModuleRank("planner"));
-  EXPECT_LT(ModuleRank("sim"), ModuleRank("backend"));
+  EXPECT_LT(ModuleRank("engine"), ModuleRank("backend"));
   EXPECT_LT(ModuleRank("backend"), ModuleRank("runtime"));
   EXPECT_LT(ModuleRank("planner"), ModuleRank("exp"));
   EXPECT_LT(ModuleRank("exp"), ModuleRank("service"));
@@ -61,7 +61,7 @@ TEST(DepsLintCheck, UpwardEdgeIsReported) {
 
 TEST(DepsLintCheck, SameRankSiblingsAreReported) {
   std::vector<SourceFile> files = {
-      {"src/sim/event_loop.cc", "#include \"engine/operator.h\"\n"},
+      {"src/ft/checkpoint.cc", "#include \"engine/operator.h\"\n"},
   };
   auto diags = CheckLayering(files);
   ASSERT_EQ(diags.size(), 1u);
@@ -119,12 +119,14 @@ TEST(DepsLintCheck, AngleAndCommentedIncludesAreIgnored) {
 }
 
 TEST(DepsLintCheck, OnlyBackendMayIncludeSim) {
-  // engine (same layer as sim) and runtime (above sim) both get the
-  // dedicated sim-isolation diagnostic instead of a generic layer one.
+  // engine (below backend) and runtime and exp (above it) all get the
+  // dedicated sim-isolation diagnostic instead of a generic layer one, for
+  // either concrete backend.
   std::vector<SourceFile> files = {
-      {"src/engine/task_runtime.cc", "#include \"sim/event_loop.h\"\n"},
-      {"src/ft/checkpoint.cc", "#include \"sim/event_loop.h\"\n"},
-      {"src/runtime/job.cc", "#include \"sim/event_loop.h\"\n"},
+      {"src/engine/task_runtime.cc",
+       "#include \"backend/sim_backend.h\"\n"},
+      {"src/runtime/job.cc", "#include \"backend/sim_backend.h\"\n"},
+      {"src/exp/runner.cc", "#include \"backend/threaded_backend.h\"\n"},
   };
   auto diags = CheckLayering(files);
   ASSERT_EQ(diags.size(), 3u);
@@ -136,11 +138,14 @@ TEST(DepsLintCheck, OnlyBackendMayIncludeSim) {
 
 TEST(DepsLintCheck, BackendAndSimItselfMayIncludeSim) {
   std::vector<SourceFile> files = {
-      {"src/backend/sim_backend.h", "#include \"sim/event_loop.h\"\n"},
-      {"src/sim/event_loop.cc", "#include \"sim/event_queue.h\"\n"},
-      // The rule only applies to src/: tests and benches drive the sim
-      // directly when they are testing the sim itself.
-      {"bench/sim_probe.cc", "#include \"sim/event_loop.h\"\n"},
+      {"src/backend/sim_backend.cc", "#include \"backend/sim_backend.h\"\n"},
+      {"src/backend/factory.cc",
+       "#include \"backend/threaded_backend.h\"\n"},
+      // Everything else names only the interface.
+      {"src/runtime/job.cc", "#include \"backend/execution_backend.h\"\n"},
+      // The rule only applies to src/: tests and benches build concrete
+      // backends when they are testing the backends themselves.
+      {"tests/backend_test.cc", "#include \"backend/sim_backend.h\"\n"},
   };
   EXPECT_TRUE(CheckLayering(files).empty());
 }

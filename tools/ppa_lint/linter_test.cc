@@ -181,7 +181,7 @@ TEST(PpaLintRules, WallClockShimIsTheOnlySimClockAllowlist) {
       "// ppa-lint: allow-file(wall-clock)\n"
       "auto t = std::chrono::steady_clock::now();\n";
   EXPECT_TRUE(LintFile("src/common/wall_clock.cc", body).empty());
-  auto diags = LintFile("src/sim/event_loop.cc", body);
+  auto diags = LintFile("src/backend/sim_backend.cc", body);
   EXPECT_EQ(Rules(diags), std::set<std::string>{"no-wallclock-in-sim"});
 }
 
