@@ -82,23 +82,6 @@ Status Cluster::PlacePrimary(TaskId task, int node) {
   return OkStatus();
 }
 
-Status Cluster::PlaceReplicas(const std::vector<TaskId>& tasks) {
-  if (num_standbys() == 0 && !tasks.empty()) {
-    return FailedPrecondition("no standby nodes for replicas");
-  }
-  int next = 0;
-  for (TaskId t : tasks) {
-    EnsureTask(t);
-    if (constraints_.replica_ceiling >= 0 && NodeOfReplica(t) < 0 &&
-        placed_replicas_ >= constraints_.replica_ceiling) {
-      return ResourceExhausted("replica budget ceiling reached");
-    }
-    SetReplicaNode(t, num_workers() + next);
-    next = (next + 1) % num_standbys();
-  }
-  return OkStatus();
-}
-
 bool Cluster::ReplicaNodeExcluded(int node) const {
   if (!constraints_.replica_affinity.empty() &&
       std::find(constraints_.replica_affinity.begin(),

@@ -15,9 +15,9 @@ namespace ppa {
 /// imposes nothing, which keeps standalone single-job placement untouched.
 struct PlacementConstraints {
   /// Maximum replicas this job may have placed at once (-1 = unlimited).
-  /// Enforced at PlaceReplicaAuto/PlaceReplicas time: placing a *new*
-  /// replica past the ceiling returns ResourceExhausted (re-placing a
-  /// task that already has one never counts twice).
+  /// Enforced at PlaceReplicaAuto time: placing a *new* replica past the
+  /// ceiling returns ResourceExhausted (re-placing a task that already has
+  /// one never counts twice).
   int replica_ceiling = -1;
   /// If non-empty, replicas may only land on these standby nodes
   /// (affinity). Checked before anti-affinity.
@@ -85,9 +85,6 @@ class Cluster {
   /// Pins one primary to a specific worker node (call before or after the
   /// round-robin placement to override it).
   Status PlacePrimary(TaskId task, int node);
-
-  /// Places replicas of `tasks` on standby nodes round-robin.
-  Status PlaceReplicas(const std::vector<TaskId>& tasks);
 
   /// Places one replica on the alive standby node currently hosting the
   /// fewest replicas (globally, across every view of the pool), preferring

@@ -2,6 +2,20 @@
 
 namespace ppa {
 
+std::string_view FtModeToString(FtMode mode) {
+  switch (mode) {
+    case FtMode::kCheckpoint:
+      return "checkpoint";
+    case FtMode::kSourceReplay:
+      return "source-replay";
+    case FtMode::kActiveReplication:
+      return "active";
+    case FtMode::kPpa:
+      return "ppa";
+  }
+  return "?";
+}
+
 Status JobConfig::Validate() const {
   if (batch_interval <= Duration::Zero()) {
     return InvalidArgument("batch_interval must be positive");

@@ -13,8 +13,6 @@ namespace ppa {
 /// Fault-tolerance strategy of a streaming job (Sec. VI-A compares all of
 /// them).
 enum class FtMode {
-  /// No fault tolerance: failed tasks never recover (for tests).
-  kNone,
   /// Periodic checkpoints + upstream buffer replay (Spark-Streaming-style
   /// passive recovery).
   kCheckpoint,

@@ -77,24 +77,4 @@ void NodePool::AddReplicaLoad(int node, int64_t delta) {
   PPA_CHECK(replica_load_[static_cast<size_t>(node)] >= 0);
 }
 
-std::vector<int> NodePool::AliveWorkers() const {
-  std::vector<int> nodes;
-  for (int node = 0; node < num_workers_; ++node) {
-    if (node_alive_[static_cast<size_t>(node)]) {
-      nodes.push_back(node);
-    }
-  }
-  return nodes;
-}
-
-std::vector<int> NodePool::AliveStandbys() const {
-  std::vector<int> nodes;
-  for (int node = num_workers_; node < num_nodes(); ++node) {
-    if (node_alive_[static_cast<size_t>(node)]) {
-      nodes.push_back(node);
-    }
-  }
-  return nodes;
-}
-
 }  // namespace ppa

@@ -49,11 +49,6 @@ class NodePool {
   /// Adjusts the global replica count of `node` (Cluster-internal).
   void AddReplicaLoad(int node, int64_t delta);
 
-  /// Alive worker nodes, ascending.
-  [[nodiscard]] std::vector<int> AliveWorkers() const;
-  /// Alive standby nodes, ascending.
-  [[nodiscard]] std::vector<int> AliveStandbys() const;
-
  private:
   int num_workers_;
   int num_standbys_;

@@ -9,22 +9,6 @@
 
 namespace ppa {
 
-std::string_view FtModeToString(FtMode mode) {
-  switch (mode) {
-    case FtMode::kNone:
-      return "none";
-    case FtMode::kCheckpoint:
-      return "checkpoint";
-    case FtMode::kSourceReplay:
-      return "source-replay";
-    case FtMode::kActiveReplication:
-      return "active";
-    case FtMode::kPpa:
-      return "ppa";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Latest completion among the report's tasks recovered from an active
@@ -217,18 +201,9 @@ Status StreamingJob::Start() {
 
   // Placement: keep any pins made through cluster() before Start; fill the
   // rest round-robin.
-  bool any_unplaced = false;
   for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
     if (cluster_.NodeOfPrimary(t) < 0) {
-      any_unplaced = true;
-    }
-  }
-  if (any_unplaced) {
-    for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
-      if (cluster_.NodeOfPrimary(t) < 0) {
-        PPA_RETURN_IF_ERROR(
-            cluster_.PlacePrimary(t, t % cluster_.num_workers()));
-      }
+      PPA_RETURN_IF_ERROR(cluster_.PlacePrimary(t, t % cluster_.num_workers()));
     }
   }
   for (TaskId t : active_set_.ToVector()) {
@@ -261,18 +236,11 @@ Status StreamingJob::Start() {
       ScheduleManaged(offset, [this, t] { OnCheckpoint(t); });
     }
   }
-  if (!active_set_.empty() || config_.ft_mode == FtMode::kNone ||
-      config_.ft_mode == FtMode::kActiveReplication) {
+  if (!active_set_.empty()) {
     ScheduleManaged(config_.replica_sync_interval,
                     [this] { OnReplicaSync(); });
   }
   ScheduleManaged(config_.detection_interval, [this] { OnDetection(); });
-  observed_emitted_.assign(static_cast<size_t>(topology_.num_tasks()), 0);
-  observed_processed_.assign(static_cast<size_t>(topology_.num_tasks()), 0);
-  observed_at_ = backend_->now();
-  if (adaptation_interval_ > Duration::Zero()) {
-    ScheduleManaged(adaptation_interval_, [this] { OnAdaptation(); });
-  }
   return OkStatus();
 }
 
@@ -285,91 +253,6 @@ std::unique_ptr<TaskRuntime> StreamingJob::MakeRuntime(TaskId t) {
   }
   return std::make_unique<TaskRuntime>(
       &topology_, t, op_factories_[static_cast<size_t>(oi.id)](), nullptr);
-}
-
-Status StreamingJob::EnablePlanAdaptation(Duration interval,
-                                          AdaptationPlanner planner) {
-  if (started_) {
-    return FailedPrecondition("EnablePlanAdaptation must precede Start");
-  }
-  if (config_.ft_mode != FtMode::kPpa) {
-    return FailedPrecondition("plan adaptation requires FtMode::kPpa");
-  }
-  if (interval <= Duration::Zero() || planner == nullptr) {
-    return InvalidArgument("bad adaptation interval or planner");
-  }
-  adaptation_interval_ = interval;
-  adaptation_planner_ = std::move(planner);
-  return OkStatus();
-}
-
-StatusOr<Topology> StreamingJob::ObservedTopology() {
-  if (!started_) {
-    return FailedPrecondition("job not started");
-  }
-  const double window = (backend_->now() - observed_at_).seconds();
-  TopologyBuilder builder;
-  for (const OperatorInfo& oi : topology_.operators()) {
-    // Observed selectivity: output tuples per processed input tuple over
-    // the window, falling back to the static value with no data.
-    double selectivity = oi.selectivity;
-    if (!oi.upstream.empty() && window > 0) {
-      int64_t emitted = 0;
-      int64_t processed = 0;
-      for (TaskId t : oi.tasks) {
-        emitted += primaries_[static_cast<size_t>(t)]->emitted_tuples() -
-                   observed_emitted_[static_cast<size_t>(t)];
-        processed += primaries_[static_cast<size_t>(t)]->processed_tuples() -
-                     observed_processed_[static_cast<size_t>(t)];
-      }
-      if (processed > 0) {
-        selectivity = static_cast<double>(emitted) /
-                      static_cast<double>(processed);
-      }
-    }
-    builder.AddOperator(oi.name, oi.parallelism, oi.correlation, selectivity);
-    for (int k = 0; k < oi.parallelism; ++k) {
-      const TaskId t = oi.tasks[static_cast<size_t>(k)];
-      double weight = topology_.task(t).weight;
-      if (window > 0) {
-        const double rate =
-            static_cast<double>(
-                primaries_[static_cast<size_t>(t)]->emitted_tuples() -
-                observed_emitted_[static_cast<size_t>(t)]) /
-            window;
-        weight = std::max(rate, 1e-9);
-      }
-      builder.SetTaskWeight(oi.id, k, weight);
-    }
-  }
-  for (const StreamEdge& e : topology_.edges()) {
-    builder.Connect(e.from, e.to, e.scheme);
-  }
-  for (OperatorId src : topology_.source_operators()) {
-    double total = 0.0;
-    if (window > 0) {
-      for (TaskId t : topology_.op(src).tasks) {
-        total += static_cast<double>(
-                     primaries_[static_cast<size_t>(t)]->emitted_tuples() -
-                     observed_emitted_[static_cast<size_t>(t)]) /
-                 window;
-      }
-    } else {
-      for (TaskId t : topology_.op(src).tasks) {
-        total += topology_.task(t).output_rate;
-      }
-    }
-    builder.SetSourceRate(src, std::max(total, 1e-9));
-  }
-  // Advance the observation point.
-  for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
-    observed_emitted_[static_cast<size_t>(t)] =
-        primaries_[static_cast<size_t>(t)]->emitted_tuples();
-    observed_processed_[static_cast<size_t>(t)] =
-        primaries_[static_cast<size_t>(t)]->processed_tuples();
-  }
-  observed_at_ = backend_->now();
-  return builder.Build();
 }
 
 Status StreamingJob::RestoreChain(TaskId t, TaskRuntime* rt) {
@@ -440,24 +323,6 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
   }
   Advance();  // New replicas catch up from the buffered outputs.
   return OkStatus();
-}
-
-void StreamingJob::OnAdaptation() {
-  auto observed = ObservedTopology();
-  if (observed.ok()) {
-    auto plan = adaptation_planner_(*observed);
-    if (plan.ok()) {
-      Status applied = ApplyActiveReplicaSet(*plan);
-      if (!applied.ok()) {
-        PPA_LOG(Warning) << "plan adaptation skipped: "
-                         << applied.ToString();
-      }
-    } else {
-      PPA_LOG(Warning) << "adaptation planner failed: "
-                       << plan.status().ToString();
-    }
-  }
-  ScheduleManaged(adaptation_interval_, [this] { OnAdaptation(); });
 }
 
 void StreamingJob::OnBatchTick() {
@@ -869,8 +734,7 @@ void StreamingJob::OnReplicaSync() {
   }
   // Without checkpoint-driven trimming, primary buffers are trimmed by
   // downstream consumption instead.
-  if (config_.ft_mode == FtMode::kActiveReplication ||
-      config_.ft_mode == FtMode::kNone) {
+  if (config_.ft_mode == FtMode::kActiveReplication) {
     for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
       TaskRuntime* rt = primaries_[static_cast<size_t>(t)].get();
       if (rt->alive() && !topology_.IsSinkTask(t)) {
@@ -916,7 +780,7 @@ int64_t StreamingJob::EstimateReplayTuples(TaskId t, int64_t from_batch) const {
 }
 
 void StreamingJob::OnDetection() {
-  if (!undetected_failures_.empty() && config_.ft_mode != FtMode::kNone) {
+  if (!undetected_failures_.empty()) {
     trace_.Record(backend_->now(), obs::TraceEventKind::kFailureDetected, -1, -1,
                   static_cast<int64_t>(undetected_failures_.size()));
     RecoveryReport report;
@@ -991,9 +855,6 @@ void StreamingJob::OnDetection() {
     reports_.push_back(std::move(report));
     undetected_failures_.clear();
     Advance();
-  }
-  if (config_.ft_mode == FtMode::kNone) {
-    undetected_failures_.clear();
   }
   ScheduleManaged(config_.detection_interval, [this] { OnDetection(); });
 }
@@ -1154,10 +1015,15 @@ Status StreamingJob::InjectDomainFailure(int domain) {
   if (nodes.empty()) {
     return NotFound("no nodes in failure domain");
   }
+  bool failed_any = false;
   for (int node : nodes) {
     if (cluster_.NodeAlive(node)) {
       PPA_RETURN_IF_ERROR(InjectNodeFailure(node));
+      failed_any = true;
     }
+  }
+  if (!failed_any) {
+    return FailedPrecondition("every node in the domain is already failed");
   }
   return OkStatus();
 }
@@ -1280,8 +1146,7 @@ bool StreamingJob::AllRecovered() const {
   return undetected_failures_.empty() && recovering_.empty();
 }
 
-StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
-    int64_t warmup_batches) {
+StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs() {
   if (!started_) {
     return FailedPrecondition("job not started");
   }
@@ -1300,14 +1165,10 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
 
   // Shadow re-execution with complete inputs: fresh runtimes, warmed up
   // before the degraded range so windowed state is exact. Window state
-  // nests across operator levels, so the default warm-up is one window
-  // length per operator. Deterministic sources regenerate the ground-truth
-  // input.
-  if (warmup_batches < 0) {
-    warmup_batches = config_.window_batches * topology_.num_operators();
-  }
-  const int64_t start =
-      std::max<int64_t>(0, report.from_batch - warmup_batches);
+  // nests across operator levels, so the warm-up is one window length per
+  // operator. Deterministic sources regenerate the ground-truth input.
+  const int64_t warmup = config_.window_batches * topology_.num_operators();
+  const int64_t start = std::max<int64_t>(0, report.from_batch - warmup);
   std::vector<std::unique_ptr<TaskRuntime>> shadow;
   shadow.reserve(static_cast<size_t>(topology_.num_tasks()));
   for (TaskId t = 0; t < topology_.num_tasks(); ++t) {

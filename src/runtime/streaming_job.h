@@ -156,25 +156,13 @@ class StreamingJob {
   /// or recovering keep their previous replication status.
   Status ApplyActiveReplicaSet(const TaskSet& tasks);
 
-  /// Periodically re-plans the active replica set: every `interval`, the
-  /// job snapshots the observed per-task rates (ObservedTopology()), asks
-  /// `planner` for a new plan, and applies it with
-  /// ApplyActiveReplicaSet(). Must be called before Start().
-  using AdaptationPlanner = std::function<StatusOr<TaskSet>(const Topology&)>;
-  Status EnablePlanAdaptation(Duration interval, AdaptationPlanner planner);
-
-  /// A copy of the topology whose source rates, task weights, and operator
-  /// selectivities are re-derived from the rates *observed* since the last
-  /// observation point (or job start), for rate-aware re-planning. Falls
-  /// back to the static rates for tasks that processed nothing yet.
-  StatusOr<Topology> ObservedTopology();
-
   /// Kills a node: every primary/replica hosted on it fails. Takes effect
   /// immediately; detection happens at the master's next heartbeat check.
   Status InjectNodeFailure(int node);
 
   /// Kills every alive node of a failure domain (a rack/switch outage —
-  /// the correlated-failure root cause of Sec. I).
+  /// the correlated-failure root cause of Sec. I). NotFound for an empty
+  /// domain, FailedPrecondition when every node of it is already dead.
   Status InjectDomainFailure(int domain);
 
   /// Kills every worker node that hosts at least one primary of a
@@ -234,12 +222,9 @@ class StreamingJob {
   /// shadow runtimes fed complete inputs, appends the corrected sink
   /// records (flagged `correction`), and reports what the tentative phase
   /// missed. Requires every task to be recovered and at least one
-  /// degraded batch.
-  /// `warmup_batches` controls how far before the degraded range the
-  /// shadow run starts so windowed state is exact; the default (-1) uses
-  /// one window length per operator level (windows nest across stages).
-  StatusOr<ReconciliationReport> ReconcileTentativeOutputs(
-      int64_t warmup_batches = -1);
+  /// degraded batch. The warm-up is one window length per operator level
+  /// (windows nest across stages).
+  StatusOr<ReconciliationReport> ReconcileTentativeOutputs();
 
   /// Last batch index whose source emission tick has fired.
   int64_t frontier() const { return frontier_; }
@@ -348,7 +333,6 @@ class StreamingJob {
   bool ShouldSkipCheckpoint(TaskId t, TaskRuntime* rt) const;
   void OnReplicaSync();
   void OnDetection();
-  void OnAdaptation();
   /// Loads `t`'s checkpoint chain (which must exist) into `rt`: the full
   /// base, then each delta in order.
   Status RestoreChain(TaskId t, TaskRuntime* rt);
@@ -445,15 +429,6 @@ class StreamingJob {
   /// Inert (never observed into) when recovery_mode == kPpa.
   af::DivergenceTracker divergence_;
   std::vector<af::ApproxCertificate> approx_certificates_;
-
-  /// Dynamic plan adaptation (Sec. V-C).
-  Duration adaptation_interval_ = Duration::Zero();
-  AdaptationPlanner adaptation_planner_;
-  /// Per-task emitted/processed-tuple counts and time at the last
-  /// observation point.
-  std::vector<int64_t> observed_emitted_;
-  std::vector<int64_t> observed_processed_;
-  TimePoint observed_at_;
 
   /// Observability (src/obs/): write-only recording, gated by
   /// config_.observability. All handles are nullptr when disabled; the

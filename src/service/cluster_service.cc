@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "exp/run_spec.h"
 #include "fidelity/metrics.h"
-#include "report/experiment_report.h"
 #include "topology/task_set.h"
 
 namespace ppa {
@@ -217,13 +216,7 @@ Status ClusterService::ReviveNode(int node) {
   if (pool_->NodeAlive(node)) {
     return FailedPrecondition("node is alive");
   }
-  pool_->ReviveNode(node);
-  ++stats_.node_revivals;
-  for (auto& [id, t] : tenants_) {
-    if (t.phase == TenantPhase::kRunning || t.phase == TenantPhase::kDegraded) {
-      PPA_CHECK_OK(t.job->NotifyNodeRevived(node));
-    }
-  }
+  ReviveNodeInternal(node);
   RebalanceStandbys();
   ScanQueue();
   return OkStatus();
@@ -238,14 +231,7 @@ Status ClusterService::ReviveDomain(int domain) {
   for (int node : members) {
     if (!pool_->NodeAlive(node)) {
       any_failed = true;
-      pool_->ReviveNode(node);
-      ++stats_.node_revivals;
-      for (auto& [id, t] : tenants_) {
-        if (t.phase == TenantPhase::kRunning ||
-            t.phase == TenantPhase::kDegraded) {
-          PPA_CHECK_OK(t.job->NotifyNodeRevived(node));
-        }
-      }
+      ReviveNodeInternal(node);
     }
   }
   if (!any_failed) {
@@ -488,6 +474,16 @@ void ClusterService::FailNodeInternal(int node) {
   }
 }
 
+void ClusterService::ReviveNodeInternal(int node) {
+  pool_->ReviveNode(node);
+  ++stats_.node_revivals;
+  for (auto& [id, t] : tenants_) {
+    if (t.phase == TenantPhase::kRunning || t.phase == TenantPhase::kDegraded) {
+      PPA_CHECK_OK(t.job->NotifyNodeRevived(node));
+    }
+  }
+}
+
 void ClusterService::Arbitrate() {
   std::vector<ArbitrationClaim> claims;
   for (auto& [id, t] : tenants_) {
@@ -681,14 +677,6 @@ JsonValue ClusterService::ReportToJson() const {
   }
   root.Set("arbitration", std::move(arbitration));
   return root;
-}
-
-StatusOr<JsonValue> ClusterService::TenantProfileToJson(int tenant) const {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.job == nullptr) {
-    return NotFound("tenant was never admitted");
-  }
-  return JobProfileToJson(*it->second.job);
 }
 
 }  // namespace service

@@ -173,11 +173,6 @@ class ClusterService {
   /// runs of the same scenario.
   [[nodiscard]] JsonValue ReportToJson() const;
 
-  /// Full observability profile of one tenant's job (metrics + trace +
-  /// spans + fidelity timeseries); NotFound for unknown or never-admitted
-  /// tenants.
-  [[nodiscard]] StatusOr<JsonValue> TenantProfileToJson(int tenant) const;
-
  private:
   struct Tenant {
     int id = -1;
@@ -217,6 +212,8 @@ class ClusterService {
 
   /// Pool-level failure + per-tenant notification (no arbitration).
   void FailNodeInternal(int node);
+  /// Pool-level revival + per-tenant notification (no rebalancing).
+  void ReviveNodeInternal(int node);
   /// Ranks tenants with unrecovered tasks and assigns pending holds.
   void Arbitrate();
   /// Consumed by tenant jobs' RecoveryArbiter callbacks at detection.

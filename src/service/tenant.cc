@@ -74,7 +74,6 @@ StatusOr<Topology> ValidateTenantSpec(const TenantSpec& spec) {
             "active replication needs replica_budget >= num_tasks");
       }
       break;
-    case FtMode::kNone:
     case FtMode::kCheckpoint:
     case FtMode::kSourceReplay:
       if (!spec.initial_plan.empty()) {

@@ -68,8 +68,7 @@ struct TaskInfo {
 /// of tasks connected by substreams, with a derived rate on every substream
 /// and every task output stream (Sec. II). Build instances with
 /// TopologyBuilder. The only post-build mutation is updating source rates /
-/// task weights and recomputing the derived rates, which supports dynamic
-/// plan adaptation (Sec. V-C).
+/// task weights and recomputing the derived rates.
 class Topology {
  public:
   Topology() = default;

@@ -4,7 +4,6 @@
 
 #include "backend/sim_backend.h"
 #include "engine/operators.h"
-#include "planner/structure_aware_planner.h"
 #include "runtime/streaming_job.h"
 #include "workloads/synthetic_recovery.h"
 
@@ -40,16 +39,14 @@ JobConfig AdaptConfig() {
   return cfg;
 }
 
-/// Source whose hot task flips from index 0 to index 1 at `flip_batch`.
-class ShiftingSource : public SourceFunction {
+/// Source whose task 0 emits `hot` tuples per batch and every other task
+/// `cold`.
+class SkewedSource : public SourceFunction {
  public:
-  ShiftingSource(int64_t hot, int64_t cold, int64_t flip_batch)
-      : hot_(hot), cold_(cold), flip_batch_(flip_batch) {}
+  SkewedSource(int64_t hot, int64_t cold) : hot_(hot), cold_(cold) {}
 
-  std::vector<Tuple> NextBatch(int64_t batch, int task) override {
-    const bool task0_hot = batch < flip_batch_;
-    const int64_t count =
-        (task == 0) == task0_hot ? hot_ : cold_;
+  std::vector<Tuple> NextBatch(int64_t /*batch*/, int task) override {
+    const int64_t count = task == 0 ? hot_ : cold_;
     std::vector<Tuple> out;
     for (int64_t i = 0; i < count; ++i) {
       Tuple t;
@@ -63,15 +60,14 @@ class ShiftingSource : public SourceFunction {
  private:
   int64_t hot_;
   int64_t cold_;
-  int64_t flip_batch_;
 };
 
 std::unique_ptr<StreamingJob> MakeJob(backend::ExecutionBackend* loop,
-                                      int64_t flip_batch = 1 << 20) {
-  auto job = std::make_unique<StreamingJob>(MakeAdaptTopology(),
-                                            AdaptConfig(), JobRuntimeDeps(loop));
-  PPA_CHECK_OK(job->BindSource(0, [flip_batch] {
-    return std::make_unique<ShiftingSource>(80, 20, flip_batch);
+                                      const JobConfig& config = AdaptConfig()) {
+  auto job = std::make_unique<StreamingJob>(MakeAdaptTopology(), config,
+                                            JobRuntimeDeps(loop));
+  PPA_CHECK_OK(job->BindSource(0, [] {
+    return std::make_unique<SkewedSource>(80, 20);
   }));
   for (OperatorId op : {1, 2}) {
     PPA_CHECK_OK(job->BindOperator(op, [] {
@@ -92,31 +88,13 @@ TEST(AdaptationTest, RequiresPpaMode) {
   backend::SimBackend loop;
   JobConfig cfg = AdaptConfig();
   cfg.ft_mode = FtMode::kCheckpoint;
-  StreamingJob job(MakeAdaptTopology(), cfg, JobRuntimeDeps(&loop));
-  EXPECT_EQ(job.EnablePlanAdaptation(Duration::Seconds(5),
-                                     [](const Topology&) {
-                                       return TaskSet(4);
-                                     })
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(AdaptationTest, EnableValidation) {
-  backend::SimBackend loop;
-  auto job = MakeJob(&loop);
-  EXPECT_EQ(job->EnablePlanAdaptation(Duration::Zero(),
-                                      [](const Topology&) {
-                                        return TaskSet(4);
-                                      })
-                .code(),
-            StatusCode::kInvalidArgument);
+  auto job = MakeJob(&loop, cfg);
   PPA_CHECK_OK(job->Start());
-  EXPECT_EQ(job->EnablePlanAdaptation(Duration::Seconds(5),
-                                      [](const Topology&) {
-                                        return TaskSet(4);
-                                      })
-                .code(),
+  TaskSet plan(4);
+  plan.Add(2);
+  EXPECT_EQ(job->ApplyActiveReplicaSet(plan).code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(job->replica(2), nullptr);
 }
 
 TEST(AdaptationTest, MidRunActivationCatchesUpAndEnablesTakeover) {
@@ -226,49 +204,6 @@ TEST(AdaptationTest, RecoveringTaskKeepsItsReplica) {
       << "the replica is the recovery path and must not be deactivated";
   loop.RunUntil(TimePoint::Zero() + Duration::Seconds(30));
   EXPECT_TRUE(job->AllRecovered());
-}
-
-TEST(AdaptationTest, ObservedTopologyTracksRatesAndSelectivity) {
-  backend::SimBackend loop;
-  auto job = MakeJob(&loop);
-  PPA_CHECK_OK(job->Start());
-  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(20.5));
-  auto observed = job->ObservedTopology();
-  ASSERT_TRUE(observed.ok()) << observed.status();
-  // Source task 0 is hot (80/batch), task 1 cold (20/batch).
-  const double r0 = observed->task(observed->op(0).tasks[0]).output_rate;
-  const double r1 = observed->task(observed->op(0).tasks[1]).output_rate;
-  EXPECT_NEAR(r0, 80.0, 8.0);
-  EXPECT_NEAR(r1, 20.0, 4.0);
-  // Operators emit ~0.5 tuples per input (window aggregate selectivity).
-  EXPECT_NEAR(observed->op(1).selectivity, 0.5, 0.05);
-  EXPECT_NEAR(observed->op(2).selectivity, 0.5, 0.05);
-}
-
-TEST(AdaptationTest, PeriodicAdaptationFollowsTheHotTask) {
-  backend::SimBackend loop;
-  // Hot task flips from src[0] to src[1] at batch 30.
-  auto job = MakeJob(&loop, /*flip_batch=*/30);
-  PPA_CHECK_OK(job->EnablePlanAdaptation(
-      Duration::Seconds(10), [](const Topology& observed) -> StatusOr<TaskSet> {
-        StructureAwarePlanner planner;
-        PPA_ASSIGN_OR_RETURN(ReplicationPlan plan,
-                             planner.Plan({observed, 3}));
-        return plan.replicated;
-      }));
-  PPA_CHECK_OK(job->Start());
-
-  // After the first adaptations (observing batches < 30), the replicated
-  // source task is the hot src[0].
-  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(25));
-  EXPECT_NE(job->replica(0), nullptr);
-  EXPECT_EQ(job->replica(1), nullptr);
-
-  // After the flip and another adaptation round, the plan follows the new
-  // hot task.
-  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(55));
-  EXPECT_EQ(job->replica(0), nullptr);
-  EXPECT_NE(job->replica(1), nullptr);
 }
 
 }  // namespace

@@ -209,8 +209,6 @@ TEST(JobConfigAfTest, ApproxRequiresCheckpointBearingFt) {
   EXPECT_THAT(std::string(status.message()), HasSubstr("checkpoint-bearing"));
   cfg.ft_mode = FtMode::kActiveReplication;
   EXPECT_FALSE(cfg.Validate().ok());
-  cfg.ft_mode = FtMode::kNone;
-  EXPECT_FALSE(cfg.Validate().ok());
 }
 
 TEST(JobConfigAfTest, HybridRequiresPpa) {

@@ -147,6 +147,27 @@ TEST(FailureDomainTest, UnknownDomainRejected) {
   EXPECT_EQ(job->InjectDomainFailure(777).code(), StatusCode::kNotFound);
 }
 
+// Failing a domain whose nodes are all dead is rejected, as failing a dead
+// node is, and as ClusterService rejects it.
+TEST(FailureDomainTest, DeadDomainRejected) {
+  backend::SimBackend loop;
+  auto job = MakeDomainJob(&loop);
+  PPA_CHECK_OK(job->cluster().AssignDomain(2, 42));
+  PPA_CHECK_OK(job->cluster().AssignDomain(3, 42));
+  PPA_CHECK_OK(job->Start());
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(8.5));
+  PPA_CHECK_OK(job->InjectDomainFailure(42));
+  const int64_t failures =
+      job->trace().CountOf(obs::TraceEventKind::kNodeFailure);
+  EXPECT_EQ(job->InjectDomainFailure(42).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(job->trace().CountOf(obs::TraceEventKind::kNodeFailure), failures);
+  // A partly revived domain fails again.
+  PPA_CHECK_OK(job->ReviveNode(3));
+  PPA_CHECK_OK(job->InjectDomainFailure(42));
+  EXPECT_FALSE(job->cluster().NodeAlive(3));
+}
+
 TEST(FailureDomainTest, CrossDomainReplicaSurvivesRackOutage) {
   backend::SimBackend loop;
   auto job = MakeDomainJob(&loop);

@@ -47,23 +47,6 @@ std::unique_ptr<StreamingJob> MakeMiscJob(backend::ExecutionBackend* loop, FtMod
   return job;
 }
 
-TEST(FtModeNoneTest, FailedTasksStayDeadAndOutputDegrades) {
-  backend::SimBackend loop;
-  auto job = MakeMiscJob(&loop, FtMode::kNone);
-  PPA_CHECK_OK(job->Start());
-  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(10.5));
-  const size_t records_before = job->sink_records().size();
-  PPA_CHECK_OK(job->InjectNodeFailure(job->cluster().NodeOfPrimary(2)));
-  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(40));
-  EXPECT_FALSE(job->primary(2)->alive());
-  EXPECT_TRUE(job->recovery_reports().empty());
-  // kNone still clears the detection queue so the job is not "recovering".
-  EXPECT_TRUE(job->AllRecovered());
-  // The sink stalls forever on the dead upstream: no records after the
-  // failure (no tentative mode, no recovery).
-  EXPECT_EQ(job->sink_records().size(), records_before);
-}
-
 TEST(StreamingJobTest, CorrelatedFailureSparesSourcesByDefault) {
   backend::SimBackend loop;
   auto job = MakeMiscJob(&loop, FtMode::kCheckpoint);
@@ -95,13 +78,6 @@ TEST(StreamingJobTest, CheckpointsSkipDeadTasksAndResumeAfterRecovery) {
   loop.RunUntil(TimePoint::Zero() + Duration::Seconds(40));
   EXPECT_TRUE(job->AllRecovered());
   EXPECT_GT(job->CheckpointCount(2), checkpoints_before);
-}
-
-TEST(StreamingJobTest, ObservedTopologyRequiresStart) {
-  backend::SimBackend loop;
-  auto job = MakeMiscJob(&loop, FtMode::kPpa);
-  EXPECT_EQ(job->ObservedTopology().status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(StreamingJobTest, DoubleStartRejected) {

@@ -498,7 +498,8 @@ TEST(ClusterTest, PlacementAndFailure) {
   cluster.PlacePrimariesRoundRobin(topo);
   EXPECT_EQ(cluster.NodeOfPrimary(0), 0);
   EXPECT_EQ(cluster.NodeOfPrimary(3), 0);  // 3 % 3 workers.
-  PPA_CHECK_OK(cluster.PlaceReplicas({1, 2}));
+  PPA_CHECK_OK(cluster.PlaceReplicaAuto(1));
+  PPA_CHECK_OK(cluster.PlaceReplicaAuto(2));
   EXPECT_EQ(cluster.NodeOfReplica(1), 3);
   EXPECT_EQ(cluster.NodeOfReplica(2), 4);
   EXPECT_EQ(cluster.NodeOfReplica(0), -1);
