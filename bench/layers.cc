@@ -86,10 +86,10 @@ void BM_GatherRunBatch(benchmark::State& state) {
   for (int p = 0; p < producers; ++p) {
     for (int i = 0; i < tuples_per_producer; ++i) {
       Tuple t;
-      t.key = "k" + std::to_string(i % 512);
+      t.key = TupleKey::Numbered("k", i % 512);
       t.value = i;
       t.producer = topo.op(src).tasks[static_cast<size_t>(p)];
-      upstream[static_cast<size_t>(p)].tuples.push_back(std::move(t));
+      upstream[static_cast<size_t>(p)].tuples.push_back(t);
     }
   }
 

@@ -31,7 +31,7 @@ std::map<GroupKey, OutputGroup> GroupStableRecords(const StreamingJob& job,
       continue;
     }
     groups[{record.tuple.producer, record.tuple.batch}]
-          [{record.tuple.key, record.tuple.value}]++;
+          [{record.tuple.key.str(), record.tuple.value}]++;
   }
   return groups;
 }

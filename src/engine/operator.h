@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -28,13 +29,12 @@ class BatchContext {
   /// Parallelism of the executing operator.
   int parallelism() const { return parallelism_; }
 
-  /// Emits an output tuple; key/value are taken from `t`, the engine fills
-  /// in provenance (batch, seq, producer).
-  void Emit(std::string key, int64_t value) {
-    Tuple t;
-    t.key = std::move(key);
+  /// Emits an output tuple built in place from `key` and `value`; the
+  /// engine fills in provenance (batch, seq, producer).
+  void Emit(std::string_view key, int64_t value) {
+    Tuple& t = emitted_.emplace_back();
+    t.key = key;
     t.value = value;
-    emitted_.push_back(std::move(t));
   }
 
   std::vector<Tuple>& emitted() { return emitted_; }

@@ -221,10 +221,10 @@ void WindowedKeyCountOperator::Evict(int64_t current_batch) {
 void WindowedKeyCountOperator::ProcessBatch(BatchContext* ctx,
                                             const std::vector<Tuple>& inputs) {
   Evict(ctx->batch_index());
-  std::map<std::string, int64_t> added;
+  KeyCounts added;
   for (const Tuple& t : inputs) {
-    added[t.key] += 1;
-    counts_[t.key] += 1;
+    FindOrInsert(added, t.key) += 1;
+    FindOrInsert(counts_, t.key) += 1;
   }
   for (const auto& [key, delta] : added) {
     (void)delta;
@@ -256,7 +256,7 @@ Status WindowedKeyCountOperator::RestoreState(const std::string& snapshot) {
     int64_t batch;
     PPA_ASSIGN_OR_RETURN(batch, r.GetI64());
     PPA_ASSIGN_OR_RETURN(uint64_t entries, r.GetU64());
-    std::map<std::string, int64_t> added;
+    KeyCounts added;
     for (uint64_t j = 0; j < entries; ++j) {
       PPA_ASSIGN_OR_RETURN(std::string key, r.GetString());
       PPA_ASSIGN_OR_RETURN(int64_t count, r.GetI64());
@@ -320,7 +320,7 @@ void SymmetricWindowJoinOperator::ProcessBatch(
     const bool left = is_left_(t);
     Side& own = left ? left_ : right_;
     Side& other = left ? right_ : left_;
-    auto match = other.find(t.key);
+    auto match = other.find(t.key.view());
     if (match != other.end()) {
       for (const Entry& e : match->second) {
         const int64_t value = left ? combine_(t.value, e.value)
@@ -328,7 +328,7 @@ void SymmetricWindowJoinOperator::ProcessBatch(
         ctx->Emit(t.key, value);
       }
     }
-    own[t.key].push_back(Entry{b, t.value});
+    FindOrInsert(own, t.key).push_back(Entry{b, t.value});
   }
 }
 

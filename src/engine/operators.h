@@ -104,12 +104,15 @@ class WindowedKeyCountOperator : public OperatorFunction {
   int64_t StateSizeTuples() const override;
 
  private:
+  /// Per-key counts, looked up by a tuple's key view.
+  using KeyCounts = std::map<std::string, int64_t, std::less<>>;
+
   void Evict(int64_t current_batch);
 
   int64_t window_batches_;
   /// batch -> per-key counts added in that batch (needed for eviction).
-  std::deque<std::pair<int64_t, std::map<std::string, int64_t>>> slices_;
-  std::map<std::string, int64_t> counts_;
+  std::deque<std::pair<int64_t, KeyCounts>> slices_;
+  KeyCounts counts_;
 };
 
 /// Symmetric windowed equi-join on the tuple key (the generic
@@ -142,7 +145,7 @@ class SymmetricWindowJoinOperator : public OperatorFunction {
     int64_t batch = 0;
     int64_t value = 0;
   };
-  using Side = std::map<std::string, std::vector<Entry>>;
+  using Side = std::map<std::string, std::vector<Entry>, std::less<>>;
 
   void Evict(int64_t current_batch);
   static std::string SnapshotSide(const Side& side);

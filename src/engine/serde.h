@@ -109,6 +109,8 @@ class BinaryReader {
   /// Appends `count` tuples written by BinaryWriter::PutTuples to `out`.
   /// A count that cannot fit in the remaining bytes is rejected before
   /// anything is reserved, so a corrupt count fails instead of allocating.
+  /// A stored key longer than TupleKey::kCapacity is OutOfRange, found
+  /// before its tuple is appended.
   Status GetTuples(uint64_t count, std::vector<Tuple>* out) {
     if (count > remaining() / kTupleFixedBytes) {
       return OutOfRange("tuple count exceeds buffer");
@@ -124,9 +126,14 @@ class BinaryReader {
       if (left < kTupleFixedBytes || key_size > left - kTupleFixedBytes) {
         return OutOfRange("truncated tuple");
       }
+      if (key_size > TupleKey::kCapacity) {
+        return OutOfRange("stored tuple key of " + std::to_string(key_size) +
+                          " bytes exceeds " +
+                          std::to_string(TupleKey::kCapacity));
+      }
       const char* in = data_.data() + pos_ + sizeof(key_size);
       Tuple& t = out->emplace_back();
-      t.key.assign(in, key_size);
+      t.key = std::string_view(in, key_size);
       in += key_size;
       int64_t fixed[4] = {};
       std::memcpy(fixed, in, sizeof(fixed));

@@ -148,8 +148,6 @@ void TaskRuntime::ClearOutputBuffer() {
 void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
   while (!output_buffer_.empty() &&
          output_buffer_.front().batch <= up_to_batch) {
-    // The destructor walks the batch's tuples next, so sizing it here
-    // reads nothing it would not have read anyway.
     const BatchOutput& front = output_buffer_.front();
     buffered_tuples_ -= static_cast<int64_t>(front.tuples.size());
     buffered_bytes_ -= EncodedBatchBytes(front);

@@ -237,8 +237,7 @@ Status StreamingJob::Start() {
     }
   }
   if (!active_set_.empty()) {
-    ScheduleManaged(config_.replica_sync_interval,
-                    [this] { OnReplicaSync(); });
+    StartReplicaSync();
   }
   ScheduleManaged(config_.detection_interval, [this] { OnDetection(); });
   return OkStatus();
@@ -320,6 +319,9 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
       continue;
     }
     PPA_RETURN_IF_ERROR(ActivateReplica(t));
+  }
+  if (!tasks.empty()) {
+    StartReplicaSync();
   }
   Advance();  // New replicas catch up from the buffered outputs.
   return OkStatus();
@@ -700,6 +702,15 @@ void StreamingJob::TrimUpstreamBuffers(TaskId checkpointed) {
       primaries_[static_cast<size_t>(u)]->TrimOutputBuffer(min_covered - 1);
     }
   }
+}
+
+void StreamingJob::StartReplicaSync() {
+  if (replica_sync_started_) {
+    return;
+  }
+  replica_sync_started_ = true;
+  ScheduleManaged(config_.replica_sync_interval,
+                  [this] { OnReplicaSync(); });
 }
 
 void StreamingJob::OnReplicaSync() {
@@ -1205,7 +1216,7 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs() {
   // Diff the corrected outputs against what was emitted tentatively for
   // the same batches (by batch/key/value identity).
   auto key_of = [](const Tuple& t) {
-    return std::to_string(t.batch) + "|" + t.key + "|" +
+    return std::to_string(t.batch) + "|" + t.key.str() + "|" +
            std::to_string(t.value) + "|" + std::to_string(t.producer);
   };
   std::multiset<std::string> tentative_set;

@@ -331,6 +331,10 @@ class StreamingJob {
   /// skipped — eligibility, fresh coverage to certify, the error budget
   /// over the job's at-risk drift, and the certified-loss cap.
   bool ShouldSkipCheckpoint(TaskId t, TaskRuntime* rt) const;
+  /// Schedules the recurring OnReplicaSync, once per job: at Start() for
+  /// a non-empty initial plan, else when ApplyActiveReplicaSet first
+  /// brings replicas in, so their output buffers are trimmed too.
+  void StartReplicaSync();
   void OnReplicaSync();
   void OnDetection();
   /// Loads `t`'s checkpoint chain (which must exist) into `rt`: the full
@@ -368,6 +372,8 @@ class StreamingJob {
   int64_t EstimateReplayTuples(TaskId t, int64_t from_batch) const;
 
   bool started_ = false;
+  /// Whether the recurring replica sync is scheduled (StartReplicaSync).
+  bool replica_sync_started_ = false;
   bool stopped_ = false;
   /// Pending backend event ids Stop() must cancel (ordered for
   /// deterministic cancellation).

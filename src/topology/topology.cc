@@ -51,31 +51,6 @@ std::string Topology::TaskLabel(TaskId id) const {
   return oss.str();
 }
 
-Status Topology::SetSourceRate(OperatorId op_id, double total_rate) {
-  if (op_id < 0 || op_id >= num_operators()) {
-    return InvalidArgument("SetSourceRate: bad operator id");
-  }
-  if (!operators_[op_id].upstream.empty()) {
-    return InvalidArgument("SetSourceRate: operator is not a source");
-  }
-  if (total_rate < 0) {
-    return InvalidArgument("SetSourceRate: negative rate");
-  }
-  source_rates_[op_id] = total_rate;
-  return OkStatus();
-}
-
-Status Topology::SetTaskWeight(TaskId task_id, double weight) {
-  if (task_id < 0 || task_id >= num_tasks()) {
-    return InvalidArgument("SetTaskWeight: bad task id");
-  }
-  if (weight <= 0) {
-    return InvalidArgument("SetTaskWeight: weight must be positive");
-  }
-  tasks_[task_id].weight = weight;
-  return OkStatus();
-}
-
 void Topology::RecomputeRates() {
   for (Substream& s : substreams_) {
     s.rate = 0.0;

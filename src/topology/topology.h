@@ -108,15 +108,6 @@ class Topology {
   /// Human-readable task label, e.g. "agg[3]".
   [[nodiscard]] std::string TaskLabel(TaskId id) const;
 
-  /// Sets the aggregate output rate (tuples/s) of a source operator; it is
-  /// divided among the operator's tasks proportionally to task weights.
-  /// Call RecomputeRates() afterwards.
-  Status SetSourceRate(OperatorId op, double total_rate);
-
-  /// Sets the key-share weight of a task (drives workload skew).
-  /// Call RecomputeRates() afterwards.
-  Status SetTaskWeight(TaskId task, double weight);
-
   /// Re-derives all substream and task output rates from source rates,
   /// task weights, and operator selectivities, in topological order:
   ///   substream(u -> t).rate = out_rate(u) * weight(t) / sum of weights of

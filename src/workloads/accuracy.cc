@@ -25,7 +25,7 @@ std::set<std::string> SinkKeySet(const std::vector<SinkRecord>& records,
   std::set<std::string> keys;
   for (const SinkRecord& r : records) {
     if (r.tuple.batch >= from_batch && r.tuple.batch <= to_batch) {
-      keys.insert(r.tuple.key);
+      keys.insert(r.tuple.key.str());
     }
   }
   return keys;
@@ -37,7 +37,7 @@ std::map<int64_t, std::set<std::string>> SinkKeySetsByBatch(
   std::map<int64_t, std::set<std::string>> by_batch;
   for (const SinkRecord& r : records) {
     if (r.tuple.batch >= from_batch && r.tuple.batch <= to_batch) {
-      by_batch[r.tuple.batch].insert(r.tuple.key);
+      by_batch[r.tuple.batch].insert(r.tuple.key.str());
     }
   }
   return by_batch;

@@ -9,8 +9,7 @@
 namespace ppa {
 namespace {
 
-Status RestoreStringToBatchMap(const std::string& snapshot,
-                               std::map<std::string, int64_t>* out) {
+Status RestoreStringToBatchMap(const std::string& snapshot, KeyBatchMap* out) {
   BinaryReader r(snapshot);
   out->clear();
   PPA_ASSIGN_OR_RETURN(uint64_t n, r.GetU64());
@@ -25,7 +24,7 @@ Status RestoreStringToBatchMap(const std::string& snapshot,
   return OkStatus();
 }
 
-std::string SnapshotStringToBatchMap(const std::map<std::string, int64_t>& m) {
+std::string SnapshotStringToBatchMap(const KeyBatchMap& m) {
   BinaryWriter w;
   w.PutU64(m.size());
   for (const auto& [key, value] : m) {
@@ -35,7 +34,7 @@ std::string SnapshotStringToBatchMap(const std::map<std::string, int64_t>& m) {
   return std::move(w).data();
 }
 
-void EvictOlderThan(std::map<std::string, int64_t>* m, int64_t min_batch) {
+void EvictOlderThan(KeyBatchMap* m, int64_t min_batch) {
   for (auto it = m->begin(); it != m->end();) {
     if (it->second < min_batch) {
       it = m->erase(it);
@@ -125,9 +124,9 @@ std::vector<Tuple> LocationSource::NextBatch(int64_t batch_index,
         jammed ? 200 + static_cast<int64_t>(rng.NextUint64(1000))
                : 4000 + static_cast<int64_t>(rng.NextUint64(2000));
     Tuple t;
-    t.key = "s" + std::to_string(segment);
+    t.key = TupleKey::Numbered("s", segment);
     t.value = speed;
-    out.push_back(std::move(t));
+    out.push_back(t);
   }
   return out;
 }
@@ -150,9 +149,9 @@ std::vector<Tuple> IncidentReportSource::NextBatch(int64_t batch_index,
   out.reserve(static_cast<size_t>(share));
   for (int i = 0; i < share; ++i) {
     Tuple t;
-    t.key = "s" + std::to_string(segment);
+    t.key = TupleKey::Numbered("s", segment);
     t.value = kIncidentValueBase + incident;
-    out.push_back(std::move(t));
+    out.push_back(t);
   }
   return out;
 }
@@ -169,7 +168,7 @@ void SegmentSpeedOperator::ProcessBatch(BatchContext* ctx,
   Slice slice;
   slice.batch = b;
   for (const Tuple& t : inputs) {
-    auto& [sum, count] = slice.sum_count[t.key];
+    auto& [sum, count] = FindOrInsert(slice.sum_count, t.key);
     sum += t.value;
     ++count;
   }
@@ -249,7 +248,7 @@ void DistinctIncidentOperator::ProcessBatch(BatchContext* ctx,
     if (t.value < IncidentReportSource::kIncidentValueBase) {
       continue;  // Not an incident report.
     }
-    const std::string dedup_key = t.key + "|" + std::to_string(t.value);
+    const std::string dedup_key = t.key.str() + "|" + std::to_string(t.value);
     if (seen_.emplace(dedup_key, b).second) {
       ctx->Emit(t.key, t.value);  // First report of this incident.
     }
@@ -292,10 +291,10 @@ void IncidentJoinOperator::ProcessBatch(BatchContext* ctx,
   }
   for (const Tuple& t : inputs) {
     if (t.value >= IncidentReportSource::kIncidentValueBase) {
-      pending_.emplace(t.key + "|" + std::to_string(t.value), b);
+      pending_.emplace(t.key.str() + "|" + std::to_string(t.value), b);
     } else {
-      latest_speed_[t.key] = t.value;
-      speed_batch_[t.key] = b;
+      FindOrInsert(latest_speed_, t.key) = t.value;
+      FindOrInsert(speed_batch_, t.key) = b;
     }
   }
   // Join: a pending incident fires once its segment is observably jammed.
@@ -309,7 +308,7 @@ void IncidentJoinOperator::ProcessBatch(BatchContext* ctx,
     auto speed = latest_speed_.find(segment);
     if (speed != latest_speed_.end() &&
         speed->second < jam_threshold_x100_) {
-      ctx->Emit("inc" + std::to_string(incident_value),
+      ctx->Emit(TupleKey::Numbered("inc", incident_value),
                 std::stoll(segment.substr(1)));
       it = pending_.erase(it);
     } else {
@@ -357,7 +356,7 @@ void AlarmDedupOperator::ProcessBatch(BatchContext* ctx,
   const int64_t b = ctx->batch_index();
   EvictOlderThan(&seen_, b - window_batches_ + 1);
   for (const Tuple& t : inputs) {
-    if (seen_.emplace(t.key, b).second) {
+    if (seen_.emplace(t.key.str(), b).second) {
       ctx->Emit(t.key, t.value);
     }
   }

@@ -2,6 +2,7 @@
 #define PPA_WORKLOADS_INCIDENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -15,6 +16,10 @@
 #include "topology/topology.h"
 
 namespace ppa {
+
+/// Key -> batch state of the incident operators. The comparator is
+/// transparent, so a lookup by a tuple's key view builds no string.
+using KeyBatchMap = std::map<std::string, int64_t, std::less<>>;
 
 /// Deterministic description of the Q2 synthetic navigation scenario
 /// (Sec. VI-B): users distributed over road segments by a Zipf(0.5)
@@ -110,7 +115,7 @@ class SegmentSpeedOperator : public OperatorFunction {
  private:
   struct Slice {
     int64_t batch = 0;
-    std::map<std::string, std::pair<int64_t, int64_t>> sum_count;
+    std::map<std::string, std::pair<int64_t, int64_t>, std::less<>> sum_count;
   };
   int64_t window_batches_;
   std::vector<Slice> slices_;
@@ -131,7 +136,7 @@ class DistinctIncidentOperator : public OperatorFunction {
 
  private:
   int64_t window_batches_;
-  std::map<std::string, int64_t> seen_;  // "segment|incident" -> last batch
+  KeyBatchMap seen_;  // "segment|incident" -> last batch
 };
 
 /// O3 (join, correlated input): matches distinct incidents against the
@@ -156,10 +161,10 @@ class IncidentJoinOperator : public OperatorFunction {
   int64_t pending_batches_;
   int64_t jam_threshold_x100_;
   int64_t speed_freshness_batches_;
-  std::map<std::string, int64_t> latest_speed_;  // segment -> speed x100
-  std::map<std::string, int64_t> speed_batch_;   // segment -> observed batch
+  KeyBatchMap latest_speed_;  // segment -> speed x100
+  KeyBatchMap speed_batch_;   // segment -> observed batch
   /// "segment|incident" -> batch the report arrived.
-  std::map<std::string, int64_t> pending_;
+  KeyBatchMap pending_;
 };
 
 /// O4: deduplicating aggregator; forwards each incident alarm once.
@@ -176,7 +181,7 @@ class AlarmDedupOperator : public OperatorFunction {
 
  private:
   int64_t window_batches_;
-  std::map<std::string, int64_t> seen_;
+  KeyBatchMap seen_;
 };
 
 /// Q2: loc(8) --full--> speed(8) --full--> join(4) <--full-- distinct(2)

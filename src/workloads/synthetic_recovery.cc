@@ -1,7 +1,5 @@
 #include "workloads/synthetic_recovery.h"
 
-#include <string>
-
 #include "common/hash.h"
 #include "engine/operators.h"
 
@@ -23,9 +21,10 @@ std::vector<Tuple> SyntheticSource::NextBatch(int64_t batch_index,
                             static_cast<uint64_t>(task_index) * 2654435761u +
                             static_cast<uint64_t>(i)));
     Tuple t;
-    t.key = "k" + std::to_string(h % static_cast<uint64_t>(key_space_));
+    t.key = TupleKey::Numbered(
+        "k", static_cast<int64_t>(h % static_cast<uint64_t>(key_space_)));
     t.value = static_cast<int64_t>(h % 1000);
-    out.push_back(std::move(t));
+    out.push_back(t);
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/hash.h"
 #include "engine/operators.h"
@@ -16,7 +17,7 @@ void TopKOperator::ProcessBatch(BatchContext* ctx,
                                 const std::vector<Tuple>& inputs) {
   const int64_t b = ctx->batch_index();
   for (const Tuple& t : inputs) {
-    Entry& e = latest_[t.key];
+    Entry& e = FindOrInsert(latest_, t.key);
     e.value = t.value;
     e.last_batch = b;
   }
@@ -30,7 +31,7 @@ void TopKOperator::ProcessBatch(BatchContext* ctx,
   }
   // Emit the current top k, ordered by value desc then key asc (total
   // order => deterministic).
-  std::vector<std::pair<std::string, int64_t>> entries;
+  std::vector<std::pair<std::string_view, int64_t>> entries;
   entries.reserve(latest_.size());
   for (const auto& [key, e] : latest_) {
     entries.emplace_back(key, e.value);
@@ -108,9 +109,9 @@ std::vector<Tuple> WorldCupSource::NextBatch(int64_t batch_index,
   out.reserve(static_cast<size_t>(volume));
   for (int64_t i = 0; i < volume; ++i) {
     Tuple t;
-    t.key = "url" + std::to_string(zipf_.Sample(&rng));
+    t.key = TupleKey::Numbered("url", static_cast<int64_t>(zipf_.Sample(&rng)));
     t.value = 1;
-    out.push_back(std::move(t));
+    out.push_back(t);
   }
   return out;
 }

@@ -2,6 +2,7 @@
 #define PPA_WORKLOADS_TOPK_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,7 +38,7 @@ class TopKOperator : public OperatorFunction {
 
   int k_;
   int64_t freshness_batches_;
-  std::map<std::string, Entry> latest_;
+  std::map<std::string, Entry, std::less<>> latest_;
 };
 
 /// Synthetic stand-in for the WorldCup'98 access log (see DESIGN.md

@@ -159,6 +159,26 @@ TEST(AdaptationTest, ActivationPreservesOutputCorrectness) {
   }
 }
 
+TEST(AdaptationTest, ReplicasAddedAfterEmptyStartAreTrimmed) {
+  // A job that starts without replicas schedules no replica sync; the
+  // first ApplyActiveReplicaSet that brings one in must start it, or the
+  // replica's output buffer grows by one batch per tick forever.
+  backend::SimBackend loop;
+  auto job = MakeJob(&loop);
+  PPA_CHECK_OK(job->Start());
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(5.5));
+  TaskSet plan(4);
+  plan.Add(2);
+  PPA_CHECK_OK(job->ApplyActiveReplicaSet(plan));
+  // A second apply of the same plan schedules no second sync.
+  const size_t pending = loop.pending();
+  PPA_CHECK_OK(job->ApplyActiveReplicaSet(plan));
+  EXPECT_EQ(loop.pending(), pending);
+  loop.RunUntil(TimePoint::Zero() + Duration::Seconds(200));
+  ASSERT_NE(job->replica(2), nullptr);
+  EXPECT_LE(job->replica(2)->output_buffer().size(), 3u);
+}
+
 TEST(AdaptationTest, DeactivationReleasesReplica) {
   backend::SimBackend loop;
   auto job = MakeJob(&loop);

@@ -357,7 +357,7 @@ TEST_F(DeltaJobTest, PromotedReplicaRebasesChain) {
   auto report = job->ReconcileTentativeOutputs();
   ASSERT_TRUE(report.ok()) << report.status();
   auto key_of = [](const Tuple& t) {
-    return std::to_string(t.batch) + "|" + t.key + "|" +
+    return std::to_string(t.batch) + "|" + t.key.str() + "|" +
            std::to_string(t.value);
   };
   std::multiset<std::string> expected;

@@ -1,10 +1,14 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "engine/operator.h"
 #include "engine/operators.h"
 #include "engine/router.h"
@@ -137,7 +141,7 @@ TEST(OperatorsTest, WindowedKeyCountCountsAndEvicts) {
   // Counts after batch 0: a=2, b=1.
   std::map<std::string, int64_t> emitted;
   for (const Tuple& t : c0.emitted()) {
-    emitted[t.key] = t.value;
+    emitted[t.key.str()] = t.value;
   }
   EXPECT_EQ(emitted["a"], 2);
   EXPECT_EQ(emitted["b"], 1);
@@ -145,7 +149,7 @@ TEST(OperatorsTest, WindowedKeyCountCountsAndEvicts) {
   op.ProcessBatch(&c1, MakeTuples({{"a", 1}}, 0, 1));
   emitted.clear();
   for (const Tuple& t : c1.emitted()) {
-    emitted[t.key] = t.value;
+    emitted[t.key.str()] = t.value;
   }
   EXPECT_EQ(emitted["a"], 3);  // Window of 2 batches: 2 + 1.
   // Batch 2 evicts batch 0's contribution.
@@ -153,7 +157,7 @@ TEST(OperatorsTest, WindowedKeyCountCountsAndEvicts) {
   op.ProcessBatch(&c2, MakeTuples({{"a", 1}}, 0, 2));
   emitted.clear();
   for (const Tuple& t : c2.emitted()) {
-    emitted[t.key] = t.value;
+    emitted[t.key.str()] = t.value;
   }
   EXPECT_EQ(emitted["a"], 2);  // Batches 1 and 2 only.
 }
@@ -905,6 +909,98 @@ TEST(CheckpointWireFormatTest, SizeCountersTrackEveryBufferAndWindowChange) {
   ExpectCountersExact(b.get(), "after Reset, RunBatch and TrimOutputBuffer");
   EXPECT_EQ(b->BufferedTuples(), 3);
   EXPECT_EQ(b->StateSizeTuples(), 6);
+}
+
+TEST(TupleKeyTest, ReadsAsAStringView) {
+  const TupleKey key = TupleKey::Numbered("url", 42);
+  EXPECT_EQ(key, "url42");
+  EXPECT_EQ(key.size(), 5u);
+  EXPECT_EQ(key.str(), std::string("url42"));
+  EXPECT_EQ(std::string_view(key.data(), key.size()), "url42");
+  EXPECT_EQ(TupleKey::Numbered("inc", -7), "inc-7");
+  EXPECT_LT(TupleKey::Numbered("k", 10), TupleKey::Numbered("k", 9));
+  EXPECT_LT(key, std::string_view("url5"));
+  Tuple t;
+  EXPECT_EQ(t.key.size(), 0u);
+  t.key = std::string(TupleKey::kCapacity, 'q');
+  EXPECT_EQ(t.key.size(), TupleKey::kCapacity);
+  std::ostringstream os;
+  os << key;
+  EXPECT_EQ(os.str(), "url42");
+}
+
+TEST(TupleKeyDeathTest, OverlongKeyIsFatalAndNamesItsLength) {
+  const std::string key(TupleKey::kCapacity + 1, 'x');
+  Tuple t;
+  EXPECT_DEATH(t.key = key, "tuple key of 36 bytes exceeds 35");
+  EXPECT_DEATH(TupleKey::Numbered(std::string(30, 'p'), 123456),
+               "exceeds 35 bytes");
+}
+
+TEST(TupleKeyTest, CapacityKeyRoundTripsThroughSnapshotAndDelta) {
+  const std::string key(TupleKey::kCapacity, 'q');
+  auto input = [&key](int64_t b) {
+    return MakeTuples({{key.c_str(), b}, {"a", 1}}, /*producer=*/0, b);
+  };
+  Topology t = MakeTinyChain();
+  auto rt = MakeWindowTask(t);
+  for (int64_t b = 0; b < 4; ++b) {
+    rt->RunBatch(b, input(b));
+  }
+  auto snap = rt->Snapshot();
+  ASSERT_TRUE(snap.ok());
+  auto restored = MakeWindowTask(t);
+  ASSERT_TRUE(restored->Restore(*snap).ok());
+  ASSERT_FALSE(restored->output_buffer().empty());
+  EXPECT_EQ(restored->output_buffer().back().tuples[0].key, key);
+  EXPECT_EQ(restored->output_buffer().back().tuples,
+            rt->output_buffer().back().tuples);
+  EXPECT_EQ(*restored->Snapshot(), *snap);
+
+  rt->RunBatch(4, input(4));
+  auto delta = rt->SnapshotDelta();
+  ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(restored->ApplyDelta(delta->blob).ok());
+  EXPECT_EQ(restored->output_buffer().back().tuples[0].key, key);
+  EXPECT_EQ(*restored->Snapshot(), *rt->Snapshot());
+}
+
+TEST(SerdeTest, GetTuplesRejectsStoredKeyOverCapacity) {
+  // A whole, well-formed tuple whose key is one byte over capacity.
+  BinaryWriter w;
+  w.PutString(std::string(TupleKey::kCapacity + 1, 'x'));
+  w.PutI64(1);
+  w.PutI64(2);
+  w.PutU64(3);
+  w.PutI64(4);
+  std::vector<Tuple> out;
+  BinaryReader r(w.data());
+  EXPECT_EQ(r.GetTuples(1, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(RouterTest, RouteMatchesReferenceHashOverThousandKeys) {
+  // Pins the partitioning function: the consumer is picked by the
+  // operator-salted FNV-1a hash of the key bytes.
+  Topology t = MakeChain(2, 5, 3, PartitionScheme::kFull,
+                         PartitionScheme::kFull);
+  Router router(&t);
+  for (OperatorId to_op : {1, 2}) {
+    const TaskId producer = t.op(to_op - 1).tasks[0];
+    const std::vector<TaskId>& consumers = router.Consumers(producer, to_op);
+    ASSERT_GT(consumers.size(), 1u);
+    const uint64_t salt = static_cast<uint64_t>(to_op) * 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 1000; ++i) {
+      // Lengths 1..35: a run of 'z' then the index.
+      const std::string key = std::string(i % 33, 'z') + std::to_string(i);
+      Tuple tuple;
+      tuple.key = key;
+      const uint64_t h = Mix64(Fnv1a64(key) ^ salt);
+      EXPECT_EQ(router.Route(producer, to_op, tuple),
+                consumers[h % consumers.size()])
+          << "key " << key;
+    }
+  }
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ TEST(ReconciliationTest, CorrectsTheTentativeWindowExactly) {
   // The corrected records are exactly the failure-free run's records for
   // the degraded batches.
   auto key_of = [](const Tuple& t) {
-    return std::to_string(t.batch) + "|" + t.key + "|" +
+    return std::to_string(t.batch) + "|" + t.key.str() + "|" +
            std::to_string(t.value);
   };
   std::multiset<std::string> expected;

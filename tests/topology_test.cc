@@ -230,16 +230,6 @@ TEST(TopologyTest, FullEdgeSplitsByWeight) {
   EXPECT_DOUBLE_EQ(t->task(t->op(down).tasks[1]).output_rate, 300.0);
 }
 
-TEST(TopologyTest, RecomputeRatesAfterSourceChange) {
-  Topology t = MakeChain(2, 2, 2, PartitionScheme::kOneToOne,
-                         PartitionScheme::kOneToOne, 1000.0);
-  ASSERT_TRUE(t.SetSourceRate(0, 2000.0).ok());
-  t.RecomputeRates();
-  EXPECT_DOUBLE_EQ(t.task(t.op(2).tasks[0]).output_rate, 1000.0);
-  EXPECT_EQ(t.SetSourceRate(1, 5.0).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(t.SetSourceRate(99, 5.0).code(), StatusCode::kInvalidArgument);
-}
-
 TEST(TopologyTest, TaskLabel) {
   Topology t = MakeChain(2, 2, 2, PartitionScheme::kOneToOne,
                          PartitionScheme::kOneToOne);
