@@ -19,6 +19,12 @@
 //   wide_mid    — a scale_cluster 4096-node mid task: 1-tuple batches, a
 //                 30-slice window and 30 buffered batches.
 //
+// BM_WindowStep times one steady-state step of a window task:
+// TaskRuntime::RunBatch of the next input batch, whose window evicts its
+// oldest slice, then the trim of the oldest buffered output batch, so the
+// window and the buffer stay full. Input generation is excluded. Shapes:
+// fig6_o1 and wide_mid above (2 x 2000 and 1 tuple per batch).
+//
 // BM_StrandDispatch times the execution backend's per-callback dispatch
 // on one strand (every StreamingJob's shape): a chain of kDispatchChain
 // callbacks, each scheduling the next 1 us later, driven with one
@@ -130,12 +136,33 @@ BENCHMARK(BM_GatherRunBatch)
 enum TaskShape : int64_t { kFig6Source, kFig6O1, kWideMid };
 
 /// A task of one checkpoint shape, loaded with its state, and an empty
-/// twin of it that a snapshot restores into.
+/// twin of it that a snapshot restores into. Window shapes also keep what
+/// makes their next input batch.
 struct LoadedTask {
   Topology topo;
   std::unique_ptr<TaskRuntime> runtime;
   std::unique_ptr<TaskRuntime> twin;
+  int64_t window = 0;
+  std::unique_ptr<SyntheticSource> input;
+  std::vector<TaskId> producers;
 };
+
+/// Input batch `b` of a window task, as its producers would send it: each
+/// producer's share of `lt`'s input batch, stamped with the producer's
+/// batch and sequence numbers.
+std::vector<Tuple> WindowTaskInputs(const LoadedTask& lt, int64_t b) {
+  std::vector<Tuple> inputs;
+  for (size_t p = 0; p < lt.producers.size(); ++p) {
+    std::vector<Tuple> part = lt.input->NextBatch(b, static_cast<int>(p));
+    for (size_t i = 0; i < part.size(); ++i) {
+      part[i].batch = b;
+      part[i].seq = (static_cast<uint64_t>(b) << 24) + i;
+      part[i].producer = lt.producers[p];
+    }
+    inputs.insert(inputs.end(), part.begin(), part.end());
+  }
+  return inputs;
+}
 
 std::unique_ptr<LoadedTask> LoadTask(int64_t shape) {
   constexpr int kKeySpace = 1024;
@@ -173,22 +200,13 @@ std::unique_ptr<LoadedTask> LoadTask(int64_t shape) {
         std::make_unique<SlidingWindowAggregateOperator>(window, selectivity),
         nullptr);
   }
-  // The inputs the producers would send, stamped with each producer's
-  // batch and sequence numbers.
-  const int producers = wide ? 1 : 2;
-  SyntheticSource input(wide ? 1 : 2000, kKeySpace, kSeed);
-  for (int64_t b = 0; b < window; ++b) {
-    std::vector<Tuple> inputs;
-    for (int p = 0; p < producers; ++p) {
-      std::vector<Tuple> part = input.NextBatch(b, p);
-      for (size_t i = 0; i < part.size(); ++i) {
-        part[i].batch = b;
-        part[i].seq = (static_cast<uint64_t>(b) << 24) + i;
-        part[i].producer = topo->op(src).tasks[static_cast<size_t>(p)];
-      }
-      inputs.insert(inputs.end(), part.begin(), part.end());
-    }
-    lt->runtime->RunBatch(b, std::move(inputs));
+  lt->window = window;
+  lt->input =
+      std::make_unique<SyntheticSource>(wide ? 1 : 2000, kKeySpace, kSeed);
+  lt->producers.assign(topo->op(src).tasks.begin(),
+                       topo->op(src).tasks.begin() + (wide ? 1 : 2));
+  for (int64_t b = 0; b < lt->window; ++b) {
+    lt->runtime->RunBatch(b, WindowTaskInputs(*lt, b));
   }
   return lt;
 }
@@ -237,6 +255,25 @@ BENCHMARK(BM_TaskRestore)
     ->Arg(kFig6Source)
     ->Arg(kFig6O1)
     ->Arg(kWideMid);
+
+void BM_WindowStep(benchmark::State& state) {
+  const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));
+  TaskRuntime& rt = *lt->runtime;
+  int64_t tuples = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const int64_t b = rt.next_batch();
+    std::vector<Tuple> inputs = WindowTaskInputs(*lt, b);
+    tuples += static_cast<int64_t>(inputs.size());
+    state.ResumeTiming();
+
+    benchmark::DoNotOptimize(rt.RunBatch(b, std::move(inputs)).tuples.data());
+    rt.TrimOutputBuffer(b - lt->window);
+  }
+  state.SetLabel(state.range(0) == kFig6O1 ? "fig6_o1" : "wide_mid");
+  state.SetItemsProcessed(tuples);
+}
+BENCHMARK(BM_WindowStep)->ArgNames({"shape"})->Arg(kFig6O1)->Arg(kWideMid);
 
 constexpr int kDispatchChain = 1000;
 

@@ -13,6 +13,8 @@
 
 namespace ppa {
 
+class TaskRuntime;
+
 /// Per-batch execution context handed to an operator function. Emission
 /// goes into a staging vector; the engine assigns sequence numbers and
 /// routes tuples afterwards.
@@ -37,13 +39,39 @@ class BatchContext {
     t.value = value;
   }
 
+  /// Makes room for `n` more emitted tuples, so an operator that knows
+  /// its output count emits without regrowing the staging vector.
+  void Reserve(size_t n) { emitted_.reserve(emitted_.size() + n); }
+
   std::vector<Tuple>& emitted() { return emitted_; }
 
+  /// Asks for this batch's input vector to be moved into `*into` once
+  /// ProcessBatch returns, so an operator that keeps its input whole (a
+  /// window slice) takes it without a copy. `*into` is not filled before
+  /// then, and must stay valid until then; the inputs stay readable for
+  /// the whole ProcessBatch call, also to a decorator around the operator.
+  /// Returns false, and changes nothing, on a context that
+  /// TaskRuntime::RunBatch did not build (a direct ProcessBatch call): the
+  /// operator copies instead.
+  bool AdoptInputs(std::vector<Tuple>* into) {
+    if (!inputs_adoptable_) {
+      return false;
+    }
+    adopt_into_ = into;
+    return true;
+  }
+
  private:
+  friend class TaskRuntime;
+
   int64_t batch_index_;
   int task_index_;
   int parallelism_;
   std::vector<Tuple> emitted_;
+  /// Set by TaskRuntime::RunBatch, which owns the inputs and hands them to
+  /// `adopt_into_` after ProcessBatch.
+  bool inputs_adoptable_ = false;
+  std::vector<Tuple>* adopt_into_ = nullptr;
 };
 
 /// A user-defined operator (Sec. II-A): a deterministic function from
@@ -56,7 +84,8 @@ class OperatorFunction {
   virtual ~OperatorFunction() = default;
 
   /// Processes one batch. `inputs` is sorted by (producer, seq), the same
-  /// deterministic round-robin order on every replica/restore.
+  /// deterministic round-robin order on every replica/restore. An operator
+  /// that keeps the inputs takes them through ctx->AdoptInputs().
   virtual void ProcessBatch(BatchContext* ctx,
                             const std::vector<Tuple>& inputs) = 0;
 

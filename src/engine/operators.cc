@@ -61,25 +61,27 @@ SlidingWindowAggregateOperator::SlidingWindowAggregateOperator(
     int64_t window_batches, double selectivity)
     : window_batches_(window_batches), selectivity_(selectivity) {}
 
-void SlidingWindowAggregateOperator::PushSlice(int64_t batch,
-                                               std::vector<Tuple> tuples) {
+std::vector<Tuple>& SlidingWindowAggregateOperator::PushSlice(
+    int64_t batch, const std::vector<Tuple>& tuples) {
+  int64_t sum = 0;
+  size_t bytes = kSliceHeaderBytes + kTupleFixedBytes * tuples.size();
   for (const Tuple& t : tuples) {
-    window_sum_ += t.value;
+    sum += t.value;
+    bytes += t.key.size();
   }
+  window_sum_ += sum;
   window_tuples_ += static_cast<int64_t>(tuples.size());
-  window_bytes_ += kSliceHeaderBytes + EncodedTupleBytes(tuples);
-  window_.push_back(WindowSlice{batch, std::move(tuples)});
+  window_bytes_ += bytes;
+  return window_.emplace_back(WindowSlice{batch, {}, sum, bytes}).tuples;
 }
 
 void SlidingWindowAggregateOperator::Evict(int64_t current_batch) {
   while (!window_.empty() &&
          window_.front().batch <= current_batch - window_batches_) {
-    const std::vector<Tuple>& tuples = window_.front().tuples;
-    for (const Tuple& t : tuples) {
-      window_sum_ -= t.value;
-    }
-    window_tuples_ -= static_cast<int64_t>(tuples.size());
-    window_bytes_ -= kSliceHeaderBytes + EncodedTupleBytes(tuples);
+    const WindowSlice& front = window_.front();
+    window_sum_ -= front.sum;
+    window_tuples_ -= static_cast<int64_t>(front.tuples.size());
+    window_bytes_ -= front.bytes;
     window_.pop_front();
   }
 }
@@ -87,12 +89,16 @@ void SlidingWindowAggregateOperator::Evict(int64_t current_batch) {
 void SlidingWindowAggregateOperator::ProcessBatch(
     BatchContext* ctx, const std::vector<Tuple>& inputs) {
   Evict(ctx->batch_index());
-  PushSlice(ctx->batch_index(), inputs);
+  std::vector<Tuple>& slice = PushSlice(ctx->batch_index(), inputs);
+  if (!ctx->AdoptInputs(&slice)) {
+    slice = inputs;
+  }
   // Emit a window aggregate for a `selectivity` fraction of the batch's
   // tuples: every tuple whose position survives the deterministic stride.
   const size_t n = inputs.size();
   const size_t out = static_cast<size_t>(static_cast<double>(n) *
                                          selectivity_);
+  ctx->Reserve(out);
   for (size_t i = 0; i < out; ++i) {
     const Tuple& t = inputs[i * n / (out == 0 ? 1 : out) % n];
     ctx->Emit(t.key, window_sum_);
@@ -161,7 +167,7 @@ Status SlidingWindowAggregateOperator::ApplyDelta(const std::string& delta) {
     }
     std::vector<Tuple> tuples;
     PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
-    PushSlice(batch, std::move(tuples));
+    PushSlice(batch, tuples) = std::move(tuples);
   }
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in window delta");
@@ -182,7 +188,7 @@ Status SlidingWindowAggregateOperator::RestoreState(
     PPA_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
     std::vector<Tuple> tuples;
     PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
-    PushSlice(batch, std::move(tuples));
+    PushSlice(batch, tuples) = std::move(tuples);
   }
   // The blob's sum is authoritative, not the recount.
   window_sum_ = window_sum;

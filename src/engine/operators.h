@@ -68,11 +68,19 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
   struct WindowSlice {
     int64_t batch = 0;
     std::vector<Tuple> tuples;
+    /// The slice's value sum and encoded bytes (header included), taken
+    /// when it was pushed, so Evict() reads no tuple.
+    int64_t sum = 0;
+    size_t bytes = 0;
   };
 
   /// With Evict() and Reset(), the only ways slices enter and leave
-  /// window_; they keep the sum and the size counters exact.
-  void PushSlice(int64_t batch, std::vector<Tuple> tuples);
+  /// window_; they keep the sum and the size counters exact. Appends the
+  /// slice of `batch`, whose totals are taken from `tuples` in one walk,
+  /// and returns its still-empty tuple vector for the caller to fill with
+  /// `tuples` (by a move, an adoption or a copy).
+  std::vector<Tuple>& PushSlice(int64_t batch,
+                                const std::vector<Tuple>& tuples);
   void Evict(int64_t current_batch);
 
   int64_t window_batches_;

@@ -1,6 +1,7 @@
 #include "engine/task_runtime.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "engine/serde.h"
@@ -12,9 +13,16 @@ namespace {
 /// tuple count.
 constexpr size_t kBatchHeaderBytes = 4 * sizeof(int64_t);
 
-size_t EncodedBatchBytes(const BatchOutput& b) {
-  return kBatchHeaderBytes + EncodedTupleBytes(b.tuples);
-}
+/// Tuples one batch may hold: the per-batch sequence encoding keeps 24
+/// bits for the position.
+constexpr size_t kMaxBatchTuples = size_t{1} << 24;
+
+/// Encoded bytes of the largest batch: kMaxBatchTuples full-length keys.
+constexpr size_t kMaxBatchBytes =
+    kBatchHeaderBytes +
+    kMaxBatchTuples * (kTupleFixedBytes + TupleKey::kCapacity);
+static_assert(kMaxBatchBytes <= UINT32_MAX,
+              "the largest encoded batch must fit BatchOutput::encoded_bytes");
 
 void PutBatch(BinaryWriter* w, const BatchOutput& b) {
   w->PutI64(b.batch);
@@ -25,6 +33,7 @@ void PutBatch(BinaryWriter* w, const BatchOutput& b) {
 }
 
 StatusOr<BatchOutput> GetBatch(BinaryReader* r) {
+  const size_t start = r->remaining();
   BatchOutput b;
   PPA_ASSIGN_OR_RETURN(b.batch, r->GetI64());
   PPA_ASSIGN_OR_RETURN(int64_t ingest_us, r->GetI64());
@@ -32,7 +41,12 @@ StatusOr<BatchOutput> GetBatch(BinaryReader* r) {
   PPA_ASSIGN_OR_RETURN(int64_t hops, r->GetI64());
   b.hops = static_cast<int32_t>(hops);
   PPA_ASSIGN_OR_RETURN(uint64_t tuples, r->GetU64());
+  if (tuples > kMaxBatchTuples) {
+    return OutOfRange("buffered batch of " + std::to_string(tuples) +
+                      " tuples exceeds 2^24");
+  }
   PPA_RETURN_IF_ERROR(r->GetTuples(tuples, &b.tuples));
+  b.encoded_bytes = static_cast<uint32_t>(start - r->remaining());
   return b;
 }
 
@@ -101,11 +115,16 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
     const TaskInfo& info = topology_->task(id_);
     BatchContext ctx(batch, info.index_in_op,
                      topology_->op(info.op).parallelism);
+    ctx.inputs_adoptable_ = true;
     op_->ProcessBatch(&ctx, inputs);
+    if (ctx.adopt_into_ != nullptr) {
+      *ctx.adopt_into_ = std::move(inputs);
+    }
     produced = std::move(ctx.emitted());
   }
-  PPA_CHECK(produced.size() < (size_t{1} << 24))
+  PPA_CHECK(produced.size() < kMaxBatchTuples)
       << "batch output too large for sequence encoding";
+  size_t bytes = kBatchHeaderBytes + kTupleFixedBytes * produced.size();
   for (size_t i = 0; i < produced.size(); ++i) {
     Tuple& t = produced[i];
     t.batch = batch;
@@ -115,10 +134,12 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
     // recoveries (Sec. V-B).
     t.seq = (static_cast<uint64_t>(batch) << 24) + i;
     t.producer = id_;
+    bytes += t.key.size();
   }
   emitted_tuples_ += static_cast<int64_t>(produced.size());
   ++next_batch_;
-  PushBatch(BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
+  PushBatch(BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops,
+                        static_cast<uint32_t>(bytes)});
   return output_buffer_.back();
 }
 
@@ -135,7 +156,7 @@ const BatchOutput* TaskRuntime::FindBatch(int64_t batch) const {
 
 void TaskRuntime::PushBatch(BatchOutput b) {
   buffered_tuples_ += static_cast<int64_t>(b.tuples.size());
-  buffered_bytes_ += EncodedBatchBytes(b);
+  buffered_bytes_ += b.encoded_bytes;
   output_buffer_.push_back(std::move(b));
 }
 
@@ -150,7 +171,7 @@ void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
          output_buffer_.front().batch <= up_to_batch) {
     const BatchOutput& front = output_buffer_.front();
     buffered_tuples_ -= static_cast<int64_t>(front.tuples.size());
-    buffered_bytes_ -= EncodedBatchBytes(front);
+    buffered_bytes_ -= front.encoded_bytes;
     output_buffer_.pop_front();
   }
 }

@@ -65,7 +65,9 @@ class TaskRuntime {
   /// seen (per-producer sequence number) are dropped — the duplicate
   /// elimination of Sec. V-B. Appends the outputs to the output buffer,
   /// advances next_batch(), and returns the produced batch.
-  /// `ctx` stamps the produced batch's latency lineage.
+  /// `ctx` stamps the produced batch's latency lineage. The deduplicated
+  /// inputs go to the operator's BatchContext::AdoptInputs() slot, if it
+  /// named one, once ProcessBatch returns.
   const BatchOutput& RunBatch(int64_t batch, std::vector<Tuple> inputs,
                               const BatchRunContext& ctx = {});
 

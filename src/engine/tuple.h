@@ -132,7 +132,14 @@ struct BatchOutput {
   TimePoint ingest_at = TimePoint::Zero();
   /// Task hops from the source (sources emit with hops == 1).
   int32_t hops = 0;
+  /// Bytes this batch takes in a checkpoint, header included; kept by the
+  /// TaskRuntime that buffers the batch, so buffer changes are O(1).
+  uint32_t encoded_bytes = 0;
 };
+
+// The job's buffered-bytes estimate multiplies by this size, so
+// encoded_bytes sits in the padding after `hops`.
+static_assert(sizeof(BatchOutput) == 48, "a BatchOutput must stay 48 bytes");
 
 }  // namespace ppa
 

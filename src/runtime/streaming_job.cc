@@ -236,7 +236,7 @@ Status StreamingJob::Start() {
       ScheduleManaged(offset, [this, t] { OnCheckpoint(t); });
     }
   }
-  if (!active_set_.empty()) {
+  if (!active_set_.empty() || config_.ft_mode == FtMode::kSourceReplay) {
     StartReplicaSync();
   }
   ScheduleManaged(config_.detection_interval, [this] { OnDetection(); });
@@ -744,12 +744,18 @@ void StreamingJob::OnReplicaSync() {
     }
   }
   // Without checkpoint-driven trimming, primary buffers are trimmed by
-  // downstream consumption instead.
-  if (config_.ft_mode == FtMode::kActiveReplication) {
+  // downstream consumption instead. Source replay restarts a failed task
+  // at frontier + 1 - window_batches and reads live upstream buffers from
+  // there, so it never needs an older batch either.
+  if (config_.ft_mode == FtMode::kActiveReplication ||
+      config_.ft_mode == FtMode::kSourceReplay) {
+    const int64_t replay_from = config_.ft_mode == FtMode::kSourceReplay
+                                    ? frontier_ + 1 - config_.window_batches
+                                    : INT64_MAX;
     for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
       TaskRuntime* rt = primaries_[static_cast<size_t>(t)].get();
       if (rt->alive() && !topology_.IsSinkTask(t)) {
-        rt->TrimOutputBuffer(consumption_level(t) - 1);
+        rt->TrimOutputBuffer(std::min(consumption_level(t), replay_from) - 1);
       }
     }
   }

@@ -332,8 +332,9 @@ class StreamingJob {
   /// over the job's at-risk drift, and the certified-loss cap.
   bool ShouldSkipCheckpoint(TaskId t, TaskRuntime* rt) const;
   /// Schedules the recurring OnReplicaSync, once per job: at Start() for
-  /// a non-empty initial plan, else when ApplyActiveReplicaSet first
-  /// brings replicas in, so their output buffers are trimmed too.
+  /// a non-empty initial plan or under source replay (whose primaries it
+  /// trims), else when ApplyActiveReplicaSet first brings replicas in, so
+  /// their output buffers are trimmed too.
   void StartReplicaSync();
   void OnReplicaSync();
   void OnDetection();

@@ -854,14 +854,22 @@ DecodedCounts DecodeWindowTaskSnapshot(const std::string& blob) {
   return counts;
 }
 
+/// Checkpoint bytes of buffered batch `b`, recounted: the header (batch,
+/// ingest time, hops, tuple count) and the tuples.
+size_t RecountBatchBytes(const BatchOutput& b) {
+  return 4 * sizeof(int64_t) + EncodedTupleBytes(b.tuples);
+}
+
 /// Snapshot() aborts if its presized length is off, so a successful
-/// snapshot checks the byte counters; the tuple counters are compared with
-/// a recount of the buffer and of the decoded blob.
+/// snapshot checks the byte counters; the tuple counters and each batch's
+/// cached size are compared with a recount of the buffer and of the
+/// decoded blob.
 void ExpectCountersExact(TaskRuntime* rt, const std::string& when) {
   SCOPED_TRACE(when);
   int64_t walked = 0;
   for (const BatchOutput& b : rt->output_buffer()) {
     walked += static_cast<int64_t>(b.tuples.size());
+    EXPECT_EQ(b.encoded_bytes, RecountBatchBytes(b)) << "batch " << b.batch;
   }
   EXPECT_EQ(rt->BufferedTuples(), walked);
   auto snap = rt->Snapshot();
@@ -909,6 +917,143 @@ TEST(CheckpointWireFormatTest, SizeCountersTrackEveryBufferAndWindowChange) {
   ExpectCountersExact(b.get(), "after Reset, RunBatch and TrimOutputBuffer");
   EXPECT_EQ(b->BufferedTuples(), 3);
   EXPECT_EQ(b->StateSizeTuples(), 6);
+}
+
+TEST(CheckpointWireFormatTest, SourceBatchesCarryTheirEncodedSize) {
+  Topology t = MakeTinyChain();
+  TaskRuntime src(&t, t.op(0).tasks[0], nullptr,
+                  std::make_unique<CountingSource>(12));
+  for (int64_t b = 0; b < 4; ++b) {
+    const BatchOutput& out = src.RunBatch(b, {});
+    EXPECT_EQ(out.encoded_bytes, RecountBatchBytes(out));
+  }
+  src.TrimOutputBuffer(1);
+  TaskRuntime twin(&t, t.op(0).tasks[0], nullptr,
+                   std::make_unique<CountingSource>(12));
+  ASSERT_TRUE(twin.Restore(*src.Snapshot()).ok());
+  ASSERT_EQ(twin.output_buffer().size(), 2u);
+  for (const BatchOutput& b : twin.output_buffer()) {
+    EXPECT_EQ(b.encoded_bytes, RecountBatchBytes(b)) << "batch " << b.batch;
+  }
+  EXPECT_EQ(*twin.Snapshot(), *src.Snapshot());
+}
+
+/// The op-state string of a task blob from Snapshot() or SnapshotDelta():
+/// both start with the next batch, the progress map and the op state.
+std::string OpStateOf(const std::string& task_blob) {
+  BinaryReader r(task_blob);
+  EXPECT_TRUE(r.GetI64().ok());
+  const uint64_t entries = *r.GetU64();
+  for (uint64_t i = 0; i < 2 * entries; ++i) {
+    EXPECT_TRUE(r.GetU64().ok());
+  }
+  return *r.GetString();
+}
+
+/// Input batch `b` of the adoption tests: two producers' tuples, a
+/// varying number per batch, so slices differ in size and sum.
+std::vector<Tuple> AdoptionInput(int64_t b) {
+  std::vector<Tuple> inputs;
+  for (TaskId producer : {0, 1}) {
+    const int64_t n = 2 + (b + producer) % 4;
+    for (int64_t i = 0; i < n; ++i) {
+      Tuple tu;
+      tu.key = TupleKey::Numbered("k", i * 7 + producer);
+      tu.value = b * 100 + i - producer;
+      tu.batch = b;
+      tu.seq = (static_cast<uint64_t>(b) << 24) + static_cast<uint64_t>(i);
+      tu.producer = producer;
+      inputs.push_back(tu);
+    }
+  }
+  return inputs;
+}
+
+// RunBatch hands its inputs to the window (the adopt path); a direct
+// ProcessBatch call cannot, so the window copies them. Both keep the same
+// slices: outputs and every full and delta snapshot agree byte for byte
+// across evictions.
+TEST(WindowAdoptionTest, AdoptedAndCopiedInputsKeepIdenticalState) {
+  Topology t = MakeTinyChain();
+  TaskRuntime rt(&t, t.op(1).tasks[0],
+                 std::make_unique<SlidingWindowAggregateOperator>(3, 0.5),
+                 nullptr);
+  SlidingWindowAggregateOperator copied(3, 0.5);
+  for (int64_t b = 0; b < 9; ++b) {
+    SCOPED_TRACE(b);
+    const std::vector<Tuple> inputs = AdoptionInput(b);
+    const BatchOutput& adopted_out = rt.RunBatch(b, inputs);
+    BatchContext ctx(b, 0, 1);
+    std::vector<Tuple> unused;
+    EXPECT_FALSE(ctx.AdoptInputs(&unused));
+    copied.ProcessBatch(&ctx, inputs);
+    ASSERT_EQ(adopted_out.tuples.size(), ctx.emitted().size());
+    for (size_t i = 0; i < ctx.emitted().size(); ++i) {
+      EXPECT_EQ(adopted_out.tuples[i].key, ctx.emitted()[i].key);
+      EXPECT_EQ(adopted_out.tuples[i].value, ctx.emitted()[i].value);
+    }
+    EXPECT_EQ(rt.StateSizeTuples(), copied.StateSizeTuples());
+    if (b == 4) {
+      EXPECT_EQ(OpStateOf(*rt.Snapshot()), *copied.SnapshotState());
+    } else if (b > 4) {
+      int64_t copied_tuples = 0;
+      const std::string copied_delta = *copied.SnapshotDelta(&copied_tuples);
+      auto delta = rt.SnapshotDelta();
+      ASSERT_TRUE(delta.ok());
+      EXPECT_EQ(OpStateOf(delta->blob), copied_delta);
+    }
+  }
+  EXPECT_EQ(OpStateOf(*rt.Snapshot()), *copied.SnapshotState());
+}
+
+/// Forwards to a window operator and counts the inputs it sees once the
+/// inner ProcessBatch has returned, as a timing decorator does.
+class InputCountingOperator : public OperatorFunction {
+ public:
+  explicit InputCountingOperator(int64_t* seen)
+      : inner_(std::make_unique<SlidingWindowAggregateOperator>(3, 0.5)),
+        seen_(seen) {}
+
+  void ProcessBatch(BatchContext* ctx,
+                    const std::vector<Tuple>& inputs) override {
+    inner_->ProcessBatch(ctx, inputs);
+    *seen_ += static_cast<int64_t>(inputs.size());
+  }
+  StatusOr<std::string> SnapshotState() override {
+    return inner_->SnapshotState();
+  }
+  Status RestoreState(const std::string& snapshot) override {
+    return inner_->RestoreState(snapshot);
+  }
+  void Reset() override { inner_->Reset(); }
+  int64_t StateSizeTuples() const override {
+    return inner_->StateSizeTuples();
+  }
+
+ private:
+  std::unique_ptr<OperatorFunction> inner_;
+  int64_t* seen_;
+};
+
+TEST(WindowAdoptionTest, DecoratorSeesEveryInputAfterTheInnerCall) {
+  Topology t = MakeTinyChain();
+  int64_t seen = 0;
+  TaskRuntime rt(&t, t.op(1).tasks[0],
+                 std::make_unique<InputCountingOperator>(&seen), nullptr);
+  int64_t fed = 0;
+  for (int64_t b = 0; b < 6; ++b) {
+    std::vector<Tuple> inputs = AdoptionInput(b);
+    fed += static_cast<int64_t>(inputs.size());
+    rt.RunBatch(b, std::move(inputs));
+    EXPECT_EQ(seen, fed);
+  }
+  // The window still took every slice it kept.
+  SlidingWindowAggregateOperator copied(3, 0.5);
+  for (int64_t b = 0; b < 6; ++b) {
+    BatchContext ctx(b, 0, 1);
+    copied.ProcessBatch(&ctx, AdoptionInput(b));
+  }
+  EXPECT_EQ(OpStateOf(*rt.Snapshot()), *copied.SnapshotState());
 }
 
 TEST(TupleKeyTest, ReadsAsAStringView) {

@@ -1,12 +1,15 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "backend/sim_backend.h"
+#include "common/hash.h"
 #include "engine/operators.h"
 #include "runtime/cluster.h"
 #include "runtime/streaming_job.h"
@@ -52,13 +55,18 @@ JobConfig MakeTestConfig(FtMode mode) {
 struct RunResult {
   std::vector<SinkRecord> records;
   std::vector<RecoveryReport> reports;
+  int64_t peak_buffered_tuples = 0;
 };
 
-/// Runs the test topology for `seconds`, optionally failing `fail_node` at
-/// `fail_at_seconds`.
-RunResult RunScenario(FtMode mode, int fail_node, double fail_at_seconds,
-                      double seconds,
-                      const TaskSet* active_set = nullptr) {
+/// A node failure injected `at_seconds` into a run.
+struct NodeFailure {
+  int node = 0;
+  double at_seconds = 0;
+};
+
+/// Runs the test topology for `seconds`, injecting `failures` in order.
+RunResult RunFailures(FtMode mode, const std::vector<NodeFailure>& failures,
+                      double seconds, const TaskSet* active_set = nullptr) {
   backend::SimBackend loop;
   Topology topo = MakeTestTopology();
   StreamingJob job(std::move(topo), MakeTestConfig(mode), JobRuntimeDeps(&loop));
@@ -74,15 +82,54 @@ RunResult RunScenario(FtMode mode, int fail_node, double fail_at_seconds,
     PPA_CHECK_OK(job.SetActiveReplicaSet(*active_set));
   }
   PPA_CHECK_OK(job.Start());
-  if (fail_node >= 0) {
-    loop.RunUntil(TimePoint::Zero() + Duration::Seconds(fail_at_seconds));
-    PPA_CHECK_OK(job.InjectNodeFailure(fail_node));
+  for (const NodeFailure& f : failures) {
+    loop.RunUntil(TimePoint::Zero() + Duration::Seconds(f.at_seconds));
+    PPA_CHECK_OK(job.InjectNodeFailure(f.node));
   }
   loop.RunUntil(TimePoint::Zero() + Duration::Seconds(seconds));
   RunResult result;
   result.records = job.sink_records();
   result.reports = job.recovery_reports();
+  result.peak_buffered_tuples = job.PeakBufferedTuples();
   return result;
+}
+
+/// Runs the test topology for `seconds`, optionally failing `fail_node` at
+/// `fail_at_seconds`.
+RunResult RunScenario(FtMode mode, int fail_node, double fail_at_seconds,
+                      double seconds,
+                      const TaskSet* active_set = nullptr) {
+  std::vector<NodeFailure> failures;
+  if (fail_node >= 0) {
+    failures.push_back({fail_node, fail_at_seconds});
+  }
+  return RunFailures(mode, failures, seconds, active_set);
+}
+
+/// A digest of everything a run delivered and reported: each sink
+/// record's tuple, flags and times, and each recovery report's times,
+/// specs and schedule.
+uint64_t RunDigest(const RunResult& run) {
+  std::ostringstream os;
+  for (const SinkRecord& r : run.records) {
+    os << r.tuple.key << ' ' << r.tuple.value << ' ' << r.tuple.batch << ' '
+       << r.tuple.seq << ' ' << r.tuple.producer << ' ' << r.tentative << ' '
+       << r.correction << ' ' << r.emitted_at.micros() << ' '
+       << r.ingest_at.micros() << '\n';
+  }
+  for (const RecoveryReport& rep : run.reports) {
+    os << rep.failure_time.micros() << ' ' << rep.detection_time.micros()
+       << ' ' << rep.arbitration_hold.micros() << '\n';
+    for (const TaskRecoverySpec& spec : rep.specs) {
+      os << spec.task << ' ' << static_cast<int>(spec.kind) << ' '
+         << spec.replay_tuples << ' ' << spec.state_tuples << ' '
+         << spec.resend_tuples << '\n';
+    }
+    for (const auto& [task, offset] : rep.schedule.completion) {
+      os << task << ' ' << offset.micros() << '\n';
+    }
+  }
+  return Fnv1a64(os.str());
 }
 
 void ExpectSameRecords(const std::vector<SinkRecord>& a,
@@ -183,6 +230,24 @@ TEST(StreamingJobTest, SourceReplayRecoversWindowedState) {
   // the replayed window has fully slid past the outage, outputs converge
   // to the failure-free run.
   ExpectSameRecords(clean.records, failed.records, /*from_batch=*/35);
+}
+
+// Source replay restarts a failed task at frontier + 1 - window_batches
+// and re-reads live upstream buffers from there, so the replica-sync timer
+// trims every primary below the older of that level and its downstream
+// consumption. Two failures, of a window task (node 2) and then of a
+// source (node 0), recover exactly as they did while the buffers only
+// grew: the digest, record count and recovery reports are those of the
+// untrimmed engine, whose peak was 4,820 buffered tuples.
+TEST(StreamingJobTest, SourceReplayTrimsBuffersWithoutChangingRecovery) {
+  const RunResult run =
+      RunFailures(FtMode::kSourceReplay, {{2, 10.5}, {0, 30.5}}, 90);
+  ASSERT_EQ(run.reports.size(), 2u);
+  EXPECT_EQ(run.records.size(), 910u);
+  EXPECT_EQ(RunDigest(run), uint64_t{15476225329457251206u});
+  // Each batch buffers 2 x 20 source and 2 x 10 window tuples; a task
+  // keeps its last window_batches (5) plus the 2 produced between syncs.
+  EXPECT_LE(run.peak_buffered_tuples, (5 + 2) * 60);
 }
 
 TEST(StreamingJobTest, PpaProducesTentativeOutputsDuringRecovery) {
