@@ -144,10 +144,7 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
 }
 
 const BatchOutput* TaskRuntime::FindBatch(int64_t batch) const {
-  // The buffer is ordered by batch index; binary search.
-  auto it = std::lower_bound(
-      output_buffer_.begin(), output_buffer_.end(), batch,
-      [](const BatchOutput& b, int64_t key) { return b.batch < key; });
+  auto it = BatchesFrom(batch);
   if (it == output_buffer_.end() || it->batch != batch) {
     return nullptr;
   }
@@ -176,20 +173,34 @@ void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
   }
 }
 
-StatusOr<std::string> TaskRuntime::Snapshot() {
-  std::string op_state;
-  if (op_ != nullptr) {
-    PPA_ASSIGN_OR_RETURN(op_state, op_->SnapshotState());
+std::deque<BatchOutput>::const_iterator TaskRuntime::BatchesFrom(
+    int64_t batch) const {
+  // The buffer is ordered by batch index; binary search.
+  return std::lower_bound(
+      output_buffer_.begin(), output_buffer_.end(), batch,
+      [](const BatchOutput& b, int64_t key) { return b.batch < key; });
+}
+
+std::string TaskRuntime::EncodeCheckpoint(const std::string& op_blob,
+                                          bool delta,
+                                          int64_t* buffer_tuples) {
+  // A delta carries the trim level so that a restored chain drops what
+  // this instance already dropped.
+  const auto first =
+      delta ? BatchesFrom(snapshot_next_batch_) : output_buffer_.begin();
+  size_t buffer_bytes = buffered_bytes_;
+  for (auto it = output_buffer_.cbegin(); it != first; ++it) {
+    buffer_bytes -= it->encoded_bytes;
   }
-  snapshot_next_batch_ = next_batch_;
-  // Sized once from the running buffer count: a wide sink's blob runs to
+  // Sized once from the cached batch sizes: a wide sink's blob runs to
   // megabytes, and growing it by doubling leaves freed holes that make the
   // heap's footprint depend on the order of earlier allocations.
   const size_t bytes =
       sizeof(int64_t) +                                          // next batch
       sizeof(uint64_t) + progress_.size() * 2 * sizeof(int64_t) +  // progress
-      sizeof(uint64_t) + op_state.size() +                       // op state
-      sizeof(uint64_t) + buffered_bytes_;                        // buffer
+      sizeof(uint64_t) + op_blob.size() +                        // op state
+      (delta ? sizeof(int64_t) : 0) +                            // trim level
+      sizeof(uint64_t) + buffer_bytes;                           // buffer
   BinaryWriter w;
   w.Reserve(bytes);
   w.PutI64(next_batch_);
@@ -198,92 +209,27 @@ StatusOr<std::string> TaskRuntime::Snapshot() {
     w.PutI64(producer);
     w.PutU64(seq);
   }
-  w.PutString(op_state);
-  w.PutU64(output_buffer_.size());
-  for (const BatchOutput& b : output_buffer_) {
-    PutBatch(&w, b);
+  w.PutString(op_blob);
+  if (delta) {
+    w.PutI64(output_buffer_.empty() ? next_batch_
+                                    : output_buffer_.front().batch);
+  }
+  w.PutU64(static_cast<uint64_t>(output_buffer_.end() - first));
+  for (auto it = first; it != output_buffer_.end(); ++it) {
+    PutBatch(&w, *it);
+    *buffer_tuples += static_cast<int64_t>(it->tuples.size());
   }
   PPA_CHECK(w.size() == bytes)
-      << topology_->TaskLabel(id_) << " snapshot is " << w.size()
+      << topology_->TaskLabel(id_) << " checkpoint is " << w.size()
       << " bytes, presized " << bytes;
+  snapshot_next_batch_ = next_batch_;
   return std::move(w).data();
 }
 
-Status TaskRuntime::Restore(const std::string& checkpoint) {
-  BinaryReader r(checkpoint);
-  PPA_ASSIGN_OR_RETURN(next_batch_, r.GetI64());
-  snapshot_next_batch_ = next_batch_;
-  progress_.clear();
-  PPA_ASSIGN_OR_RETURN(uint64_t entries, r.GetU64());
-  for (uint64_t i = 0; i < entries; ++i) {
-    PPA_ASSIGN_OR_RETURN(int64_t producer, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(uint64_t seq, r.GetU64());
-    progress_[static_cast<TaskId>(producer)] = seq;
-  }
-  PPA_ASSIGN_OR_RETURN(std::string op_state, r.GetString());
-  if (op_ != nullptr) {
-    PPA_RETURN_IF_ERROR(op_->RestoreState(op_state));
-  }
-  ClearOutputBuffer();
-  PPA_ASSIGN_OR_RETURN(uint64_t batches, r.GetU64());
-  for (uint64_t i = 0; i < batches; ++i) {
-    PPA_ASSIGN_OR_RETURN(BatchOutput b, GetBatch(&r));
-    PushBatch(std::move(b));
-  }
-  if (!r.exhausted()) {
-    return InvalidArgument("trailing bytes in task checkpoint");
-  }
-  return OkStatus();
-}
-
-StatusOr<TaskRuntime::DeltaSnapshot> TaskRuntime::SnapshotDelta() {
-  if (!SupportsDeltaSnapshots()) {
-    return Unimplemented("task does not support delta snapshots");
-  }
-  DeltaSnapshot delta;
-  BinaryWriter w;
-  w.PutI64(next_batch_);
-  // Progress map: small, stored in full.
-  w.PutU64(progress_.size());
-  for (const auto& [producer, seq] : progress_) {
-    w.PutI64(producer);
-    w.PutU64(seq);
-  }
-  int64_t op_delta_tuples = 0;
-  PPA_ASSIGN_OR_RETURN(std::string op_delta,
-                       op_->SnapshotDelta(&op_delta_tuples));
-  w.PutString(op_delta);
-  // Output-buffer delta: batches produced since the previous snapshot in
-  // the chain, plus the current trim level so a restored chain drops what
-  // this instance already dropped.
-  const int64_t trim_below =
-      output_buffer_.empty() ? next_batch_ : output_buffer_.front().batch;
-  w.PutI64(trim_below);
-  uint64_t fresh = 0;
-  for (const BatchOutput& b : output_buffer_) {
-    fresh += b.batch >= snapshot_next_batch_ ? 1 : 0;
-  }
-  w.PutU64(fresh);
-  for (const BatchOutput& b : output_buffer_) {
-    if (b.batch < snapshot_next_batch_) {
-      continue;
-    }
-    PutBatch(&w, b);
-    delta.state_tuples += static_cast<int64_t>(b.tuples.size());
-  }
-  delta.state_tuples += op_delta_tuples;
-  delta.blob = std::move(w).data();
-  snapshot_next_batch_ = next_batch_;
-  return delta;
-}
-
-Status TaskRuntime::ApplyDelta(const std::string& delta) {
-  if (!SupportsDeltaSnapshots()) {
-    return Unimplemented("task does not support delta snapshots");
-  }
-  BinaryReader r(delta);
+Status TaskRuntime::DecodeCheckpoint(const std::string& blob, bool delta) {
+  BinaryReader r(blob);
   PPA_ASSIGN_OR_RETURN(int64_t next_batch, r.GetI64());
-  if (next_batch < next_batch_) {
+  if (delta && next_batch < next_batch_) {
     return InvalidArgument("delta precedes restored state");
   }
   progress_.clear();
@@ -293,24 +239,65 @@ Status TaskRuntime::ApplyDelta(const std::string& delta) {
     PPA_ASSIGN_OR_RETURN(uint64_t seq, r.GetU64());
     progress_[static_cast<TaskId>(producer)] = seq;
   }
-  PPA_ASSIGN_OR_RETURN(std::string op_delta, r.GetString());
-  PPA_RETURN_IF_ERROR(op_->ApplyDelta(op_delta));
-  PPA_ASSIGN_OR_RETURN(int64_t trim_below, r.GetI64());
-  PPA_ASSIGN_OR_RETURN(uint64_t fresh, r.GetU64());
-  for (uint64_t i = 0; i < fresh; ++i) {
+  PPA_ASSIGN_OR_RETURN(std::string op_blob, r.GetString());
+  int64_t trim_below = 0;
+  if (delta) {
+    PPA_RETURN_IF_ERROR(op_->ApplyDelta(op_blob));
+    PPA_ASSIGN_OR_RETURN(trim_below, r.GetI64());
+  } else {
+    if (op_ != nullptr) {
+      PPA_RETURN_IF_ERROR(op_->RestoreState(op_blob));
+    }
+    ClearOutputBuffer();
+  }
+  PPA_ASSIGN_OR_RETURN(uint64_t batches, r.GetU64());
+  for (uint64_t i = 0; i < batches; ++i) {
     PPA_ASSIGN_OR_RETURN(BatchOutput b, GetBatch(&r));
     if (!output_buffer_.empty() && b.batch <= output_buffer_.back().batch) {
-      return InvalidArgument("delta buffer batches out of order");
+      return InvalidArgument("checkpoint buffer batches out of order");
     }
     PushBatch(std::move(b));
   }
   if (!r.exhausted()) {
-    return InvalidArgument("trailing bytes in task delta");
+    return InvalidArgument("trailing bytes in task checkpoint");
   }
-  TrimOutputBuffer(trim_below - 1);
+  if (delta) {
+    TrimOutputBuffer(trim_below - 1);
+  }
   next_batch_ = next_batch;
   snapshot_next_batch_ = next_batch;
   return OkStatus();
+}
+
+StatusOr<std::string> TaskRuntime::Snapshot() {
+  std::string op_state;
+  if (op_ != nullptr) {
+    PPA_ASSIGN_OR_RETURN(op_state, op_->SnapshotState());
+  }
+  int64_t buffer_tuples = 0;
+  return EncodeCheckpoint(op_state, /*delta=*/false, &buffer_tuples);
+}
+
+Status TaskRuntime::Restore(const std::string& checkpoint) {
+  return DecodeCheckpoint(checkpoint, /*delta=*/false);
+}
+
+StatusOr<TaskRuntime::DeltaSnapshot> TaskRuntime::SnapshotDelta() {
+  if (!SupportsDeltaSnapshots()) {
+    return Unimplemented("task does not support delta snapshots");
+  }
+  DeltaSnapshot delta;
+  PPA_ASSIGN_OR_RETURN(std::string op_delta,
+                       op_->SnapshotDelta(&delta.state_tuples));
+  delta.blob = EncodeCheckpoint(op_delta, /*delta=*/true, &delta.state_tuples);
+  return delta;
+}
+
+Status TaskRuntime::ApplyDelta(const std::string& delta) {
+  if (!SupportsDeltaSnapshots()) {
+    return Unimplemented("task does not support delta snapshots");
+  }
+  return DecodeCheckpoint(delta, /*delta=*/true);
 }
 
 void TaskRuntime::Reset(int64_t next_batch) {

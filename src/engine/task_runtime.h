@@ -144,6 +144,17 @@ class TaskRuntime {
   void PushBatch(BatchOutput b);
   void ClearOutputBuffer();
 
+  /// The first buffered batch with index >= `batch`.
+  std::deque<BatchOutput>::const_iterator BatchesFrom(int64_t batch) const;
+
+  /// The one task-checkpoint codec behind Snapshot()/Restore() and
+  /// SnapshotDelta()/ApplyDelta(): next batch, progress, operator blob, a
+  /// delta's trim level, then the buffered batches (a delta: those since
+  /// the last snapshot), whose tuples encoding adds to `*buffer_tuples`.
+  std::string EncodeCheckpoint(const std::string& op_blob, bool delta,
+                               int64_t* buffer_tuples);
+  Status DecodeCheckpoint(const std::string& blob, bool delta);
+
   const Topology* topology_;
   TaskId id_;
   std::unique_ptr<OperatorFunction> op_;

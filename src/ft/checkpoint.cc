@@ -1,88 +1,93 @@
 #include "ft/checkpoint.h"
 
+#include <algorithm>
+
+#include "common/logging.h"
 #include "common/status.h"
 
 namespace ppa {
 
+const CheckpointStore::TaskEntry& CheckpointStore::At(TaskId task) const {
+  static const TaskEntry kNeverWritten;
+  return task >= 0 && static_cast<size_t>(task) < tasks_.size()
+             ? tasks_[static_cast<size_t>(task)]
+             : kNeverWritten;
+}
+
+CheckpointStore::TaskEntry& CheckpointStore::Grow(TaskId task) {
+  PPA_CHECK(task >= 0) << "checkpoint for invalid task " << task;
+  if (static_cast<size_t>(task) >= tasks_.size()) {
+    tasks_.resize(static_cast<size_t>(task) + 1);
+  }
+  return tasks_[static_cast<size_t>(task)];
+}
+
 void CheckpointStore::Put(TaskCheckpoint checkpoint) {
   checkpoint.is_delta = false;
-  auto& chain = chains_[checkpoint.task];
-  for (const TaskCheckpoint& cp : chain) {
+  TaskEntry& entry = Grow(checkpoint.task);
+  for (const TaskCheckpoint& cp : entry.chain) {
     total_bytes_ -= static_cast<int64_t>(cp.blob.size());
   }
   total_bytes_ += static_cast<int64_t>(checkpoint.blob.size());
-  chain.clear();
-  chain.push_back(std::move(checkpoint));
+  entry.chain.clear();
+  entry.chain.push_back(std::move(checkpoint));
+  entry.rebase = false;
 }
 
 Status CheckpointStore::PutDelta(TaskCheckpoint checkpoint) {
-  auto it = chains_.find(checkpoint.task);
-  if (it == chains_.end() || it->second.empty()) {
+  if (At(checkpoint.task).chain.empty()) {
     return FailedPrecondition("delta checkpoint without a base");
   }
-  if (checkpoint.next_batch < it->second.back().next_batch) {
+  TaskEntry& entry = Grow(checkpoint.task);
+  if (entry.rebase) {
+    return FailedPrecondition("delta checkpoint while a rebase is pending");
+  }
+  if (checkpoint.next_batch < entry.chain.back().next_batch) {
     return InvalidArgument("delta checkpoint regresses coverage");
   }
   checkpoint.is_delta = true;
   total_bytes_ += static_cast<int64_t>(checkpoint.blob.size());
-  it->second.push_back(std::move(checkpoint));
+  entry.chain.push_back(std::move(checkpoint));
   return OkStatus();
 }
 
-const TaskCheckpoint* CheckpointStore::Latest(TaskId task) const {
-  auto it = chains_.find(task);
-  if (it == chains_.end() || it->second.empty()) {
-    return nullptr;
-  }
-  return &it->second.back();
+void CheckpointStore::RequireFull(TaskId task) { Grow(task).rebase = true; }
+
+bool CheckpointStore::AcceptsDelta(TaskId task, int max_chain) const {
+  const TaskEntry& entry = At(task);
+  return !entry.chain.empty() && !entry.rebase &&
+         ChainDeltas(task) < max_chain;
 }
 
 const std::vector<TaskCheckpoint>* CheckpointStore::Chain(TaskId task) const {
-  auto it = chains_.find(task);
-  if (it == chains_.end() || it->second.empty()) {
-    return nullptr;
-  }
-  return &it->second;
+  const std::vector<TaskCheckpoint>& chain = At(task).chain;
+  return chain.empty() ? nullptr : &chain;
 }
 
 int64_t CheckpointStore::ChainDeltas(TaskId task) const {
-  const std::vector<TaskCheckpoint>* chain = Chain(task);
-  return chain == nullptr ? 0 : static_cast<int64_t>(chain->size()) - 1;
+  return std::max<int64_t>(0, std::ssize(At(task).chain) - 1);
 }
 
 int64_t CheckpointStore::ChainStateTuples(TaskId task) const {
-  const std::vector<TaskCheckpoint>* chain = Chain(task);
-  if (chain == nullptr) {
-    return 0;
-  }
   int64_t total = 0;
-  for (const TaskCheckpoint& cp : *chain) {
+  for (const TaskCheckpoint& cp : At(task).chain) {
     total += cp.state_tuples;
   }
   return total;
 }
 
 int64_t CheckpointStore::CoveredBatch(TaskId task) const {
-  const TaskCheckpoint* cp = Latest(task);
-  return cp == nullptr ? 0 : cp->next_batch;
+  const std::vector<TaskCheckpoint>& chain = At(task).chain;
+  return chain.empty() ? 0 : chain.back().next_batch;
 }
 
 void CheckpointStore::NoteSkipped(TaskId task, int64_t next_batch) {
-  int64_t& frontier = skipped_frontier_[task];
-  if (next_batch > frontier) {
-    frontier = next_batch;
-  }
-}
-
-int64_t CheckpointStore::SkippedFrontier(TaskId task) const {
-  auto it = skipped_frontier_.find(task);
-  return it == skipped_frontier_.end() ? 0 : it->second;
+  int64_t& frontier = Grow(task).skipped_frontier;
+  frontier = std::max(frontier, next_batch);
 }
 
 int64_t CheckpointStore::TrimBatch(TaskId task) const {
-  const int64_t covered = CoveredBatch(task);
-  const int64_t skipped = SkippedFrontier(task);
-  return skipped > covered ? skipped : covered;
+  return std::max(CoveredBatch(task), At(task).skipped_frontier);
 }
 
 }  // namespace ppa

@@ -1,7 +1,6 @@
 #ifndef PPA_FT_CHECKPOINT_H_
 #define PPA_FT_CHECKPOINT_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,20 +27,33 @@ struct TaskCheckpoint {
   bool is_delta = false;
 };
 
-/// The standby nodes' checkpoint storage. Each task holds a *chain*: one
-/// base (full) checkpoint optionally followed by incremental deltas, in
-/// order. Recovery restores the base and applies each delta.
+/// The standby nodes' checkpoint storage, indexed by task id (a task never
+/// written reads as empty). Each task holds a *chain*: one base (full)
+/// checkpoint optionally followed by incremental deltas, in order.
+/// Recovery restores the base and applies each delta.
 class CheckpointStore {
  public:
-  /// Stores a full checkpoint, replacing the task's whole chain.
+  /// Sized for tasks [0, num_tasks); a write to a later task grows it.
+  explicit CheckpointStore(int num_tasks = 0)
+      : tasks_(static_cast<size_t>(num_tasks)) {}
+
+  /// Stores a full checkpoint, replacing the task's whole chain and
+  /// clearing its RequireFull() mark.
   void Put(TaskCheckpoint checkpoint);
 
-  /// Appends a delta to the task's chain; fails if no base exists or the
+  /// Appends a delta to the task's chain; FailedPrecondition if no base
+  /// exists or the task must rebase (RequireFull), InvalidArgument if the
   /// delta regresses the covered batch.
   Status PutDelta(TaskCheckpoint checkpoint);
 
-  /// Latest chain element of `task` (base or delta), or nullptr.
-  [[nodiscard]] const TaskCheckpoint* Latest(TaskId task) const;
+  /// Marks `task`'s next checkpoint as full (a rebase): a promoted
+  /// replica's delta baseline dates from its activation, so its delta
+  /// could overlap what the chain already holds.
+  void RequireFull(TaskId task);
+
+  /// True if a delta may extend `task`'s chain: a base exists, it holds
+  /// fewer than `max_chain` deltas, and no rebase is pending.
+  [[nodiscard]] bool AcceptsDelta(TaskId task, int max_chain) const;
 
   /// The task's full chain (base first), or nullptr if none.
   [[nodiscard]] const std::vector<TaskCheckpoint>* Chain(TaskId task) const;
@@ -64,18 +76,11 @@ class CheckpointStore {
   /// persisted chain element covers it.
   void NoteSkipped(TaskId task, int64_t next_batch);
 
-  /// The thinned coverage frontier of `task`: the highest next_batch a
-  /// skipped checkpoint certified. 0 when the task never skipped.
-  [[nodiscard]] int64_t SkippedFrontier(TaskId task) const;
-
-  /// The batch upstream buffers may trim to for `task`:
-  /// max(CoveredBatch, SkippedFrontier). Under exact recovery this
+  /// The batch upstream buffers may trim to for `task`: the larger of
+  /// CoveredBatch and the NoteSkipped frontier. Under exact recovery this
   /// equals CoveredBatch; under approximate recovery the gap
   /// [CoveredBatch, TrimBatch) is exactly what a failure forfeits.
   [[nodiscard]] int64_t TrimBatch(TaskId task) const;
-
-  /// Number of tasks with at least one checkpoint.
-  size_t size() const { return chains_.size(); }
 
   /// Total serialized bytes held on the standby nodes (all chains).
   /// O(1): maintained incrementally by Put/PutDelta, so per-checkpoint
@@ -83,10 +88,21 @@ class CheckpointStore {
   int64_t TotalBlobBytes() const { return total_bytes_; }
 
  private:
-  std::map<TaskId, std::vector<TaskCheckpoint>> chains_;
-  /// Thinned coverage per task (NoteSkipped); kept outside the chains so
-  /// chain length, state tuples, and byte accounting stay blob-exact.
-  std::map<TaskId, int64_t> skipped_frontier_;
+  struct TaskEntry {
+    std::vector<TaskCheckpoint> chain;
+    /// Thinned coverage (NoteSkipped); kept outside the chain so chain
+    /// length, state tuples, and byte accounting stay blob-exact.
+    int64_t skipped_frontier = 0;
+    /// The next checkpoint must be full (RequireFull).
+    bool rebase = false;
+  };
+
+  /// The entry of `task`; an empty one if it was never written.
+  const TaskEntry& At(TaskId task) const;
+  /// The entry of `task`, growing the index to hold it.
+  TaskEntry& Grow(TaskId task);
+
+  std::vector<TaskEntry> tasks_;
   /// Sum of blob sizes over all chains (incremental TotalBlobBytes).
   int64_t total_bytes_ = 0;
 };

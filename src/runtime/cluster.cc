@@ -70,7 +70,9 @@ void Cluster::SetReplicaNode(TaskId task, int node) {
 
 void Cluster::PlacePrimariesRoundRobin(const Topology& topology) {
   for (TaskId t = 0; t < topology.num_tasks(); ++t) {
-    SetPrimaryNode(t, t % num_workers());
+    if (NodeOfPrimary(t) < 0) {
+      SetPrimaryNode(t, t % num_workers());
+    }
   }
 }
 

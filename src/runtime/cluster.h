@@ -53,7 +53,6 @@ class Cluster {
 
   /// The shared node pool backing this cluster view.
   const NodePool& pool() const { return *pool_; }
-  std::shared_ptr<NodePool> shared_pool() const { return pool_; }
 
   /// True iff `node` is a standby node (hosts checkpoints/replicas).
   [[nodiscard]] bool IsStandby(int node) const { return pool_->IsStandby(node); }
@@ -79,11 +78,12 @@ class Cluster {
   /// enforced against).
   [[nodiscard]] int PlacedReplicas() const { return placed_replicas_; }
 
-  /// Places every task of `topology` on worker nodes round-robin.
+  /// Places every task of `topology` that has no primary node yet on
+  /// worker node `task % num_workers()`; pinned tasks keep their node.
   void PlacePrimariesRoundRobin(const Topology& topology);
 
-  /// Pins one primary to a specific worker node (call before or after the
-  /// round-robin placement to override it).
+  /// Pins one primary to a specific worker node. A pin made before the
+  /// round-robin placement survives it; one made after moves the task.
   Status PlacePrimary(TaskId task, int node);
 
   /// Places one replica on the alive standby node currently hosting the

@@ -50,6 +50,7 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
                    ? std::make_shared<NodePool>(config.num_worker_nodes,
                                                 config.num_standby_nodes)
                    : std::move(deps.pool)),
+      checkpoints_(topology_.num_tasks()),
       active_set_(topology_.num_tasks()),
       replicas_(static_cast<size_t>(topology_.num_tasks())) {
   // A shared pool defines the real cluster shape; keep the config's view
@@ -201,11 +202,7 @@ Status StreamingJob::Start() {
 
   // Placement: keep any pins made through cluster() before Start; fill the
   // rest round-robin.
-  for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
-    if (cluster_.NodeOfPrimary(t) < 0) {
-      PPA_RETURN_IF_ERROR(cluster_.PlacePrimary(t, t % cluster_.num_workers()));
-    }
-  }
+  cluster_.PlacePrimariesRoundRobin(topology_);
   for (TaskId t : active_set_.ToVector()) {
     PPA_RETURN_IF_ERROR(cluster_.PlaceReplicaAuto(t));
     trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaActivated, t,
@@ -620,9 +617,7 @@ void StreamingJob::OnCheckpoint(TaskId t) {
     cp.next_batch = rt->next_batch();
     const bool take_delta =
         config_.delta_checkpoints && rt->SupportsDeltaSnapshots() &&
-        checkpoints_.Chain(t) != nullptr &&
-        checkpoints_.ChainDeltas(t) < config_.max_delta_chain &&
-        checkpoint_rebase_.count(t) == 0;
+        checkpoints_.AcceptsDelta(t, config_.max_delta_chain);
     if (take_delta) {
       auto delta = rt->SnapshotDelta();
       PPA_CHECK_OK(delta.status());
@@ -654,7 +649,6 @@ void StreamingJob::OnCheckpoint(TaskId t) {
       checkpoints_.Put(std::move(cp));
       obs::Add(m_checkpoint_full_);
     }
-    checkpoint_rebase_.erase(t);
     ++checkpoint_count_[static_cast<size_t>(t)];
     checkpoint_us_[static_cast<size_t>(t)] += cp_us;
     // The end event carries the modeled CPU completion time; no loop event
@@ -901,12 +895,10 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
       // The placement follows the takeover: the standby node now hosts
       // the primary and its replica slot is free again.
       PPA_CHECK_OK(cluster_.PromoteReplicaToPrimary(t));
-      if (checkpoints_.Chain(t) != nullptr) {
-        // The new primary's snapshot marker dates from replica
-        // activation, so its next delta could overlap slices the dead
-        // primary already persisted; rebase with a full snapshot.
-        checkpoint_rebase_.insert(t);
-      }
+      // The new primary's snapshot marker dates from replica activation,
+      // so its next delta could overlap slices the dead primary already
+      // persisted; rebase with a full snapshot.
+      checkpoints_.RequireFull(t);
       break;
     }
     case RecoveryKind::kCheckpoint: {

@@ -424,12 +424,6 @@ class StreamingJob {
   int64_t peak_buffered_tuples_ = 0;
   int64_t checkpoint_bytes_written_ = 0;
   int64_t checkpoints_skipped_ = 0;
-  /// Tasks whose next persisted checkpoint must be a full rebase: a
-  /// promoted replica's snapshot lineage diverges from the dead
-  /// primary's delta chain (its snapshot marker dates from activation),
-  /// so a delta on top of that chain could duplicate already-persisted
-  /// window slices and corrupt the chain for later restores.
-  std::set<TaskId> checkpoint_rebase_;
 
   /// Approximate fault tolerance (src/af, DESIGN.md §17): per-task
   /// un-persisted drift and the certificates of thinned recoveries.

@@ -140,13 +140,6 @@ StatusOr<int> ClusterService::Submit(TenantSpec spec) {
     ++stats_.admitted;
     return id;
   }
-  if (!config_.queue_when_full) {
-    tenants_.erase(it);
-    --next_tenant_id_;
-    --next_arrival_;
-    ++stats_.rejected;
-    return ResourceExhausted("cluster is full and queueing is disabled");
-  }
   tenant.phase = TenantPhase::kQueued;
   ++stats_.queued;
   return id;

@@ -32,10 +32,6 @@ struct ServiceConfig {
   /// Recovery-arbitration slot: the tenant ranked i-th in an incident has
   /// its recovery completions held back by i * arbitration_slot.
   Duration arbitration_slot = Duration::Seconds(2);
-  /// Queue submissions that do not fit right now (admitted later in
-  /// (priority, arrival) order as capacity frees up); when false they are
-  /// rejected instead.
-  bool queue_when_full = true;
 
   /// InvalidArgument when any count/slot is non-positive (standbys may be
   /// zero) or the arbitration slot is negative.
@@ -108,9 +104,11 @@ class ClusterService {
   Status AssignDomain(int node, int domain);
 
   /// Submits a tenant. Returns its id (dense, in submission order) when
-  /// admitted or queued; InvalidArgument for malformed specs;
-  /// ResourceExhausted when the job can never fit (or does not fit now
-  /// and queueing is off). Rejected tenants are not recorded.
+  /// admitted, or when queued because it does not fit now (it is admitted
+  /// later in (priority, arrival) order as capacity frees up);
+  /// InvalidArgument for malformed specs; ResourceExhausted when the job
+  /// can never fit, even on an empty, fully alive cluster. Rejected
+  /// tenants are not recorded.
   StatusOr<int> Submit(TenantSpec spec);
 
   /// Evicts a tenant: a queued tenant is dropped; a running one is

@@ -683,6 +683,84 @@ TEST(CheckpointWireFormatTest, WindowTaskSnapshotAndDeltaMatchPerFieldLayout) {
   EXPECT_EQ(delta->state_tuples, 4 * 3);
 }
 
+/// Input batch `b` of the golden checkpoint task: producers 0 and 2 send
+/// every batch, producer 1 only the even ones.
+std::vector<Tuple> GoldenInput(int64_t b) {
+  std::vector<Tuple> in;
+  for (TaskId p : {0, 1, 2}) {
+    if (p == 1 && b % 2 != 0) {
+      continue;
+    }
+    std::vector<Tuple> part =
+        MakeTuples({{"k", b + p},
+                    {"a-key-longer-than-any-small-string", 3 * b - p},
+                    {"", -b}},
+                   p, b);
+    in.insert(in.end(), part.begin(), part.end());
+  }
+  return in;
+}
+
+TEST(CheckpointWireFormatTest, WindowTaskBlobsMatchGoldenBytes) {
+  // Pins both task-checkpoint encodings byte for byte on a window task
+  // with three progress entries, a partly trimmed buffer and a
+  // fast-forwarded stretch. The constants were captured before the full
+  // and delta codecs were folded into one; any wire change shows here.
+  Topology t = MakeChain(3, 1, 1, PartitionScheme::kMerge,
+                         PartitionScheme::kOneToOne);
+  const TaskId mid = t.op(1).tasks[0];
+  auto make = [&] {
+    return std::make_unique<TaskRuntime>(
+        &t, mid, std::make_unique<SlidingWindowAggregateOperator>(3, 0.5),
+        nullptr);
+  };
+  auto rt = make();
+  auto run = [&](int64_t b) {
+    BatchRunContext ctx;
+    ctx.ingest_at = TimePoint::FromMicros(1000 * b + 17);
+    ctx.hops = static_cast<int32_t>(2 + b % 3);
+    rt->RunBatch(b, GoldenInput(b), ctx);
+  };
+  for (int64_t b = 0; b < 4; ++b) {
+    run(b);
+  }
+  rt->TrimOutputBuffer(1);
+  rt->FastForward(6);
+  for (int64_t b = 6; b < 8; ++b) {
+    run(b);
+  }
+  auto full = rt->Snapshot();
+  ASSERT_TRUE(full.ok());
+  for (int64_t b = 8; b < 10; ++b) {
+    run(b);
+  }
+  rt->FastForward(11);
+  run(11);
+  rt->TrimOutputBuffer(7);
+  auto delta = rt->SnapshotDelta();
+  ASSERT_TRUE(delta.ok());
+
+  EXPECT_EQ(full->size(), 1733u);
+  EXPECT_EQ(Fnv1a64(*full), uint64_t{12015187165656732197u});
+  EXPECT_EQ(delta->blob.size(), 1358u);
+  EXPECT_EQ(Fnv1a64(delta->blob), uint64_t{5665887766798262299u});
+  EXPECT_EQ(delta->state_tuples, 22);
+
+  // The chain restores to the live task.
+  auto back = make();
+  ASSERT_TRUE(back->Restore(*full).ok());
+  ASSERT_TRUE(back->ApplyDelta(delta->blob).ok());
+  EXPECT_EQ(back->next_batch(), rt->next_batch());
+  EXPECT_EQ(back->progress_vector(), rt->progress_vector());
+  EXPECT_EQ(back->BufferedTuples(), rt->BufferedTuples());
+  EXPECT_EQ(back->StateSizeTuples(), rt->StateSizeTuples());
+  ASSERT_EQ(back->output_buffer().size(), rt->output_buffer().size());
+  for (size_t i = 0; i < rt->output_buffer().size(); ++i) {
+    EXPECT_EQ(back->output_buffer()[i].batch, rt->output_buffer()[i].batch);
+    EXPECT_EQ(back->output_buffer()[i].tuples, rt->output_buffer()[i].tuples);
+  }
+}
+
 /// A full snapshot and a following delta of a window task.
 struct WindowCheckpoints {
   std::string snapshot;

@@ -11,17 +11,65 @@ using ::ppa::testing::MakeChain;
 
 TEST(CheckpointStoreTest, LatestWinsAndCoveredBatch) {
   CheckpointStore store;
-  EXPECT_EQ(store.Latest(0), nullptr);
+  EXPECT_EQ(store.Chain(0), nullptr);
   EXPECT_EQ(store.CoveredBatch(0), 0);
   store.Put(TaskCheckpoint{0, 5, "v1", 100});
   store.Put(TaskCheckpoint{1, 3, "x", 10});
-  ASSERT_NE(store.Latest(0), nullptr);
-  EXPECT_EQ(store.Latest(0)->blob, "v1");
+  ASSERT_NE(store.Chain(0), nullptr);
+  EXPECT_EQ(store.Chain(0)->back().blob, "v1");
   EXPECT_EQ(store.CoveredBatch(0), 5);
   store.Put(TaskCheckpoint{0, 9, "v2", 120});
-  EXPECT_EQ(store.Latest(0)->blob, "v2");
+  ASSERT_EQ(store.Chain(0)->size(), 1u);
+  EXPECT_EQ(store.Chain(0)->back().blob, "v2");
   EXPECT_EQ(store.CoveredBatch(0), 9);
-  EXPECT_EQ(store.size(), 2u);
+  // Both tasks hold a chain, and only they do.
+  EXPECT_NE(store.Chain(1), nullptr);
+  EXPECT_EQ(store.Chain(2), nullptr);
+  EXPECT_EQ(store.TotalBlobBytes(), 3);
+}
+
+TEST(CheckpointStoreTest, RebaseMarkRejectsDeltasUntilAFullPut) {
+  CheckpointStore store;
+  store.Put(TaskCheckpoint{0, 5, "base", 100});
+  EXPECT_TRUE(store.AcceptsDelta(0, 8));
+  store.RequireFull(0);
+  EXPECT_FALSE(store.AcceptsDelta(0, 8));
+  EXPECT_EQ(store.PutDelta(TaskCheckpoint{0, 7, "d", 10}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store.ChainDeltas(0), 0);
+  EXPECT_EQ(store.TotalBlobBytes(), 4);
+  // A full checkpoint clears the mark.
+  store.Put(TaskCheckpoint{0, 9, "base2", 90});
+  EXPECT_TRUE(store.AcceptsDelta(0, 8));
+  ASSERT_TRUE(store.PutDelta(TaskCheckpoint{0, 11, "d", 10}).ok());
+  EXPECT_EQ(store.ChainDeltas(0), 1);
+  // The chain cap: one delta fills a chain of at most one.
+  EXPECT_FALSE(store.AcceptsDelta(0, 1));
+  EXPECT_TRUE(store.AcceptsDelta(0, 2));
+  // A mark on a task without a chain changes nothing a reader sees.
+  store.RequireFull(3);
+  EXPECT_EQ(store.Chain(3), nullptr);
+  EXPECT_FALSE(store.AcceptsDelta(3, 8));
+}
+
+TEST(CheckpointStoreTest, GrowsToATaskAboveEveryEarlierOne) {
+  CheckpointStore store(/*num_tasks=*/3);
+  store.Put(TaskCheckpoint{2, 4, "low", 1});
+  store.Put(TaskCheckpoint{4096, 7, "high", 3});
+  ASSERT_TRUE(store.PutDelta(TaskCheckpoint{4096, 8, "d", 2}).ok());
+  EXPECT_EQ(store.CoveredBatch(4096), 8);
+  EXPECT_EQ(store.ChainStateTuples(4096), 5);
+  EXPECT_EQ(store.CoveredBatch(2), 4);
+  // Tasks below, in between and beyond were never written and read as
+  // empty, inside the presized range or not.
+  for (TaskId t : {0, 3, 4095, 4097, 100000}) {
+    EXPECT_EQ(store.Chain(t), nullptr) << t;
+    EXPECT_EQ(store.ChainDeltas(t), 0) << t;
+    EXPECT_EQ(store.ChainStateTuples(t), 0) << t;
+    EXPECT_EQ(store.TrimBatch(t), 0) << t;
+    EXPECT_FALSE(store.AcceptsDelta(t, 8)) << t;
+  }
+  EXPECT_EQ(store.TotalBlobBytes(), 8);
 }
 
 RecoveryCostModel SimpleModel() {

@@ -560,8 +560,12 @@ TEST(ClusterTest, PlacementAndFailure) {
   EXPECT_FALSE(cluster.IsStandby(2));
   EXPECT_TRUE(cluster.IsStandby(3));
   Topology topo = MakeTestTopology();
+  // A pin made before the round-robin placement survives it.
+  PPA_CHECK_OK(cluster.PlacePrimary(1, 2));
   cluster.PlacePrimariesRoundRobin(topo);
   EXPECT_EQ(cluster.NodeOfPrimary(0), 0);
+  EXPECT_EQ(cluster.NodeOfPrimary(1), 2);
+  EXPECT_EQ(cluster.NodeOfPrimary(2), 2);
   EXPECT_EQ(cluster.NodeOfPrimary(3), 0);  // 3 % 3 workers.
   PPA_CHECK_OK(cluster.PlaceReplicaAuto(1));
   PPA_CHECK_OK(cluster.PlaceReplicaAuto(2));
