@@ -147,6 +147,18 @@ class ExecutionBackend {
 [[nodiscard]] std::unique_ptr<ExecutionBackend> MakeBackend(
     BackendKind kind, const ThreadedBackendOptions& options = {});
 
+/// Runs `fn(i)` for every i in [0, n) and returns once every call has
+/// finished: the fork-join a StreamingJob runs each operator level through
+/// (DESIGN.md §16). Inside a ThreadedBackend callback the calling worker
+/// and the backend's idle workers claim contiguous blocks of indices;
+/// everywhere else (the sim, the driver thread, a call nested in another
+/// ParallelFor) it is a plain loop in index order. Every call of `fn` sees
+/// the caller's now(). Calls on distinct indices may run concurrently, so
+/// `fn` must only write state its index owns, and must not schedule,
+/// cancel or drive. Reaches the backend through the running callback, so a
+/// decorating backend needs no override.
+void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+
 }  // namespace backend
 }  // namespace ppa
 

@@ -15,10 +15,23 @@ namespace {
 // now()/ScheduleAfterOn inside a callback see the callback's firing time
 // exactly as they would inside the simulator. Keyed by backend so a
 // stray read against a different backend falls back to its frontier.
-thread_local const void* tls_backend = nullptr;
+thread_local ThreadedBackend* tls_backend = nullptr;
 thread_local int64_t tls_now_us = 0;
+// Set while this thread runs blocks of a fork, so a nested ParallelFor
+// runs inline.
+thread_local bool tls_in_fork = false;
 
 }  // namespace
+
+void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+  if (tls_backend != nullptr && !tls_in_fork && n > 1) {
+    tls_backend->RunFork(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    fn(i);
+  }
+}
 
 ThreadedBackend::ThreadedBackend(const ThreadedBackendOptions& options)
     : time_scale_(options.time_scale) {
@@ -103,8 +116,10 @@ void ThreadedBackend::WorkerLoop() {
   std::function<void()> fn;
   uint64_t strand = 0;
   bool ran = false;
+  uint64_t last_fork = 0;
   for (;;) {
     TimePoint at;
+    bool help = false;
     {
       MutexLock lock(&mu_);
       if (ran) {
@@ -116,6 +131,7 @@ void ThreadedBackend::WorkerLoop() {
         --in_flight_;
         ++events_processed_;
         obs::Add(events_counter_);
+        ran = false;
       }
       TimerQueue::iterator it;
       for (;;) {
@@ -127,7 +143,17 @@ void ThreadedBackend::WorkerLoop() {
           if (in_flight_ == 0) {
             done_cv_.NotifyAll();  // no strand busy, nothing due: drained
           }
+          // Count as a sleeper before looking for a fork: a worker opening
+          // one after this read sees the count and wakes us.
+          sleepers_.fetch_add(1);
+          const uint64_t open = open_fork_.load();
+          if (open != 0 && open != last_fork) {
+            sleepers_.fetch_sub(1);
+            help = true;
+            break;
+          }
           work_cv_.Wait(&mu_);
+          sleepers_.fetch_sub(1);
           continue;
         }
         if (time_scale_ > 0.0) {
@@ -149,20 +175,26 @@ void ThreadedBackend::WorkerLoop() {
         }
         break;
       }
-      strand = it->second.strand;
-      at = it->first.at;
-      fn = timers_.Take(it);
-      StrandState& s = strands_[strand];
-      --s.timers;
-      s.busy = true;
-      --ready_strands_;
-      ++in_flight_;
-      if (frontier_ < at) {
-        frontier_ = at;
+      if (!help) {
+        strand = it->second.strand;
+        at = it->first.at;
+        fn = timers_.Take(it);
+        StrandState& s = strands_[strand];
+        --s.timers;
+        s.busy = true;
+        --ready_strands_;
+        ++in_flight_;
+        if (frontier_ < at) {
+          frontier_ = at;
+        }
+        if (FirstDispatchable() != timers_.end()) {
+          work_cv_.NotifyOne();  // another strand can run beside this one
+        }
       }
-      if (FirstDispatchable() != timers_.end()) {
-        work_cv_.NotifyOne();  // another strand can run beside this one
-      }
+    }
+    if (help) {
+      SpinForForks(&last_fork);  // unlocked: blocks run job code
+      continue;
     }
     tls_backend = this;
     tls_now_us = at.micros();
@@ -170,6 +202,91 @@ void ThreadedBackend::WorkerLoop() {
     tls_backend = nullptr;
     fn = nullptr;  // release captures before booking completion
     ran = true;
+  }
+}
+
+void ThreadedBackend::RunFork(size_t n,
+                              const std::function<void(size_t)>& fn) {
+  std::optional<Fork> fork;
+  {
+    MutexLock lock(&fork_mu_);
+    if (fork_ == nullptr) {
+      fork.emplace(&fn, n, tls_now_us, ++fork_epoch_);
+      fork_ = &*fork;
+      open_fork_.store(fork->epoch);
+    }
+  }
+  if (!fork) {
+    // Another strand's fork is open: run this one alone.
+    for (size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  if (sleepers_.load() > 0) {
+    MutexLock lock(&mu_);
+    work_cv_.NotifyAll();
+  }
+  tls_in_fork = true;
+  RunBlocks(&*fork);
+  tls_in_fork = false;
+  {
+    MutexLock lock(&fork_mu_);
+    fork_ = nullptr;
+    open_fork_.store(0);
+  }
+  // Every block is claimed; wait for the helpers still running one.
+  while (fork->helpers.load() != 0) {
+    ThreadPool::SpinPause();
+  }
+}
+
+void ThreadedBackend::RunBlocks(Fork* fork) {
+  for (;;) {
+    const size_t begin = fork->next.fetch_add(fork->block);
+    if (begin >= fork->n) {
+      return;
+    }
+    const size_t end = std::min(fork->n, begin + fork->block);
+    for (size_t i = begin; i < end; ++i) {
+      (*fork->fn)(i);
+    }
+  }
+}
+
+bool ThreadedBackend::HelpFork(uint64_t* last_epoch) {
+  Fork* fork = nullptr;
+  {
+    MutexLock lock(&fork_mu_);
+    if (fork_ == nullptr || fork_->epoch == *last_epoch) {
+      return false;
+    }
+    fork = fork_;
+    fork->helpers.fetch_add(1);
+  }
+  *last_epoch = fork->epoch;
+  tls_backend = this;
+  tls_now_us = fork->now_us;
+  tls_in_fork = true;
+  RunBlocks(fork);
+  tls_in_fork = false;
+  tls_backend = nullptr;
+  fork->helpers.fetch_sub(1);  // last touch: the forking worker may return
+  return true;
+}
+
+void ThreadedBackend::SpinForForks(uint64_t* last_epoch) {
+  double idle_since = WallClockSeconds();
+  for (;;) {
+    const uint64_t open = open_fork_.load();
+    if (open != 0 && open != *last_epoch && HelpFork(last_epoch)) {
+      idle_since = WallClockSeconds();
+      continue;
+    }
+    if (WallClockSeconds() - idle_since > kForkSpinSeconds) {
+      return;
+    }
+    ThreadPool::SpinPause();
   }
 }
 

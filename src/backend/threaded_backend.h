@@ -1,6 +1,8 @@
 #ifndef PPA_BACKEND_THREADED_BACKEND_H_
 #define PPA_BACKEND_THREADED_BACKEND_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -51,6 +53,18 @@ namespace backend {
 /// and the timer is due within the current drive; a worker that takes a
 /// timer wakes one more only if another strand is still dispatchable.
 ///
+/// ## Level fork-join
+///
+/// ParallelFor() called from a callback publishes one fork. The calling
+/// worker starts claiming blocks of about n/16 indices at once and never
+/// waits for a helper to start; idle workers (woken if asleep) claim the
+/// rest from the same index. The caller returns once no block is left
+/// unclaimed and every helper has left the fork. A worker that has just
+/// helped spins for kForkSpinSeconds waiting for the next fork before it
+/// goes back to the timer loop, so consecutive levels of one job do not
+/// each pay a wake-up. Only one fork is open at a time; a second strand
+/// that forks meanwhile runs its loop alone.
+///
 /// ## Pacing
 ///
 /// With time_scale == 0 virtual time free-runs (a drive finishes as fast
@@ -94,6 +108,49 @@ class ThreadedBackend final : public ExecutionBackend {
       PPA_EXCLUDES(mu_);
 
  private:
+  friend void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+
+  /// How long a worker that has just helped a fork waits, spinning, for
+  /// the next one before it returns to the timer loop.
+  static constexpr double kForkSpinSeconds = 200e-6;
+
+  /// A fork of n indices is claimed in blocks of max(1, n / 16) indices:
+  /// about 16 claims balance uneven tasks without a claim per index.
+  static constexpr size_t kClaimsPerFork = 16;
+
+  /// One open ParallelFor, on the forking worker's stack.
+  struct Fork {
+    Fork(const std::function<void(size_t)>* fn, size_t n, int64_t now_us,
+         uint64_t epoch)
+        : fn(fn), n(n), block(std::max<size_t>(1, n / kClaimsPerFork)),
+          now_us(now_us), epoch(epoch) {}
+    const std::function<void(size_t)>* const fn;
+    const size_t n;
+    /// Indices per claim.
+    const size_t block;
+    /// The forking callback's virtual time: now() on every helper.
+    const int64_t now_us;
+    /// Distinguishes this fork from earlier ones at the same address.
+    const uint64_t epoch;
+    /// First unclaimed index.
+    std::atomic<size_t> next{0};
+    /// Helpers that joined and have not left; the forking worker returns
+    /// only once this is zero.
+    std::atomic<int> helpers{0};
+  };
+
+  /// Runs `fn` over [0, n) with the idle workers (ParallelFor on a
+  /// worker running a callback).
+  void RunFork(size_t n, const std::function<void(size_t)>& fn)
+      PPA_EXCLUDES(mu_, fork_mu_);
+  /// Claims and runs blocks of `fork` until none is left.
+  static void RunBlocks(Fork* fork);
+  /// Joins the open fork if it is newer than `*last_epoch`, runs blocks of
+  /// it, and records its epoch; false when none was open.
+  bool HelpFork(uint64_t* last_epoch) PPA_EXCLUDES(mu_, fork_mu_);
+  /// Helps forks until none has opened for kForkSpinSeconds.
+  void SpinForForks(uint64_t* last_epoch) PPA_EXCLUDES(mu_, fork_mu_);
+
   /// Dispatch bookkeeping for one strand (gate (b) above).
   struct StrandState {
     /// A callback of this strand is running.
@@ -153,6 +210,22 @@ class ThreadedBackend final : public ExecutionBackend {
   /// "backend.events_processed" when metrics are attached (increments are
   /// serialized by mu_; obs counters are not atomic).
   obs::Counter* events_counter_ PPA_GUARDED_BY(mu_) = nullptr;
+
+  /// Guards fork_: a helper joins, and the forking worker retracts, under
+  /// it, so no helper can reach a fork after it was retracted.
+  Mutex fork_mu_;
+  Fork* fork_ PPA_GUARDED_BY(fork_mu_) = nullptr;
+  /// Epoch of the open fork, 0 when none is open: the lock-free hint idle
+  /// and spinning workers poll before taking fork_mu_. Written under
+  /// fork_mu_ only.
+  std::atomic<uint64_t> open_fork_{0};
+  /// Epoch of the last fork opened; written under fork_mu_ only.
+  uint64_t fork_epoch_ PPA_GUARDED_BY(fork_mu_) = 0;
+  /// Workers blocked in work_cv_. Incremented under mu_ before a worker
+  /// reads open_fork_ and waits, so a forking worker that reads it after
+  /// opening a fork either sees the sleeper or is seen by it (atomic, read
+  /// without mu_).
+  std::atomic<int> sleepers_{0};
 };
 
 }  // namespace backend

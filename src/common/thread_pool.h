@@ -45,6 +45,16 @@ class ThreadPool {
   /// Hardware concurrency, at least 1 — the natural `--jobs 0` expansion.
   static int DefaultParallelism();
 
+  /// One step of a busy-wait: tells the CPU the caller is spinning (or
+  /// yields where there is no such hint).
+  static void SpinPause() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+  }
+
  private:
   /// One worker's deque; `mu` guards only the deque so stealing never
   /// contends with the pool-wide bookkeeping lock.

@@ -114,7 +114,7 @@ StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotState() {
   for (const WindowSlice& slice : window_) {
     w.PutI64(slice.batch);
     w.PutU64(slice.tuples.size());
-    w.PutTuples(slice.tuples);
+    w.PutTuples(slice.tuples, slice.bytes - kSliceHeaderBytes);
   }
   PPA_CHECK(w.size() == bytes)
       << "window snapshot is " << w.size() << " bytes, presized " << bytes;
@@ -143,7 +143,7 @@ StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotDelta(
     }
     w.PutI64(slice.batch);
     w.PutU64(slice.tuples.size());
-    w.PutTuples(slice.tuples);
+    w.PutTuples(slice.tuples, slice.bytes - kSliceHeaderBytes);
   }
   snapshot_marker_ = horizon;
   if (delta_tuples != nullptr) {

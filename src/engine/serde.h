@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "common/status_or.h"
 #include "engine/tuple.h"
@@ -42,22 +43,41 @@ class BinaryWriter {
   }
 
   /// Appends every tuple of `tuples` in the tuple wire layout (the count
-  /// is the caller's to write). One resize, then fixed-width stores.
-  void PutTuples(const std::vector<Tuple>& tuples) {
+  /// is the caller's to write). `bytes` is what they encode to
+  /// (EncodedTupleBytes), which callers keep with their batches and slices.
+  /// One zero-filled resize, then fixed-width stores: each key is copied at
+  /// its full TupleKey::kCapacity while that many bytes remain, so the copy
+  /// has a constant size and the following fields overwrite its tail, and
+  /// at its exact length near the end.
+  void PutTuples(const std::vector<Tuple>& tuples, size_t bytes) {
     const size_t start = data_.size();
-    data_.resize(start + EncodedTupleBytes(tuples));
+    data_.resize(start + bytes);
     char* out = data_.data() + start;
+    char* const end = out + bytes;
+    size_t written = 0;
     for (const Tuple& t : tuples) {
       const uint64_t key_size = t.key.size();
+      const size_t left = static_cast<size_t>(end - out);
+      if (left < kTupleFixedBytes + key_size) {
+        break;  // `bytes` is short; the check below reports it
+      }
       std::memcpy(out, &key_size, sizeof(key_size));
       out += sizeof(key_size);
-      std::memcpy(out, t.key.data(), key_size);
+      if (left >= sizeof(key_size) + TupleKey::kCapacity) {
+        std::memcpy(out, t.key.data(), TupleKey::kCapacity);
+      } else {
+        std::memcpy(out, t.key.data(), key_size);
+      }
       out += key_size;
       const int64_t fixed[4] = {t.value, t.batch, static_cast<int64_t>(t.seq),
                                 t.producer};
       std::memcpy(out, fixed, sizeof(fixed));
       out += sizeof(fixed);
+      ++written;
     }
+    PPA_CHECK(written == tuples.size() && out == end)
+        << tuples.size() << " tuples do not encode to the presized " << bytes
+        << " bytes";
   }
 
   /// Pre-sizes the buffer for `n` more bytes, so a writer that knows its

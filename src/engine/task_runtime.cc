@@ -29,7 +29,7 @@ void PutBatch(BinaryWriter* w, const BatchOutput& b) {
   w->PutI64(b.ingest_at.micros());
   w->PutI64(b.hops);
   w->PutU64(b.tuples.size());
-  w->PutTuples(b.tuples);
+  w->PutTuples(b.tuples, b.encoded_bytes - kBatchHeaderBytes);
 }
 
 StatusOr<BatchOutput> GetBatch(BinaryReader* r) {
@@ -152,18 +152,24 @@ const BatchOutput* TaskRuntime::FindBatch(int64_t batch) const {
 }
 
 void TaskRuntime::PushBatch(BatchOutput b) {
+  PPA_CHECK(!buffer_frozen_)
+      << topology_->TaskLabel(id_) << " output buffer changed while frozen";
   buffered_tuples_ += static_cast<int64_t>(b.tuples.size());
   buffered_bytes_ += b.encoded_bytes;
   output_buffer_.push_back(std::move(b));
 }
 
 void TaskRuntime::ClearOutputBuffer() {
+  PPA_CHECK(!buffer_frozen_)
+      << topology_->TaskLabel(id_) << " output buffer changed while frozen";
   output_buffer_.clear();
   buffered_tuples_ = 0;
   buffered_bytes_ = 0;
 }
 
 void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
+  PPA_CHECK(!buffer_frozen_)
+      << topology_->TaskLabel(id_) << " output buffer changed while frozen";
   while (!output_buffer_.empty() &&
          output_buffer_.front().batch <= up_to_batch) {
     const BatchOutput& front = output_buffer_.front();

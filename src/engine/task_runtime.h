@@ -87,6 +87,11 @@ class TaskRuntime {
   /// Total tuples currently buffered.
   int64_t BufferedTuples() const { return buffered_tuples_; }
 
+  /// While frozen, any change to the output buffer is a fatal check.
+  /// Debug builds of StreamingJob freeze a level's upstream primaries
+  /// while the level's tasks read them from several threads.
+  void set_buffer_frozen(bool frozen) { buffer_frozen_ = frozen; }
+
   /// Serializes the full task checkpoint: next batch, dedup map, operator
   /// state, and output buffer (Sec. II-B: "computation state and output
   /// buffer"). Also resets the delta baseline.
@@ -174,6 +179,7 @@ class TaskRuntime {
   /// its blob without walking it.
   int64_t buffered_tuples_ = 0;
   size_t buffered_bytes_ = 0;
+  bool buffer_frozen_ = false;
 };
 
 }  // namespace ppa

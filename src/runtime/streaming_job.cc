@@ -60,6 +60,7 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
   PPA_CHECK_OK(config_.Validate());
   op_factories_.resize(static_cast<size_t>(topology_.num_operators()));
   source_factories_.resize(static_cast<size_t>(topology_.num_operators()));
+  level_blocks_.resize(kLevelBlocks);
   processing_us_.assign(static_cast<size_t>(topology_.num_tasks()), 0.0);
   sink_recorded_until_.assign(static_cast<size_t>(topology_.num_tasks()),
                               -1);
@@ -392,21 +393,77 @@ int64_t StreamingJob::CurrentBufferedTuples() const {
 void StreamingJob::Advance() {
   // One pass suffices: every runtime, replica or not, gathers from
   // upstream primaries, which come earlier in topological order, so
-  // running a task never unblocks one visited before it.
+  // running a task never unblocks one visited before it. For the same
+  // reason the tasks of one level only read buffers nothing writes while
+  // the level runs, and can run on several workers at once. What they
+  // book outside their own runtimes is applied in block order after the
+  // level, so every backend books exactly what a serial pass would.
   for (OperatorId op : topology_.topo_order()) {
-    for (TaskId t : topology_.op(op).tasks) {
-      TryAdvance(primaries_[static_cast<size_t>(t)].get(),
-                 /*is_replica=*/false);
-      if (replica(t) != nullptr) {
-        TryAdvance(replica(t), /*is_replica=*/true);
-      }
+    FreezeUpstreamBuffers(op, true);
+    const size_t blocks = LevelBlockCount(op);
+    backend::ParallelFor(blocks, [this, op](size_t k) { AdvanceBlock(op, k); });
+    FreezeUpstreamBuffers(op, false);
+    for (size_t k = 0; k < blocks; ++k) {
+      ApplyLevelBlock(&level_blocks_[k]);
     }
   }
 }
 
+void StreamingJob::FreezeUpstreamBuffers(OperatorId op, bool frozen) {
+#ifndef NDEBUG
+  for (OperatorId up : topology_.op(op).upstream) {
+    for (TaskId u : topology_.op(up).tasks) {
+      primaries_[static_cast<size_t>(u)]->set_buffer_frozen(frozen);
+    }
+  }
+#else
+  (void)op;
+  (void)frozen;
+#endif
+}
+
+size_t StreamingJob::LevelBlockCount(OperatorId op) const {
+  const OperatorInfo& info = topology_.op(op);
+  return info.downstream.empty() ? 1
+                                 : std::min(info.tasks.size(), kLevelBlocks);
+}
+
+void StreamingJob::AdvanceBlock(OperatorId op, size_t k) {
+  const std::vector<TaskId>& tasks = topology_.op(op).tasks;
+  const size_t blocks = LevelBlockCount(op);
+  LevelBlock* block = &level_blocks_[k];
+  for (size_t i = k * tasks.size() / blocks;
+       i < (k + 1) * tasks.size() / blocks; ++i) {
+    const TaskId t = tasks[i];
+    TryAdvance(primaries_[static_cast<size_t>(t)].get(), /*is_replica=*/false,
+               block);
+    if (replica(t) != nullptr) {
+      TryAdvance(replica(t), /*is_replica=*/true, block);
+    }
+  }
+}
+
+void StreamingJob::ApplyLevelBlock(LevelBlock* block) {
+  obs::Add(m_tuples_primary_, block->tuples_primary);
+  obs::Add(m_batches_primary_, block->batches_primary);
+  obs::Add(m_tuples_replica_, block->tuples_replica);
+  obs::Add(m_batches_replica_, block->batches_replica);
+  block->tuples_primary = 0;
+  block->batches_primary = 0;
+  block->tuples_replica = 0;
+  block->batches_replica = 0;
+  for (double work : block->tuples_per_batch) {
+    obs::Observe(m_tuples_per_batch_, work);
+  }
+  block->tuples_per_batch.clear();
+  degraded_batches_.insert(block->degraded.begin(), block->degraded.end());
+  block->degraded.clear();
+}
+
 const BatchOutput* StreamingJob::RunStep(
     const std::vector<std::unique_ptr<TaskRuntime>>& runtimes,
-    TaskRuntime* rt, int64_t b, int64_t* work, bool* punctured) {
+    TaskRuntime* rt, int64_t b, std::vector<const BatchOutput*>* upstream,
+    int64_t* work, bool* punctured) {
   const TaskId t = rt->id();
   const std::vector<int>& in_substreams = topology_.task(t).in_substreams;
   const OperatorId to_op = topology_.task(t).op;
@@ -414,7 +471,8 @@ const BatchOutput* StreamingJob::RunStep(
   // lineage) stamp the batch's nominal tick time.
   BatchRunContext ctx;
   ctx.ingest_at = BatchTickTime(b);
-  std::vector<const BatchOutput*> batches(in_substreams.size(), nullptr);
+  std::vector<const BatchOutput*>& batches = *upstream;
+  batches.assign(in_substreams.size(), nullptr);
   size_t expected = 0;
   for (size_t i = 0; i < in_substreams.size(); ++i) {
     const Substream& s = topology_.substreams()[in_substreams[i]];
@@ -456,7 +514,8 @@ const BatchOutput* StreamingJob::RunStep(
   return &out;
 }
 
-void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
+void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica,
+                              LevelBlock* block) {
   if (!rt->alive()) {
     return;
   }
@@ -466,17 +525,20 @@ void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
     int64_t work = 0;
     bool punctured = false;
     const int64_t processed_before = rt->processed_tuples();
-    const BatchOutput* out = RunStep(primaries_, rt, b, &work, &punctured);
+    const BatchOutput* out =
+        RunStep(primaries_, rt, b, &block->upstream, &work, &punctured);
     if (out == nullptr) {
       return;
     }
     // Post-dedup inputs, as RunBatch counts them.
-    obs::Add(is_replica ? m_tuples_replica_ : m_tuples_primary_,
-             rt->processed_tuples() - processed_before);
-    obs::Add(is_replica ? m_batches_replica_ : m_batches_primary_);
+    const int64_t processed = rt->processed_tuples() - processed_before;
     if (is_replica) {
+      block->tuples_replica += processed;
+      ++block->batches_replica;
       continue;
     }
+    block->tuples_primary += processed;
+    ++block->batches_primary;
     processing_us_[static_cast<size_t>(t)] +=
         static_cast<double>(work) * config_.process_cost_per_tuple_us;
     if (config_.recovery_mode != af::RecoveryMode::kPpa) {
@@ -486,13 +548,16 @@ void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
       divergence_.Observe(t, work, work * static_cast<int64_t>(sizeof(Tuple)),
                           topology_.task(t).weight);
     }
-    if (!rt->is_source()) {
-      obs::Observe(m_tuples_per_batch_, static_cast<double>(work));
+    if (!rt->is_source() && m_tuples_per_batch_ != nullptr) {
+      block->tuples_per_batch.push_back(static_cast<double>(work));
     }
     if (punctured) {
-      degraded_batches_.insert(b);
+      block->degraded.push_back(b);
     }
     if (topology_.IsSinkTask(t)) {
+      // A sink's level runs on the job strand (LevelBlockCount), so its
+      // delivery can book the block first and read its degraded batch.
+      ApplyLevelBlock(block);
       DeliverSinkBatch(t, *out);
       // Sinks have no subscribers; their buffer is not needed for replay.
       rt->TrimOutputBuffer(b);
@@ -1184,13 +1249,15 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs() {
     shadow.push_back(MakeRuntime(t));
     shadow.back()->FastForward(start);
   }
+  std::vector<const BatchOutput*> upstream;
   for (int64_t b = start; b <= report.to_batch; ++b) {
     for (OperatorId op : topology_.topo_order()) {
       for (TaskId t : topology_.op(op).tasks) {
         int64_t work = 0;
         bool punctured = false;
-        const BatchOutput* out = RunStep(
-            shadow, shadow[static_cast<size_t>(t)].get(), b, &work, &punctured);
+        const BatchOutput* out =
+            RunStep(shadow, shadow[static_cast<size_t>(t)].get(), b,
+                    &upstream, &work, &punctured);
         // Shadow runtimes never fail, so every upstream has run batch b
         // earlier in this topological pass.
         PPA_CHECK(out != nullptr) << "shadow " << topology_.TaskLabel(t)

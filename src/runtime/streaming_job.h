@@ -296,17 +296,52 @@ class StreamingJob {
   int64_t PeakBufferedTuples() const { return peak_buffered_tuples_; }
 
  private:
-  /// Dataflow scheduler: one topological pass (DESIGN.md §3.5).
+  /// Most blocks one operator level is split into (DESIGN.md §16).
+  static constexpr size_t kLevelBlocks = 16;
+
+  /// What the tasks of one block of a level book outside their own
+  /// runtimes and per-task slots, held until the level is done and then
+  /// applied in block order (ApplyLevelBlock), plus the block's scratch.
+  struct LevelBlock {
+    /// engine.{tuples,batches}_processed and the replica_ pair.
+    int64_t tuples_primary = 0;
+    int64_t batches_primary = 0;
+    int64_t tuples_replica = 0;
+    int64_t batches_replica = 0;
+    /// engine.tuples_per_batch observations, in task order.
+    std::vector<double> tuples_per_batch;
+    /// Batches to add to degraded_batches_.
+    std::vector<int64_t> degraded;
+    /// RunStep's upstream batch per input substream.
+    std::vector<const BatchOutput*> upstream;
+  };
+
+  /// Dataflow scheduler: one topological pass, one operator level at a
+  /// time, each level's tasks forked across the backend's idle workers
+  /// (DESIGN.md §3.5, §16).
   void Advance();
-  void TryAdvance(TaskRuntime* rt, bool is_replica);
+  /// Blocks operator `op`'s level is split into: one for a sink
+  /// operator, whose steps deliver to the user and so stay on the job
+  /// strand.
+  size_t LevelBlockCount(OperatorId op) const;
+  /// Runs block `k` of `op`'s level: each task's primary, then its
+  /// replica, booking into level_blocks_[k].
+  void AdvanceBlock(OperatorId op, size_t k);
+  /// Debug builds: (un)freezes the output buffers of `op`'s upstream
+  /// primaries, which its level only reads. No-op with NDEBUG.
+  void FreezeUpstreamBuffers(OperatorId op, bool frozen);
+  /// Books `block` into the job and clears it.
+  void ApplyLevelBlock(LevelBlock* block);
+  void TryAdvance(TaskRuntime* rt, bool is_replica, LevelBlock* block);
   /// Runs batch `b` of `rt` on its inputs gathered from `runtimes` (by
   /// task id: the primaries, or reconciliation's shadow runtimes), or
   /// returns nullptr if an upstream blocks `b`. Sets *work to the tuples
   /// processed (inputs, or a source's outputs) and *punctured if a
-  /// punctuation stood in for an upstream's data.
+  /// punctuation stood in for an upstream's data. `upstream` is scratch.
   const BatchOutput* RunStep(
       const std::vector<std::unique_ptr<TaskRuntime>>& runtimes,
-      TaskRuntime* rt, int64_t b, int64_t* work, bool* punctured);
+      TaskRuntime* rt, int64_t b, std::vector<const BatchOutput*>* upstream,
+      int64_t* work, bool* punctured);
   /// True if failed task `t` is replaced by punctuations in tentative
   /// mode: PPA, with a recovery pending that no active replica covers.
   bool IsPunctured(TaskId t) const {
@@ -418,6 +453,10 @@ class StreamingJob {
   std::vector<int64_t> sink_recorded_until_;
   std::vector<RecoveryReport> reports_;
 
+  /// One per block of the level Advance is running (kLevelBlocks).
+  std::vector<LevelBlock> level_blocks_;
+
+  /// Per-task slots: a level's blocks write their own tasks' entries.
   std::vector<double> processing_us_;
   std::vector<double> checkpoint_us_;
   std::vector<int64_t> checkpoint_count_;

@@ -4,14 +4,17 @@
 // oracle (DESIGN.md §16) — the sim run is the golden output the threaded
 // backend must reproduce, including under fault injection.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,10 +29,14 @@
 #include "engine/operators.h"
 #include "exp/parity.h"
 #include "exp/run_spec.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
+#include "planner/structure_aware_planner.h"
+#include "report/json.h"
 #include "runtime/job_deps.h"
 #include "runtime/streaming_job.h"
 #include "tests/test_topologies.h"
+#include "topology/serialize.h"
 #include "workloads/synthetic_recovery.h"
 
 namespace ppa {
@@ -234,6 +241,77 @@ TEST_P(BackendContract, StopDropsPendingTimersWithoutRunningThem) {
   EXPECT_EQ(be_->events_processed(), 0);
 }
 
+// --- ParallelFor: the level fork-join, on both backends --------------------
+
+TEST_P(BackendContract, ParallelForRunsEveryIndexOnceBeforeReturning) {
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> runs(kN);
+  std::atomic<int> wrong_now{0};
+  bool all_ran_on_return = false;
+  (void)be_->ScheduleAt(0, At(777), [&] {
+    backend::ParallelFor(kN, [&](size_t i) {
+      // A little work per index, so helpers are still inside their blocks
+      // when the caller runs out of blocks to claim.
+      volatile uint64_t sink = 0;
+      for (int k = 0; k < 200; ++k) {
+        sink = sink + static_cast<uint64_t>(k) * i;
+      }
+      runs[i].fetch_add(1);
+      if (be_->now() != At(777)) {
+        wrong_now.fetch_add(1);
+      }
+    });
+    all_ran_on_return = std::all_of(
+        runs.begin(), runs.end(),
+        [](const std::atomic<int>& r) { return r.load() == 1; });
+  });
+  be_->RunUntilIdle();
+  EXPECT_TRUE(all_ran_on_return);
+  EXPECT_EQ(wrong_now.load(), 0);
+  EXPECT_EQ(be_->events_processed(), 1);
+}
+
+TEST_P(BackendContract, NestedParallelForRunsInline) {
+  std::atomic<int> off_thread{0};
+  std::atomic<int> out_of_order{0};
+  std::atomic<int> inner_runs{0};
+  (void)be_->ScheduleAt(0, At(5), [&] {
+    backend::ParallelFor(64, [&](size_t) {
+      const std::thread::id self = std::this_thread::get_id();
+      size_t next = 0;
+      backend::ParallelFor(8, [&](size_t j) {
+        if (std::this_thread::get_id() != self) {
+          off_thread.fetch_add(1);
+        }
+        if (j != next++) {
+          out_of_order.fetch_add(1);
+        }
+        inner_runs.fetch_add(1);
+      });
+    });
+  });
+  be_->RunUntilIdle();
+  EXPECT_EQ(inner_runs.load(), 64 * 8);
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(out_of_order.load(), 0);
+}
+
+TEST_P(BackendContract, ParallelForOutsideCallbacksIsAPlainLoop) {
+  // The driver thread runs no callback, so there is no pool to fork onto.
+  const std::thread::id self = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool on_caller = true;
+  backend::ParallelFor(100, [&](size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == self;
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+  EXPECT_TRUE(on_caller);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, BackendContract,
     ::testing::Values(backend::BackendKind::kSim,
@@ -354,6 +432,62 @@ TEST(ThreadedBackend, NeverRunsMoreCallbacksThanWorkers) {
   EXPECT_EQ(be.events_processed(), kStrands * kPerStrand);
   EXPECT_GE(high_water.load(), 1);
   EXPECT_LE(high_water.load(), 2);
+}
+
+/// Runs ParallelFor(n) from a callback on `be` and returns, per index, the
+/// thread that ran it, plus the callback's own thread.
+std::pair<std::vector<std::thread::id>, std::thread::id> ForkThreads(
+    backend::ExecutionBackend* be, size_t n) {
+  std::vector<std::thread::id> ran(n);
+  std::thread::id caller;
+  (void)be->ScheduleAfter(Duration::Seconds(1), [&] {
+    caller = std::this_thread::get_id();
+    backend::ParallelFor(n, [&](size_t i) {
+      ran[i] = std::this_thread::get_id();
+    });
+  });
+  be->RunUntilIdle();
+  return {ran, caller};
+}
+
+TEST(SimBackend, ParallelForRunsOnTheCaller) {
+  backend::SimBackend be;
+  auto [ran, caller] = ForkThreads(&be, 64);
+  for (const std::thread::id& id : ran) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ThreadedBackend, ParallelForWithOneWorkerRunsOnTheCaller) {
+  backend::ThreadedBackendOptions options;
+  options.num_shards = 1;
+  backend::ThreadedBackend be(options);
+  auto [ran, caller] = ForkThreads(&be, 64);
+  for (const std::thread::id& id : ran) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ThreadedBackend, ParallelForRunsBlocksOnTwoWorkers) {
+  // Each of the two indices is its own block, and neither returns until
+  // both have started: the fork can only finish if the caller and the
+  // idle second worker each run one. No timing is involved.
+  backend::ThreadedBackendOptions options;
+  options.num_shards = 2;
+  backend::ThreadedBackend be(options);
+  std::latch both_started(2);
+  std::vector<std::thread::id> ran(2);
+  std::thread::id caller;
+  (void)be.ScheduleAfter(Duration::Seconds(1), [&] {
+    caller = std::this_thread::get_id();
+    backend::ParallelFor(2, [&](size_t i) {
+      ran[i] = std::this_thread::get_id();
+      both_started.arrive_and_wait();
+    });
+  });
+  be.RunUntilIdle();
+  EXPECT_NE(ran[0], ran[1]);
+  EXPECT_TRUE(ran[0] == caller || ran[1] == caller);
 }
 
 // The drill behind the stable-output parity test below: the fig07 shape — a
@@ -508,6 +642,147 @@ TEST(BackendParity, CorrelatedFailureWithReconcileIsIdenticalOnThreads) {
   EXPECT_TRUE(report->identical) << report->mismatch;
   EXPECT_GT(report->baseline_total, report->baseline_stable)
       << "the drill should have produced tentative records";
+}
+
+// --- level fork-join: byte-identical job output on threads ---------------
+
+/// What a job leaves behind, serialized for byte comparison.
+struct JobOutput {
+  std::vector<SinkRecord> records;
+  std::string metrics;
+  std::string trace;
+};
+
+/// The job's metrics without the entries the backend itself books
+/// ("sim.*" or "backend.*"), which name the backend.
+std::string JobMetricsJson(const obs::MetricsRegistry& registry) {
+  const JsonValue all = obs::MetricsToJson(registry);
+  JsonValue job = JsonValue::Object();
+  for (const auto& [section, entries] : all.members()) {
+    JsonValue kept = JsonValue::Object();
+    for (const auto& [name, value] : entries.members()) {
+      if (name.rfind("sim.", 0) != 0 && name.rfind("backend.", 0) != 0) {
+        kept.Set(name, value);
+      }
+    }
+    job.Set(section, std::move(kept));
+  }
+  return job.Serialize();
+}
+
+JobOutput OutputOf(const StreamingJob& job) {
+  return JobOutput{job.sink_records(), JobMetricsJson(job.metrics()),
+                   obs::TraceToJson(job.trace()).Serialize()};
+}
+
+void ExpectSameOutput(const JobOutput& golden, const JobOutput& got) {
+  ASSERT_EQ(golden.records.size(), got.records.size());
+  for (size_t i = 0; i < golden.records.size(); ++i) {
+    EXPECT_TRUE(SameRecordExactly(golden.records[i], got.records[i]))
+        << "record " << i << " differs";
+  }
+  EXPECT_EQ(golden.metrics, got.metrics);
+  EXPECT_EQ(golden.trace, got.trace);
+}
+
+/// The fig6 shape (16 sources into 8/4/2/1 window tasks) with the PPA
+/// half-budget plan: the sources and every non-sink window task fail at
+/// 20 s, recover, and at 45 s the plan moves to the first window
+/// operator. The failure and the plan change run on the job strand, so
+/// the recovery and catch-up levels fork as the batch ticks do.
+JobOutput RunForkedFig6(backend::ExecutionBackend* be) {
+  auto workload = MakeSyntheticRecoveryWorkload(/*rate_per_source_task=*/400,
+                                                /*window_batches=*/5);
+  PPA_CHECK_OK(workload.status());
+  JobConfig config = JobConfig::PpaDefaults();
+  config.window_batches = 5;
+  config.num_worker_nodes = 19;
+  config.num_standby_nodes = 16;
+  StreamingJob job(workload->topo, config, JobRuntimeDeps(be));
+  PPA_CHECK_OK(BindSyntheticRecoveryWorkload(*workload, &job));
+  auto synthetic_nodes = PlaceSyntheticRecoveryWorkload(*workload, &job);
+  PPA_CHECK_OK(synthetic_nodes.status());
+  StructureAwarePlanner planner;
+  auto plan = planner.Plan(
+      PlanRequest(workload->topo, workload->topo.num_tasks() / 2));
+  PPA_CHECK_OK(plan.status());
+  PPA_CHECK_OK(job.SetActiveReplicaSet(plan->replicated));
+  PPA_CHECK_OK(job.Start());
+  (void)be->ScheduleAt(job.strand(), TimePoint::Zero() + Duration::Seconds(20),
+                       [&job, nodes = *synthetic_nodes] {
+                         // Every window node but the sink's (the last).
+                         for (size_t i = 0; i + 1 < nodes.size(); ++i) {
+                           PPA_CHECK_OK(job.InjectNodeFailure(nodes[i]));
+                         }
+                         for (int node = 0; node < 4; ++node) {
+                           PPA_CHECK_OK(job.InjectNodeFailure(node));
+                         }
+                       });
+  TaskSet moved(workload->topo.num_tasks());
+  for (TaskId t : workload->topo.op(workload->o1).tasks) {
+    moved.Add(t);
+  }
+  (void)be->ScheduleAt(job.strand(), TimePoint::Zero() + Duration::Seconds(45),
+                       [&job, moved] {
+                         PPA_CHECK_OK(job.ApplyActiveReplicaSet(moved));
+                       });
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(70));
+  EXPECT_EQ(job.recovery_reports().size(), 1u);
+  return OutputOf(job);
+}
+
+/// Four sources into four windows, fully connected to a sink operator of
+/// parallelism 2,
+/// every task replicated; node 2 (a source and its window) fails at 12 s.
+JobOutput RunForkedWideSink(backend::ExecutionBackend* be) {
+  auto topo = ParseTopologySpec(
+      "operator src 4 rate=40\n"
+      "operator mid 4 selectivity=0.5\n"
+      "operator sink 2 selectivity=0.5\n"
+      "edge src mid one-to-one\n"
+      "edge mid sink full\n");
+  PPA_CHECK_OK(topo.status());
+  JobConfig config = JobConfig::PpaDefaults();
+  StreamingJob job(*topo, config, JobRuntimeDeps(be));
+  PPA_CHECK_OK(exp::BindGenericWorkload(*topo, config, &job));
+  TaskSet all(topo->num_tasks());
+  for (TaskId t = 0; t < topo->num_tasks(); ++t) {
+    all.Add(t);
+  }
+  PPA_CHECK_OK(job.SetActiveReplicaSet(all));
+  PPA_CHECK_OK(job.Start());
+  (void)be->ScheduleAt(job.strand(), TimePoint::Zero() + Duration::Seconds(12),
+                       [&job] { PPA_CHECK_OK(job.InjectNodeFailure(2)); });
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(40));
+  EXPECT_EQ(job.recovery_reports().size(), 1u);
+  return OutputOf(job);
+}
+
+TEST(LevelForkParity, Fig6CorrelatedFailureAndPlanChangeMatchTheSim) {
+  backend::SimBackend sim;
+  const JobOutput golden = RunForkedFig6(&sim);
+  EXPECT_GT(golden.records.size(), 0u);
+  EXPECT_NE(golden.trace.find("tentative"), std::string::npos);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    backend::ThreadedBackendOptions options;
+    options.num_shards = workers;
+    backend::ThreadedBackend threads(options);
+    ExpectSameOutput(golden, RunForkedFig6(&threads));
+  }
+}
+
+TEST(LevelForkParity, ParallelSinkOperatorMatchesTheSim) {
+  backend::SimBackend sim;
+  const JobOutput golden = RunForkedWideSink(&sim);
+  EXPECT_GT(golden.records.size(), 0u);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    backend::ThreadedBackendOptions options;
+    options.num_shards = workers;
+    backend::ThreadedBackend threads(options);
+    ExpectSameOutput(golden, RunForkedWideSink(&threads));
+  }
 }
 
 // --- chaos smoke: the threaded backend under random fault schedules --------

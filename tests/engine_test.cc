@@ -567,7 +567,7 @@ TEST(SerdeTest, PutTuplesMatchesPerFieldEncoding) {
   tuples[1].producer = kInvalidTaskId;  // Raw source input.
   tuples[2].seq = ~uint64_t{0};
   BinaryWriter bulk;
-  bulk.PutTuples(tuples);
+  bulk.PutTuples(tuples, EncodedTupleBytes(tuples));
   BinaryWriter by_field;
   for (const Tuple& t : tuples) {
     PutTupleByField(&by_field, t);
@@ -582,9 +582,49 @@ TEST(SerdeTest, PutTuplesMatchesPerFieldEncoding) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(SerdeTest, PutTuplesFixedWidthKeyCopiesLeaveNoStaleBytes) {
+  // Keys are copied at their full 35-byte capacity while that fits, so the
+  // bytes past a key's length (here stale: each key first held a longer
+  // one) must all be overwritten, and the short keys at the end of the
+  // buffer take the exact-length copy.
+  const std::string full(TupleKey::kCapacity, 'f');
+  for (const char* last : {"", "k", "ab", "a-key-longer-than-any-small-string"}) {
+    std::vector<Tuple> tuples = MakeTuples(
+        {{"x", 1}, {"", 2}, {"y", 3}, {"", 4}, {last, 5}}, /*producer=*/3,
+        /*batch=*/2);
+    tuples[2].key = full;
+    for (size_t i : {size_t{0}, size_t{1}, size_t{3}, size_t{4}}) {
+      const std::string key(tuples[i].key.view());
+      tuples[i].key = full;
+      tuples[i].key = key;
+    }
+    BinaryWriter bulk;
+    bulk.PutI64(-1);  // the writer appends after what is already there
+    bulk.PutTuples(tuples, EncodedTupleBytes(tuples));
+    BinaryWriter by_field;
+    by_field.PutI64(-1);
+    for (const Tuple& t : tuples) {
+      PutTupleByField(&by_field, t);
+    }
+    EXPECT_EQ(bulk.data(), by_field.data()) << "last key '" << last << "'";
+  }
+}
+
+TEST(SerdeDeathTest, PutTuplesChecksThePresizedLength) {
+  const std::vector<Tuple> tuples = MakeTuples({{"key", 1}, {"k", 2}});
+  const size_t bytes = EncodedTupleBytes(tuples);
+  BinaryWriter long_writer;
+  EXPECT_DEATH(long_writer.PutTuples(tuples, bytes + 1),
+               "do not encode to the presized");
+  BinaryWriter short_writer;
+  EXPECT_DEATH(short_writer.PutTuples(tuples, bytes - 1),
+               "do not encode to the presized");
+}
+
 TEST(SerdeTest, GetTuplesRejectsCountsAndKeysBeyondTheBuffer) {
   BinaryWriter w;
-  w.PutTuples(MakeTuples({{"key", 1}}));
+  const std::vector<Tuple> one = MakeTuples({{"key", 1}});
+  w.PutTuples(one, EncodedTupleBytes(one));
   std::vector<Tuple> out;
   BinaryReader too_many(w.data());
   EXPECT_EQ(too_many.GetTuples(uint64_t{1} << 62, &out).code(),
