@@ -25,12 +25,12 @@
 // window and the buffer stay full. Input generation is excluded. Shapes:
 // fig6_o1 and wide_mid above (2 x 2000 and 1 tuple per batch).
 //
-// BM_StrandDispatch times the execution backend's per-callback dispatch
-// on one strand (every StreamingJob's shape): a chain of kDispatchChain
-// callbacks, each scheduling the next 1 us later, driven with one
-// RunUntil per iteration. The callbacks do no work, so the time is the
-// backend's own: timer insertion, the ordered pop and, on threads, the
-// worker hand-off and wake-ups. Variants: sim, threads (2 workers).
+// BM_Dispatch times the execution backend's per-callback dispatch: a
+// chain of kDispatchChain callbacks, each scheduling the next 1 us later,
+// driven with one RunUntil per iteration. The callbacks do no work, so
+// the time is the backend's own: timer insertion and the ordered pop of
+// the one drive loop, which both backends share. Variants: sim, threads
+// (num_shards = 2: the driving thread and one idle fork helper).
 //
 // BM_OutputFidelity times one sample of a run's fidelity series
 // (DeriveFidelitySeries): ComputeOutputFidelity plus
@@ -277,13 +277,13 @@ BENCHMARK(BM_WindowStep)->ArgNames({"shape"})->Arg(kFig6O1)->Arg(kWideMid);
 
 constexpr int kDispatchChain = 1000;
 
-void BM_StrandDispatch(benchmark::State& state, backend::BackendKind kind) {
+void BM_Dispatch(benchmark::State& state, backend::BackendKind kind) {
   backend::ThreadedBackendOptions options;
   options.num_shards = 2;
   const std::unique_ptr<backend::ExecutionBackend> be =
       backend::MakeBackend(kind, options);
-  // Touched only by the chain's callbacks, which one strand serializes,
-  // and by this loop between drives.
+  // Touched only by the chain's callbacks and by this loop between
+  // drives, all on this thread.
   int remaining = 0;
   std::function<void()> step = [&] {
     if (--remaining > 0) {
@@ -298,9 +298,9 @@ void BM_StrandDispatch(benchmark::State& state, backend::BackendKind kind) {
   PPA_CHECK(remaining == 0);
   state.SetItemsProcessed(state.iterations() * kDispatchChain);
 }
-BENCHMARK_CAPTURE(BM_StrandDispatch, sim, backend::BackendKind::kSim)
+BENCHMARK_CAPTURE(BM_Dispatch, sim, backend::BackendKind::kSim)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_StrandDispatch, threads, backend::BackendKind::kThreads)
+BENCHMARK_CAPTURE(BM_Dispatch, threads, backend::BackendKind::kThreads)
     ->UseRealTime();
 
 void BM_OutputFidelity(benchmark::State& state) {

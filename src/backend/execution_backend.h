@@ -21,8 +21,8 @@ namespace backend {
 
 /// Which execution substrate runs a job's events. kSim is the
 /// deterministic discrete-event simulator (the correctness oracle for
-/// every other backend); kThreads executes the same schedule on real
-/// worker threads that pull timers in sim order (DESIGN.md §16).
+/// every other backend); kThreads runs the same drive loop and forks each
+/// ParallelFor across helper threads (DESIGN.md §16).
 enum class BackendKind {
   kSim,
   kThreads,
@@ -39,12 +39,12 @@ enum class BackendKind {
 /// Tuning knobs for backend::ThreadedBackend; every field has a usable
 /// default so `MakeBackend(BackendKind::kThreads)` just works.
 struct ThreadedBackendOptions {
-  /// Worker threads, and so the most callbacks that run at once. <= 0
-  /// means one fewer than the hardware parallelism (at least 1).
+  /// Threads that run job code: the driving thread plus `num_shards - 1`
+  /// helpers that run ParallelFor blocks. <= 0 means one fewer than the
+  /// hardware parallelism (at least 1).
   int num_shards = 0;
-  /// 0 runs virtual time as fast as the machine allows; a positive value
-  /// paces dispatch so one simulated second takes `time_scale` wall
-  /// seconds (1.0 = real time).
+  /// Kept only so perfbench, which writes 0, still compiles; a non-zero
+  /// value is a fatal check when the backend is built.
   double time_scale = 0.0;
 };
 
@@ -52,26 +52,18 @@ struct ThreadedBackendOptions {
 /// above this interface (runtime, engine, ft, exp, ...) schedules work
 /// against virtual time and never names the simulator or a thread.
 ///
-/// ## Strands
-///
-/// A strand is an ordered execution domain. Two callbacks on the same
-/// strand never run concurrently and always execute in exactly the order
-/// the deterministic simulator would run them — ascending (time, schedule
-/// sequence). Distinct strands may run in parallel on backends that have
-/// real threads; the sim runs everything on the caller's thread. Each
-/// StreamingJob lives on one strand, which is what makes the sim a
-/// byte-exact oracle for the threaded backend (the parity contract,
-/// DESIGN.md §16). Strand 0 always exists; NewStrand() mints more.
-///
-/// Ordering across *different* strands is deliberately unspecified beyond
-/// the RunUntil horizon, so code on strand A must not schedule onto
-/// strand B and expect sim-identical interleaving.
+/// Every backend fires callbacks one at a time, on the thread inside
+/// RunUntil/RunUntilIdle, in ascending (firing time, schedule sequence)
+/// order: the deterministic simulator's order, which is what makes the
+/// sim a byte-exact oracle for every other backend (the parity contract,
+/// DESIGN.md §16). The only parallelism is ParallelFor inside a callback.
 ///
 /// ## Driving
 ///
-/// RunUntil / RunUntilIdle are called from the owning (driver) thread
-/// only, never from inside a scheduled callback. Schedule/Cancel/now()
-/// are safe from callbacks on any strand.
+/// RunUntil / RunUntilIdle are called from the owning (driving) thread
+/// only, never from inside a scheduled callback. Schedule and Cancel are
+/// called from callbacks or from the driving thread between drives, never
+/// from a ParallelFor block; now() is safe from all three.
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend();
@@ -84,17 +76,19 @@ class ExecutionBackend {
   /// logic on it).
   virtual BackendKind kind() const = 0;
 
-  /// Current virtual time. Inside a callback this is the callback's
-  /// firing time (exactly as in the simulator); outside it is the
-  /// high-water mark the backend has run to.
+  /// Current virtual time. Inside a callback (and its ParallelFor blocks)
+  /// this is the callback's firing time; outside it is the high-water
+  /// mark the backend has run to.
   virtual TimePoint now() const = 0;
 
-  /// Mints a fresh strand id (see class comment). Thread-safe.
-  virtual uint64_t NewStrand() = 0;
+  /// No-op returning 0, kept only so perfbench's TimedBackend override
+  /// still compiles.
+  virtual uint64_t NewStrand() { return 0; }
 
-  /// Schedules `fn` on `strand`, `delay` after now() (negative delays
-  /// clamp to zero, matching the simulator). Returns an id usable with
-  /// Cancel(). Safe from any strand's callbacks and from the driver.
+  /// Schedules `fn` `delay` after now() (negative delays clamp to zero)
+  /// and returns an id usable with Cancel(). The first argument is
+  /// ignored; it stays only because perfbench's TimedBackend overrides
+  /// this. Everything else calls ScheduleAfter or ScheduleAt.
   virtual uint64_t ScheduleAfterOn(uint64_t strand, Duration delay,
                                    std::function<void()> fn) = 0;
 
@@ -103,22 +97,19 @@ class ExecutionBackend {
   [[nodiscard]] virtual bool Cancel(uint64_t id) = 0;
 
   /// Runs every callback with firing time <= deadline, then advances
-  /// now() to `deadline`. Blocks the driver thread until the work is
-  /// drained. Driver thread only.
+  /// now() to `deadline`. Driving thread only.
   virtual void RunUntil(TimePoint deadline) = 0;
 
-  /// Runs callbacks until none are pending. Driver thread only.
+  /// Runs callbacks until none are pending. Driving thread only.
   virtual void RunUntilIdle() = 0;
 
-  /// Stops accepting and dispatching work: pending timers are dropped,
-  /// already-dispatched callbacks finish. Idempotent; implied by the
-  /// destructor.
+  /// Drops every pending timer without running it. Idempotent.
   virtual void Stop() = 0;
 
   /// Number of callbacks executed so far.
   virtual int64_t events_processed() const = 0;
 
-  /// Number of callbacks scheduled but not yet dispatched or cancelled.
+  /// Number of callbacks scheduled but not yet run or cancelled.
   virtual size_t pending() const = 0;
 
   /// Publishes backend counters to `registry` (nullptr detaches).
@@ -129,16 +120,15 @@ class ExecutionBackend {
   /// No-op, kept only so perfbench's TimedBackend override still compiles.
   virtual void AttachSpans(obs::SpanProfiler* /*spans*/) {}
 
-  /// Schedules on strand 0 — the single-job convenience spelling.
+  /// Schedules `fn` `delay` after now().
   uint64_t ScheduleAfter(Duration delay, std::function<void()> fn) {
     return ScheduleAfterOn(0, delay, std::move(fn));
   }
 
-  /// Schedules `fn` on `strand` at absolute virtual time `at` (clamped to
-  /// now(), like a negative delay).
-  uint64_t ScheduleAt(uint64_t strand, TimePoint at,
-                      std::function<void()> fn) {
-    return ScheduleAfterOn(strand, at - now(), std::move(fn));
+  /// Schedules `fn` at absolute virtual time `at` (clamped to now(), like
+  /// a negative delay).
+  uint64_t ScheduleAt(TimePoint at, std::function<void()> fn) {
+    return ScheduleAfterOn(0, at - now(), std::move(fn));
   }
 };
 
@@ -149,14 +139,15 @@ class ExecutionBackend {
 
 /// Runs `fn(i)` for every i in [0, n) and returns once every call has
 /// finished: the fork-join a StreamingJob runs each operator level through
-/// (DESIGN.md §16). Inside a ThreadedBackend callback the calling worker
-/// and the backend's idle workers claim contiguous blocks of indices;
-/// everywhere else (the sim, the driver thread, a call nested in another
+/// (DESIGN.md §16). Inside a ThreadedBackend callback the driving thread
+/// and the backend's helper threads claim contiguous blocks of indices;
+/// everywhere else (the sim, outside a drive, a call nested in another
 /// ParallelFor) it is a plain loop in index order. Every call of `fn` sees
 /// the caller's now(). Calls on distinct indices may run concurrently, so
 /// `fn` must only write state its index owns, and must not schedule,
-/// cancel or drive. Reaches the backend through the running callback, so a
-/// decorating backend needs no override.
+/// cancel or drive (debug builds check the last three). Reaches the
+/// backend through the running drive, so a decorating backend needs no
+/// override.
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace backend

@@ -1,7 +1,6 @@
 #ifndef PPA_BACKEND_SIM_BACKEND_H_
 #define PPA_BACKEND_SIM_BACKEND_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -16,30 +15,29 @@ namespace backend {
 
 /// The deterministic discrete-event simulator that replaces the paper's
 /// wall-clock EC2 cluster (DESIGN.md §3.1), and the parity oracle for
-/// every other backend (§16). Callbacks run one at a time on the driver's
-/// thread in TimerQueue order, (firing time, schedule sequence), so a run
-/// is exactly reproducible.
+/// every other backend (§16). Callbacks run one at a time on the driving
+/// thread, the one inside RunUntil/RunUntilIdle, in TimerQueue order,
+/// (firing time, schedule sequence), so a run is exactly reproducible.
 ///
-/// Strands are bookkeeping only: the one global order is already the
-/// per-strand order the interface promises.
-class SimBackend final : public ExecutionBackend {
+/// Its drive loop is the only one in the project: ThreadedBackend runs
+/// the same loop and only changes what ParallelFor does inside it
+/// (RunFork). The queue has no lock; the ParallelFor contract keeps blocks
+/// off it, and debug builds check that.
+class SimBackend : public ExecutionBackend {
  public:
   BackendKind kind() const override { return BackendKind::kSim; }
   /// Virtual time; advances only while running events (and to the
   /// deadline at the end of RunUntil).
   TimePoint now() const override { return now_; }
-  uint64_t NewStrand() override { return next_strand_++; }
 
-  uint64_t ScheduleAfterOn(uint64_t strand, Duration delay,
+  /// The first argument is ignored (see ExecutionBackend).
+  uint64_t ScheduleAfterOn(uint64_t, Duration delay,
                            std::function<void()> fn) override;
 
   [[nodiscard]] bool Cancel(uint64_t id) override;
 
-  void RunUntil(TimePoint deadline) override {
-    Drive(deadline);
-    now_ = std::max(now_, deadline);
-  }
-  void RunUntilIdle() override { Drive(TimePoint::Max()); }
+  void RunUntil(TimePoint deadline) override;
+  void RunUntilIdle() override;
   /// Drops every pending timer without running it.
   void Stop() override { queue_.Clear(); }
 
@@ -53,14 +51,27 @@ class SimBackend final : public ExecutionBackend {
   /// gauge only keeps min/max/last).
   void AttachMetrics(obs::MetricsRegistry* registry) override;
 
+ protected:
+  /// Runs `fn` over [0, n) for a ParallelFor called from one of this
+  /// backend's callbacks, with the calling thread already marked as
+  /// inside a block. Here a plain loop in index order.
+  virtual void RunFork(size_t n, const std::function<void(size_t)>& fn);
+
+  /// Marks the calling thread as running ParallelFor indices (or not);
+  /// returns the previous mark. Nested ParallelFor calls run inline on a
+  /// marked thread, and debug builds refuse queue and drive calls there.
+  static bool MarkInBlock(bool in_block);
+
  private:
+  friend void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+
   /// Runs timers in order until none is due by `deadline`; leaves now()
-  /// at the last one run.
+  /// at the last one run. The driving thread's ParallelFor calls reach
+  /// RunFork() meanwhile.
   void Drive(TimePoint deadline);
 
   TimerQueue queue_;
   TimePoint now_ = TimePoint::Zero();
-  uint64_t next_strand_ = 1;  // strand 0 always exists
   int64_t events_processed_ = 0;
   obs::Counter* events_counter_ = nullptr;
   obs::Counter* cancelled_counter_ = nullptr;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <unordered_map>
 
 #include "common/sim_time.h"
@@ -16,10 +15,10 @@ namespace backend {
 
 /// Pending timers in the one order every backend fires them: ascending
 /// (firing time, schedule sequence). Two timers due at the same instant
-/// come out in the order they were pushed, which makes the simulator
-/// reproducible and is the per-strand order the threaded backend must
-/// match (DESIGN.md §16). Sequence numbers start at 1 and double as timer
-/// ids. Knows nothing about clocks, drives or threads; not thread-safe.
+/// come out in the order they were pushed, which makes a run reproducible
+/// on either backend (DESIGN.md §16). Sequence numbers start at 1 and
+/// double as timer ids. Knows nothing about clocks, drives or threads;
+/// not thread-safe.
 class TimerQueue {
  public:
   /// Firing order: time first, then schedule sequence.
@@ -28,19 +27,14 @@ class TimerQueue {
     uint64_t id = 0;
     auto operator<=>(const Key&) const = default;
   };
-  /// A pending callback and the strand it runs on.
-  struct Timer {
-    uint64_t strand = 0;
-    std::function<void()> fn;
-  };
-  using iterator = std::map<Key, Timer>::iterator;
+  using iterator = std::map<Key, std::function<void()>>::iterator;
 
-  /// Queues `fn` on `strand`, due at `at`; returns the timer's id.
-  uint64_t Push(TimePoint at, uint64_t strand, std::function<void()> fn);
+  /// Queues `fn`, due at `at`; returns the timer's id.
+  uint64_t Push(TimePoint at, std::function<void()> fn);
 
-  /// Drops a pending timer and returns its strand; nullopt if `id` already
-  /// ran, was already cancelled, or never existed.
-  std::optional<uint64_t> Cancel(uint64_t id);
+  /// Drops a pending timer; false if `id` already ran, was already
+  /// cancelled, or never existed.
+  bool Cancel(uint64_t id);
 
   /// Pending timers in firing order.
   iterator begin() { return timers_.begin(); }
@@ -57,7 +51,7 @@ class TimerQueue {
   void Clear();
 
  private:
-  std::map<Key, Timer> timers_;
+  std::map<Key, std::function<void()>> timers_;
   /// id -> entry, so Cancel needs no search (map iterators stay valid
   /// across other inserts and erases).
   std::unordered_map<uint64_t, iterator> index_;

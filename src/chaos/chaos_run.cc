@@ -129,7 +129,7 @@ Status FireServiceEvent(service::ClusterService* svc,
 
 /// Builds the service of `chaos_case`, submits every tenant (counting
 /// immediate admissions and queueings into `report`), and schedules the
-/// timeline on the service strand.
+/// timeline on the service's backend.
 Status BuildService(const ChaosCase& chaos_case, const JobConfig& config,
                     backend::ExecutionBackend* be, SystemUnderTest* sut,
                     ChaosRunReport* report) {
@@ -159,9 +159,9 @@ Status BuildService(const ChaosCase& chaos_case, const JobConfig& config,
   std::vector<Status>* outcomes = &sut->service_outcomes;
   outcomes->reserve(chaos_case.events.size());
   for (const ScenarioEvent& event : chaos_case.events) {
-    // Service mutations run on the service's own strand so they stay
-    // serialized with tenant work in deterministic (time, seq) order.
-    (void)be->ScheduleAt(svc->strand(), TimePoint::Zero() + event.at,
+    // Service mutations are backend callbacks, so they stay serialized
+    // with tenant work in deterministic (time, seq) order.
+    (void)be->ScheduleAt(TimePoint::Zero() + event.at,
                          [svc, outcomes, event] {
                            outcomes->push_back(FireServiceEvent(svc, event));
                          });

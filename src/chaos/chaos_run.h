@@ -53,8 +53,8 @@ struct ChaosRunReport {
 ///     single-job case builds one job from the case (topology spec,
 ///     config scalars, domain assignment, initial plan) driven by a
 ///     ScenarioRunner; a service case builds a ClusterService, assigns
-///     domains, submits every tenant, and fires the timeline on the
-///     service strand;
+///     domains, submits every tenant, and fires the timeline through the
+///     service's backend;
 ///  2. runs for `run_for_seconds`, then keeps running in
 ///     detection-interval steps until the timeline drained and every task
 ///     recovered (capped at 1800 extra sim-seconds), then a short quiet

@@ -50,9 +50,8 @@ Status ScenarioRunner::Run(std::vector<ScenarioEvent> events) {
   ran_ = true;
   scheduled_ = events.size();
   for (ScenarioEvent& event : events) {
-    (void)job_->backend()->ScheduleAfterOn(
-        job_->strand(), event.at,
-        [this, event = std::move(event)] { Execute(event); });
+    (void)job_->backend()->ScheduleAfter(
+        event.at, [this, event = std::move(event)] { Execute(event); });
   }
   return OkStatus();
 }

@@ -51,11 +51,11 @@ StatusOr<ScenarioEvent::Kind> ScenarioEventKindFromString(
 
 /// Drives a scripted timeline of failures/plan changes against a running
 /// job and records each event's outcome. Events execute on the job's
-/// backend strand at their offsets, in order for equal offsets.
+/// backend at their offsets, in order for equal offsets.
 class ScenarioRunner {
  public:
   /// `job` must outlive the runner and must be started before the
-  /// backend runs; events go to the job's backend and strand.
+  /// backend runs; events go to the job's backend.
   explicit ScenarioRunner(StreamingJob* job);
 
   /// Schedules every event relative to the backend's current time. A runner

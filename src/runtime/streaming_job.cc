@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "common/logging.h"
 #include "runtime/fidelity_series.h"
@@ -42,8 +43,6 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
     : topology_(std::move(topology)),
       config_(config),
       backend_(deps.backend),
-      strand_(deps.strand == kAutoStrand ? deps.backend->NewStrand()
-                                         : deps.strand),
       private_pool_(deps.pool == nullptr),
       router_(&topology_),
       cluster_(private_pool_
@@ -555,8 +554,9 @@ void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica,
       block->degraded.push_back(b);
     }
     if (topology_.IsSinkTask(t)) {
-      // A sink's level runs on the job strand (LevelBlockCount), so its
-      // delivery can book the block first and read its degraded batch.
+      // A sink's level is one block on the driving thread
+      // (LevelBlockCount), so its delivery can book the block first and
+      // read its degraded batch.
       ApplyLevelBlock(block);
       DeliverSinkBatch(t, *out);
       // Sinks have no subscribers; their buffer is not needed for replay.
@@ -1163,11 +1163,10 @@ void StreamingJob::ScheduleManaged(Duration delay, std::function<void()> fn) {
     return;
   }
   auto id = std::make_shared<uint64_t>(0);
-  *id = backend_->ScheduleAfterOn(
-      strand_, delay, [this, id, fn = std::move(fn)] {
-        pending_events_.erase(*id);
-        fn();
-      });
+  *id = backend_->ScheduleAfter(delay, [this, id, fn = std::move(fn)] {
+    pending_events_.erase(*id);
+    fn();
+  });
   pending_events_.insert(*id);
 }
 
@@ -1279,32 +1278,36 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs() {
   }
 
   // Diff the corrected outputs against what was emitted tentatively for
-  // the same batches (by batch/key/value identity).
-  auto key_of = [](const Tuple& t) {
-    return std::to_string(t.batch) + "|" + t.key.str() + "|" +
-           std::to_string(t.value) + "|" + std::to_string(t.producer);
+  // the same batches by (batch, key, value, producer) identity. Each
+  // record, duplicates included, counts once if its identity is absent
+  // from the other side.
+  auto before = [](const Tuple* a, const Tuple* b) {
+    return std::tie(a->batch, a->key, a->value, a->producer) <
+           std::tie(b->batch, b->key, b->value, b->producer);
   };
-  std::multiset<std::string> tentative_set;
+  std::vector<const Tuple*> tentative;
   for (const SinkRecord& r : sink_records_) {
     if (!r.correction && r.tuple.batch >= report.from_batch &&
         r.tuple.batch <= report.to_batch) {
-      tentative_set.insert(key_of(r.tuple));
+      tentative.push_back(&r.tuple);
     }
   }
-  std::multiset<std::string> corrected_set;
+  std::vector<const Tuple*> corrected;
+  corrected.reserve(report.corrected.size());
   for (const SinkRecord& r : report.corrected) {
-    corrected_set.insert(key_of(r.tuple));
+    corrected.push_back(&r.tuple);
   }
-  for (const std::string& k : corrected_set) {
-    if (tentative_set.count(k) == 0) {
-      ++report.missed_outputs;
-    }
-  }
-  for (const std::string& k : tentative_set) {
-    if (corrected_set.count(k) == 0) {
-      ++report.spurious_outputs;
-    }
-  }
+  std::sort(tentative.begin(), tentative.end(), before);
+  std::sort(corrected.begin(), corrected.end(), before);
+  auto absent = [&before](const std::vector<const Tuple*>& probes,
+                          const std::vector<const Tuple*>& sorted) {
+    return static_cast<int64_t>(
+        std::count_if(probes.begin(), probes.end(), [&](const Tuple* t) {
+          return !std::binary_search(sorted.begin(), sorted.end(), t, before);
+        }));
+  };
+  report.missed_outputs = absent(corrected, tentative);
+  report.spurious_outputs = absent(tentative, corrected);
 
   sink_records_.insert(sink_records_.end(), report.corrected.begin(),
                        report.corrected.end());

@@ -104,10 +104,10 @@ struct RecoveryReport {
 /// Start() -> backend->RunUntil(...) interleaved with Inject*Failure() ->
 /// inspect sink_records() / recovery_reports() / cost counters.
 ///
-/// The whole job runs on one backend strand (JobRuntimeDeps::strand), so
-/// its event order is identical on every backend; all public methods are
-/// called either from that strand's callbacks (ScenarioRunner events) or
-/// from the driver thread between drives.
+/// Every backend runs the job's events in the sim's one order, so its
+/// output is identical on every backend; all public methods are called
+/// either from the backend's callbacks (ScenarioRunner events) or from
+/// the driving thread between drives.
 class StreamingJob {
  public:
   /// Trace events a flight record keeps (JobFlightRecordToJson): enough
@@ -129,8 +129,6 @@ class StreamingJob {
   const Cluster& cluster() const { return cluster_; }
   /// The backend running this job's events.
   backend::ExecutionBackend* backend() const { return backend_; }
-  /// The backend strand every event of this job is scheduled on.
-  uint64_t strand() const { return strand_; }
 
   /// Binds a factory for all tasks of a non-source operator.
   Status BindOperator(OperatorId op, OperatorFactory factory);
@@ -317,12 +315,12 @@ class StreamingJob {
   };
 
   /// Dataflow scheduler: one topological pass, one operator level at a
-  /// time, each level's tasks forked across the backend's idle workers
+  /// time, each level's tasks forked across the backend's helper threads
   /// (DESIGN.md §3.5, §16).
   void Advance();
   /// Blocks operator `op`'s level is split into: one for a sink
-  /// operator, whose steps deliver to the user and so stay on the job
-  /// strand.
+  /// operator, whose steps deliver to the user and so stay on the
+  /// driving thread.
   size_t LevelBlockCount(OperatorId op) const;
   /// Runs block `k` of `op`'s level: each task's primary, then its
   /// replica, booking into level_blocks_[k].
@@ -397,7 +395,7 @@ class StreamingJob {
   /// Emits kTaskCaughtUp for recovered tasks that reached the frontier.
   void NoteCaughtUpTasks();
 
-  /// Schedules `fn` on the job's strand after `delay` and tracks the
+  /// Schedules `fn` after `delay` and tracks the
   /// event id so Stop() can cancel it. Every recurring/deferred job event
   /// goes through here (one backend schedule call per call, so event ids
   /// are unchanged from scheduling directly).
@@ -419,8 +417,6 @@ class StreamingJob {
   Topology topology_;
   JobConfig config_;
   backend::ExecutionBackend* backend_;
-  /// The one strand all of this job's events run on (see class comment).
-  uint64_t strand_;
   /// Built its own node pool: only then is the backend the job's alone.
   bool private_pool_;
   Router router_;

@@ -55,12 +55,10 @@ ClusterService::ClusterService(ServiceConfig config,
                                backend::ExecutionBackend* backend)
     : config_(config),
       backend_(backend),
-      strand_(0),
       pool_(std::make_shared<NodePool>(config.num_worker_nodes,
                                        config.num_standby_nodes)) {
   PPA_CHECK_OK(config_.Validate());
   PPA_CHECK(backend_ != nullptr);
-  strand_ = backend_->NewStrand();
 }
 
 Status ClusterService::AssignDomain(int node, int domain) {
@@ -345,7 +343,7 @@ bool ClusterService::FitsNow(const Tenant& t) const {
 
 Status ClusterService::AdmitNow(Tenant& t) {
   auto job = std::make_unique<StreamingJob>(
-      t.topology, t.spec.config, JobRuntimeDeps(backend_, pool_, strand_));
+      t.topology, t.spec.config, JobRuntimeDeps(backend_, pool_));
   PlacementConstraints constraints;
   constraints.replica_ceiling = t.spec.replica_budget;
   constraints.replica_affinity = t.spec.standby_affinity;

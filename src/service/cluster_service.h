@@ -56,9 +56,9 @@ struct AdmissionStats {
 /// Multi-tenant control plane over one shared cluster (the paper studies
 /// one job; production MPSPEs run many, and correlated failures cut
 /// across them). The service owns a NodePool and the tenants' jobs, all
-/// driven by one execution backend on one shared strand (the tenants of a
-/// shared pool interleave exactly as the deterministic sim would — see
-/// JobRuntimeDeps::strand):
+/// driven by one execution backend, whose one event order makes the
+/// tenants of a shared pool interleave exactly as the deterministic sim
+/// would:
 ///
 ///  - Admission control: Submit() validates a TenantSpec, rejects work
 ///    that can never fit (even on an empty, fully alive cluster), admits
@@ -94,11 +94,6 @@ class ClusterService {
   const ServiceConfig& config() const { return config_; }
   /// The shared physical cluster.
   const NodePool& pool() const { return *pool_; }
-  /// The strand the service and all its tenants run on. Drivers must
-  /// schedule fault timelines onto this strand so service mutations stay
-  /// serialized with (and deterministically ordered against) tenant work.
-  uint64_t strand() const { return strand_; }
-
   /// Assigns a pool node to a failure domain (before or between
   /// admissions; placements already made are not migrated).
   Status AssignDomain(int node, int domain);
@@ -224,8 +219,6 @@ class ClusterService {
 
   ServiceConfig config_;
   backend::ExecutionBackend* backend_;
-  /// The single strand the service and every tenant job share.
-  uint64_t strand_;
   std::shared_ptr<NodePool> pool_;
   std::map<int, Tenant> tenants_;
   int next_tenant_id_ = 0;

@@ -1,7 +1,7 @@
 // Tests for src/backend/: the timer contract both backends keep (one
-// suite, run on each), the SimBackend metrics, the ThreadedBackend
-// per-strand serialization and worker bound, and the cross-backend parity
-// oracle (DESIGN.md §16) — the sim run is the golden output the threaded
+// suite, run on each), the SimBackend metrics, the ThreadedBackend's
+// driving thread and fork helpers, and the cross-backend parity oracle
+// (DESIGN.md §16) — the sim run is the golden output the threaded
 // backend must reproduce, including under fault injection.
 
 #include <algorithm>
@@ -73,10 +73,8 @@ TEST(BackendFactory, KindSpellingRoundTrips) {
 
 // --- the timer contract, on both backends --------------------------------
 
-// Every case drives strand 0 from the test thread. On the threaded backend
-// same-strand callbacks are serialized with happens-before edges through
-// the backend mutex, and a drive returns only once they have finished, so
-// the plain locals below need no locks.
+// Every case drives the backend from the test thread, which runs every
+// callback on both backends, so the plain locals below need no locks.
 class BackendContract : public ::testing::TestWithParam<backend::BackendKind> {
  protected:
   BackendContract() : be_(backend::MakeBackend(GetParam())) {}
@@ -112,7 +110,7 @@ TEST_P(BackendContract, FiresInTimeOrder) {
 TEST_P(BackendContract, SameInstantIsFifo) {
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    (void)be_->ScheduleAt(0, At(50), [&order, i] { order.push_back(i); });
+    (void)be_->ScheduleAt(At(50), [&order, i] { order.push_back(i); });
   }
   be_->RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -120,7 +118,7 @@ TEST_P(BackendContract, SameInstantIsFifo) {
 
 TEST_P(BackendContract, NowAdvancesToEventTime) {
   TimePoint seen;
-  (void)be_->ScheduleAt(0, At(12345), [this, &seen] { seen = be_->now(); });
+  (void)be_->ScheduleAt(At(12345), [this, &seen] { seen = be_->now(); });
   be_->RunUntilIdle();
   EXPECT_EQ(seen, At(12345));
   // RunUntilIdle leaves now() at the last event, not at a deadline.
@@ -129,8 +127,8 @@ TEST_P(BackendContract, NowAdvancesToEventTime) {
 
 TEST_P(BackendContract, RunUntilStopsAtDeadline) {
   int fired = 0;
-  (void)be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
-  (void)be_->ScheduleAt(0, At(900), [&fired] { ++fired; });
+  (void)be_->ScheduleAt(At(100), [&fired] { ++fired; });
+  (void)be_->ScheduleAt(At(900), [&fired] { ++fired; });
   be_->RunUntil(At(500));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(be_->now(), At(500));
@@ -142,7 +140,7 @@ TEST_P(BackendContract, RunUntilStopsAtDeadline) {
 
 TEST_P(BackendContract, ScheduleAfterUsesCurrentTime) {
   TimePoint seen;
-  (void)be_->ScheduleAt(0, At(100), [this, &seen] {
+  (void)be_->ScheduleAt(At(100), [this, &seen] {
     (void)be_->ScheduleAfter(Duration::Micros(50),
                              [this, &seen] { seen = be_->now(); });
   });
@@ -153,8 +151,8 @@ TEST_P(BackendContract, ScheduleAfterUsesCurrentTime) {
 TEST_P(BackendContract, PastEventsClampToNow) {
   TimePoint absolute;
   TimePoint relative;
-  (void)be_->ScheduleAt(0, At(200), [this, &absolute, &relative] {
-    (void)be_->ScheduleAt(0, At(10),
+  (void)be_->ScheduleAt(At(200), [this, &absolute, &relative] {
+    (void)be_->ScheduleAt(At(10),
                           [this, &absolute] { absolute = be_->now(); });
     (void)be_->ScheduleAfter(Duration::Micros(-30),
                              [this, &relative] { relative = be_->now(); });
@@ -166,8 +164,8 @@ TEST_P(BackendContract, PastEventsClampToNow) {
 
 TEST_P(BackendContract, CancelPreventsExecution) {
   int fired = 0;
-  uint64_t keep = be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
-  uint64_t cancelled = be_->ScheduleAt(0, At(200), [&fired] { fired += 100; });
+  uint64_t keep = be_->ScheduleAt(At(100), [&fired] { ++fired; });
+  uint64_t cancelled = be_->ScheduleAt(At(200), [&fired] { fired += 100; });
   EXPECT_TRUE(be_->Cancel(cancelled));
   EXPECT_FALSE(be_->Cancel(cancelled));  // double cancel
   EXPECT_FALSE(be_->Cancel(9999));       // never existed
@@ -180,8 +178,8 @@ TEST_P(BackendContract, CancelAfterRunIsRejected) {
   // Regression: cancelling an id whose event already fired used to return
   // true and make pending() underflow.
   int fired = 0;
-  uint64_t ran = be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
-  uint64_t live = be_->ScheduleAt(0, At(900), [&fired] { ++fired; });
+  uint64_t ran = be_->ScheduleAt(At(100), [&fired] { ++fired; });
+  uint64_t live = be_->ScheduleAt(At(900), [&fired] { ++fired; });
   EXPECT_EQ(be_->pending(), 2u);
   be_->RunUntil(At(500));
   EXPECT_EQ(fired, 1);
@@ -197,7 +195,7 @@ TEST_P(BackendContract, CancelAfterRunIsRejected) {
 TEST_P(BackendContract, PendingExactAcrossCancelAndRun) {
   std::vector<uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
-    ids.push_back(be_->ScheduleAt(0, At(100 * (i + 1)), [] {}));
+    ids.push_back(be_->ScheduleAt(At(100 * (i + 1)), [] {}));
   }
   EXPECT_EQ(be_->pending(), 6u);
   EXPECT_TRUE(be_->Cancel(ids[2]));
@@ -231,8 +229,8 @@ TEST_P(BackendContract, RecurringEventChain) {
 
 TEST_P(BackendContract, StopDropsPendingTimersWithoutRunningThem) {
   int fired = 0;
-  (void)be_->ScheduleAt(0, At(100), [&fired] { ++fired; });
-  (void)be_->ScheduleAt(0, At(200), [&fired] { ++fired; });
+  (void)be_->ScheduleAt(At(100), [&fired] { ++fired; });
+  (void)be_->ScheduleAt(At(200), [&fired] { ++fired; });
   be_->Stop();
   EXPECT_EQ(be_->pending(), 0u);
   be_->RunUntil(At(1000));
@@ -248,7 +246,7 @@ TEST_P(BackendContract, ParallelForRunsEveryIndexOnceBeforeReturning) {
   std::vector<std::atomic<int>> runs(kN);
   std::atomic<int> wrong_now{0};
   bool all_ran_on_return = false;
-  (void)be_->ScheduleAt(0, At(777), [&] {
+  (void)be_->ScheduleAt(At(777), [&] {
     backend::ParallelFor(kN, [&](size_t i) {
       // A little work per index, so helpers are still inside their blocks
       // when the caller runs out of blocks to claim.
@@ -275,7 +273,7 @@ TEST_P(BackendContract, NestedParallelForRunsInline) {
   std::atomic<int> off_thread{0};
   std::atomic<int> out_of_order{0};
   std::atomic<int> inner_runs{0};
-  (void)be_->ScheduleAt(0, At(5), [&] {
+  (void)be_->ScheduleAt(At(5), [&] {
     backend::ParallelFor(64, [&](size_t) {
       const std::thread::id self = std::this_thread::get_id();
       size_t next = 0;
@@ -339,53 +337,18 @@ TEST(SimBackend, MetricsCountProcessedEventsAndDepth) {
   EXPECT_EQ(registry.histogram("sim.queue_occupancy")->count(), 2u);
 }
 
-// --- ThreadedBackend: strands and workers ----------------------------------
+// --- ThreadedBackend: the driving thread and the fork helpers -------------
 
-TEST(ThreadedBackend, StrandsRunIndependentlyAndInOrder) {
-  backend::ThreadedBackendOptions options;
-  options.num_shards = 4;
-  backend::ThreadedBackend be(options);
-  constexpr int kStrands = 16;
-  constexpr int kPerStrand = 32;
-  // One vector per strand: same-strand callbacks are serialized, distinct
-  // strands write distinct vectors, so no locking is needed.
-  std::vector<std::vector<int>> per_strand(kStrands);
-  std::vector<uint64_t> strands;
-  strands.push_back(0);
-  for (int s = 1; s < kStrands; ++s) {
-    strands.push_back(be.NewStrand());
-  }
-  for (int i = 0; i < kPerStrand; ++i) {
-    for (int s = 0; s < kStrands; ++s) {
-      (void)be.ScheduleAfterOn(
-          strands[static_cast<size_t>(s)], Duration::Seconds(i + 1),
-          [&per_strand, s, i] {
-            per_strand[static_cast<size_t>(s)].push_back(i);
-          });
-    }
-  }
-  be.RunUntilIdle();
-  EXPECT_EQ(be.events_processed(), kStrands * kPerStrand);
-  for (int s = 0; s < kStrands; ++s) {
-    ASSERT_EQ(per_strand[static_cast<size_t>(s)].size(),
-              static_cast<size_t>(kPerStrand));
-    for (int i = 0; i < kPerStrand; ++i) {
-      EXPECT_EQ(per_strand[static_cast<size_t>(s)][static_cast<size_t>(i)],
-                i);
-    }
-  }
-}
-
-TEST(ThreadedBackend, EqualTimeTimersOfOneStrandNeverOverlap) {
+TEST(ThreadedBackend, EqualTimeTimersNeverOverlap) {
   backend::ThreadedBackendOptions options;
   options.num_shards = 4;
   backend::ThreadedBackend be(options);
   constexpr int kTimers = 256;
-  // Every timer fires at the same instant on strand 0; four idle workers
-  // must still run them one at a time, in schedule order.
+  // Every timer fires at the same instant; with three helper threads
+  // they must still run one at a time, in schedule order.
   std::atomic<bool> inside{false};
   std::atomic<int> overlaps{0};
-  std::vector<int> order;  // serialized by the strand, so no lock
+  std::vector<int> order;  // callbacks never overlap, so no lock
   for (int i = 0; i < kTimers; ++i) {
     (void)be.ScheduleAfter(Duration::Seconds(1), [&inside, &overlaps,
                                                   &order, i] {
@@ -404,34 +367,26 @@ TEST(ThreadedBackend, EqualTimeTimersOfOneStrandNeverOverlap) {
   }
 }
 
-TEST(ThreadedBackend, NeverRunsMoreCallbacksThanWorkers) {
+TEST(ThreadedBackend, CallbacksRunOnTheDrivingThread) {
   backend::ThreadedBackendOptions options;
-  options.num_shards = 2;
+  options.num_shards = 4;
   backend::ThreadedBackend be(options);
-  constexpr int kStrands = 16;
-  constexpr int kPerStrand = 8;
-  std::atomic<int> running{0};
-  std::atomic<int> high_water{0};
-  auto body = [&running, &high_water] {
-    const int now_running = running.fetch_add(1) + 1;
-    int seen = high_water.load();
-    while (now_running > seen &&
-           !high_water.compare_exchange_weak(seen, now_running)) {
-    }
-    // Hold the worker briefly so sibling strands get a chance to overlap.
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    running.fetch_sub(1);
-  };
-  for (int s = 0; s < kStrands; ++s) {
-    const uint64_t strand = s == 0 ? 0 : be.NewStrand();
-    for (int i = 0; i < kPerStrand; ++i) {
-      (void)be.ScheduleAfterOn(strand, Duration::Seconds(1), body);
-    }
+  constexpr int kTimers = 256;
+  std::atomic<int> elsewhere{0};
+  std::atomic<int> ran{0};
+  const std::thread::id driver = std::this_thread::get_id();
+  for (int i = 0; i < kTimers; ++i) {
+    (void)be.ScheduleAfter(Duration::Millis(i % 8), [&elsewhere, &ran,
+                                                     driver] {
+      if (std::this_thread::get_id() != driver) {
+        elsewhere.fetch_add(1);
+      }
+      ran.fetch_add(1);
+    });
   }
   be.RunUntilIdle();
-  EXPECT_EQ(be.events_processed(), kStrands * kPerStrand);
-  EXPECT_GE(high_water.load(), 1);
-  EXPECT_LE(high_water.load(), 2);
+  EXPECT_EQ(ran.load(), kTimers);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 /// Runs ParallelFor(n) from a callback on `be` and returns, per index, the
@@ -471,7 +426,7 @@ TEST(ThreadedBackend, ParallelForWithOneWorkerRunsOnTheCaller) {
 TEST(ThreadedBackend, ParallelForRunsBlocksOnTwoWorkers) {
   // Each of the two indices is its own block, and neither returns until
   // both have started: the fork can only finish if the caller and the
-  // idle second worker each run one. No timing is involved.
+  // one helper thread each run one. No timing is involved.
   backend::ThreadedBackendOptions options;
   options.num_shards = 2;
   backend::ThreadedBackend be(options);
@@ -488,6 +443,42 @@ TEST(ThreadedBackend, ParallelForRunsBlocksOnTwoWorkers) {
   be.RunUntilIdle();
   EXPECT_NE(ran[0], ran[1]);
   EXPECT_TRUE(ran[0] == caller || ran[1] == caller);
+}
+
+// The queue has no lock, so a schedule, cancel or drive from a ParallelFor
+// block would race with the driving thread. Debug builds make each one a
+// fatal check that names the call, on the helpers and on the caller alike.
+TEST(ThreadedBackendDeathTest, QueueAndDriveCallsInAParallelForBlockAreFatal) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the check is compiled into debug builds only";
+#else
+  using Call = std::function<void(backend::ExecutionBackend*)>;
+  const std::vector<std::pair<std::string, Call>> calls = {
+      {"ScheduleAfterOn",
+       [](backend::ExecutionBackend* be) {
+         (void)be->ScheduleAfter(Duration::Zero(), [] {});
+       }},
+      {"Cancel", [](backend::ExecutionBackend* be) { (void)be->Cancel(1); }},
+      {"RunUntil",
+       [](backend::ExecutionBackend* be) { be->RunUntil(be->now()); }},
+      {"RunUntilIdle",
+       [](backend::ExecutionBackend* be) { be->RunUntilIdle(); }},
+  };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    EXPECT_DEATH(
+        {
+          backend::ThreadedBackendOptions options;
+          options.num_shards = 2;
+          backend::ThreadedBackend be(options);
+          (void)be.ScheduleAfter(Duration::Zero(), [&be, &call] {
+            backend::ParallelFor(2, [&be, &call](size_t) { call(&be); });
+          });
+          be.RunUntilIdle();
+        },
+        name + " called inside a ParallelFor block");
+  }
+#endif
 }
 
 // The drill behind the stable-output parity test below: the fig07 shape — a
@@ -570,8 +561,8 @@ void ExpectIdenticalOutput(const DrillResult& a, const DrillResult& b) {
 
 TEST(ThreadedBackend, DrillStableOutputMatchesTheSimExactly) {
   // The same fig07 drill, sim vs threads, compared over the *entire*
-  // record stream: a single-strand job is deterministic on the threaded
-  // backend, so even tentative records must match the sim run.
+  // record stream: the threaded backend runs the sim's loop, so even
+  // tentative records must match the sim run.
   backend::SimBackend sim;
   DrillResult golden = RunDrill(&sim);
 
@@ -688,7 +679,7 @@ void ExpectSameOutput(const JobOutput& golden, const JobOutput& got) {
 /// The fig6 shape (16 sources into 8/4/2/1 window tasks) with the PPA
 /// half-budget plan: the sources and every non-sink window task fail at
 /// 20 s, recover, and at 45 s the plan moves to the first window
-/// operator. The failure and the plan change run on the job strand, so
+/// operator. The failure and the plan change are backend callbacks, so
 /// the recovery and catch-up levels fork as the batch ticks do.
 JobOutput RunForkedFig6(backend::ExecutionBackend* be) {
   auto workload = MakeSyntheticRecoveryWorkload(/*rate_per_source_task=*/400,
@@ -708,7 +699,7 @@ JobOutput RunForkedFig6(backend::ExecutionBackend* be) {
   PPA_CHECK_OK(plan.status());
   PPA_CHECK_OK(job.SetActiveReplicaSet(plan->replicated));
   PPA_CHECK_OK(job.Start());
-  (void)be->ScheduleAt(job.strand(), TimePoint::Zero() + Duration::Seconds(20),
+  (void)be->ScheduleAt(TimePoint::Zero() + Duration::Seconds(20),
                        [&job, nodes = *synthetic_nodes] {
                          // Every window node but the sink's (the last).
                          for (size_t i = 0; i + 1 < nodes.size(); ++i) {
@@ -722,7 +713,7 @@ JobOutput RunForkedFig6(backend::ExecutionBackend* be) {
   for (TaskId t : workload->topo.op(workload->o1).tasks) {
     moved.Add(t);
   }
-  (void)be->ScheduleAt(job.strand(), TimePoint::Zero() + Duration::Seconds(45),
+  (void)be->ScheduleAt(TimePoint::Zero() + Duration::Seconds(45),
                        [&job, moved] {
                          PPA_CHECK_OK(job.ApplyActiveReplicaSet(moved));
                        });
@@ -751,7 +742,7 @@ JobOutput RunForkedWideSink(backend::ExecutionBackend* be) {
   }
   PPA_CHECK_OK(job.SetActiveReplicaSet(all));
   PPA_CHECK_OK(job.Start());
-  (void)be->ScheduleAt(job.strand(), TimePoint::Zero() + Duration::Seconds(12),
+  (void)be->ScheduleAt(TimePoint::Zero() + Duration::Seconds(12),
                        [&job] { PPA_CHECK_OK(job.InjectNodeFailure(2)); });
   be->RunUntil(TimePoint::Zero() + Duration::Seconds(40));
   EXPECT_EQ(job.recovery_reports().size(), 1u);
