@@ -32,6 +32,13 @@
 // the one drive loop, which both backends share. Variants: sim, threads
 // (num_shards = 2: the driving thread and one idle fork helper).
 //
+// BM_SourceBatch times SyntheticSource::NextBatch, the generation of one
+// source task's raw batch, and reports source tuples per second. Shapes:
+//   fig6 — 2000 tuples over key space 1024 (a Fig. 6 source task at
+//          2000 tuples/s);
+//   wide — 1 tuple over key space 256 (a scale_cluster 4096-node source
+//          task).
+//
 // BM_OutputFidelity times one sample of a run's fidelity series
 // (DeriveFidelitySeries): ComputeOutputFidelity plus
 // ComputeInternalCompleteness on the scale_cluster 4096-node topology
@@ -302,6 +309,26 @@ BENCHMARK_CAPTURE(BM_Dispatch, sim, backend::BackendKind::kSim)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_Dispatch, threads, backend::BackendKind::kThreads)
     ->UseRealTime();
+
+void BM_SourceBatch(benchmark::State& state) {
+  constexpr int kTasks = 16;
+  const int64_t tuples = state.range(0);
+  SyntheticSource source(tuples, static_cast<int>(state.range(1)),
+                         /*seed=*/42);
+  int64_t batch = 0;
+  for (auto _ : state) {
+    for (int task = 0; task < kTasks; ++task) {
+      benchmark::DoNotOptimize(source.NextBatch(batch, task).data());
+    }
+    ++batch;
+  }
+  state.SetLabel(tuples == 1 ? "wide" : "fig6");
+  state.SetItemsProcessed(state.iterations() * kTasks * tuples);
+}
+BENCHMARK(BM_SourceBatch)
+    ->ArgNames({"tuples", "keys"})
+    ->Args({2000, 1024})
+    ->Args({1, 256});
 
 void BM_OutputFidelity(benchmark::State& state) {
   constexpr size_t kFailedMids = 64;

@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "engine/serde.h"
+#include "workloads/numbered_keys.h"
 
 namespace ppa {
 namespace {
@@ -108,7 +109,8 @@ LocationSource::LocationSource(const IncidentSchedule* schedule,
       tuples_per_batch_per_task_(tuples_per_batch_per_task),
       seed_(seed),
       user_zipf_(static_cast<size_t>(schedule->options().num_segments),
-                 schedule->options().zipf_s) {}
+                 schedule->options().zipf_s),
+      keys_(NumberedKeys("s", schedule->options().num_segments)) {}
 
 std::vector<Tuple> LocationSource::NextBatch(int64_t batch_index,
                                              int task_index) {
@@ -119,41 +121,35 @@ std::vector<Tuple> LocationSource::NextBatch(int64_t batch_index,
   for (int64_t i = 0; i < tuples_per_batch_per_task_; ++i) {
     const int segment = static_cast<int>(user_zipf_.Sample(&rng));
     const bool jammed = schedule_->Jammed(segment, batch_index);
+    Tuple& t = out.emplace_back();
+    t.key = keys_[segment];
     // Speeds x100: free flow ~ [4000, 6000], jam ~ [200, 1200].
-    const int64_t speed =
-        jammed ? 200 + static_cast<int64_t>(rng.NextUint64(1000))
-               : 4000 + static_cast<int64_t>(rng.NextUint64(2000));
-    Tuple t;
-    t.key = TupleKey::Numbered("s", segment);
-    t.value = speed;
-    out.push_back(t);
+    t.value = jammed ? 200 + static_cast<int64_t>(rng.NextUint64(1000))
+                     : 4000 + static_cast<int64_t>(rng.NextUint64(2000));
   }
   return out;
 }
 
 IncidentReportSource::IncidentReportSource(const IncidentSchedule* schedule,
                                            int parallelism)
-    : schedule_(schedule), parallelism_(parallelism) {}
+    : schedule_(schedule),
+      parallelism_(parallelism),
+      keys_(NumberedKeys("s", schedule->options().num_segments)) {}
 
 std::vector<Tuple> IncidentReportSource::NextBatch(int64_t batch_index,
                                                    int task_index) {
-  std::vector<Tuple> out;
   const int64_t incident = schedule_->IncidentStartingAt(batch_index);
   if (incident < 0) {
-    return out;
+    return {};
   }
   const int segment = schedule_->SegmentOfIncident(incident);
   const int reporters = schedule_->Population(segment);
   // Reports are spread evenly over the source's tasks.
   const int share = (reporters + parallelism_ - 1 - task_index) / parallelism_;
-  out.reserve(static_cast<size_t>(share));
-  for (int i = 0; i < share; ++i) {
-    Tuple t;
-    t.key = TupleKey::Numbered("s", segment);
-    t.value = kIncidentValueBase + incident;
-    out.push_back(t);
-  }
-  return out;
+  Tuple report;
+  report.key = keys_[segment];
+  report.value = kIncidentValueBase + incident;
+  return std::vector<Tuple>(static_cast<size_t>(share), report);
 }
 
 SegmentSpeedOperator::SegmentSpeedOperator(int64_t window_batches)

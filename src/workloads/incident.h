@@ -67,7 +67,8 @@ class IncidentSchedule {
 };
 
 /// User-location stream (20 000 records/s in the paper, split across the
-/// source's tasks): (segment key, current speed).
+/// source's tasks): (segment key, current speed). Keys are copied from the
+/// shared "s" table of the segments (NumberedKeys).
 class LocationSource : public SourceFunction {
  public:
   LocationSource(const IncidentSchedule* schedule,
@@ -80,6 +81,7 @@ class LocationSource : public SourceFunction {
   int64_t tuples_per_batch_per_task_;
   uint64_t seed_;
   ZipfGenerator user_zipf_;
+  const TupleKey* keys_;
 };
 
 /// User-reported incident stream: all users of a hit segment report in the
@@ -97,6 +99,7 @@ class IncidentReportSource : public SourceFunction {
  private:
   const IncidentSchedule* schedule_;
   int parallelism_;
+  const TupleKey* keys_;
 };
 
 /// O1: per-segment average speed over a short sliding window; emits

@@ -2,6 +2,7 @@
 
 #include "common/hash.h"
 #include "engine/operators.h"
+#include "workloads/numbered_keys.h"
 
 namespace ppa {
 
@@ -9,22 +10,20 @@ SyntheticSource::SyntheticSource(int64_t tuples_per_batch, int key_space,
                                  uint64_t seed)
     : tuples_per_batch_(tuples_per_batch),
       key_space_(key_space),
-      seed_(seed) {}
+      seed_(seed),
+      keys_(NumberedKeys("k", key_space)) {}
 
 std::vector<Tuple> SyntheticSource::NextBatch(int64_t batch_index,
                                               int task_index) {
   std::vector<Tuple> out;
   out.reserve(static_cast<size_t>(tuples_per_batch_));
+  const uint64_t base = static_cast<uint64_t>(batch_index) * 1315423911u +
+                        static_cast<uint64_t>(task_index) * 2654435761u;
   for (int64_t i = 0; i < tuples_per_batch_; ++i) {
-    const uint64_t h =
-        Mix64(seed_ ^ Mix64(static_cast<uint64_t>(batch_index) * 1315423911u +
-                            static_cast<uint64_t>(task_index) * 2654435761u +
-                            static_cast<uint64_t>(i)));
-    Tuple t;
-    t.key = TupleKey::Numbered(
-        "k", static_cast<int64_t>(h % static_cast<uint64_t>(key_space_)));
+    const uint64_t h = Mix64(seed_ ^ Mix64(base + static_cast<uint64_t>(i)));
+    Tuple& t = out.emplace_back();
+    t.key = keys_[h % static_cast<uint64_t>(key_space_)];
     t.value = static_cast<int64_t>(h % 1000);
-    out.push_back(t);
   }
   return out;
 }

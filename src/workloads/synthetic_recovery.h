@@ -39,7 +39,9 @@ Status BindSyntheticRecoveryWorkload(const SyntheticRecoveryWorkload& workload,
 
 /// Deterministic uniform-key source used by the synthetic workload: task
 /// `i` emits `tuples_per_batch` tuples per batch with keys drawn from a
-/// fixed population, reproducible per (task, batch).
+/// fixed population, reproducible per (task, batch). Keys are copied from
+/// the shared "k" table of the key space (NumberedKeys); `key_space < 1`
+/// is fatal.
 class SyntheticSource : public SourceFunction {
  public:
   SyntheticSource(int64_t tuples_per_batch, int key_space, uint64_t seed);
@@ -50,6 +52,7 @@ class SyntheticSource : public SourceFunction {
   int64_t tuples_per_batch_;
   int key_space_;
   uint64_t seed_;
+  const TupleKey* keys_;
 };
 
 /// Places the workload the way the paper does: 16 source tasks on 4 nodes

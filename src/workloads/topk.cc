@@ -7,6 +7,7 @@
 #include "common/hash.h"
 #include "engine/operators.h"
 #include "engine/serde.h"
+#include "workloads/numbered_keys.h"
 
 namespace ppa {
 
@@ -85,7 +86,8 @@ int64_t TopKOperator::StateSizeTuples() const {
 
 WorldCupSource::WorldCupSource(const Options& options)
     : options_(options),
-      zipf_(static_cast<size_t>(options.url_population), options.zipf_s) {}
+      zipf_(static_cast<size_t>(options.url_population), options.zipf_s),
+      keys_(NumberedKeys("url", options.url_population)) {}
 
 std::vector<Tuple> WorldCupSource::NextBatch(int64_t batch_index,
                                              int task_index) {
@@ -108,10 +110,9 @@ std::vector<Tuple> WorldCupSource::NextBatch(int64_t batch_index,
   std::vector<Tuple> out;
   out.reserve(static_cast<size_t>(volume));
   for (int64_t i = 0; i < volume; ++i) {
-    Tuple t;
-    t.key = TupleKey::Numbered("url", static_cast<int64_t>(zipf_.Sample(&rng)));
+    Tuple& t = out.emplace_back();
+    t.key = keys_[zipf_.Sample(&rng)];
     t.value = 1;
-    out.push_back(t);
   }
   return out;
 }

@@ -43,7 +43,8 @@ class TopKOperator : public OperatorFunction {
 
 /// Synthetic stand-in for the WorldCup'98 access log (see DESIGN.md
 /// Sec. 3.2): a fixed URL population with Zipfian popularity, partitioned
-/// by server id (= source task). Deterministic per (batch, task).
+/// by server id (= source task). Deterministic per (batch, task). Keys are
+/// copied from the shared "url" table of the population (NumberedKeys).
 class WorldCupSource : public SourceFunction {
  public:
   struct Options {
@@ -65,6 +66,7 @@ class WorldCupSource : public SourceFunction {
  private:
   Options options_;
   ZipfGenerator zipf_;
+  const TupleKey* keys_;
 };
 
 /// Q1 (Sec. VI-B): hierarchical top-100 aggregation over the access log.

@@ -1,5 +1,9 @@
+#include <cstdint>
+#include <latch>
 #include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +12,7 @@
 #include "planner/structure_aware_planner.h"
 #include "workloads/accuracy.h"
 #include "workloads/incident.h"
+#include "workloads/numbered_keys.h"
 #include "workloads/synthetic_recovery.h"
 #include "workloads/topk.h"
 
@@ -113,6 +118,96 @@ TEST(WorldCupSourceTest, RateWaveModulatesVolume) {
   // Determinism still holds.
   WorldCupSource again(opts);
   EXPECT_EQ(again.NextBatch(5, 0).size(), peak);
+}
+
+/// FNV-1a over the key bytes and values of batches 0-3 of tasks 0-2.
+uint64_t BatchDigest(SourceFunction* source) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  };
+  for (int64_t batch = 0; batch < 4; ++batch) {
+    for (int task = 0; task < 3; ++task) {
+      for (const Tuple& t : source->NextBatch(batch, task)) {
+        mix(t.key.data(), t.key.size());
+        mix(&t.value, sizeof(t.value));
+      }
+    }
+  }
+  return h;
+}
+
+// Pins the seeded input streams byte for byte. The digests were taken
+// while sources still formatted every key per tuple, so a key table that
+// differs from TupleKey::Numbered fails here.
+TEST(SyntheticSourceTest, BatchesMatchParentDigest) {
+  SyntheticSource fig6(2000, 1024, 42);
+  EXPECT_EQ(BatchDigest(&fig6), 6306156114158826290ull);
+  SyntheticSource wide(1, 256, 43);
+  EXPECT_EQ(BatchDigest(&wide), 12040808460068264649ull);
+
+  WorldCupSource::Options wc;
+  wc.tuples_per_batch_per_task = 500;
+  wc.rate_wave_amplitude = 0.5;
+  wc.rate_wave_period_batches = 8;
+  WorldCupSource worldcup(wc);
+  EXPECT_EQ(BatchDigest(&worldcup), 9716801606308365737ull);
+
+  IncidentSchedule::Options io;
+  io.num_segments = 200;
+  io.num_users = 5000;
+  const IncidentSchedule schedule(io);
+  LocationSource location(&schedule, 400, 11);
+  EXPECT_EQ(BatchDigest(&location), 3252934722049661262ull);
+  IncidentReportSource reports(&schedule, 3);
+  EXPECT_EQ(BatchDigest(&reports), 14185208087747730473ull);
+}
+
+// Sources built at the same time on several threads look up (and, the
+// first time, build) one key table per key space; every thread's batches
+// equal a serial run's.
+TEST(SyntheticSourceTest, ConcurrentSourcesShareOneTable) {
+  constexpr int kThreads = 4;
+  const int key_spaces[] = {16, 256, 1024};
+  auto draw = [&key_spaces] {
+    std::vector<uint64_t> digests;
+    for (int key_space : key_spaces) {
+      SyntheticSource source(64, key_space, 5);
+      digests.push_back(BatchDigest(&source));
+    }
+    return digests;
+  };
+  std::vector<std::vector<uint64_t>> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      concurrent[static_cast<size_t>(i)] = draw();
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const std::vector<uint64_t> serial = draw();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(concurrent[static_cast<size_t>(i)], serial) << "thread " << i;
+  }
+  const TupleKey* keys = NumberedKeys("k", 256);
+  EXPECT_EQ(keys, NumberedKeys("k", 256));
+  EXPECT_EQ(keys[255], "k255");
+}
+
+// An empty key space would reach `h % 0`; the key table refuses it and
+// names the domain.
+TEST(SyntheticSourceDeathTest, EmptyKeySpaceIsFatalAndNamesIt) {
+  EXPECT_DEATH(SyntheticSource(10, 0, 1),
+               "key table 'k' needs at least 1 key, got 0");
+  EXPECT_DEATH(NumberedKeys("url", -3),
+               "key table 'url' needs at least 1 key, got -3");
 }
 
 TEST(TopKOperatorTest, EmitsTopKByValue) {
