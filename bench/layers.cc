@@ -18,6 +18,10 @@
 //                 2000) and its 10 buffered output batches;
 //   wide_mid    — a scale_cluster 4096-node mid task: 1-tuple batches, a
 //                 30-slice window and 30 buffered batches.
+// BM_TaskSnapshotThreads times the same Snapshot() inside one callback of
+// a ThreadedBackend with num_shards = 2, so blobs of two or more 64-KiB
+// parts encode on the driving thread and one helper (wall time); a blob
+// under 128 KiB (wide_mid) is one inline part.
 //
 // BM_WindowStep times one steady-state step of a window task:
 // TaskRuntime::RunBatch of the next input batch, whose window evicts its
@@ -229,23 +233,45 @@ void SetTaskCounters(benchmark::State& state, const TaskRuntime& rt,
                           static_cast<int64_t>(blob_bytes));
 }
 
-void BM_TaskSnapshot(benchmark::State& state) {
-  const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));
+/// The timed loop of BM_TaskSnapshot: one Snapshot() per iteration.
+void SnapshotLoop(benchmark::State& state, TaskRuntime* rt) {
   size_t bytes = 0;
   for (auto _ : state) {
-    StatusOr<std::string> blob = lt->runtime->Snapshot();
+    StatusOr<std::string> blob = rt->Snapshot();
     PPA_CHECK_OK(blob.status());
     bytes = blob->size();
     benchmark::DoNotOptimize(blob->data());
     benchmark::ClobberMemory();
   }
-  SetTaskCounters(state, *lt->runtime, bytes);
+  SetTaskCounters(state, *rt, bytes);
+}
+
+void BM_TaskSnapshot(benchmark::State& state) {
+  const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));
+  SnapshotLoop(state, lt->runtime.get());
 }
 BENCHMARK(BM_TaskSnapshot)
     ->ArgNames({"shape"})
     ->Arg(kFig6Source)
     ->Arg(kFig6O1)
     ->Arg(kWideMid);
+
+void BM_TaskSnapshotThreads(benchmark::State& state) {
+  const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));
+  backend::ThreadedBackendOptions options;
+  options.num_shards = 2;
+  const std::unique_ptr<backend::ExecutionBackend> be =
+      backend::MakeBackend(backend::BackendKind::kThreads, options);
+  (void)be->ScheduleAfter(Duration::Zero(),
+                          [&] { SnapshotLoop(state, lt->runtime.get()); });
+  be->RunUntilIdle();
+}
+BENCHMARK(BM_TaskSnapshotThreads)
+    ->ArgNames({"shape"})
+    ->Arg(kFig6Source)
+    ->Arg(kFig6O1)
+    ->Arg(kWideMid)
+    ->UseRealTime();
 
 void BM_TaskRestore(benchmark::State& state) {
   const std::unique_ptr<LoadedTask> lt = LoadTask(state.range(0));

@@ -56,7 +56,8 @@ struct ThreadedBackendOptions {
 /// RunUntil/RunUntilIdle, in ascending (firing time, schedule sequence)
 /// order: the deterministic simulator's order, which is what makes the
 /// sim a byte-exact oracle for every other backend (the parity contract,
-/// DESIGN.md §16). The only parallelism is ParallelFor inside a callback.
+/// DESIGN.md §16). The only parallelism is ParallelFor
+/// (common/parallel_for.h) inside a callback.
 ///
 /// ## Driving
 ///
@@ -136,19 +137,6 @@ class ExecutionBackend {
 /// kThreads.
 [[nodiscard]] std::unique_ptr<ExecutionBackend> MakeBackend(
     BackendKind kind, const ThreadedBackendOptions& options = {});
-
-/// Runs `fn(i)` for every i in [0, n) and returns once every call has
-/// finished: the fork-join a StreamingJob runs each operator level through
-/// (DESIGN.md §16). Inside a ThreadedBackend callback the driving thread
-/// and the backend's helper threads claim contiguous blocks of indices;
-/// everywhere else (the sim, outside a drive, a call nested in another
-/// ParallelFor) it is a plain loop in index order. Every call of `fn` sees
-/// the caller's now(). Calls on distinct indices may run concurrently, so
-/// `fn` must only write state its index owns, and must not schedule,
-/// cancel or drive (debug builds check the last three). Reaches the
-/// backend through the running drive, so a decorating backend needs no
-/// override.
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace backend
 }  // namespace ppa

@@ -9,38 +9,17 @@ namespace ppa {
 namespace backend {
 namespace {
 
-// The backend whose drive loop runs on this thread, so ParallelFor in one
-// of its callbacks reaches its RunFork().
-thread_local SimBackend* tls_driver = nullptr;
-// Set while this thread runs ParallelFor indices.
-thread_local bool tls_in_block = false;
-
 // Debug builds: the queue has no lock, so a schedule, cancel or drive
 // from a ParallelFor block (which the contract forbids) would race with
 // the driving thread. Fatal, naming the call.
 void CheckOutsideBlock([[maybe_unused]] const char* call) {
 #ifndef NDEBUG
-  PPA_CHECK(!tls_in_block) << call << " called inside a ParallelFor block";
+  PPA_CHECK(!InParallelBlock())
+      << call << " called inside a ParallelFor block";
 #endif
 }
 
 }  // namespace
-
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  const bool nested = SimBackend::MarkInBlock(true);
-  if (tls_driver != nullptr && !nested && n > 1) {
-    tls_driver->RunFork(n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-  }
-  SimBackend::MarkInBlock(nested);
-}
-
-bool SimBackend::MarkInBlock(bool in_block) {
-  return std::exchange(tls_in_block, in_block);
-}
 
 void SimBackend::RunFork(size_t n, const std::function<void(size_t)>& fn) {
   for (size_t i = 0; i < n; ++i) {
@@ -81,7 +60,7 @@ void SimBackend::RunUntilIdle() {
 }
 
 void SimBackend::Drive(TimePoint deadline) {
-  SimBackend* const outer = std::exchange(tls_driver, this);
+  ForkRunner* const outer = SetForkRunner(this);
   for (auto next = queue_.begin();
        next != queue_.end() && next->first.at <= deadline;
        next = queue_.begin()) {
@@ -94,7 +73,7 @@ void SimBackend::Drive(TimePoint deadline) {
     obs::Observe(queue_occupancy_, depth);
     fn();
   }
-  tls_driver = outer;
+  SetForkRunner(outer);
 }
 
 void SimBackend::AttachMetrics(obs::MetricsRegistry* registry) {

@@ -7,6 +7,7 @@
 
 #include "backend/execution_backend.h"
 #include "backend/timer_queue.h"
+#include "common/parallel_for.h"
 #include "common/sim_time.h"
 #include "obs/metrics.h"
 
@@ -23,7 +24,7 @@ namespace backend {
 /// the same loop and only changes what ParallelFor does inside it
 /// (RunFork). The queue has no lock; the ParallelFor contract keeps blocks
 /// off it, and debug builds check that.
-class SimBackend : public ExecutionBackend {
+class SimBackend : public ExecutionBackend, private ForkRunner {
  public:
   BackendKind kind() const override { return BackendKind::kSim; }
   /// Virtual time; advances only while running events (and to the
@@ -55,19 +56,13 @@ class SimBackend : public ExecutionBackend {
   /// Runs `fn` over [0, n) for a ParallelFor called from one of this
   /// backend's callbacks, with the calling thread already marked as
   /// inside a block. Here a plain loop in index order.
-  virtual void RunFork(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Marks the calling thread as running ParallelFor indices (or not);
-  /// returns the previous mark. Nested ParallelFor calls run inline on a
-  /// marked thread, and debug builds refuse queue and drive calls there.
-  static bool MarkInBlock(bool in_block);
+  void RunFork(size_t n, const std::function<void(size_t)>& fn) override;
 
  private:
-  friend void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
   /// Runs timers in order until none is due by `deadline`; leaves now()
   /// at the last one run. The driving thread's ParallelFor calls reach
-  /// RunFork() meanwhile.
+  /// RunFork() meanwhile: Drive installs this backend as the thread's fork
+  /// runner.
   void Drive(TimePoint deadline);
 
   TimerQueue queue_;

@@ -104,7 +104,8 @@ void ThreadedBackend::SpinForForks(uint64_t* last_epoch) {
 }
 
 void ThreadedBackend::HelperLoop() {
-  MarkInBlock(true);  // a helper runs nothing but ParallelFor indices
+  // A helper runs nothing but ParallelFor indices.
+  MarkInParallelBlock(true);
   uint64_t last_epoch = 0;
   for (;;) {
     {

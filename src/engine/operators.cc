@@ -1,6 +1,7 @@
 #include "engine/operators.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -11,6 +12,14 @@ namespace {
 
 /// Encoded bytes of a window slice's header: batch and tuple count.
 constexpr size_t kSliceHeaderBytes = 2 * sizeof(int64_t);
+
+/// A window slice as a snapshot encodes it: its header, then its tuples.
+constexpr auto kSliceRecord = [](const auto& slice) {
+  return EncodedRecord{{slice.batch, static_cast<int64_t>(slice.tuples.size())},
+                       kSliceHeaderBytes / sizeof(int64_t),
+                       &slice.tuples,
+                       slice.bytes};
+};
 
 }  // namespace
 
@@ -106,50 +115,43 @@ void SlidingWindowAggregateOperator::ProcessBatch(
 }
 
 StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotState() {
-  const size_t bytes = 2 * sizeof(int64_t) + window_bytes_;
-  BinaryWriter w;
-  w.Reserve(bytes);
-  w.PutI64(window_sum_);
-  w.PutU64(window_.size());
-  for (const WindowSlice& slice : window_) {
-    w.PutI64(slice.batch);
-    w.PutU64(slice.tuples.size());
-    w.PutTuples(slice.tuples, slice.bytes - kSliceHeaderBytes);
-  }
-  PPA_CHECK(w.size() == bytes)
-      << "window snapshot is " << w.size() << " bytes, presized " << bytes;
+  std::string blob =
+      EncodeBlob(2 * sizeof(int64_t) + window_bytes_, [this](char* out) {
+        out = StoreAt(out, window_sum_);
+        out = StoreAt(out, static_cast<uint64_t>(window_.size()));
+        EncodeRunAt({}, nullptr, window_.cbegin(), window_.cend(),
+                    window_bytes_, out, kSliceRecord);
+      });
   snapshot_marker_ = window_.empty() ? -1 : window_.back().batch;
-  return std::move(w).data();
+  return blob;
 }
 
 StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotDelta(
     int64_t* delta_tuples) {
-  BinaryWriter w;
+  // Slices are in batch order, so the fresh ones are a suffix.
+  auto fresh = window_.cend();
+  size_t fresh_bytes = 0;
+  int64_t fresh_tuples = 0;
+  while (fresh != window_.cbegin() &&
+         std::prev(fresh)->batch > snapshot_marker_) {
+    --fresh;
+    fresh_bytes += fresh->bytes;
+    fresh_tuples += static_cast<int64_t>(fresh->tuples.size());
+  }
   const int64_t horizon = window_.empty() ? snapshot_marker_
                                           : window_.back().batch;
-  w.PutI64(horizon);
-  int64_t fresh_slices = 0;
-  int64_t fresh_tuples = 0;
-  for (const WindowSlice& slice : window_) {
-    if (slice.batch > snapshot_marker_) {
-      ++fresh_slices;
-      fresh_tuples += static_cast<int64_t>(slice.tuples.size());
-    }
-  }
-  w.PutU64(static_cast<uint64_t>(fresh_slices));
-  for (const WindowSlice& slice : window_) {
-    if (slice.batch <= snapshot_marker_) {
-      continue;
-    }
-    w.PutI64(slice.batch);
-    w.PutU64(slice.tuples.size());
-    w.PutTuples(slice.tuples, slice.bytes - kSliceHeaderBytes);
-  }
+  std::string blob =
+      EncodeBlob(2 * sizeof(int64_t) + fresh_bytes, [&](char* out) {
+        out = StoreAt(out, horizon);
+        out = StoreAt(out, static_cast<uint64_t>(window_.cend() - fresh));
+        EncodeRunAt({}, nullptr, fresh, window_.cend(), fresh_bytes, out,
+                    kSliceRecord);
+      });
   snapshot_marker_ = horizon;
   if (delta_tuples != nullptr) {
     *delta_tuples = fresh_tuples;
   }
-  return std::move(w).data();
+  return blob;
 }
 
 Status SlidingWindowAggregateOperator::ApplyDelta(const std::string& delta) {
@@ -186,6 +188,13 @@ Status SlidingWindowAggregateOperator::RestoreState(
   for (uint64_t i = 0; i < slices; ++i) {
     PPA_ASSIGN_OR_RETURN(int64_t batch, r.GetI64());
     PPA_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
+    if (!window_.empty() && batch <= window_.back().batch) {
+      // Evict() drops slices from the front by batch, so an unordered
+      // window would lose the wrong ones.
+      return InvalidArgument("window snapshot slices out of order (slice " +
+                             std::to_string(batch) + " <= previous " +
+                             std::to_string(window_.back().batch) + ")");
+    }
     std::vector<Tuple> tuples;
     PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
     PushSlice(batch, tuples) = std::move(tuples);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "common/logging.h"
 #include "engine/serde.h"
@@ -24,13 +25,15 @@ constexpr size_t kMaxBatchBytes =
 static_assert(kMaxBatchBytes <= UINT32_MAX,
               "the largest encoded batch must fit BatchOutput::encoded_bytes");
 
-void PutBatch(BinaryWriter* w, const BatchOutput& b) {
-  w->PutI64(b.batch);
-  w->PutI64(b.ingest_at.micros());
-  w->PutI64(b.hops);
-  w->PutU64(b.tuples.size());
-  w->PutTuples(b.tuples, b.encoded_bytes - kBatchHeaderBytes);
-}
+/// A buffered batch as a checkpoint encodes it: its header, then its
+/// tuples.
+constexpr auto kBatchRecord = [](const BatchOutput& b) {
+  return EncodedRecord{{b.batch, b.ingest_at.micros(), b.hops,
+                        static_cast<int64_t>(b.tuples.size())},
+                       kBatchHeaderBytes / sizeof(int64_t),
+                       &b.tuples,
+                       b.encoded_bytes};
+};
 
 StatusOr<BatchOutput> GetBatch(BinaryReader* r) {
   const size_t start = r->remaining();
@@ -193,43 +196,52 @@ std::string TaskRuntime::EncodeCheckpoint(const std::string& op_blob,
   // A delta carries the trim level so that a restored chain drops what
   // this instance already dropped.
   const auto first =
-      delta ? BatchesFrom(snapshot_next_batch_) : output_buffer_.begin();
+      delta ? BatchesFrom(snapshot_next_batch_) : output_buffer_.cbegin();
   size_t buffer_bytes = buffered_bytes_;
   for (auto it = output_buffer_.cbegin(); it != first; ++it) {
     buffer_bytes -= it->encoded_bytes;
   }
-  // Sized once from the cached batch sizes: a wide sink's blob runs to
-  // megabytes, and growing it by doubling leaves freed holes that make the
-  // heap's footprint depend on the order of earlier allocations.
+  // Sized once from the cached batch sizes and never zero-filled: a wide
+  // sink's blob runs to megabytes, and growing it by doubling leaves freed
+  // holes that make the heap's footprint depend on the order of earlier
+  // allocations.
   const size_t bytes =
       sizeof(int64_t) +                                          // next batch
       sizeof(uint64_t) + progress_.size() * 2 * sizeof(int64_t) +  // progress
       sizeof(uint64_t) + op_blob.size() +                        // op state
       (delta ? sizeof(int64_t) : 0) +                            // trim level
       sizeof(uint64_t) + buffer_bytes;                           // buffer
-  BinaryWriter w;
-  w.Reserve(bytes);
-  w.PutI64(next_batch_);
-  w.PutU64(progress_.size());
-  for (const auto& [producer, seq] : progress_) {
-    w.PutI64(producer);
-    w.PutU64(seq);
-  }
-  w.PutString(op_blob);
-  if (delta) {
-    w.PutI64(output_buffer_.empty() ? next_batch_
-                                    : output_buffer_.front().batch);
-  }
-  w.PutU64(static_cast<uint64_t>(output_buffer_.end() - first));
-  for (auto it = first; it != output_buffer_.end(); ++it) {
-    PutBatch(&w, *it);
+  // The operator blob and the batches encode in parts that may run on
+  // other threads, which read the buffer; nothing may change it meanwhile.
+  const bool was_frozen = std::exchange(buffer_frozen_, true);
+  std::string blob = EncodeBlob(bytes, [&](char* data) {
+    char* out = StoreAt(data, next_batch_);
+    out = StoreAt(out, static_cast<uint64_t>(progress_.size()));
+    for (const auto& [producer, seq] : progress_) {
+      out = StoreAt(out, static_cast<int64_t>(producer));
+      out = StoreAt(out, seq);
+    }
+    out = StoreAt(out, static_cast<uint64_t>(op_blob.size()));
+    char* const op_out = out;
+    out += op_blob.size();
+    if (delta) {
+      out = StoreAt(out, output_buffer_.empty() ? next_batch_
+                                                : output_buffer_.front().batch);
+    }
+    out = StoreAt(out, static_cast<uint64_t>(output_buffer_.cend() - first));
+    const size_t written = static_cast<size_t>(out - data) + buffer_bytes;
+    PPA_CHECK(written == bytes)
+        << topology_->TaskLabel(id_) << " checkpoint is " << written
+        << " bytes, presized " << bytes;
+    EncodeRunAt(op_blob, op_out, first, output_buffer_.cend(), buffer_bytes,
+                out, kBatchRecord);
+  });
+  buffer_frozen_ = was_frozen;
+  for (auto it = first; it != output_buffer_.cend(); ++it) {
     *buffer_tuples += static_cast<int64_t>(it->tuples.size());
   }
-  PPA_CHECK(w.size() == bytes)
-      << topology_->TaskLabel(id_) << " checkpoint is " << w.size()
-      << " bytes, presized " << bytes;
   snapshot_next_batch_ = next_batch_;
-  return std::move(w).data();
+  return blob;
 }
 
 Status TaskRuntime::DecodeCheckpoint(const std::string& blob, bool delta) {

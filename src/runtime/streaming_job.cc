@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "runtime/fidelity_series.h"
 #include "runtime/trace_metrics.h"
 
@@ -400,7 +401,7 @@ void StreamingJob::Advance() {
   for (OperatorId op : topology_.topo_order()) {
     FreezeUpstreamBuffers(op, true);
     const size_t blocks = LevelBlockCount(op);
-    backend::ParallelFor(blocks, [this, op](size_t k) { AdvanceBlock(op, k); });
+    ParallelFor(blocks, [this, op](size_t k) { AdvanceBlock(op, k); });
     FreezeUpstreamBuffers(op, false);
     for (size_t k = 0; k < blocks; ++k) {
       ApplyLevelBlock(&level_blocks_[k]);

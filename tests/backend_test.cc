@@ -25,7 +25,10 @@
 #include "chaos/chaos_run.h"
 #include "chaos/generator.h"
 #include "chaos/invariants.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
+#include "engine/serde.h"
+#include "engine/task_runtime.h"
 #include "engine/operators.h"
 #include "exp/parity.h"
 #include "exp/run_spec.h"
@@ -247,7 +250,7 @@ TEST_P(BackendContract, ParallelForRunsEveryIndexOnceBeforeReturning) {
   std::atomic<int> wrong_now{0};
   bool all_ran_on_return = false;
   (void)be_->ScheduleAt(At(777), [&] {
-    backend::ParallelFor(kN, [&](size_t i) {
+    ParallelFor(kN, [&](size_t i) {
       // A little work per index, so helpers are still inside their blocks
       // when the caller runs out of blocks to claim.
       volatile uint64_t sink = 0;
@@ -274,10 +277,10 @@ TEST_P(BackendContract, NestedParallelForRunsInline) {
   std::atomic<int> out_of_order{0};
   std::atomic<int> inner_runs{0};
   (void)be_->ScheduleAt(At(5), [&] {
-    backend::ParallelFor(64, [&](size_t) {
+    ParallelFor(64, [&](size_t) {
       const std::thread::id self = std::this_thread::get_id();
       size_t next = 0;
-      backend::ParallelFor(8, [&](size_t j) {
+      ParallelFor(8, [&](size_t j) {
         if (std::this_thread::get_id() != self) {
           off_thread.fetch_add(1);
         }
@@ -299,7 +302,7 @@ TEST_P(BackendContract, ParallelForOutsideCallbacksIsAPlainLoop) {
   const std::thread::id self = std::this_thread::get_id();
   std::vector<size_t> order;
   bool on_caller = true;
-  backend::ParallelFor(100, [&](size_t i) {
+  ParallelFor(100, [&](size_t i) {
     order.push_back(i);
     on_caller = on_caller && std::this_thread::get_id() == self;
   });
@@ -397,7 +400,7 @@ std::pair<std::vector<std::thread::id>, std::thread::id> ForkThreads(
   std::thread::id caller;
   (void)be->ScheduleAfter(Duration::Seconds(1), [&] {
     caller = std::this_thread::get_id();
-    backend::ParallelFor(n, [&](size_t i) {
+    ParallelFor(n, [&](size_t i) {
       ran[i] = std::this_thread::get_id();
     });
   });
@@ -435,7 +438,7 @@ TEST(ThreadedBackend, ParallelForRunsBlocksOnTwoWorkers) {
   std::thread::id caller;
   (void)be.ScheduleAfter(Duration::Seconds(1), [&] {
     caller = std::this_thread::get_id();
-    backend::ParallelFor(2, [&](size_t i) {
+    ParallelFor(2, [&](size_t i) {
       ran[i] = std::this_thread::get_id();
       both_started.arrive_and_wait();
     });
@@ -472,7 +475,7 @@ TEST(ThreadedBackendDeathTest, QueueAndDriveCallsInAParallelForBlockAreFatal) {
           options.num_shards = 2;
           backend::ThreadedBackend be(options);
           (void)be.ScheduleAfter(Duration::Zero(), [&be, &call] {
-            backend::ParallelFor(2, [&be, &call](size_t) { call(&be); });
+            ParallelFor(2, [&be, &call](size_t) { call(&be); });
           });
           be.RunUntilIdle();
         },
@@ -774,6 +777,159 @@ TEST(LevelForkParity, ParallelSinkOperatorMatchesTheSim) {
     backend::ThreadedBackend threads(options);
     ExpectSameOutput(golden, RunForkedWideSink(&threads));
   }
+}
+
+// --- checkpoint encode fork: byte-identical blobs on threads --------------
+
+/// The Fig. 6 O1 task's shape: two producers send 2000 tuples each per
+/// batch into a 10-batch window with selectivity 0.5, so its window
+/// (~1.8 MB) and its buffered output (~0.9 MB) each encode in several
+/// parts.
+constexpr int64_t kO1Window = 10;
+
+Topology MakeO1Topology() {
+  TopologyBuilder b;
+  const OperatorId src = b.AddOperator("src", 2);
+  const OperatorId o1 = b.AddOperator("o1", 1);
+  b.Connect(src, o1, PartitionScheme::kMerge);
+  auto t = b.Build();
+  PPA_CHECK(t.ok()) << t.status();
+  return *std::move(t);
+}
+
+/// Input batch `b` of the O1 task: each producer's seeded source batch,
+/// stamped with the producer's batch and sequence numbers.
+std::vector<Tuple> O1Input(const Topology& topo, int64_t b) {
+  SyntheticSource source(2000, 1024, 42);
+  std::vector<Tuple> inputs;
+  for (int p = 0; p < 2; ++p) {
+    std::vector<Tuple> part = source.NextBatch(b, p);
+    for (size_t i = 0; i < part.size(); ++i) {
+      part[i].batch = b;
+      part[i].seq = (static_cast<uint64_t>(b) << 24) + i;
+      part[i].producer = topo.op(0).tasks[static_cast<size_t>(p)];
+    }
+    inputs.insert(inputs.end(), part.begin(), part.end());
+  }
+  return inputs;
+}
+
+std::unique_ptr<TaskRuntime> MakeO1Task(const Topology& topo) {
+  return std::make_unique<TaskRuntime>(
+      &topo, topo.op(1).tasks[0],
+      std::make_unique<SlidingWindowAggregateOperator>(kO1Window, 0.5),
+      nullptr);
+}
+
+/// Wraps the fork runner a drive installed. In every fork, index 0 and
+/// index 1 each wait until both have started. The threaded backend claims
+/// a fork of at most 16 indices one index at a time, so the thread that
+/// claimed index 0 cannot claim index 1 while it waits: the fork returns
+/// only if a second thread, a helper, ran a part.
+class HelperLatch : public ForkRunner {
+ public:
+  explicit HelperLatch(ForkRunner* inner) : inner_(inner) {}
+
+  void RunFork(size_t n, const std::function<void(size_t)>& fn) override {
+    std::latch both_started(2);
+    std::thread::id ran[2];
+    inner_->RunFork(n, [&](size_t i) {
+      if (i < 2) {
+        ran[i] = std::this_thread::get_id();
+        both_started.arrive_and_wait();
+      }
+      fn(i);
+    });
+    EXPECT_LE(n, kMaxEncodeParts);
+    EXPECT_NE(ran[0], ran[1]);
+    ++forks;
+  }
+
+  int forks = 0;
+
+ private:
+  ForkRunner* const inner_;
+};
+
+/// What the O1 task and a window fed the same inputs encode.
+struct O1Checkpoints {
+  std::string snapshot;
+  std::string delta;
+  std::string window;
+};
+
+/// Loads the O1 task and a bare window with batches [0, 10), then, inside
+/// one callback on `be`, takes the task's Snapshot(), runs two more
+/// batches, takes its SnapshotDelta() and the window's SnapshotState().
+/// With `latch`, every fork in the callback must put a part on a helper;
+/// returns the number of forks in `*forks`.
+O1Checkpoints TakeO1Checkpoints(backend::ExecutionBackend* be, bool latch,
+                                int* forks) {
+  const Topology topo = MakeO1Topology();
+  auto task = MakeO1Task(topo);
+  SlidingWindowAggregateOperator window(kO1Window, 0.5);
+  for (int64_t b = 0; b < kO1Window; ++b) {
+    task->RunBatch(b, O1Input(topo, b));
+    BatchContext ctx(b, 0, 1);
+    window.ProcessBatch(&ctx, O1Input(topo, b));
+  }
+  O1Checkpoints out;
+  (void)be->ScheduleAfter(Duration::Seconds(1), [&] {
+    ForkRunner* const drive = SetForkRunner(nullptr);
+    HelperLatch helper_latch(drive);
+    SetForkRunner(latch ? &helper_latch : drive);
+    out.snapshot = *task->Snapshot();
+    for (int64_t b = kO1Window; b < kO1Window + 2; ++b) {
+      task->RunBatch(b, O1Input(topo, b));
+    }
+    out.delta = task->SnapshotDelta()->blob;
+    out.window = *window.SnapshotState();
+    SetForkRunner(drive);
+    *forks = helper_latch.forks;
+  });
+  be->RunUntilIdle();
+  return out;
+}
+
+TEST(CheckpointForkParity, O1TaskBlobsMatchTheSimAndRestore) {
+  backend::SimBackend sim;
+  int sim_forks = 0;
+  const O1Checkpoints golden = TakeO1Checkpoints(&sim, false, &sim_forks);
+  // Every blob spans more than one part.
+  EXPECT_GT(golden.snapshot.size(), 2 * kMinEncodePartBytes);
+  EXPECT_GT(golden.delta.size(), 2 * kMinEncodePartBytes);
+  EXPECT_GT(golden.window.size(), 2 * kMinEncodePartBytes);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    backend::ThreadedBackendOptions options;
+    options.num_shards = workers;
+    backend::ThreadedBackend threads(options);
+    int forks = 0;
+    const O1Checkpoints got = TakeO1Checkpoints(&threads, true, &forks);
+    // The window's and the task's encode in Snapshot() and in
+    // SnapshotDelta(), then the bare window's.
+    EXPECT_EQ(forks, 5);
+    EXPECT_TRUE(got.snapshot == golden.snapshot);
+    EXPECT_TRUE(got.delta == golden.delta);
+    EXPECT_TRUE(got.window == golden.window);
+  }
+
+  // The blobs restore: the snapshot and the window re-encode to
+  // themselves, and the chain re-encodes to the live task's state.
+  const Topology topo = MakeO1Topology();
+  auto restored = MakeO1Task(topo);
+  ASSERT_TRUE(restored->Restore(golden.snapshot).ok());
+  EXPECT_TRUE(*restored->Snapshot() == golden.snapshot);
+  ASSERT_TRUE(restored->ApplyDelta(golden.delta).ok());
+  auto live = MakeO1Task(topo);
+  for (int64_t b = 0; b < kO1Window + 2; ++b) {
+    live->RunBatch(b, O1Input(topo, b));
+  }
+  EXPECT_EQ(restored->next_batch(), live->next_batch());
+  EXPECT_TRUE(*restored->Snapshot() == *live->Snapshot());
+  SlidingWindowAggregateOperator window(kO1Window, 0.5);
+  ASSERT_TRUE(window.RestoreState(golden.window).ok());
+  EXPECT_TRUE(*window.SnapshotState() == golden.window);
 }
 
 // --- chaos smoke: the threaded backend under random fault schedules --------

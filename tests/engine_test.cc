@@ -560,33 +560,48 @@ std::unique_ptr<TaskRuntime> MakeWindowTask(const Topology& t) {
       std::make_unique<SlidingWindowAggregateOperator>(3, 1.0), nullptr);
 }
 
-TEST(SerdeTest, PutTuplesMatchesPerFieldEncoding) {
+/// `tuples` encoded by EncodeTuplesAt after `prefix`, into a buffer whose
+/// every byte first held `fill`; the bytes past the tuples must keep it.
+std::string EncodeAfter(const std::string& prefix,
+                        const std::vector<Tuple>& tuples, char fill = '\xab') {
+  const size_t bytes = EncodedTupleBytes(tuples);
+  std::string out(prefix.size() + bytes + 8, fill);
+  std::copy(prefix.begin(), prefix.end(), out.begin());
+  char* const at = out.data() + prefix.size();
+  EXPECT_EQ(EncodeTuplesAt(tuples, bytes, at), at + bytes);
+  EXPECT_EQ(out.substr(prefix.size() + bytes), std::string(8, fill))
+      << "EncodeTuplesAt wrote past its range";
+  out.resize(prefix.size() + bytes);
+  return out;
+}
+
+TEST(SerdeTest, EncodeTuplesAtMatchesPerFieldEncoding) {
   std::vector<Tuple> tuples =
       MakeTuples({{"k", 7}, {"", -3}, {"a-key-longer-than-any-small-string", 1}},
                  /*producer=*/5, /*batch=*/9);
   tuples[1].producer = kInvalidTaskId;  // Raw source input.
   tuples[2].seq = ~uint64_t{0};
-  BinaryWriter bulk;
-  bulk.PutTuples(tuples, EncodedTupleBytes(tuples));
+  const std::string bulk = EncodeAfter("", tuples);
   BinaryWriter by_field;
   for (const Tuple& t : tuples) {
     PutTupleByField(&by_field, t);
   }
-  EXPECT_EQ(bulk.data(), by_field.data());
+  EXPECT_EQ(bulk, by_field.data());
   EXPECT_EQ(bulk.size(), EncodedTupleBytes(tuples));
 
-  BinaryReader r(bulk.data());
+  BinaryReader r(bulk);
   std::vector<Tuple> back;
   ASSERT_TRUE(r.GetTuples(tuples.size(), &back).ok());
   EXPECT_EQ(back, tuples);
   EXPECT_TRUE(r.exhausted());
 }
 
-TEST(SerdeTest, PutTuplesFixedWidthKeyCopiesLeaveNoStaleBytes) {
-  // Keys are copied at their full 35-byte capacity while that fits, so the
-  // bytes past a key's length (here stale: each key first held a longer
-  // one) must all be overwritten, and the short keys at the end of the
-  // buffer take the exact-length copy.
+TEST(SerdeTest, EncodeTuplesAtFixedWidthKeyCopiesLeaveNoStaleBytes) {
+  // Keys are copied at their full 35-byte capacity while that fits in the
+  // range, so the bytes past a key's length (here stale: each key first
+  // held a longer one, and the buffer starts as garbage) must all be
+  // overwritten, the short keys at the end of the range take the
+  // exact-length copy, and nothing past the range is touched.
   const std::string full(TupleKey::kCapacity, 'f');
   for (const char* last : {"", "k", "ab", "a-key-longer-than-any-small-string"}) {
     std::vector<Tuple> tuples = MakeTuples(
@@ -598,35 +613,34 @@ TEST(SerdeTest, PutTuplesFixedWidthKeyCopiesLeaveNoStaleBytes) {
       tuples[i].key = full;
       tuples[i].key = key;
     }
-    BinaryWriter bulk;
-    bulk.PutI64(-1);  // the writer appends after what is already there
-    bulk.PutTuples(tuples, EncodedTupleBytes(tuples));
+    BinaryWriter prefix;
+    prefix.PutI64(-1);  // the tuples start at an offset into the buffer
     BinaryWriter by_field;
     by_field.PutI64(-1);
     for (const Tuple& t : tuples) {
       PutTupleByField(&by_field, t);
     }
-    EXPECT_EQ(bulk.data(), by_field.data()) << "last key '" << last << "'";
+    for (char fill : {'\0', '\xab'}) {
+      EXPECT_EQ(EncodeAfter(prefix.data(), tuples, fill), by_field.data())
+          << "last key '" << last << "'";
+    }
   }
 }
 
-TEST(SerdeDeathTest, PutTuplesChecksThePresizedLength) {
+TEST(SerdeDeathTest, EncodeTuplesAtChecksThePresizedLength) {
   const std::vector<Tuple> tuples = MakeTuples({{"key", 1}, {"k", 2}});
   const size_t bytes = EncodedTupleBytes(tuples);
-  BinaryWriter long_writer;
-  EXPECT_DEATH(long_writer.PutTuples(tuples, bytes + 1),
+  std::string out(bytes + 1, '\0');
+  EXPECT_DEATH(EncodeTuplesAt(tuples, bytes + 1, out.data()),
                "do not encode to the presized");
-  BinaryWriter short_writer;
-  EXPECT_DEATH(short_writer.PutTuples(tuples, bytes - 1),
+  EXPECT_DEATH(EncodeTuplesAt(tuples, bytes - 1, out.data()),
                "do not encode to the presized");
 }
 
 TEST(SerdeTest, GetTuplesRejectsCountsAndKeysBeyondTheBuffer) {
-  BinaryWriter w;
-  const std::vector<Tuple> one = MakeTuples({{"key", 1}});
-  w.PutTuples(one, EncodedTupleBytes(one));
+  const std::string one = EncodeAfter("", MakeTuples({{"key", 1}}));
   std::vector<Tuple> out;
-  BinaryReader too_many(w.data());
+  BinaryReader too_many(one);
   EXPECT_EQ(too_many.GetTuples(uint64_t{1} << 62, &out).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(too_many.GetTuples(2, &out).code(), StatusCode::kOutOfRange);
@@ -930,6 +944,35 @@ TEST(CheckpointWireFormatTest, CorruptTupleCountsAreOutOfRange) {
   SymmetricWindowJoinOperator join_op(
       3, [](const Tuple& tu) { return tu.value < 1000; });
   EXPECT_EQ(join_op.RestoreState(join.data()).code(), StatusCode::kOutOfRange);
+}
+
+TEST(CheckpointWireFormatTest, UnorderedWindowSlicesAreRejected) {
+  // Evict() drops slices from the front by batch index, so a window
+  // restored out of batch order would evict the wrong slices. A full
+  // snapshot is rejected as a delta and a task checkpoint already are.
+  for (const std::vector<int64_t>& order :
+       {std::vector<int64_t>{3, 2}, std::vector<int64_t>{2, 4, 4},
+        std::vector<int64_t>{5, 1, 6}}) {
+    std::vector<FedSlice> slices;
+    for (int64_t b : order) {
+      slices.emplace_back(b, WindowInput(b));
+    }
+    SlidingWindowAggregateOperator op(3, 1.0);
+    EXPECT_EQ(op.RestoreState(WindowBlobByField(0, slices)).code(),
+              StatusCode::kInvalidArgument)
+        << "slice " << order[1] << " after " << order[0];
+  }
+
+  // In order, slices restore, and a later batch evicts by batch index:
+  // batch 5 drops slice 2 and keeps slice 3 in the window of 3.
+  SlidingWindowAggregateOperator op(3, 1.0);
+  ASSERT_TRUE(op.RestoreState(WindowBlobByField(
+                                  2 * (2 + 3), {{2, WindowInput(2)},
+                                                {3, WindowInput(3)}}))
+                  .ok());
+  BatchContext ctx(5, 0, 1);
+  op.ProcessBatch(&ctx, {});
+  EXPECT_EQ(op.StateSizeTuples(), 3);
 }
 
 /// Tuple counts recovered by decoding a window task's Snapshot() blob.
