@@ -1,14 +1,37 @@
 #include "bench/driver.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "common/thread_pool.h"
 
 namespace ppa {
 namespace bench {
+namespace {
+
+/// All of `text` as a whole number >= 0; anything else (a sign, a letter,
+/// an empty or out-of-range value) prints why and exits 2.
+template <typename T>
+T WholeNumberOrExit(const char* flag, const std::string& text) {
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  // from_chars reads a leading '-' for a signed T.
+  if (text.starts_with('-') || parsed.ec != std::errc() ||
+      parsed.ptr != end) {
+    std::fprintf(stderr, "%s: expected a whole number >= 0, got '%s'\n",
+                 flag, text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
 
 Driver Driver::FromArgs(int* argc, char** argv) {
   Driver driver;
@@ -20,6 +43,7 @@ Driver Driver::FromArgs(int* argc, char** argv) {
   std::string commit_value;
   std::string backend_value;
   std::string mode_value;
+  int jobs = 1;
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string_view arg = argv[i];
@@ -45,13 +69,12 @@ Driver Driver::FromArgs(int* argc, char** argv) {
       continue;
     }
     if (match("--jobs", &jobs_value)) {
-      driver.jobs_ = static_cast<int>(
-          std::strtol(jobs_value.c_str(), nullptr, 10));
+      jobs = WholeNumberOrExit<int>("--jobs", jobs_value);
       continue;
     }
     if (match("--seed", &seed_value)) {
       driver.has_seed_ = true;
-      driver.seed_ = std::strtoull(seed_value.c_str(), nullptr, 10);
+      driver.seed_ = WholeNumberOrExit<uint64_t>("--seed", seed_value);
       continue;
     }
     if (match("--commit", &commit_value)) {
@@ -83,9 +106,8 @@ Driver Driver::FromArgs(int* argc, char** argv) {
     argv[kept++] = argv[i];
   }
   *argc = kept;
-  if (driver.jobs_ <= 0) {
-    driver.jobs_ = ThreadPool::DefaultParallelism();
-  }
+  driver.runner_ =
+      exp::ParallelRunner(jobs > 0 ? jobs : ThreadPool::DefaultParallelism());
   driver.metrics_ = BenchMetricsSink(metrics_path);
   driver.traces_ = JsonDocumentSink(
       trace_path, "chrome trace", obs::EmptyChromeTrace(),
@@ -120,15 +142,6 @@ void Driver::StampBenchReport(JsonValue* report,
   report->Set("commit", commit_);
   report->Set("backend", backend_name());
   report->Set("recovery_mode", recovery_mode_name());
-}
-
-exp::ParallelRunner& Driver::runner() {
-  if (runner_ == nullptr) {
-    exp::ParallelRunnerOptions options;
-    options.jobs = jobs_;
-    runner_ = std::make_unique<exp::ParallelRunner>(options);
-  }
-  return *runner_;
 }
 
 int Driver::Finish(std::string_view benchmark) {

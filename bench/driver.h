@@ -35,7 +35,9 @@ namespace bench {
 ///   --jobs <n>                 worker threads for independent runs
 ///                              (default 1; 0 = all hardware threads).
 ///                              Results are byte-identical for any value.
+///                              Not a whole number >= 0: exit 2.
 ///   --seed <n>                 base RNG seed of randomized experiments
+///                              (a whole number >= 0; otherwise exit 2)
 ///   --commit <sha>             source revision stamped into BENCH_*.json
 ///                              reports (default "unknown"; passed
 ///                              explicitly — binaries never shell out or
@@ -58,7 +60,7 @@ class Driver {
 
   /// Worker threads to run on; always >= 1 (0 was resolved to the
   /// hardware thread count at parse time).
-  [[nodiscard]] int jobs() const { return jobs_; }
+  [[nodiscard]] int jobs() const { return runner_.jobs(); }
 
   /// The --seed value, or `fallback` when the flag was absent.
   [[nodiscard]] uint64_t seed_or(uint64_t fallback) const {
@@ -129,16 +131,12 @@ class Driver {
   /// or the sinks.
   exp::ProgressMeter* StartProgress(int total, std::string label);
 
-  /// The runner independent runs execute on; created on first use with
-  /// jobs() workers and reused for every subsequent Map.
-  exp::ParallelRunner& runner();
-
-  /// Shorthand for runner().Map: runs fn(0..count-1) across jobs()
-  /// threads, results in index order. Mutate sinks/registries only from
+  /// Runs fn(0..count-1) across up to jobs() threads, results in index
+  /// order (exp::ParallelRunner::Map). Mutate sinks/registries only from
   /// the ordered result pass, never inside fn.
   template <typename T>
   std::vector<T> Map(int count, const std::function<T(int)>& fn) {
-    return runner().Map<T>(count, fn);
+    return runner_.Map<T>(count, fn);
   }
 
   /// Writes all sinks; returns the process exit code (0 on success, 1
@@ -148,7 +146,6 @@ class Driver {
  private:
   Driver() = default;
 
-  int jobs_ = 1;
   bool has_seed_ = false;
   uint64_t seed_ = 0;
   bool progress_ = false;
@@ -159,7 +156,7 @@ class Driver {
   JsonDocumentSink traces_;
   JsonDocumentSink flight_;
   std::unique_ptr<exp::ProgressMeter> meter_;
-  std::unique_ptr<exp::ParallelRunner> runner_;
+  exp::ParallelRunner runner_;
 };
 
 }  // namespace bench

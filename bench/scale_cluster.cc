@@ -34,10 +34,10 @@
 #include "backend/execution_backend.h"
 #include "bench/driver.h"
 #include "common/wall_clock.h"
-#include "exp/run_spec.h"
 #include "report/experiment_report.h"
 #include "runtime/streaming_job.h"
 #include "topology/serialize.h"
+#include "workloads/synthetic_recovery.h"
 
 namespace {
 
@@ -96,7 +96,7 @@ Cell RunCell(int nodes, backend::BackendKind backend_kind,
   std::unique_ptr<backend::ExecutionBackend> be =
       backend::MakeBackend(backend_kind);
   StreamingJob job(*topo, config, JobRuntimeDeps(be.get()));
-  PPA_CHECK_OK(exp::BindGenericWorkload(*topo, config, &job));
+  PPA_CHECK_OK(BindGenericWorkload(*topo, config, &job));
   for (int node = 0; node < nodes; ++node) {
     PPA_CHECK_OK(job.cluster().AssignDomain(node, node / kDomainSize));
   }

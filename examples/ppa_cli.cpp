@@ -48,12 +48,12 @@
 
 #include "backend/execution_backend.h"
 #include "bench/driver.h"
-#include "exp/run_spec.h"
 #include "planner/planner.h"
 #include "report/experiment_report.h"
 #include "runtime/scenario.h"
 #include "runtime/streaming_job.h"
 #include "topology/serialize.h"
+#include "workloads/synthetic_recovery.h"
 
 namespace {
 
@@ -159,7 +159,7 @@ int Run(int argc, char** argv) {
 
   // Generic bindings: deterministic synthetic sources at the spec's rates,
   // sliding-window aggregates with the spec's selectivities elsewhere.
-  PPA_CHECK_OK(exp::BindGenericWorkload(*topo, config, &job));
+  PPA_CHECK_OK(BindGenericWorkload(*topo, config, &job));
 
   ReplicationPlan plan;
   plan.replicated = TaskSet(topo->num_tasks());

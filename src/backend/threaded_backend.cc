@@ -1,5 +1,6 @@
 #include "backend/threaded_backend.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/logging.h"
@@ -15,10 +16,8 @@ ThreadedBackend::ThreadedBackend(const ThreadedBackendOptions& options) {
                           ? options.num_shards
                           : std::max(1, ThreadPool::DefaultParallelism() - 1);
   if (threads > 1) {
-    helpers_ = std::make_unique<ThreadPool>(threads - 1);
-    for (int i = 1; i < threads; ++i) {
-      helpers_->Submit([this] { HelperLoop(); });
-    }
+    helpers_ = std::make_unique<ThreadPool>(threads - 1,
+                                            [this](int) { HelperLoop(); });
   }
 }
 
@@ -53,22 +52,16 @@ void ThreadedBackend::RunFork(size_t n,
     fork_ = nullptr;
     open_fork_.store(0);
   }
-  // Every block is claimed; wait for the helpers still running one.
+  // Every index is claimed; wait for the helpers still running one.
   while (fork->helpers.load() != 0) {
     ThreadPool::SpinPause();
   }
 }
 
 void ThreadedBackend::RunBlocks(Fork* fork) {
-  for (;;) {
-    const size_t begin = fork->next.fetch_add(fork->block);
-    if (begin >= fork->n) {
-      return;
-    }
-    const size_t end = std::min(fork->n, begin + fork->block);
-    for (size_t i = begin; i < end; ++i) {
-      (*fork->fn)(i);
-    }
+  for (size_t i = fork->next.fetch_add(1); i < fork->n;
+       i = fork->next.fetch_add(1)) {
+    (*fork->fn)(i);
   }
 }
 

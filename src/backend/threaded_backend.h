@@ -1,7 +1,6 @@
 #ifndef PPA_BACKEND_THREADED_BACKEND_H_
 #define PPA_BACKEND_THREADED_BACKEND_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -33,9 +32,9 @@ namespace backend {
 /// ## Level fork-join
 ///
 /// ParallelFor() called from a callback publishes one fork. The driving
-/// thread starts claiming blocks of about n/16 indices at once and never
-/// waits for a helper to start; helpers (woken if asleep) claim the rest
-/// from the same index. The driving thread returns once no block is left
+/// thread at once starts claiming indices, one per claim, and never waits
+/// for a helper to start; helpers (woken if asleep) claim the rest from
+/// the same counter. The driving thread returns once no index is left
 /// unclaimed and every helper has left the fork. A helper that has just
 /// helped spins for kForkSpinSeconds waiting for the next fork before it
 /// sleeps again, so consecutive levels of one job do not each pay a
@@ -60,19 +59,12 @@ class ThreadedBackend final : public SimBackend {
   /// the next one before it sleeps.
   static constexpr double kForkSpinSeconds = 200e-6;
 
-  /// A fork of n indices is claimed in blocks of max(1, n / 16) indices:
-  /// about 16 claims balance uneven tasks without a claim per index.
-  static constexpr size_t kClaimsPerFork = 16;
-
   /// One open ParallelFor, on the driving thread's stack.
   struct Fork {
     Fork(const std::function<void(size_t)>* fn, size_t n, uint64_t epoch)
-        : fn(fn), n(n), block(std::max<size_t>(1, n / kClaimsPerFork)),
-          epoch(epoch) {}
+        : fn(fn), n(n), epoch(epoch) {}
     const std::function<void(size_t)>* const fn;
     const size_t n;
-    /// Indices per claim.
-    const size_t block;
     /// Distinguishes this fork from earlier ones at the same address.
     const uint64_t epoch;
     /// First unclaimed index.
@@ -85,10 +77,10 @@ class ThreadedBackend final : public SimBackend {
   /// Runs `fn` over [0, n) with the helpers.
   void RunFork(size_t n, const std::function<void(size_t)>& fn) override
       PPA_EXCLUDES(fork_mu_);
-  /// Claims and runs blocks of `fork` until none is left.
+  /// Claims and runs indices of `fork`, one at a time, until none is left.
   static void RunBlocks(Fork* fork);
-  /// Joins the open fork if it is newer than `*last_epoch`, runs blocks of
-  /// it, and records its epoch; false when none was open.
+  /// Joins the open fork if it is newer than `*last_epoch`, runs indices
+  /// of it, and records its epoch; false when none was open.
   bool HelpFork(uint64_t* last_epoch) PPA_EXCLUDES(fork_mu_);
   /// Helps forks until none has opened for kForkSpinSeconds.
   void SpinForForks(uint64_t* last_epoch) PPA_EXCLUDES(fork_mu_);

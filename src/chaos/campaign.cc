@@ -150,9 +150,7 @@ StatusOr<CampaignReport> RunCampaign(const CampaignOptions& options) {
   if (options.jobs < 1) {
     return InvalidArgument("jobs must be at least 1");
   }
-  exp::ParallelRunnerOptions runner_options;
-  runner_options.jobs = options.jobs;
-  exp::ParallelRunner runner(runner_options);
+  exp::ParallelRunner runner(options.jobs);
   CampaignReport report;
   report.options = options;
   report.results = runner.Map<CampaignCaseResult>(

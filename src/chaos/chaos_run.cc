@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "backend/execution_backend.h"
-#include "exp/run_spec.h"
 #include "report/experiment_report.h"
 #include "runtime/scenario.h"
 #include "runtime/streaming_job.h"
 #include "service/cluster_service.h"
 #include "topology/serialize.h"
+#include "workloads/synthetic_recovery.h"
 
 namespace ppa {
 namespace chaos {
@@ -70,7 +70,7 @@ Status BuildJob(const ChaosCase& chaos_case, const JobConfig& config,
   sut->job =
       std::make_unique<StreamingJob>(topology, config, JobRuntimeDeps(be));
   StreamingJob* job = sut->job.get();
-  PPA_RETURN_IF_ERROR(exp::BindGenericWorkload(topology, config, job));
+  PPA_RETURN_IF_ERROR(BindGenericWorkload(topology, config, job));
   PPA_RETURN_IF_ERROR(AssignDomains(chaos_case, &job->cluster()));
   TaskSet plan(topology.num_tasks());
   for (TaskId t : chaos_case.initial_plan) {
@@ -207,7 +207,7 @@ StatusOr<GoldenTwin> RunGoldenTwin(const Topology& topology,
   twin.job = std::make_unique<StreamingJob>(
       topology, config, JobRuntimeDeps(twin.backend.get()));
   PPA_RETURN_IF_ERROR(
-      exp::BindGenericWorkload(topology, config, twin.job.get()));
+      BindGenericWorkload(topology, config, twin.job.get()));
   PPA_RETURN_IF_ERROR(
       twin.job->SetActiveReplicaSet(TaskSet(topology.num_tasks())));
   PPA_RETURN_IF_ERROR(twin.job->Start());

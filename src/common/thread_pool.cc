@@ -7,93 +7,19 @@
 
 namespace ppa {
 
-ThreadPool::ThreadPool(int num_threads) {
-  const size_t n = static_cast<size_t>(std::max(num_threads, 1));
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+ThreadPool::ThreadPool(int num_threads, std::function<void(int)> body)
+    : body_(std::move(body)) {
+  PPA_CHECK(body_ != nullptr) << "ThreadPool requires a thread body";
+  const int n = std::max(num_threads, 1);
+  threads_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    threads_.emplace_back([this, i] { body_(i); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(&mu_);
-    stop_ = true;
-  }
-  cv_.NotifyAll();
   for (std::thread& t : threads_) {
     t.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  PPA_CHECK(fn != nullptr) << "ThreadPool::Submit requires a task";
-  size_t shard;
-  {
-    MutexLock lock(&mu_);
-    PPA_CHECK(!stop_) << "Submit after ThreadPool destruction began";
-    shard = next_shard_++ % workers_.size();
-    ++queued_;
-  }
-  {
-    Worker& target = *workers_[shard];
-    MutexLock lock(&target.mu);
-    target.tasks.push_back(std::move(fn));
-  }
-  cv_.NotifyOne();
-}
-
-bool ThreadPool::RunOneTask(size_t self) {
-  std::function<void()> task;
-  {
-    Worker& own = *workers_[self];
-    MutexLock lock(&own.mu);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-    }
-  }
-  if (task == nullptr) {
-    for (size_t k = 1; k < workers_.size() && task == nullptr; ++k) {
-      Worker& victim = *workers_[(self + k) % workers_.size()];
-      MutexLock lock(&victim.mu);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-      }
-    }
-  }
-  if (task == nullptr) {
-    return false;
-  }
-  {
-    MutexLock lock(&mu_);
-    --queued_;
-  }
-  task();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
-  for (;;) {
-    if (RunOneTask(self)) {
-      continue;
-    }
-    MutexLock lock(&mu_);
-    // The predicate recheck loop makes the cv handoff visible to the
-    // thread-safety analysis: Wait requires mu_ held, releases it while
-    // blocked, and reacquires it before the predicate is read again.
-    while (!stop_ && queued_ == 0) {
-      cv_.Wait(&mu_);
-    }
-    if (queued_ > 0) {
-      continue;  // Claim it through RunOneTask (another worker may win).
-    }
-    return;  // stop_ was set and the queue is drained.
   }
 }
 

@@ -1,46 +1,34 @@
 #ifndef PPA_COMMON_THREAD_POOL_H_
 #define PPA_COMMON_THREAD_POOL_H_
 
-#include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/thread_annotations.h"
-
 namespace ppa {
 
-/// A small fixed-size work-stealing thread pool. Each worker owns a deque:
-/// it pops its own tasks newest-first (LIFO keeps caches warm) and steals
-/// oldest-first from siblings when its deque runs dry; external
-/// submissions are sharded round-robin across the deques.
+/// A fixed set of threads: thread i runs `body(i)` once, and the
+/// destructor joins them all. The one place the project starts threads
+/// (the no-raw-thread lint rule, DESIGN.md §14); what the threads share,
+/// and how they split work, is the body's business.
 ///
-/// Scheduling order is deliberately unspecified — determinism is the
-/// *caller's* contract, kept by keying results to submission indices and
-/// deriving per-task RNG streams from those indices (DeriveSeed), never
-/// from execution order. exp::ParallelRunner packages that pattern.
-///
-/// Destruction drains every task that was queued before the destructor
-/// ran, then joins the workers; submitting concurrently with destruction
-/// is not supported.
+/// Scheduling is unspecified — determinism is the *caller's* contract,
+/// kept by keying results to indices and deriving per-index RNG streams
+/// from them (DeriveSeed), never from which thread ran what.
+/// exp::ParallelRunner packages that pattern.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (clamped to >= 1).
-  explicit ThreadPool(int num_threads);
+  /// Starts max(1, num_threads) threads; thread i runs body(i).
+  ThreadPool(int num_threads, std::function<void(int)> body);
 
-  /// Drains all queued tasks, then joins the workers.
+  /// Joins the threads: returns once every body has returned.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues a task. Safe from any thread, including workers (a task may
-  /// submit follow-up tasks while the pool is live).
-  void Submit(std::function<void()> fn) PPA_EXCLUDES(mu_);
+  /// Number of threads.
+  int num_threads() const { return static_cast<int>(threads_.size()); }
 
   /// Hardware concurrency, at least 1 — the natural `--jobs 0` expansion.
   static int DefaultParallelism();
@@ -56,29 +44,9 @@ class ThreadPool {
   }
 
  private:
-  /// One worker's deque; `mu` guards only the deque so stealing never
-  /// contends with the pool-wide bookkeeping lock.
-  struct Worker {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks PPA_GUARDED_BY(mu);
-  };
-
-  /// Pops (own back) or steals (sibling front) one task and runs it.
-  bool RunOneTask(size_t self) PPA_EXCLUDES(mu_);
-  void WorkerLoop(size_t self) PPA_EXCLUDES(mu_);
-
-  // Sized in the constructor before any worker starts; immutable after.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  // Joined only by the destructor, after every worker has exited.
+  // Shared by every thread; immutable while they run.
+  const std::function<void(int)> body_;
   std::vector<std::thread> threads_;
-
-  // Pool-wide bookkeeping: count of queued-but-unclaimed tasks and the
-  // stop flag, with the condition variable idle workers sleep on.
-  Mutex mu_;
-  CondVar cv_;
-  int64_t queued_ PPA_GUARDED_BY(mu_) = 0;
-  size_t next_shard_ PPA_GUARDED_BY(mu_) = 0;
-  bool stop_ PPA_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace ppa

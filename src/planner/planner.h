@@ -86,7 +86,7 @@ enum class PlannerKind {
 StatusOr<PlannerKind> PlannerKindFromString(std::string_view name);
 
 /// Cross-planner construction options: the union of every built-in
-/// planner's knobs, so CLIs and experiment specs configure any kind
+/// planner's knobs, so ppa_cli and the chaos generator configure any kind
 /// through one value type. Each kind reads only its own fields.
 struct PlannerOptions {
   /// MC-tree / segment enumeration bound (dp, sa).

@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "exp/run_spec.h"
 #include "fidelity/metrics.h"
 #include "topology/task_set.h"
+#include "workloads/synthetic_recovery.h"
 
 namespace ppa {
 namespace service {
@@ -359,7 +359,7 @@ Status ClusterService::AdmitNow(Tenant& t) {
       PPA_RETURN_IF_ERROR(t.spec.bind(t.topology, t.spec.config, job.get()));
     } else {
       PPA_RETURN_IF_ERROR(
-          exp::BindGenericWorkload(t.topology, t.spec.config, job.get()));
+          BindGenericWorkload(t.topology, t.spec.config, job.get()));
     }
     if (!t.spec.initial_plan.empty()) {
       TaskSet plan(static_cast<int>(t.topology.num_tasks()));

@@ -66,7 +66,7 @@ struct TenantSpec {
   /// Spread this tenant's replicas across failure domains (and its
   /// primaries, which the service always spreads).
   bool spread_replicas_across_domains = true;
-  /// Operator/source bindings; exp::BindGenericWorkload when unset.
+  /// Operator/source bindings; BindGenericWorkload when unset.
   using BindFn =
       std::function<Status(const Topology&, const JobConfig&, StreamingJob*)>;
   BindFn bind;

@@ -1,5 +1,7 @@
 #include "workloads/synthetic_recovery.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 #include "engine/operators.h"
 #include "workloads/numbered_keys.h"
@@ -63,6 +65,33 @@ Status BindSyntheticRecoveryWorkload(const SyntheticRecoveryWorkload& workload,
           return std::make_unique<SlidingWindowAggregateOperator>(
               window, /*selectivity=*/0.5);
         }));
+  }
+  return OkStatus();
+}
+
+Status BindGenericWorkload(const Topology& topology, const JobConfig& config,
+                           StreamingJob* job) {
+  for (const OperatorInfo& oi : topology.operators()) {
+    if (oi.upstream.empty()) {
+      double rate = 0;
+      for (TaskId t : oi.tasks) {
+        rate += topology.task(t).output_rate;
+      }
+      const int64_t per_task_batch = static_cast<int64_t>(
+          rate / oi.parallelism * config.batch_interval.seconds());
+      PPA_RETURN_IF_ERROR(
+          job->BindSource(oi.id, [per_task_batch, id = oi.id] {
+            return std::make_unique<SyntheticSource>(
+                std::max<int64_t>(per_task_batch, 1), 256,
+                static_cast<uint64_t>(id) + 1);
+          }));
+    } else {
+      PPA_RETURN_IF_ERROR(job->BindOperator(
+          oi.id, [window = config.window_batches, sel = oi.selectivity] {
+            return std::make_unique<SlidingWindowAggregateOperator>(window,
+                                                                   sel);
+          }));
+    }
   }
   return OkStatus();
 }

@@ -5,6 +5,7 @@
 
 #include "common/status_or.h"
 #include "engine/operator.h"
+#include "runtime/config.h"
 #include "runtime/streaming_job.h"
 #include "topology/topology.h"
 
@@ -54,6 +55,14 @@ class SyntheticSource : public SourceFunction {
   uint64_t seed_;
   const TupleKey* keys_;
 };
+
+/// Binds the generic workload ppa_cli uses: deterministic synthetic
+/// sources at each source operator's spec rate, sliding-window aggregates
+/// (window = config.window_batches, the operator's spec selectivity)
+/// everywhere else.
+[[nodiscard]] Status BindGenericWorkload(const Topology& topology,
+                                         const JobConfig& config,
+                                         StreamingJob* job);
 
 /// Places the workload the way the paper does: 16 source tasks on 4 nodes
 /// (4 each), the 15 synthetic tasks on 15 dedicated nodes (1 each). The

@@ -231,7 +231,7 @@ TEST(JobConfigAfTest, BudgetValidatedOnlyWhenModeIsNotExact) {
 
 // --- End to end: approx vs exact on a real job ------------------------------
 
-struct AfRunResult {
+struct AfDrillRun {
   int64_t checkpoint_bytes = 0;
   int64_t checkpoints_skipped = 0;
   std::vector<SinkRecord> records;
@@ -254,7 +254,7 @@ JobConfig MakeAfJobConfig(af::RecoveryMode mode) {
   return cfg;
 }
 
-AfRunResult RunAfDrill(backend::ExecutionBackend* be, af::RecoveryMode mode) {
+AfDrillRun RunAfDrill(backend::ExecutionBackend* be, af::RecoveryMode mode) {
   Topology topo = MakeAfTopology();
   StreamingJob job(topo, MakeAfJobConfig(mode), JobRuntimeDeps(be));
   PPA_CHECK_OK(job.BindSource(0, [] {
@@ -267,7 +267,7 @@ AfRunResult RunAfDrill(backend::ExecutionBackend* be, af::RecoveryMode mode) {
   }
   PPA_CHECK_OK(job.Start());
   be->RunUntil(TimePoint::Zero() + Duration::Seconds(45));
-  AfRunResult result;
+  AfDrillRun result;
   result.checkpoint_bytes = job.CheckpointBytesWritten();
   result.checkpoints_skipped = job.CheckpointsSkipped();
   result.records = job.sink_records();
@@ -276,9 +276,9 @@ AfRunResult RunAfDrill(backend::ExecutionBackend* be, af::RecoveryMode mode) {
 
 TEST(AfEndToEndTest, ApproxPersistsStrictlyFewerBytesThanExact) {
   backend::SimBackend exact_be;
-  AfRunResult exact = RunAfDrill(&exact_be, af::RecoveryMode::kPpa);
+  AfDrillRun exact = RunAfDrill(&exact_be, af::RecoveryMode::kPpa);
   backend::SimBackend approx_be;
-  AfRunResult approx = RunAfDrill(&approx_be, af::RecoveryMode::kApprox);
+  AfDrillRun approx = RunAfDrill(&approx_be, af::RecoveryMode::kApprox);
 
   EXPECT_GT(exact.checkpoint_bytes, 0);
   EXPECT_EQ(exact.checkpoints_skipped, 0)
@@ -296,9 +296,9 @@ TEST(AfEndToEndTest, ApproxPersistsStrictlyFewerBytesThanExact) {
 
 TEST(AfEndToEndTest, ApproxRunIsIdenticalOnSimAndThreads) {
   backend::SimBackend sim;
-  AfRunResult golden = RunAfDrill(&sim, af::RecoveryMode::kApprox);
+  AfDrillRun golden = RunAfDrill(&sim, af::RecoveryMode::kApprox);
   backend::ThreadedBackend threads;
-  AfRunResult real = RunAfDrill(&threads, af::RecoveryMode::kApprox);
+  AfDrillRun real = RunAfDrill(&threads, af::RecoveryMode::kApprox);
 
   EXPECT_GT(golden.records.size(), 0u);
   EXPECT_EQ(real.checkpoint_bytes, golden.checkpoint_bytes);
@@ -311,8 +311,8 @@ TEST(AfEndToEndTest, ApproxRunIsIdenticalOnSimAndThreads) {
 
 TEST(AfEndToEndTest, DeterministicAcrossRepeatedSimRuns) {
   backend::SimBackend a, b;
-  AfRunResult first = RunAfDrill(&a, af::RecoveryMode::kApprox);
-  AfRunResult second = RunAfDrill(&b, af::RecoveryMode::kApprox);
+  AfDrillRun first = RunAfDrill(&a, af::RecoveryMode::kApprox);
+  AfDrillRun second = RunAfDrill(&b, af::RecoveryMode::kApprox);
   EXPECT_EQ(first.checkpoint_bytes, second.checkpoint_bytes);
   EXPECT_EQ(first.checkpoints_skipped, second.checkpoints_skipped);
   ASSERT_EQ(first.records.size(), second.records.size());

@@ -30,13 +30,13 @@
 #include "engine/serde.h"
 #include "engine/task_runtime.h"
 #include "engine/operators.h"
-#include "exp/parity.h"
-#include "exp/run_spec.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "planner/planner.h"
 #include "planner/structure_aware_planner.h"
 #include "report/json.h"
 #include "runtime/job_deps.h"
+#include "runtime/scenario.h"
 #include "runtime/streaming_job.h"
 #include "tests/test_topologies.h"
 #include "topology/serialize.h"
@@ -576,68 +576,6 @@ TEST(ThreadedBackend, DrillStableOutputMatchesTheSimExactly) {
   ExpectIdenticalOutput(golden, real);
 }
 
-exp::RunSpec ParitySpec(const std::string& label) {
-  exp::RunSpec spec;
-  spec.label = label;
-  spec.make_topology = [](Rng*) -> StatusOr<Topology> {
-    return MakeDrillTopology();
-  };
-  spec.config = MakeDrillConfig(FtMode::kPpa);
-  spec.planner = PlannerKind::kStructureAware;
-  spec.budget = 2;
-  spec.seed = 7;
-  spec.run_for_seconds = 45.0;
-  return spec;
-}
-
-TEST(BackendParity, CleanRunIsIdenticalOnThreads) {
-  exp::RunSpec spec = ParitySpec("clean");
-  auto report = exp::RunSpecParity(spec, backend::BackendKind::kThreads,
-                                   DeriveSeed(spec.seed, 0));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->identical) << report->mismatch;
-  EXPECT_GT(report->baseline_stable, 0u);
-}
-
-TEST(BackendParity, SingleFailureRecoveryIsIdenticalOnThreads) {
-  exp::RunSpec spec = ParitySpec("fig07-style");
-  ScenarioEvent fail;
-  fail.at = Duration::Seconds(15);
-  fail.kind = ScenarioEvent::Kind::kNodeFailure;
-  fail.node = 1;
-  spec.scenario.push_back(fail);
-  auto report = exp::RunSpecParity(spec, backend::BackendKind::kThreads,
-                                   DeriveSeed(spec.seed, 0));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->identical) << report->mismatch;
-  EXPECT_GT(report->baseline_stable, 0u);
-}
-
-TEST(BackendParity, CorrelatedFailureWithReconcileIsIdenticalOnThreads) {
-  // fig08/fig10 shape: two upstream nodes die at the same instant (a
-  // correlated failure that leaves the sink alive), the degraded batches
-  // open a tentative window, and a post-recovery reconcile closes it with
-  // corrections.
-  exp::RunSpec spec = ParitySpec("fig08-style");
-  for (int node : {1, 2}) {
-    ScenarioEvent fail;
-    fail.at = Duration::Seconds(15);
-    fail.kind = ScenarioEvent::Kind::kNodeFailure;
-    fail.node = node;
-    spec.scenario.push_back(fail);
-  }
-  ScenarioEvent reconcile;
-  reconcile.at = Duration::Seconds(35);
-  reconcile.kind = ScenarioEvent::Kind::kReconcile;
-  spec.scenario.push_back(reconcile);
-  auto report = exp::RunSpecParity(spec, backend::BackendKind::kThreads,
-                                   DeriveSeed(spec.seed, 0));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->identical) << report->mismatch;
-  EXPECT_GT(report->baseline_total, report->baseline_stable)
-      << "the drill should have produced tentative records";
-}
-
 // --- level fork-join: byte-identical job output on threads ---------------
 
 /// What a job leaves behind, serialized for byte comparison.
@@ -677,6 +615,72 @@ void ExpectSameOutput(const JobOutput& golden, const JobOutput& got) {
   }
   EXPECT_EQ(golden.metrics, got.metrics);
   EXPECT_EQ(golden.trace, got.trace);
+}
+
+// --- the sim-vs-threads parity oracle (DESIGN.md §16) ---------------------
+
+/// The parity drill: the fig07 shape under PPA with the structure-aware
+/// plan at budget 2 and the generic workload, `scenario` played, 45 s run.
+JobOutput RunParityDrill(backend::ExecutionBackend* be,
+                         const std::vector<ScenarioEvent>& scenario) {
+  const Topology topo = MakeDrillTopology();
+  const JobConfig config = MakeDrillConfig(FtMode::kPpa);
+  StreamingJob job(topo, config, JobRuntimeDeps(be));
+  PPA_CHECK_OK(BindGenericWorkload(topo, config, &job));
+  auto plan = CreatePlanner(PlannerKind::kStructureAware)
+                  ->Plan(PlanRequest(topo, /*budget=*/2));
+  PPA_CHECK_OK(plan.status());
+  PPA_CHECK_OK(job.SetActiveReplicaSet(plan->replicated));
+  PPA_CHECK_OK(job.Start());
+  ScenarioRunner runner(&job);
+  PPA_CHECK_OK(runner.Run(scenario));
+  be->RunUntil(TimePoint::Zero() + Duration::Seconds(45));
+  PPA_CHECK_OK(runner.FirstError());
+  return OutputOf(job);
+}
+
+/// The drill on the sim, then on threads: the whole record stream, the
+/// job metrics and the trace must match. Returns the sim's output.
+JobOutput ExpectParityOnThreads(const std::vector<ScenarioEvent>& scenario) {
+  backend::SimBackend sim;
+  JobOutput golden = RunParityDrill(&sim, scenario);
+  backend::ThreadedBackend threads;
+  ExpectSameOutput(golden, RunParityDrill(&threads, scenario));
+  return golden;
+}
+
+ScenarioEvent At(double seconds, ScenarioEvent::Kind kind, int node = -1) {
+  ScenarioEvent event;
+  event.at = Duration::Seconds(seconds);
+  event.kind = kind;
+  event.node = node;
+  return event;
+}
+
+TEST(BackendParity, CleanRunIsIdenticalOnThreads) {
+  EXPECT_GT(ExpectParityOnThreads({}).records.size(), 0u);
+}
+
+TEST(BackendParity, SingleFailureRecoveryIsIdenticalOnThreads) {
+  // fig07 shape: node 1 dies mid-run and recovers.
+  const JobOutput golden = ExpectParityOnThreads(
+      {At(15, ScenarioEvent::Kind::kNodeFailure, 1)});
+  EXPECT_GT(golden.records.size(), 0u);
+}
+
+TEST(BackendParity, CorrelatedFailureWithReconcileIsIdenticalOnThreads) {
+  // fig08/fig10 shape: two upstream nodes die at the same instant (a
+  // correlated failure that leaves the sink alive), the degraded batches
+  // open a tentative window, and a post-recovery reconcile closes it with
+  // corrections.
+  const JobOutput golden = ExpectParityOnThreads(
+      {At(15, ScenarioEvent::Kind::kNodeFailure, 1),
+       At(15, ScenarioEvent::Kind::kNodeFailure, 2),
+       At(35, ScenarioEvent::Kind::kReconcile)});
+  EXPECT_TRUE(std::any_of(
+      golden.records.begin(), golden.records.end(),
+      [](const SinkRecord& r) { return r.tentative || r.correction; }))
+      << "the drill should have produced tentative records or corrections";
 }
 
 /// The fig6 shape (16 sources into 8/4/2/1 window tasks) with the PPA
@@ -738,7 +742,7 @@ JobOutput RunForkedWideSink(backend::ExecutionBackend* be) {
   PPA_CHECK_OK(topo.status());
   JobConfig config = JobConfig::PpaDefaults();
   StreamingJob job(*topo, config, JobRuntimeDeps(be));
-  PPA_CHECK_OK(exp::BindGenericWorkload(*topo, config, &job));
+  PPA_CHECK_OK(BindGenericWorkload(*topo, config, &job));
   TaskSet all(topo->num_tasks());
   for (TaskId t = 0; t < topo->num_tasks(); ++t) {
     all.Add(t);

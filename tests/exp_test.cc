@@ -1,56 +1,71 @@
 // Tests of the deterministic parallel experiment engine: the thread pool,
-// the submission-order ParallelRunner, RunSpec execution, and the
-// serial-vs-parallel bit-identity contract the bench binaries rely on
-// (--jobs N must never change any output byte).
+// the index-order ParallelRunner, and the serial-vs-parallel bit-identity
+// contract the bench binaries rely on (--jobs N must never change any
+// output byte).
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <future>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include "backend/sim_backend.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "exp/parallel_runner.h"
-#include "exp/run_spec.h"
 #include "planner/planner.h"
+#include "report/experiment_report.h"
 #include "runtime/config.h"
+#include "runtime/job_deps.h"
+#include "runtime/streaming_job.h"
 #include "topology/random_topology.h"
+#include "workloads/synthetic_recovery.h"
 
 namespace ppa {
 namespace {
 
 // --- ThreadPool ----------------------------------------------------------
 
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> executed{0};
+TEST(ThreadPoolTest, EachIndexRunsOnceOnItsOwnThreadAndTheDestructorJoins) {
+  constexpr int kThreads = 4;
+  std::vector<int> runs(kThreads, 0);
+  std::vector<std::thread::id> ids(kThreads);
+  std::atomic<int> finished{0};
+  // Every body waits here until all are running, so no thread id can be
+  // reused by a later body.
+  std::latch all_running(kThreads);
   {
-    ThreadPool pool(4);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&executed] { executed.fetch_add(1); });
-    }
+    ThreadPool pool(kThreads, [&](int i) {
+      ++runs[static_cast<size_t>(i)];
+      ids[static_cast<size_t>(i)] = std::this_thread::get_id();
+      all_running.arrive_and_wait();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      finished.fetch_add(1);
+    });
+    EXPECT_EQ(pool.num_threads(), kThreads);
   }
-  EXPECT_EQ(executed.load(), 200);
-}
-
-TEST(ThreadPoolTest, WorkerMaySubmitFollowUpTasks) {
-  ThreadPool pool(2);
-  std::promise<int> done;
-  std::future<int> got = done.get_future();
-  pool.Submit([&pool, &done] {
-    pool.Submit([&done] { done.set_value(42); });
-  });
-  EXPECT_EQ(got.get(), 42);
+  EXPECT_EQ(finished.load(), kThreads);
+  EXPECT_EQ(runs, std::vector<int>(kThreads, 1));
+  std::set<std::thread::id> distinct(ids.begin(), ids.end());
+  distinct.insert(std::this_thread::get_id());
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads) + 1);
 }
 
 TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
+  std::vector<int> ran;
+  {
+    ThreadPool pool(0, [&ran](int i) { ran.push_back(i); });
+    EXPECT_EQ(pool.num_threads(), 1);
+  }
+  EXPECT_EQ(ran, std::vector<int>{0});
   EXPECT_GE(ThreadPool::DefaultParallelism(), 1);
 }
 
@@ -65,7 +80,7 @@ TEST(ParallelRunnerTest, SerialWhenJobsIsOne) {
 }
 
 TEST(ParallelRunnerTest, ReportsWorkerCount) {
-  exp::ParallelRunner runner(exp::ParallelRunnerOptions{.jobs = 4});
+  exp::ParallelRunner runner(4);
   EXPECT_EQ(runner.jobs(), 4);
 }
 
@@ -73,7 +88,7 @@ TEST(ParallelRunnerTest, ResultsInSubmissionOrderUnderJitter) {
   // Early indices get the largest busy-work, so with 8 workers the last
   // submissions finish first; the result vector must stay index-ordered
   // regardless.
-  exp::ParallelRunner runner(exp::ParallelRunnerOptions{.jobs = 8});
+  exp::ParallelRunner runner(8);
   const int count = 64;
   std::vector<int> out = runner.Map<int>(count, [count](int i) {
     double acc = 0;
@@ -88,8 +103,42 @@ TEST(ParallelRunnerTest, ResultsInSubmissionOrderUnderJitter) {
   }
 }
 
+TEST(ParallelRunnerTest, RunsEveryIndexWhenJobsExceedCount) {
+  exp::ParallelRunner runner(8);
+  std::vector<std::atomic<int>> runs(3);
+  std::vector<int> out = runner.Map<int>(3, [&runs](int i) {
+    runs[static_cast<size_t>(i)].fetch_add(1);
+    return i + 1;
+  });
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  for (const std::atomic<int>& r : runs) {
+    EXPECT_EQ(r.load(), 1);
+  }
+}
+
+TEST(ParallelRunnerTest, RethrowsTheLowestThrowingIndexAfterEveryIndexRan) {
+  exp::ParallelRunner runner(4);
+  std::atomic<int> ran{0};
+  auto faulty = [&ran](int i) -> int {
+    ran.fetch_add(1);
+    if (i == 3) {
+      // Lose the race on purpose: index 5 throws first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("boom at 3");
+    }
+    if (i == 5) {
+      throw std::runtime_error("boom at 5");
+    }
+    return i;
+  };
+  EXPECT_THAT([&] { (void)runner.Map<int>(8, faulty); },
+              testing::ThrowsMessage<std::runtime_error>(
+                  testing::StrEq("boom at 3")));
+  EXPECT_EQ(ran.load(), 8);
+}
+
 TEST(ParallelRunnerTest, RethrowsWorkerExceptionAndStaysUsable) {
-  exp::ParallelRunner runner(exp::ParallelRunnerOptions{.jobs = 4});
+  exp::ParallelRunner runner(4);
   auto faulty = [](int i) -> int {
     if (i == 3) {
       throw std::runtime_error("boom at 3");
@@ -97,9 +146,47 @@ TEST(ParallelRunnerTest, RethrowsWorkerExceptionAndStaysUsable) {
     return i;
   };
   EXPECT_THROW(runner.Map<int>(8, faulty), std::runtime_error);
-  // The pool survives the unwound Map and keeps producing ordered results.
+  // The runner survives the unwound Map and keeps producing ordered
+  // results.
   std::vector<int> out = runner.Map<int>(6, [](int i) { return i + 10; });
   EXPECT_EQ(out, (std::vector<int>{10, 11, 12, 13, 14, 15}));
+}
+
+// The bench binaries' contract: --jobs N never changes an output byte.
+// Six fig14-style jobs (a random topology each, the structure-aware plan
+// at half the tasks, 8 s of the generic workload on the sim), mapped at
+// jobs 1 and 8.
+std::vector<std::string> Fig14StyleSweep(int jobs) {
+  RandomTopologyOptions options;
+  options.min_operators = 3;
+  options.max_operators = 5;
+  options.min_parallelism = 1;
+  options.max_parallelism = 3;
+  options.join_fraction = 0.4;
+  exp::ParallelRunner runner(jobs);
+  return runner.Map<std::string>(6, [&options](int i) {
+    Rng rng(DeriveSeed(100, static_cast<uint64_t>(i)));
+    auto topo = GenerateRandomTopology(options, &rng);
+    PPA_CHECK_OK(topo.status());
+    const JobConfig config = JobConfig::PpaDefaults();
+    backend::SimBackend be;
+    StreamingJob job(*topo, config, JobRuntimeDeps(&be));
+    PPA_CHECK_OK(BindGenericWorkload(*topo, config, &job));
+    auto plan = CreatePlanner(PlannerKind::kStructureAware)
+                    ->Plan(PlanRequest(*topo, topo->num_tasks() / 2));
+    PPA_CHECK_OK(plan.status());
+    PPA_CHECK_OK(job.SetActiveReplicaSet(plan->replicated));
+    PPA_CHECK_OK(job.Start());
+    be.RunUntil(TimePoint::Zero() + Duration::Seconds(8));
+    return JobSummaryToJson(job).Pretty();
+  });
+}
+
+TEST(ParallelRunnerTest, ParallelSweepIsBitIdenticalToSerial) {
+  const std::vector<std::string> serial = Fig14StyleSweep(1);
+  ASSERT_EQ(serial.size(), 6u);
+  EXPECT_NE(serial[0], serial[1]);
+  EXPECT_EQ(serial, Fig14StyleSweep(8));
 }
 
 // --- Seed derivation -----------------------------------------------------
@@ -179,70 +266,6 @@ TEST(JobConfigTest, RejectsDegenerateValues) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(broken([](JobConfig* c) { c->max_delta_chain = 0; }).code(),
             StatusCode::kInvalidArgument);
-}
-
-// --- RunSpec execution and serial-vs-parallel bit-identity ----------------
-
-std::vector<exp::RunSpec> Fig14StyleSweep() {
-  RandomTopologyOptions options;
-  options.min_operators = 3;
-  options.max_operators = 5;
-  options.min_parallelism = 1;
-  options.max_parallelism = 3;
-  options.join_fraction = 0.4;
-  std::vector<exp::RunSpec> specs;
-  for (int i = 0; i < 6; ++i) {
-    exp::RunSpec spec;
-    spec.label = "topo-" + std::to_string(i);
-    spec.make_topology = [options](Rng* rng) {
-      return GenerateRandomTopology(options, rng);
-    };
-    spec.config = JobConfig::PpaDefaults();
-    spec.planner = PlannerKind::kStructureAware;
-    spec.seed = 100;
-    spec.run_for_seconds = 8.0;
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
-TEST(RunSpecTest, ParallelSweepIsBitIdenticalToSerial) {
-  const std::vector<exp::RunSpec> specs = Fig14StyleSweep();
-  exp::ParallelRunner serial;
-  auto serial_results = exp::RunAll(&serial, specs);
-  ASSERT_TRUE(serial_results.ok()) << serial_results.status().ToString();
-
-  exp::ParallelRunner parallel(exp::ParallelRunnerOptions{.jobs = 8});
-  auto parallel_results = exp::RunAll(&parallel, specs);
-  ASSERT_TRUE(parallel_results.ok()) << parallel_results.status().ToString();
-
-  const std::string serial_json =
-      exp::RunResultsToJson(*serial_results).Pretty();
-  const std::string parallel_json =
-      exp::RunResultsToJson(*parallel_results).Pretty();
-  EXPECT_EQ(serial_json, parallel_json);
-  ASSERT_EQ(serial_results->size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ((*serial_results)[i].label, specs[i].label);
-  }
-}
-
-TEST(RunSpecTest, ExecuteRunPlansAndRuns) {
-  exp::RunSpec spec = Fig14StyleSweep()[0];
-  auto result = exp::ExecuteRun(spec, DeriveSeed(spec.seed, 0));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->label, "topo-0");
-  EXPECT_GT(result->resource_usage, 0);
-  EXPECT_GT(result->output_fidelity, 0.0);
-  EXPECT_LE(result->output_fidelity, 1.0);
-  EXPECT_GT(result->sink_records, 0u);
-}
-
-TEST(RunSpecTest, InvalidConfigIsRejected) {
-  exp::RunSpec spec = Fig14StyleSweep()[0];
-  spec.config.batch_interval = Duration::Zero();
-  auto result = exp::ExecuteRun(spec, 1);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

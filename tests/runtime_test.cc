@@ -52,7 +52,7 @@ JobConfig MakeTestConfig(FtMode mode) {
   return cfg;
 }
 
-struct RunResult {
+struct JobRun {
   std::vector<SinkRecord> records;
   std::vector<RecoveryReport> reports;
   int64_t peak_buffered_tuples = 0;
@@ -65,8 +65,8 @@ struct NodeFailure {
 };
 
 /// Runs the test topology for `seconds`, injecting `failures` in order.
-RunResult RunFailures(FtMode mode, const std::vector<NodeFailure>& failures,
-                      double seconds, const TaskSet* active_set = nullptr) {
+JobRun RunFailures(FtMode mode, const std::vector<NodeFailure>& failures,
+                   double seconds, const TaskSet* active_set = nullptr) {
   backend::SimBackend loop;
   Topology topo = MakeTestTopology();
   StreamingJob job(std::move(topo), MakeTestConfig(mode), JobRuntimeDeps(&loop));
@@ -87,7 +87,7 @@ RunResult RunFailures(FtMode mode, const std::vector<NodeFailure>& failures,
     PPA_CHECK_OK(job.InjectNodeFailure(f.node));
   }
   loop.RunUntil(TimePoint::Zero() + Duration::Seconds(seconds));
-  RunResult result;
+  JobRun result;
   result.records = job.sink_records();
   result.reports = job.recovery_reports();
   result.peak_buffered_tuples = job.PeakBufferedTuples();
@@ -96,9 +96,9 @@ RunResult RunFailures(FtMode mode, const std::vector<NodeFailure>& failures,
 
 /// Runs the test topology for `seconds`, optionally failing `fail_node` at
 /// `fail_at_seconds`.
-RunResult RunScenario(FtMode mode, int fail_node, double fail_at_seconds,
-                      double seconds,
-                      const TaskSet* active_set = nullptr) {
+JobRun RunScenario(FtMode mode, int fail_node, double fail_at_seconds,
+                   double seconds,
+                   const TaskSet* active_set = nullptr) {
   std::vector<NodeFailure> failures;
   if (fail_node >= 0) {
     failures.push_back({fail_node, fail_at_seconds});
@@ -109,7 +109,7 @@ RunResult RunScenario(FtMode mode, int fail_node, double fail_at_seconds,
 /// A digest of everything a run delivered and reported: each sink
 /// record's tuple, flags and times, and each recovery report's times,
 /// specs and schedule.
-uint64_t RunDigest(const RunResult& run) {
+uint64_t RunDigest(const JobRun& run) {
   std::ostringstream os;
   for (const SinkRecord& r : run.records) {
     os << r.tuple.key << ' ' << r.tuple.value << ' ' << r.tuple.batch << ' '
@@ -154,8 +154,8 @@ void ExpectSameRecords(const std::vector<SinkRecord>& a,
 }
 
 TEST(StreamingJobTest, CleanRunIsDeterministic) {
-  RunResult a = RunScenario(FtMode::kCheckpoint, -1, 0, 30);
-  RunResult b = RunScenario(FtMode::kCheckpoint, -1, 0, 30);
+  JobRun a = RunScenario(FtMode::kCheckpoint, -1, 0, 30);
+  JobRun b = RunScenario(FtMode::kCheckpoint, -1, 0, 30);
   EXPECT_FALSE(a.records.empty());
   ExpectSameRecords(a.records, b.records);
   EXPECT_TRUE(a.reports.empty());
@@ -191,9 +191,9 @@ TEST(StreamingJobTest, BindValidation) {
 // buffer replay reproduce every batch (no tentative mode: downstream waits
 // instead of skipping).
 TEST(StreamingJobTest, CheckpointRecoveryReproducesCompleteOutput) {
-  RunResult clean = RunScenario(FtMode::kCheckpoint, -1, 0, 40);
+  JobRun clean = RunScenario(FtMode::kCheckpoint, -1, 0, 40);
   // Node 2 hosts mid[0] under round-robin placement of 5 tasks on 5 nodes.
-  RunResult failed = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
+  JobRun failed = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
   ASSERT_EQ(failed.reports.size(), 1u);
   EXPECT_GT(failed.reports[0].TotalLatency(), Duration::Zero());
   ExpectSameRecords(clean.records, failed.records);
@@ -203,28 +203,28 @@ TEST(StreamingJobTest, CheckpointRecoveryReproducesCompleteOutput) {
 }
 
 TEST(StreamingJobTest, CheckpointRecoveryOfSourceTask) {
-  RunResult clean = RunScenario(FtMode::kCheckpoint, -1, 0, 40);
+  JobRun clean = RunScenario(FtMode::kCheckpoint, -1, 0, 40);
   // Node 0 hosts src[0].
-  RunResult failed = RunScenario(FtMode::kCheckpoint, 0, 12.5, 40);
+  JobRun failed = RunScenario(FtMode::kCheckpoint, 0, 12.5, 40);
   ASSERT_EQ(failed.reports.size(), 1u);
   ExpectSameRecords(clean.records, failed.records);
 }
 
 TEST(StreamingJobTest, ActiveReplicaTakeoverIsSeamlessAndFast) {
-  RunResult clean = RunScenario(FtMode::kCheckpoint, -1, 0, 40);
-  RunResult active = RunScenario(FtMode::kActiveReplication, 2, 10.5, 40);
+  JobRun clean = RunScenario(FtMode::kCheckpoint, -1, 0, 40);
+  JobRun active = RunScenario(FtMode::kActiveReplication, 2, 10.5, 40);
   ASSERT_EQ(active.reports.size(), 1u);
   ExpectSameRecords(clean.records, active.records);
 
-  RunResult passive = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
+  JobRun passive = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
   ASSERT_EQ(passive.reports.size(), 1u);
   EXPECT_LT(active.reports[0].TotalLatency(),
             passive.reports[0].TotalLatency());
 }
 
 TEST(StreamingJobTest, SourceReplayRecoversWindowedState) {
-  RunResult clean = RunScenario(FtMode::kSourceReplay, -1, 0, 50);
-  RunResult failed = RunScenario(FtMode::kSourceReplay, 2, 10.5, 50);
+  JobRun clean = RunScenario(FtMode::kSourceReplay, -1, 0, 50);
+  JobRun failed = RunScenario(FtMode::kSourceReplay, 2, 10.5, 50);
   ASSERT_EQ(failed.reports.size(), 1u);
   // Storm-style replay rebuilds the sliding windows from the source; after
   // the replayed window has fully slid past the outage, outputs converge
@@ -240,7 +240,7 @@ TEST(StreamingJobTest, SourceReplayRecoversWindowedState) {
 // grew: the digest, record count and recovery reports are those of the
 // untrimmed engine, whose peak was 4,820 buffered tuples.
 TEST(StreamingJobTest, SourceReplayTrimsBuffersWithoutChangingRecovery) {
-  const RunResult run =
+  const JobRun run =
       RunFailures(FtMode::kSourceReplay, {{2, 10.5}, {0, 30.5}}, 90);
   ASSERT_EQ(run.reports.size(), 2u);
   EXPECT_EQ(run.records.size(), 910u);
@@ -253,8 +253,8 @@ TEST(StreamingJobTest, SourceReplayTrimsBuffersWithoutChangingRecovery) {
 TEST(StreamingJobTest, PpaProducesTentativeOutputsDuringRecovery) {
   TaskSet active(5);
   active.Add(3);  // mid[1] gets a replica; mid[0] (task 2) is passive-only.
-  RunResult clean = RunScenario(FtMode::kPpa, -1, 0, 60, &active);
-  RunResult failed = RunScenario(FtMode::kPpa, 2, 10.5, 60, &active);
+  JobRun clean = RunScenario(FtMode::kPpa, -1, 0, 60, &active);
+  JobRun failed = RunScenario(FtMode::kPpa, 2, 10.5, 60, &active);
   ASSERT_EQ(failed.reports.size(), 1u);
   bool any_tentative = false;
   for (const SinkRecord& r : failed.records) {
@@ -290,7 +290,7 @@ TEST(StreamingJobTest, CorrelatedFailureRecoversEverything) {
 }
 
 TEST(StreamingJobTest, CorrelatedFailureSlowerThanSingleFailure) {
-  RunResult single = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
+  JobRun single = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
   backend::SimBackend loop;
   StreamingJob job(MakeTestTopology(), MakeTestConfig(FtMode::kCheckpoint),
                    JobRuntimeDeps(&loop));
@@ -369,8 +369,8 @@ TEST(StreamingJobTest, CheckpointCostAccounting) {
 }
 
 TEST(StreamingJobTest, FailedRunsAreDeterministicToo) {
-  RunResult a = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
-  RunResult b = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
+  JobRun a = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
+  JobRun b = RunScenario(FtMode::kCheckpoint, 2, 10.5, 40);
   ExpectSameRecords(a.records, b.records);
   ASSERT_EQ(a.reports.size(), b.reports.size());
   EXPECT_EQ(a.reports[0].TotalLatency().micros(),

@@ -11,13 +11,13 @@
 #include "common/random.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "exp/run_spec.h"
 #include "runtime/cluster.h"
 #include "runtime/scenario.h"
 #include "service/arbiter.h"
 #include "service/cluster_service.h"
 #include "service/tenant.h"
 #include "topology/serialize.h"
+#include "workloads/synthetic_recovery.h"
 #include "backend/sim_backend.h"
 
 namespace ppa {
@@ -332,7 +332,7 @@ TEST(ServiceTest, TenantsNeverTakeTheSharedBackendCounters) {
   ASSERT_TRUE(topo.ok()) << topo.status();
   const JobConfig job_config = JobConfig::PpaDefaults();
   StreamingJob job(*topo, job_config, JobRuntimeDeps(&own_loop));
-  PPA_CHECK_OK(exp::BindGenericWorkload(*topo, job_config, &job));
+  PPA_CHECK_OK(BindGenericWorkload(*topo, job_config, &job));
   PPA_CHECK_OK(job.Start());
   own_loop.RunUntil(At(10));
   EXPECT_EQ(job.metrics().counters().at("sim.events_processed")->value(),
