@@ -1,38 +1,14 @@
 #include "bench/driver.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <system_error>
 #include <utility>
 
 #include "common/thread_pool.h"
 
 namespace ppa {
 namespace bench {
-namespace {
-
-/// All of `text` as a whole number >= 0; anything else (a sign, a letter,
-/// an empty or out-of-range value) prints why and exits 2.
-template <typename T>
-T WholeNumberOrExit(const char* flag, const std::string& text) {
-  T value = 0;
-  const char* end = text.data() + text.size();
-  const std::from_chars_result parsed =
-      std::from_chars(text.data(), end, value);
-  // from_chars reads a leading '-' for a signed T.
-  if (text.starts_with('-') || parsed.ec != std::errc() ||
-      parsed.ptr != end) {
-    std::fprintf(stderr, "%s: expected a whole number >= 0, got '%s'\n",
-                 flag, text.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
-}  // namespace
-
 Driver Driver::FromArgs(int* argc, char** argv) {
   Driver driver;
   std::string metrics_path;
@@ -69,12 +45,12 @@ Driver Driver::FromArgs(int* argc, char** argv) {
       continue;
     }
     if (match("--jobs", &jobs_value)) {
-      jobs = WholeNumberOrExit<int>("--jobs", jobs_value);
+      jobs = NumberOrExit<int>("--jobs", jobs_value);
       continue;
     }
     if (match("--seed", &seed_value)) {
       driver.has_seed_ = true;
-      driver.seed_ = WholeNumberOrExit<uint64_t>("--seed", seed_value);
+      driver.seed_ = NumberOrExit<uint64_t>("--seed", seed_value);
       continue;
     }
     if (match("--commit", &commit_value)) {

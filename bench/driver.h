@@ -1,11 +1,17 @@
 #ifndef PPA_BENCH_DRIVER_H_
 #define PPA_BENCH_DRIVER_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "af/error_budget.h"
@@ -17,6 +23,31 @@
 
 namespace ppa {
 namespace bench {
+
+/// All of `text` as a number >= 0 of type T, whole when T is integral;
+/// anything else (a sign, a letter, a trailing suffix, an empty,
+/// non-finite or out-of-range value) prints why, naming `flag`, and exits
+/// 2. Parses --jobs and --seed, and the numeric flags of binaries that
+/// add their own.
+template <typename T>
+T NumberOrExit(const char* flag, const std::string& text) {
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  bool ok = parsed.ec == std::errc() && parsed.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  // from_chars reads a leading '-' for a signed T.
+  if (text.starts_with('-') || !ok) {
+    std::fprintf(stderr, "%s: expected a %s >= 0, got '%s'\n", flag,
+                 std::is_integral_v<T> ? "whole number" : "number",
+                 text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
 
 /// Shared driver of every experiment binary: owns the flags all of them
 /// understand, the metrics/trace sinks, and the parallel runner the

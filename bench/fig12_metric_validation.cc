@@ -1,8 +1,8 @@
 // Reproduces Figure 12: does the Output Fidelity metric predict the actual
 // quality of tentative outputs better than the Internal Completeness
 // baseline? For each resource budget, the structure-aware planner
-// optimizes once for OF and once for IC (by planning on a
-// correlation-blind copy of the topology); the table reports the metric
+// optimizes once for OF and once for IC (StructureAwareOptions::metric =
+// LossModel::kInternalCompleteness); the table reports the metric
 // values and the measured tentative accuracy of both plans on Q1 (top-100
 // over the WorldCup-style log) and Q2 (incident-detection join).
 

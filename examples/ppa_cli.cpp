@@ -15,6 +15,9 @@
 //     --budget <n>         PPA replication budget (default: tasks/2)
 //     --seconds <s>        simulated duration (default 60)
 //     --window <batches>   operator window length (default 10)
+//                          (--budget, --seconds and --window take a
+//                          number >= 0, whole except --seconds; anything
+//                          else exits 2)
 //     --json <file>        write the job summary report here
 //     --dot <file>         write the (plan-annotated) topology as DOT
 //
@@ -116,11 +119,13 @@ int Run(int argc, char** argv) {
       PPA_CHECK_OK(parsed.status());
       planner_kind = *parsed;
     } else if (std::strcmp(argv[i], "--budget") == 0) {
-      budget = std::stoi(need_value("--budget"));
+      budget = bench::NumberOrExit<int>("--budget", need_value("--budget"));
     } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      seconds = std::stod(need_value("--seconds"));
+      seconds =
+          bench::NumberOrExit<double>("--seconds", need_value("--seconds"));
     } else if (std::strcmp(argv[i], "--window") == 0) {
-      window = std::stoll(need_value("--window"));
+      window =
+          bench::NumberOrExit<int64_t>("--window", need_value("--window"));
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = need_value("--json");
     } else if (std::strcmp(argv[i], "--dot") == 0) {
@@ -167,9 +172,7 @@ int Run(int argc, char** argv) {
     if (budget < 0) {
       budget = topo->num_tasks() / 2;
     }
-    PlannerOptions planner_options;
-    planner_options.seed = driver.seed_or(planner_options.seed);
-    auto planner = CreatePlanner(planner_kind, planner_options);
+    auto planner = CreatePlanner(planner_kind, driver.seed_or(1));
     auto planned = planner->Plan(PlanRequest(*topo, budget));
     PPA_CHECK_OK(planned.status());
     plan = *std::move(planned);

@@ -5,35 +5,23 @@
 namespace ppa {
 namespace af {
 
-void DivergenceTracker::Reset(int num_tasks, TimePoint now) {
+void DivergenceTracker::Reset(int num_tasks) {
   drift_.assign(static_cast<size_t>(num_tasks), Divergence{});
-  anchored_at_.assign(static_cast<size_t>(num_tasks), now);
 }
 
-void DivergenceTracker::Observe(int64_t task, int64_t records, int64_t bytes,
-                                double weight) {
+void DivergenceTracker::Observe(int64_t task, int64_t records) {
   PPA_CHECK(task >= 0 && static_cast<size_t>(task) < drift_.size());
-  Divergence& d = drift_[static_cast<size_t>(task)];
-  d.records += records;
-  d.bytes += bytes;
-  d.weighted += static_cast<double>(records) * weight;
+  drift_[static_cast<size_t>(task)].records += records;
 }
 
-void DivergenceTracker::Clear(int64_t task, TimePoint now) {
+void DivergenceTracker::Clear(int64_t task) {
   PPA_CHECK(task >= 0 && static_cast<size_t>(task) < drift_.size());
   drift_[static_cast<size_t>(task)] = Divergence{};
-  anchored_at_[static_cast<size_t>(task)] = now;
 }
 
 const Divergence& DivergenceTracker::OfTask(int64_t task) const {
   PPA_CHECK(task >= 0 && static_cast<size_t>(task) < drift_.size());
   return drift_[static_cast<size_t>(task)];
-}
-
-double DivergenceTracker::ElapsedSeconds(int64_t task, TimePoint now) const {
-  PPA_CHECK(task >= 0 &&
-            static_cast<size_t>(task) < anchored_at_.size());
-  return (now - anchored_at_[static_cast<size_t>(task)]).seconds();
 }
 
 }  // namespace af

@@ -6,38 +6,33 @@
 /// non-exact RecoveryMode is active; a persisted checkpoint clears the
 /// task back to zero. Between a skipped checkpoint and the next
 /// persisted blob, the tracked drift is exactly what a failure would
-/// forfeit — the quantity the ErrorBudget gates on and the certificate
+/// forfeit — the quantity AllowSkip gates on and the certificate
 /// reports.
 
 #include <cstdint>
 #include <vector>
 
 #include "af/error_budget.h"
-#include "common/sim_time.h"
 
 namespace ppa {
 namespace af {
 
-/// Tracks each task's Divergence and the anchor time of its rate window.
+/// Tracks each task's Divergence.
 class DivergenceTracker {
  public:
   DivergenceTracker() = default;
 
-  /// (Re)initializes tracking for `num_tasks` tasks with zero drift,
-  /// all anchored at `now`.
-  void Reset(int num_tasks, TimePoint now);
+  /// (Re)initializes tracking for `num_tasks` tasks with zero drift.
+  void Reset(int num_tasks);
 
-  /// Folds one processed batch into `task`'s drift.
-  void Observe(int64_t task, int64_t records, int64_t bytes, double weight);
+  /// Folds `records` processed records into `task`'s drift.
+  void Observe(int64_t task, int64_t records);
 
   /// Clears `task`'s drift after a persisted blob (or after a recovery
-  /// consumed the forfeited drift) and re-anchors its rate window.
-  void Clear(int64_t task, TimePoint now);
+  /// consumed the forfeited drift).
+  void Clear(int64_t task);
 
   [[nodiscard]] const Divergence& OfTask(int64_t task) const;
-
-  /// Seconds since `task` last had a persisted blob (its rate window).
-  [[nodiscard]] double ElapsedSeconds(int64_t task, TimePoint now) const;
 
   [[nodiscard]] int num_tasks() const {
     return static_cast<int>(drift_.size());
@@ -45,7 +40,6 @@ class DivergenceTracker {
 
  private:
   std::vector<Divergence> drift_;
-  std::vector<TimePoint> anchored_at_;
 };
 
 }  // namespace af

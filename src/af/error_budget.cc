@@ -38,29 +38,16 @@ Status ErrorBudgetSpec::Validate() const {
   if (job_divergence_records <= 0) {
     return InvalidArgument("job_divergence_records must be positive");
   }
-  if (task_divergence_rate < 0.0) {
-    return InvalidArgument("task_divergence_rate must be non-negative");
-  }
   if (max_certified_loss < 0.0 || max_certified_loss > 1.0) {
     return InvalidArgument("max_certified_loss must be in [0, 1]");
   }
   return OkStatus();
 }
 
-bool ErrorBudget::AllowSkip(const Divergence& task, double elapsed_seconds,
-                            const Divergence& job) const {
-  if (task.records > spec_.task_divergence_records) {
-    return false;
-  }
-  if (spec_.task_divergence_rate > 0.0 && elapsed_seconds > 0.0 &&
-      static_cast<double>(task.records) >
-          spec_.task_divergence_rate * elapsed_seconds) {
-    return false;
-  }
-  if (job.records > spec_.job_divergence_records) {
-    return false;
-  }
-  return true;
+bool AllowSkip(const ErrorBudgetSpec& spec, int64_t task_records,
+               int64_t job_records) {
+  return task_records <= spec.task_divergence_records &&
+         job_records <= spec.job_divergence_records;
 }
 
 double CertifiedLossBound(const Topology& topology, const TaskSet& diverged) {

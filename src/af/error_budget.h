@@ -45,32 +45,20 @@ enum class RecoveryMode : uint8_t {
     std::string_view name);
 
 /// Conservative un-checkpointed state drift of a task since its last
-/// persisted blob, in the three currencies the budget can be declared in.
+/// persisted blob.
 struct Divergence {
-  int64_t records = 0;    // input records folded into unpersisted state
-  int64_t bytes = 0;      // upper bound on the unpersisted state bytes
-  double weighted = 0.0;  // records scaled by the task's user weight
-
-  void Add(const Divergence& other) {
-    records += other.records;
-    bytes += other.bytes;
-    weighted += other.weighted;
-  }
+  int64_t records = 0;  // input records folded into unpersisted state
 };
 
-/// The user-declared divergence tolerance, in absolute and windowed-rate
-/// forms at both task and job granularity. A checkpoint may be skipped
-/// only while *all* enabled forms hold; a zero/negative rate disables
-/// that form. Validated via Validate() wherever a JobConfig is accepted.
+/// The user-declared divergence tolerance, an absolute record count at
+/// both task and job granularity. A checkpoint may be skipped only while
+/// both hold. Validated via Validate() wherever a JobConfig is accepted.
 struct ErrorBudgetSpec {
-  /// Absolute per-task form: max records a single task may leave
-  /// unpersisted before a checkpoint is forced.
+  /// Per-task bound: max records a single task may leave unpersisted
+  /// before a checkpoint is forced.
   int64_t task_divergence_records = 5000;
-  /// Windowed-rate per-task form: max unpersisted records per second
-  /// since the task's last persisted blob (0 = disabled).
-  double task_divergence_rate = 0.0;
-  /// Absolute per-job form: max summed unpersisted records across every
-  /// task currently running ahead of its persisted coverage.
+  /// Per-job bound: max summed unpersisted records across every task
+  /// currently running ahead of its persisted coverage.
   int64_t job_divergence_records = 50000;
   /// Cap on the certified output-loss bound (1 - OF of the set of tasks
   /// running ahead of persisted coverage). Range [0, 1].
@@ -79,24 +67,12 @@ struct ErrorBudgetSpec {
   [[nodiscard]] Status Validate() const;
 };
 
-/// The skip gate. Pure policy over drift snapshots — stateless beyond
-/// the spec, so it is trivially deterministic across backends.
-class ErrorBudget {
- public:
-  explicit ErrorBudget(const ErrorBudgetSpec& spec) : spec_(spec) {}
-
-  /// True when skipping a checkpoint is within budget for a task whose
-  /// drift is `task`, `elapsed_seconds` after its last persisted blob,
-  /// while the job-wide at-risk drift (including this task) is `job`.
-  [[nodiscard]] bool AllowSkip(const Divergence& task,
-                               double elapsed_seconds,
-                               const Divergence& job) const;
-
-  [[nodiscard]] const ErrorBudgetSpec& spec() const { return spec_; }
-
- private:
-  ErrorBudgetSpec spec_;
-};
+/// The skip gate: true when skipping a checkpoint is within `spec` for a
+/// task that has `task_records` unpersisted while the job-wide at-risk
+/// drift (including this task) is `job_records`. A pure function of its
+/// arguments, so it is trivially deterministic across backends.
+[[nodiscard]] bool AllowSkip(const ErrorBudgetSpec& spec,
+                             int64_t task_records, int64_t job_records);
 
 /// The certified per-batch output-loss bound when the tasks in
 /// `diverged` resume from thinned chains: the rate-weighted fidelity

@@ -66,10 +66,8 @@ PlannerKind DrawPlannerKind(Rng* rng) {
 /// drawn planner and returns the chosen task ids in ascending order.
 StatusOr<std::vector<TaskId>> DrawPlan(const Topology& topology, int budget,
                                        Rng* rng) {
-  PlannerOptions options;
-  options.seed = rng->Next();
-  std::unique_ptr<Planner> planner =
-      CreatePlanner(DrawPlannerKind(rng), options);
+  const uint64_t seed = rng->Next();
+  std::unique_ptr<Planner> planner = CreatePlanner(DrawPlannerKind(rng), seed);
   PPA_ASSIGN_OR_RETURN(ReplicationPlan plan,
                        planner->Plan(PlanRequest(topology, budget)));
   std::vector<TaskId> tasks;
@@ -81,13 +79,109 @@ StatusOr<std::vector<TaskId>> DrawPlan(const Topology& topology, int budget,
   return tasks;
 }
 
+Status ValidateIntensity(const ChaosIntensity& intensity) {
+  if (intensity.min_events < 0 || intensity.max_events < intensity.min_events) {
+    return InvalidArgument("bad chaos intensity event range");
+  }
+  return OkStatus();
+}
+
+/// Draws 2-4 failure domains and puts each of `num_nodes` nodes in one
+/// of them uniformly. Returns the domain count.
+int DrawNodeDomains(int num_nodes, Rng* rng, std::vector<int>* node_domains) {
+  const int num_domains = static_cast<int>(rng->NextInt(2, 4));
+  node_domains->resize(static_cast<size_t>(num_nodes));
+  for (int& domain : *node_domains) {
+    domain =
+        static_cast<int>(rng->NextUint64(static_cast<uint64_t>(num_domains)));
+  }
+  return num_domains;
+}
+
+/// Generator-side liveness bookkeeping: which nodes the schedule has
+/// probably killed so far, so revivals usually target a dead node. The
+/// runtime remains the source of truth (correlated failures depend on
+/// placement), so a stale guess only yields an acceptable
+/// FailedPrecondition outcome, never an invalid event.
+class DeadNodes {
+ public:
+  /// `node_domains` must outlive this object and keep its size.
+  DeadNodes(const std::vector<int>& node_domains, int num_domains)
+      : node_domains_(node_domains),
+        num_domains_(num_domains),
+        dead_(node_domains.size(), false) {}
+
+  void Kill(int node) { dead_[static_cast<size_t>(node)] = true; }
+
+  /// Makes `event` fail a uniformly drawn domain and marks its nodes dead.
+  void DrawDomainFailure(Rng* rng, ScenarioEvent* event) {
+    event->kind = ScenarioEvent::Kind::kDomainFailure;
+    event->domain = static_cast<int>(
+        rng->NextUint64(static_cast<uint64_t>(num_domains_)));
+    SetDomain(event->domain, true);
+  }
+
+  /// When some node is dead, makes `event` revive a dead node, or 30% of
+  /// the time that node's whole domain, marks them alive and returns
+  /// true. Draws nothing and returns false when no node is dead.
+  bool DrawRevive(Rng* rng, ScenarioEvent* event) {
+    std::vector<int> candidates;
+    for (size_t node = 0; node < dead_.size(); ++node) {
+      if (dead_[node]) {
+        candidates.push_back(static_cast<int>(node));
+      }
+    }
+    if (candidates.empty()) {
+      return false;
+    }
+    if (rng->NextBool(0.3)) {
+      event->kind = ScenarioEvent::Kind::kReviveDomain;
+      const int node = candidates[rng->NextUint64(candidates.size())];
+      event->domain = node_domains_[static_cast<size_t>(node)];
+      SetDomain(event->domain, false);
+    } else {
+      event->kind = ScenarioEvent::Kind::kReviveNode;
+      event->node = candidates[rng->NextUint64(candidates.size())];
+      dead_[static_cast<size_t>(event->node)] = false;
+    }
+    return true;
+  }
+
+ private:
+  void SetDomain(int domain, bool dead) {
+    for (size_t n = 0; n < dead_.size(); ++n) {
+      if (node_domains_[n] == domain) {
+        dead_[n] = dead;
+      }
+    }
+  }
+
+  const std::vector<int>& node_domains_;
+  int num_domains_;
+  std::vector<bool> dead_;
+};
+
+/// The time of the event after one at `cursor`: the same instant
+/// (races through the event loop's same-tick FIFO), inside the previous
+/// failure's detection and recovery window, or well after it. The gap is
+/// summed before it is added to `cursor`: adding its terms one at a time
+/// rounds differently and changes every generated case.
+double NextEventTime(const ChaosIntensity& intensity, double detection,
+                     double cursor, Rng* rng) {
+  if (rng->NextBool(intensity.overlap_probability)) {
+    return cursor;
+  }
+  if (rng->NextBool(intensity.failure_during_recovery_bias)) {
+    return cursor + (0.5 + rng->NextDouble() * (detection + 5.0));
+  }
+  return cursor + (detection + 5.0 + rng->NextDouble() * 20.0);
+}
+
 }  // namespace
 
 StatusOr<ChaosCase> GenerateChaosCase(const ChaosIntensity& intensity,
                                       uint64_t seed) {
-  if (intensity.min_events < 0 || intensity.max_events < intensity.min_events) {
-    return InvalidArgument("bad chaos intensity event range");
-  }
+  PPA_RETURN_IF_ERROR(ValidateIntensity(intensity));
   Rng rng(seed);
   ChaosCase chaos_case;
   chaos_case.seed = seed;
@@ -116,47 +210,22 @@ StatusOr<ChaosCase> GenerateChaosCase(const ChaosIntensity& intensity,
   chaos_case.checkpoint_interval_seconds =
       static_cast<double>(rng.NextInt(5, 20));
 
-  const int num_domains = static_cast<int>(rng.NextInt(2, 4));
-  chaos_case.node_domains.resize(static_cast<size_t>(num_nodes));
-  for (int node = 0; node < num_nodes; ++node) {
-    chaos_case.node_domains[static_cast<size_t>(node)] =
-        static_cast<int>(rng.NextUint64(static_cast<uint64_t>(num_domains)));
-  }
+  const int num_domains =
+      DrawNodeDomains(num_nodes, &rng, &chaos_case.node_domains);
 
   chaos_case.budget =
       static_cast<int>(rng.NextInt(1, std::max(1, num_tasks / 2)));
   PPA_ASSIGN_OR_RETURN(chaos_case.initial_plan,
                        DrawPlan(topology, chaos_case.budget, &rng));
 
-  // Generator-side liveness bookkeeping: which nodes the schedule has
-  // probably killed so far, so revivals usually target a dead node. The
-  // runtime remains the source of truth (correlated failures depend on
-  // placement), so a stale guess only yields an acceptable
-  // FailedPrecondition outcome, never an invalid event.
-  std::vector<bool> dead(static_cast<size_t>(num_nodes), false);
-  auto dead_nodes = [&dead] {
-    std::vector<int> nodes;
-    for (size_t node = 0; node < dead.size(); ++node) {
-      if (dead[node]) {
-        nodes.push_back(static_cast<int>(node));
-      }
-    }
-    return nodes;
-  };
-
+  DeadNodes dead(chaos_case.node_domains, num_domains);
   const int num_events = static_cast<int>(
       rng.NextInt(intensity.min_events, intensity.max_events));
   const double detection = chaos_case.detection_interval_seconds;
   double cursor = 5.0 + rng.NextDouble() * 10.0;
   for (int i = 0; i < num_events; ++i) {
     if (i > 0) {
-      if (rng.NextBool(intensity.overlap_probability)) {
-        // Same instant: races through the loop's same-tick FIFO.
-      } else if (rng.NextBool(intensity.failure_during_recovery_bias)) {
-        cursor += 0.5 + rng.NextDouble() * (detection + 5.0);
-      } else {
-        cursor += detection + 5.0 + rng.NextDouble() * 20.0;
-      }
+      cursor = NextEventTime(intensity, detection, cursor, &rng);
     }
     ScenarioEvent event;
     event.at = Duration::Seconds(cursor);
@@ -164,24 +233,8 @@ StatusOr<ChaosCase> GenerateChaosCase(const ChaosIntensity& intensity,
     const double revive_cut = intensity.revive_probability;
     const double plan_cut = revive_cut + intensity.plan_swap_probability;
     const double reconcile_cut = plan_cut + intensity.reconcile_probability;
-    if (draw < revive_cut && !dead_nodes().empty()) {
-      const std::vector<int> candidates = dead_nodes();
-      if (rng.NextBool(0.3)) {
-        event.kind = ScenarioEvent::Kind::kReviveDomain;
-        const int node =
-            candidates[rng.NextUint64(candidates.size())];
-        event.domain = chaos_case.node_domains[static_cast<size_t>(node)];
-        for (int n = 0; n < num_nodes; ++n) {
-          if (chaos_case.node_domains[static_cast<size_t>(n)] ==
-              event.domain) {
-            dead[static_cast<size_t>(n)] = false;
-          }
-        }
-      } else {
-        event.kind = ScenarioEvent::Kind::kReviveNode;
-        event.node = candidates[rng.NextUint64(candidates.size())];
-        dead[static_cast<size_t>(event.node)] = false;
-      }
+    if (draw < revive_cut && dead.DrawRevive(&rng, &event)) {
+      // Revived a dead node or domain.
     } else if (draw < plan_cut) {
       event.kind = ScenarioEvent::Kind::kApplyPlan;
       const int swap_budget = static_cast<int>(
@@ -197,24 +250,16 @@ StatusOr<ChaosCase> GenerateChaosCase(const ChaosIntensity& intensity,
         event.include_sources = rng.NextBool(0.3);
         // Placement is round-robin over workers, so assume all workers go.
         for (int n = 0; n < chaos_case.num_worker_nodes; ++n) {
-          dead[static_cast<size_t>(n)] = true;
+          dead.Kill(n);
         }
       } else if (failure_draw < intensity.correlated_failure_fraction +
                                     intensity.domain_failure_fraction) {
-        event.kind = ScenarioEvent::Kind::kDomainFailure;
-        event.domain = static_cast<int>(
-            rng.NextUint64(static_cast<uint64_t>(num_domains)));
-        for (int n = 0; n < num_nodes; ++n) {
-          if (chaos_case.node_domains[static_cast<size_t>(n)] ==
-              event.domain) {
-            dead[static_cast<size_t>(n)] = true;
-          }
-        }
+        dead.DrawDomainFailure(&rng, &event);
       } else {
         event.kind = ScenarioEvent::Kind::kNodeFailure;
         event.node =
             static_cast<int>(rng.NextUint64(static_cast<uint64_t>(num_nodes)));
-        dead[static_cast<size_t>(event.node)] = true;
+        dead.Kill(event.node);
       }
     }
     chaos_case.events.push_back(std::move(event));
@@ -227,10 +272,7 @@ StatusOr<ChaosCase> GenerateChaosCase(const ChaosIntensity& intensity,
 
 StatusOr<ChaosCase> GenerateServiceCase(const ChaosIntensity& intensity,
                                         uint64_t seed) {
-  if (intensity.min_events < 0 ||
-      intensity.max_events < intensity.min_events) {
-    return InvalidArgument("bad chaos intensity event range");
-  }
+  PPA_RETURN_IF_ERROR(ValidateIntensity(intensity));
   Rng rng(seed);
   ChaosCase mt_case;
   mt_case.seed = seed;
@@ -301,71 +343,28 @@ StatusOr<ChaosCase> GenerateServiceCase(const ChaosIntensity& intensity,
   mt_case.checkpoint_interval_seconds =
       static_cast<double>(rng.NextInt(5, 20));
 
-  const int num_domains = static_cast<int>(rng.NextInt(2, 4));
-  mt_case.node_domains.resize(static_cast<size_t>(num_nodes));
-  for (int node = 0; node < num_nodes; ++node) {
-    mt_case.node_domains[static_cast<size_t>(node)] =
-        static_cast<int>(rng.NextUint64(static_cast<uint64_t>(num_domains)));
-  }
+  const int num_domains =
+      DrawNodeDomains(num_nodes, &rng, &mt_case.node_domains);
 
-  // Generator-side dead-node bookkeeping, as in GenerateChaosCase: a
-  // stale guess only yields an acceptable FailedPrecondition outcome.
-  std::vector<bool> dead(static_cast<size_t>(num_nodes), false);
-  auto dead_nodes = [&dead] {
-    std::vector<int> nodes;
-    for (size_t node = 0; node < dead.size(); ++node) {
-      if (dead[node]) {
-        nodes.push_back(static_cast<int>(node));
-      }
-    }
-    return nodes;
-  };
-
+  DeadNodes dead(mt_case.node_domains, num_domains);
   const int num_events = static_cast<int>(
       rng.NextInt(intensity.min_events, intensity.max_events));
   const double detection = mt_case.detection_interval_seconds;
   double cursor = 5.0 + rng.NextDouble() * 10.0;
   for (int i = 0; i < num_events; ++i) {
     if (i > 0) {
-      if (rng.NextBool(intensity.overlap_probability)) {
-        // Same instant: races through the loop's same-tick FIFO.
-      } else if (rng.NextBool(intensity.failure_during_recovery_bias)) {
-        cursor += 0.5 + rng.NextDouble() * (detection + 5.0);
-      } else {
-        cursor += detection + 5.0 + rng.NextDouble() * 20.0;
-      }
+      cursor = NextEventTime(intensity, detection, cursor, &rng);
     }
     ScenarioEvent event;
     event.at = Duration::Seconds(cursor);
     const double draw = rng.NextDouble();
-    if (draw < intensity.revive_probability && !dead_nodes().empty()) {
-      const std::vector<int> candidates = dead_nodes();
-      if (rng.NextBool(0.3)) {
-        event.kind = ScenarioEvent::Kind::kReviveDomain;
-        const int node = candidates[rng.NextUint64(candidates.size())];
-        event.domain = mt_case.node_domains[static_cast<size_t>(node)];
-        for (int n = 0; n < num_nodes; ++n) {
-          if (mt_case.node_domains[static_cast<size_t>(n)] == event.domain) {
-            dead[static_cast<size_t>(n)] = false;
-          }
-        }
-      } else {
-        event.kind = ScenarioEvent::Kind::kReviveNode;
-        event.node = candidates[rng.NextUint64(candidates.size())];
-        dead[static_cast<size_t>(event.node)] = false;
-      }
+    if (draw < intensity.revive_probability && dead.DrawRevive(&rng, &event)) {
+      // Revived a dead node or domain.
     } else if (rng.NextDouble() < intensity.domain_failure_fraction +
                                       intensity.correlated_failure_fraction) {
       // Correlated mass is folded into domain failures: a domain outage IS
       // the cross-tenant correlated failure at this layer.
-      event.kind = ScenarioEvent::Kind::kDomainFailure;
-      event.domain = static_cast<int>(
-          rng.NextUint64(static_cast<uint64_t>(num_domains)));
-      for (int n = 0; n < num_nodes; ++n) {
-        if (mt_case.node_domains[static_cast<size_t>(n)] == event.domain) {
-          dead[static_cast<size_t>(n)] = true;
-        }
-      }
+      dead.DrawDomainFailure(&rng, &event);
     } else {
       event.kind = ScenarioEvent::Kind::kNodeFailure;
       // Half the node kills target the standby pool: killing standbys is
@@ -379,7 +378,7 @@ StatusOr<ChaosCase> GenerateServiceCase(const ChaosIntensity& intensity,
         event.node = static_cast<int>(
             rng.NextUint64(static_cast<uint64_t>(num_nodes)));
       }
-      dead[static_cast<size_t>(event.node)] = true;
+      dead.Kill(event.node);
     }
     mt_case.events.push_back(std::move(event));
   }

@@ -117,28 +117,4 @@ double SingleFailureOutputFidelity(const Topology& topology, TaskId task) {
   return ComputeOutputFidelity(topology, failed);
 }
 
-StatusOr<Topology> MakeCorrelationBlindCopy(const Topology& topology) {
-  TopologyBuilder builder;
-  for (const OperatorInfo& oi : topology.operators()) {
-    builder.AddOperator(oi.name, oi.parallelism,
-                        InputCorrelation::kIndependent, oi.selectivity);
-    for (int k = 0; k < oi.parallelism; ++k) {
-      builder.SetTaskWeight(oi.id, k,
-                            topology.task(oi.tasks[static_cast<size_t>(k)])
-                                .weight);
-    }
-  }
-  for (const StreamEdge& e : topology.edges()) {
-    builder.Connect(e.from, e.to, e.scheme);
-  }
-  for (OperatorId src : topology.source_operators()) {
-    double total = 0.0;
-    for (TaskId t : topology.op(src).tasks) {
-      total += topology.task(t).output_rate;
-    }
-    builder.SetSourceRate(src, total);
-  }
-  return builder.Build();
-}
-
 }  // namespace ppa

@@ -62,13 +62,6 @@ enum class LossModel {
 [[nodiscard]] double SingleFailureOutputFidelity(const Topology& topology,
                                                  TaskId task);
 
-/// A copy of `topology` in which every operator is treated as
-/// independent-input. Because IC is exactly OF computed without stream
-/// correlation, running any OF-maximizing planner on the blind copy yields
-/// an IC-maximizing plan for the original topology (used to reproduce the
-/// OF-vs-IC comparison of Fig. 12).
-StatusOr<Topology> MakeCorrelationBlindCopy(const Topology& topology);
-
 }  // namespace ppa
 
 #endif  // PPA_FIDELITY_METRICS_H_

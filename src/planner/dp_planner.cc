@@ -11,9 +11,6 @@ namespace ppa {
 StatusOr<ReplicationPlan> DpPlanner::Plan(const PlanRequest& request) {
   PPA_RETURN_IF_ERROR(ValidatePlanRequest(request));
   const Topology& topology = *request.topology;
-  const size_t max_candidates = request.max_search_steps != 0
-                                    ? request.max_search_steps
-                                    : options_.max_candidate_plans;
   const int n = topology.num_tasks();
   const int budget = std::min(request.budget, n);
 
@@ -55,7 +52,7 @@ StatusOr<ReplicationPlan> DpPlanner::Plan(const PlanRequest& request) {
     for (TaskSet& plan : to_add) {
       open.insert(std::move(plan));
     }
-    if (open.size() + closed.size() > max_candidates) {
+    if (open.size() + closed.size() > options_.max_candidate_plans) {
       return ResourceExhausted("DP planner candidate set exceeded limit");
     }
   }

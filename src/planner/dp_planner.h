@@ -7,7 +7,7 @@
 namespace ppa {
 
 /// Options bounding the exhaustive search of the DP planner.
-struct DpPlannerOptions {
+struct DpOptions {
   /// Passed through to MC-tree enumeration.
   McTreeEnumOptions mc_tree;
   /// Abort with ResourceExhausted once the candidate-plan set exceeds this
@@ -23,16 +23,14 @@ struct DpPlannerOptions {
 /// wins (Theorem 1: no plan with the same or lower usage beats it).
 class DpPlanner : public Planner {
  public:
-  explicit DpPlanner(DpPlannerOptions options = {}) : options_(options) {}
+  explicit DpPlanner(DpOptions options = {}) : options_(options) {}
 
   std::string_view name() const override { return "dp"; }
 
-  /// `request.max_search_steps`, when nonzero, overrides
-  /// `options_.max_candidate_plans` as the candidate-set cap.
   StatusOr<ReplicationPlan> Plan(const PlanRequest& request) override;
 
  private:
-  DpPlannerOptions options_;
+  DpOptions options_;
 };
 
 }  // namespace ppa

@@ -21,11 +21,6 @@ StatusOr<ReplicationPlan> ExhaustivePlanner::Plan(
   best.replicated = TaskSet(n);
   best.output_fidelity = PlanOutputFidelity(topology, best.replicated);
   for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
-    if (request.max_search_steps != 0 &&
-        mask >= request.max_search_steps) {
-      return ResourceExhausted(
-          "exhaustive planner exceeded max_search_steps");
-    }
     if (__builtin_popcountll(mask) > budget) {
       continue;
     }

@@ -16,8 +16,6 @@ class ExhaustivePlanner : public Planner {
 
   std::string_view name() const override { return "exhaustive"; }
 
-  /// `request.max_search_steps`, when nonzero, caps the number of subsets
-  /// examined (ResourceExhausted beyond it).
   StatusOr<ReplicationPlan> Plan(const PlanRequest& request) override;
 
  private:
@@ -33,7 +31,6 @@ class RandomPlanner : public Planner {
 
   std::string_view name() const override { return "random"; }
 
-  /// Linear; ignores `request.max_search_steps`.
   StatusOr<ReplicationPlan> Plan(const PlanRequest& request) override;
 
  private:

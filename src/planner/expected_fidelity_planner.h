@@ -30,8 +30,7 @@ class ExpectedFidelityPlanner : public Planner {
 
   /// The returned plan's `output_fidelity` is still the worst-case
   /// correlated OF (for comparability across planners); use
-  /// ExpectedFidelitySingleFailure() for the objective value. Linear;
-  /// ignores `request.max_search_steps`.
+  /// ExpectedFidelitySingleFailure() for the objective value.
   StatusOr<ReplicationPlan> Plan(const PlanRequest& request) override;
 
  private:

@@ -17,7 +17,6 @@ class GreedyPlanner : public Planner {
  public:
   std::string_view name() const override { return "greedy"; }
 
-  /// Polynomial search; ignores `request.max_search_steps`.
   StatusOr<ReplicationPlan> Plan(const PlanRequest& request) override;
 };
 

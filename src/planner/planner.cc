@@ -60,39 +60,20 @@ StatusOr<PlannerKind> PlannerKindFromString(std::string_view name) {
                          "expected)");
 }
 
-std::unique_ptr<Planner> CreatePlanner(PlannerKind kind) {
-  return CreatePlanner(kind, PlannerOptions{});
-}
-
-std::unique_ptr<Planner> CreatePlanner(PlannerKind kind,
-                                       const PlannerOptions& options) {
+std::unique_ptr<Planner> CreatePlanner(PlannerKind kind, uint64_t seed) {
   switch (kind) {
-    case PlannerKind::kDynamicProgramming: {
-      DpPlannerOptions dp;
-      dp.mc_tree = options.mc_tree;
-      dp.max_candidate_plans = options.max_candidate_plans;
-      return std::make_unique<DpPlanner>(dp);
-    }
+    case PlannerKind::kDynamicProgramming:
+      return std::make_unique<DpPlanner>();
     case PlannerKind::kGreedy:
       return std::make_unique<GreedyPlanner>();
-    case PlannerKind::kStructureAware: {
-      StructureAwareOptions sa;
-      sa.mc_tree = options.mc_tree;
-      sa.fill_budget = options.fill_budget;
-      sa.metric = options.metric;
-      return std::make_unique<StructureAwarePlanner>(sa);
-    }
+    case PlannerKind::kStructureAware:
+      return std::make_unique<StructureAwarePlanner>();
     case PlannerKind::kExhaustive:
-      return std::make_unique<ExhaustivePlanner>(
-          options.exhaustive_max_tasks);
+      return std::make_unique<ExhaustivePlanner>();
     case PlannerKind::kRandom:
-      return std::make_unique<RandomPlanner>(options.seed);
+      return std::make_unique<RandomPlanner>(seed);
     case PlannerKind::kExpectedFidelity:
-      if (options.failure_probabilities.empty()) {
-        return std::make_unique<ExpectedFidelityPlanner>();
-      }
-      return std::make_unique<ExpectedFidelityPlanner>(
-          options.failure_probabilities);
+      return std::make_unique<ExpectedFidelityPlanner>();
   }
   return nullptr;
 }

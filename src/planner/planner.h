@@ -4,29 +4,21 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "common/status_or.h"
-#include "fidelity/mc_tree.h"
-#include "fidelity/metrics.h"
 #include "planner/replication_plan.h"
 #include "topology/topology.h"
 
 namespace ppa {
 
-/// One planning request: the topology to protect, the resource budget
-/// (number of tasks that may be actively replicated), and the
-/// cross-planner execution limits. A value type so experiment specs can
-/// carry, store, and replay requests verbatim.
+/// One planning request: the topology to protect and the resource budget
+/// (number of tasks that may be actively replicated), Definition 2.
 struct PlanRequest {
   PlanRequest() = default;
   /// Convenience for the common call shape. `topology` must outlive the
   /// Plan() call.
-  PlanRequest(const Topology& topology_in, int budget_in,
-              uint64_t max_search_steps_in = 0)
-      : topology(&topology_in),
-        budget(budget_in),
-        max_search_steps(max_search_steps_in) {}
+  PlanRequest(const Topology& topology_in, int budget_in)
+      : topology(&topology_in), budget(budget_in) {}
 
   /// The topology to plan for. Never owned; must be non-null.
   const Topology* topology = nullptr;
@@ -34,15 +26,6 @@ struct PlanRequest {
   /// Replication budget. May exceed the task count (it is clamped);
   /// negative is rejected.
   int budget = 0;
-
-  /// Deterministic planning deadline: planners whose search is
-  /// super-linear abort with ResourceExhausted once they have considered
-  /// this many candidates. 0 keeps each planner's constructor-time cap.
-  /// A step budget — not wall-clock — so a request that fits the deadline
-  /// on one machine fits it everywhere (reproducibility, DESIGN.md §10).
-  /// Planners with polynomial searches (greedy, sa, expected, random)
-  /// document that they ignore it.
-  uint64_t max_search_steps = 0;
 };
 
 /// Validates the request's shape: non-null topology, non-negative budget.
@@ -85,33 +68,11 @@ enum class PlannerKind {
 /// InvalidArgument on unknown names, with the valid names in the message.
 StatusOr<PlannerKind> PlannerKindFromString(std::string_view name);
 
-/// Cross-planner construction options: the union of every built-in
-/// planner's knobs, so ppa_cli and the chaos generator configure any kind
-/// through one value type. Each kind reads only its own fields.
-struct PlannerOptions {
-  /// MC-tree / segment enumeration bound (dp, sa).
-  McTreeEnumOptions mc_tree;
-  /// Candidate-plan cap of the exponential DP search (dp).
-  size_t max_candidate_plans = size_t{1} << 22;
-  /// Spend leftover budget on individually damaging tasks (sa).
-  bool fill_budget = true;
-  /// Plan-quality metric the search maximizes (sa).
-  LossModel metric = LossModel::kOutputFidelity;
-  /// Task-count ceiling of the exhaustive oracle (exhaustive).
-  int exhaustive_max_tasks = 22;
-  /// Seed of the uniform-random baseline (random).
-  uint64_t seed = 1;
-  /// Per-task failure probabilities; empty = uniform (expected).
-  std::vector<double> failure_probabilities;
-};
-
-/// Creates a planner of the given kind with default options.
-std::unique_ptr<Planner> CreatePlanner(PlannerKind kind);
-
-/// Creates a planner of the given kind, configured from the fields of
-/// `options` that apply to it.
-std::unique_ptr<Planner> CreatePlanner(PlannerKind kind,
-                                       const PlannerOptions& options);
+/// Creates a planner of the given kind with its default options. `seed`
+/// seeds the uniform-random baseline (random); every other kind ignores
+/// it. Callers that need a non-default option construct the planner
+/// class directly.
+std::unique_ptr<Planner> CreatePlanner(PlannerKind kind, uint64_t seed = 1);
 
 }  // namespace ppa
 

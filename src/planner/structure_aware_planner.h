@@ -33,8 +33,6 @@ class StructureAwarePlanner : public Planner {
 
   std::string_view name() const override { return "sa"; }
 
-  /// Polynomial in the sub-planner expansions; ignores
-  /// `request.max_search_steps`.
   StatusOr<ReplicationPlan> Plan(const PlanRequest& request) override;
 
  private:

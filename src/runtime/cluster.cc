@@ -1,6 +1,6 @@
 #include "runtime/cluster.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -84,18 +84,6 @@ Status Cluster::PlacePrimary(TaskId task, int node) {
   return OkStatus();
 }
 
-bool Cluster::ReplicaNodeExcluded(int node) const {
-  if (!constraints_.replica_affinity.empty() &&
-      std::find(constraints_.replica_affinity.begin(),
-                constraints_.replica_affinity.end(),
-                node) == constraints_.replica_affinity.end()) {
-    return true;
-  }
-  return std::find(constraints_.replica_anti_affinity.begin(),
-                   constraints_.replica_anti_affinity.end(),
-                   node) != constraints_.replica_anti_affinity.end();
-}
-
 int64_t Cluster::ViewReplicasInDomain(int domain) const {
   int64_t count = 0;
   for (int node : replica_node_) {
@@ -124,7 +112,7 @@ Status Cluster::PlaceReplicaAuto(TaskId task) {
   // Ascending node-id scan with strictly-better replacement: ties on
   // every criterion break toward the lowest node id (see header).
   for (int node = num_workers(); node < num_nodes(); ++node) {
-    if (!NodeAlive(node) || ReplicaNodeExcluded(node)) {
+    if (!NodeAlive(node)) {
       continue;
     }
     const int64_t load = pool_->ReplicaLoad(node);

@@ -19,11 +19,6 @@ struct PlacementConstraints {
   /// ceiling returns ResourceExhausted (re-placing a task that already has
   /// one never counts twice).
   int replica_ceiling = -1;
-  /// If non-empty, replicas may only land on these standby nodes
-  /// (affinity). Checked before anti-affinity.
-  std::vector<int> replica_affinity;
-  /// Replicas never land on these nodes (anti-affinity).
-  std::vector<int> replica_anti_affinity;
   /// Spread this job's replicas across failure domains: within each
   /// candidate class, prefer the domain currently hosting the fewest of
   /// *this job's* replicas before comparing global load.
@@ -90,7 +85,7 @@ class Cluster {
   /// fewest replicas (globally, across every view of the pool), preferring
   /// nodes outside the primary's failure domain so a domain failure cannot
   /// take out both copies. Honors this view's constraints (ceiling,
-  /// affinity/anti-affinity, domain spreading).
+  /// domain spreading).
   ///
   /// Determinism contract (the cross-tenant recovery arbiter depends on
   /// it): candidates are scanned in ascending node id and a candidate
@@ -130,8 +125,6 @@ class Cluster {
   void SetPrimaryNode(TaskId task, int node);
   /// Same for the replica, also maintaining placed_replicas_.
   void SetReplicaNode(TaskId task, int node);
-  /// True when the constraints rule `node` out as a replica host.
-  [[nodiscard]] bool ReplicaNodeExcluded(int node) const;
   /// Replicas of this view currently placed in `domain`.
   [[nodiscard]] int64_t ViewReplicasInDomain(int domain) const;
 

@@ -217,7 +217,7 @@ Status StreamingJob::Start() {
     backend_->AttachMetrics(&metrics_);
   }
 
-  divergence_.Reset(topology_.num_tasks(), backend_->now());
+  divergence_.Reset(topology_.num_tasks());
 
   // Recurring engine events.
   ScheduleManaged(Duration::Zero(), [this] { OnBatchTick(); });
@@ -545,8 +545,7 @@ void StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica,
       // Conservative un-persisted drift: every record processed since the
       // task's last persisted blob could be forfeited by a thinned
       // recovery (DESIGN.md §17). Cleared when a blob lands.
-      divergence_.Observe(t, work, work * static_cast<int64_t>(sizeof(Tuple)),
-                          topology_.task(t).weight);
+      divergence_.Observe(t, work);
     }
     if (!rt->is_source() && m_tuples_per_batch_ != nullptr) {
       block->tuples_per_batch.push_back(static_cast<double>(work));
@@ -642,20 +641,17 @@ bool StreamingJob::ShouldSkipCheckpoint(TaskId t, TaskRuntime* rt) const {
   // persisted coverage, plus this one. A correlated failure could forfeit
   // all of them at once, so both the job budget and the certified-loss cap
   // are evaluated over the union.
-  const af::Divergence& task_drift = divergence_.OfTask(t);
-  af::Divergence job_drift = task_drift;
+  const int64_t task_records = divergence_.OfTask(t).records;
+  int64_t job_records = task_records;
   TaskSet at_risk(topology_.num_tasks());
   at_risk.Add(t);
   for (TaskId u = 0; u < topology_.num_tasks(); ++u) {
     if (u != t && checkpoints_.TrimBatch(u) > checkpoints_.CoveredBatch(u)) {
-      job_drift.Add(divergence_.OfTask(u));
+      job_records += divergence_.OfTask(u).records;
       at_risk.Add(u);
     }
   }
-  const af::ErrorBudget budget(config_.error_budget);
-  if (!budget.AllowSkip(task_drift,
-                        divergence_.ElapsedSeconds(t, backend_->now()),
-                        job_drift)) {
+  if (!af::AllowSkip(config_.error_budget, task_records, job_records)) {
     return false;
   }
   return af::CertifiedLossBound(topology_, at_risk) <=
@@ -731,7 +727,7 @@ void StreamingJob::OnCheckpoint(TaskId t) {
     if (config_.recovery_mode != af::RecoveryMode::kPpa) {
       // The blob persists everything processed so far; the drift epoch
       // restarts here.
-      divergence_.Clear(t, backend_->now());
+      divergence_.Clear(t);
     }
     TrimUpstreamBuffers(t);
   }
@@ -1005,7 +1001,7 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
       if (config_.recovery_mode != af::RecoveryMode::kPpa) {
         // Catch-up replay re-observes every batch past the restore point,
         // so the drift epoch restarts at the restored state.
-        divergence_.Clear(t, backend_->now());
+        divergence_.Clear(t);
       }
       rt->MarkAlive();
       break;

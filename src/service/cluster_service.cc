@@ -13,25 +13,6 @@
 namespace ppa {
 namespace service {
 
-namespace {
-
-bool Contains(const std::vector<int>& nodes, int node) {
-  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
-}
-
-Status CheckNodeIds(const std::vector<int>& nodes, int lo, int hi,
-                    const char* label) {
-  for (int node : nodes) {
-    if (node < lo || node >= hi) {
-      return InvalidArgument(std::string(label) +
-                             " references a node outside the pool");
-    }
-  }
-  return OkStatus();
-}
-
-}  // namespace
-
 Status ServiceConfig::Validate() const {
   if (num_worker_nodes <= 0) {
     return InvalidArgument("num_worker_nodes must be positive");
@@ -73,17 +54,14 @@ StatusOr<int> ClusterService::Submit(TenantSpec spec) {
     return topology.status();
   }
 
-  // Affinity lists must name real nodes of the right class.
-  Status ids = OkStatus();
+  // The affinity list must name real workers.
   const int workers = pool_->num_workers();
-  const int nodes = pool_->num_nodes();
-  if (ids.ok()) ids = CheckNodeIds(spec.worker_affinity, 0, workers, "worker_affinity");
-  if (ids.ok()) ids = CheckNodeIds(spec.worker_anti_affinity, 0, workers, "worker_anti_affinity");
-  if (ids.ok()) ids = CheckNodeIds(spec.standby_affinity, workers, nodes, "standby_affinity");
-  if (ids.ok()) ids = CheckNodeIds(spec.standby_anti_affinity, workers, nodes, "standby_anti_affinity");
-  if (!ids.ok()) {
-    ++stats_.rejected;
-    return ids;
+  for (int node : spec.worker_affinity) {
+    if (node < 0 || node >= workers) {
+      ++stats_.rejected;
+      return InvalidArgument(
+          "worker_affinity references a node outside the pool");
+    }
   }
 
   // Permanent infeasibility: reject jobs that could not fit even on an
@@ -99,15 +77,7 @@ StatusOr<int> ClusterService::Submit(TenantSpec spec) {
     ++stats_.rejected;
     return ResourceExhausted("job has more tasks than the cluster can host");
   }
-  int allowed_standbys = 0;
-  for (int node = workers; node < nodes; ++node) {
-    const bool in_affinity =
-        spec.standby_affinity.empty() || Contains(spec.standby_affinity, node);
-    if (in_affinity && !Contains(spec.standby_anti_affinity, node)) {
-      ++allowed_standbys;
-    }
-  }
-  if (spec.replica_budget > static_cast<int64_t>(allowed_standbys) *
+  if (spec.replica_budget > static_cast<int64_t>(pool_->num_standbys()) *
                                 config_.standby_slots_per_node) {
     ++stats_.rejected;
     return ResourceExhausted("replica_budget exceeds the standby pool");
@@ -295,10 +265,9 @@ bool ClusterService::AllRecovered() const {
 }
 
 bool ClusterService::WorkerExcluded(const TenantSpec& spec, int node) {
-  if (!spec.worker_affinity.empty() && !Contains(spec.worker_affinity, node)) {
-    return true;
-  }
-  return Contains(spec.worker_anti_affinity, node);
+  return !spec.worker_affinity.empty() &&
+         std::find(spec.worker_affinity.begin(), spec.worker_affinity.end(),
+                   node) == spec.worker_affinity.end();
 }
 
 int64_t ClusterService::FreeWorkerSlots(const TenantSpec& spec) const {
@@ -346,21 +315,14 @@ Status ClusterService::AdmitNow(Tenant& t) {
       t.topology, t.spec.config, JobRuntimeDeps(backend_, pool_));
   PlacementConstraints constraints;
   constraints.replica_ceiling = t.spec.replica_budget;
-  constraints.replica_affinity = t.spec.standby_affinity;
-  constraints.replica_anti_affinity = t.spec.standby_anti_affinity;
-  constraints.spread_replicas_across_domains =
-      t.spec.spread_replicas_across_domains;
+  constraints.spread_replicas_across_domains = true;
   job->cluster().SetConstraints(constraints);
 
   const int id = t.id;
   Status status = [&]() -> Status {
     PPA_RETURN_IF_ERROR(PlaceTenantPrimaries(t, job.get()));
-    if (t.spec.bind) {
-      PPA_RETURN_IF_ERROR(t.spec.bind(t.topology, t.spec.config, job.get()));
-    } else {
-      PPA_RETURN_IF_ERROR(
-          BindGenericWorkload(t.topology, t.spec.config, job.get()));
-    }
+    PPA_RETURN_IF_ERROR(
+        BindGenericWorkload(t.topology, t.spec.config, job.get()));
     if (!t.spec.initial_plan.empty()) {
       TaskSet plan(static_cast<int>(t.topology.num_tasks()));
       for (TaskId task : t.spec.initial_plan) {

@@ -66,7 +66,7 @@ struct AdmissionStats {
 ///  - Placement: primaries spread across the tenant's failure domains on
 ///    the least-loaded allowed alive workers; replicas go through the
 ///    tenant Cluster view's PlacementConstraints (budget ceiling,
-///    affinity/anti-affinity, domain spreading).
+///    domain spreading).
 ///  - Failure propagation: Inject*Failure() fails nodes once in the
 ///    shared pool and notifies every running tenant, so one rack outage
 ///    hits all tenants placed there — the cross-job correlated failure.

@@ -1,8 +1,6 @@
 #include "service/tenant.h"
 
 #include <set>
-#include <string>
-#include <utility>
 
 #include "topology/serialize.h"
 
@@ -23,19 +21,6 @@ std::string_view TenantPhaseToString(TenantPhase phase) {
   return "?";
 }
 
-namespace {
-
-Status ValidateNodeList(const std::vector<int>& nodes, const char* label) {
-  for (int node : nodes) {
-    if (node < 0) {
-      return InvalidArgument(std::string(label) + " contains a negative node id");
-    }
-  }
-  return OkStatus();
-}
-
-}  // namespace
-
 StatusOr<Topology> ValidateTenantSpec(const TenantSpec& spec) {
   PPA_ASSIGN_OR_RETURN(Topology topology,
                        ParseTopologySpec(spec.topology_spec));
@@ -46,13 +31,6 @@ StatusOr<Topology> ValidateTenantSpec(const TenantSpec& spec) {
   if (spec.priority < 0) {
     return InvalidArgument("priority must be >= 0");
   }
-  PPA_RETURN_IF_ERROR(ValidateNodeList(spec.worker_affinity, "worker_affinity"));
-  PPA_RETURN_IF_ERROR(
-      ValidateNodeList(spec.worker_anti_affinity, "worker_anti_affinity"));
-  PPA_RETURN_IF_ERROR(
-      ValidateNodeList(spec.standby_affinity, "standby_affinity"));
-  PPA_RETURN_IF_ERROR(
-      ValidateNodeList(spec.standby_anti_affinity, "standby_anti_affinity"));
   std::set<TaskId> seen;
   for (TaskId t : spec.initial_plan) {
     if (t < 0 || t >= topology.num_tasks()) {

@@ -1,15 +1,12 @@
 #ifndef PPA_SERVICE_TENANT_H_
 #define PPA_SERVICE_TENANT_H_
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
 #include "common/status_or.h"
 #include "runtime/config.h"
-#include "runtime/streaming_job.h"
 #include "topology/topology.h"
 
 namespace ppa {
@@ -36,8 +33,9 @@ std::string_view TenantPhaseToString(TenantPhase phase);
 
 /// Everything one tenant submits to the ClusterService: the query, the job
 /// configuration, the replica budget it wants from the shared standby
-/// pool, its QoS priority, and optional placement constraints layered
-/// over the shared cluster.
+/// pool, its QoS priority, and an optional worker affinity. The service
+/// binds every tenant through BindGenericWorkload and spreads its
+/// primaries and replicas across failure domains.
 struct TenantSpec {
   /// Display name; the service substitutes "tenant<id>" when empty.
   std::string name;
@@ -57,24 +55,11 @@ struct TenantSpec {
   std::vector<TaskId> initial_plan;
   /// If non-empty, primaries may only land on these worker nodes.
   std::vector<int> worker_affinity;
-  /// Primaries never land on these worker nodes.
-  std::vector<int> worker_anti_affinity;
-  /// If non-empty, replicas may only land on these standby nodes.
-  std::vector<int> standby_affinity;
-  /// Replicas never land on these standby nodes.
-  std::vector<int> standby_anti_affinity;
-  /// Spread this tenant's replicas across failure domains (and its
-  /// primaries, which the service always spreads).
-  bool spread_replicas_across_domains = true;
-  /// Operator/source bindings; BindGenericWorkload when unset.
-  using BindFn =
-      std::function<Status(const Topology&, const JobConfig&, StreamingJob*)>;
-  BindFn bind;
 };
 
 /// Validates a spec's self-contained fields (topology syntax, config,
 /// budget/priority signs, plan membership, fault-tolerance-mode fit) and
-/// returns the parsed topology. Node-id ranges of the affinity lists are
+/// returns the parsed topology. The node ids of `worker_affinity` are
 /// cluster-shape-dependent and checked by ClusterService::Submit instead.
 [[nodiscard]] StatusOr<Topology> ValidateTenantSpec(const TenantSpec& spec);
 

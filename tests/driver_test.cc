@@ -1,6 +1,7 @@
 // Tests of bench::Driver's shared flag parsing: values are taken in both
 // forms and stripped from argv, and a malformed --jobs or --seed exits 2
-// instead of being read as 0.
+// instead of being read as 0. NumberOrExit, the parser behind them, also
+// reads binaries' own numeric flags, fractional ones included.
 
 #include <string>
 #include <vector>
@@ -61,6 +62,21 @@ TEST(DriverDeathTest, SeedThatIsNotAWholeNumberExitsTwo) {
     EXPECT_EXIT((void)Parse({"--seed=" + std::string(value)}),
                 testing::ExitedWithCode(2),
                 "--seed: expected a whole number >= 0");
+  }
+}
+
+TEST(NumberOrExitTest, ReadsWholeAndFractionalNumbers) {
+  EXPECT_EQ(NumberOrExit<int>("--budget", "3"), 3);
+  EXPECT_DOUBLE_EQ(NumberOrExit<double>("--seconds", "1.5"), 1.5);
+  EXPECT_DOUBLE_EQ(NumberOrExit<double>("--seconds", "60"), 60.0);
+}
+
+TEST(DriverDeathTest, FractionalFlagThatIsNotANumberExitsTwo) {
+  for (const char* value : {"abc", "1x", "-1", "inf", "nan", ""}) {
+    SCOPED_TRACE(value);
+    EXPECT_EXIT((void)NumberOrExit<double>("--seconds", value),
+                testing::ExitedWithCode(2),
+                "--seconds: expected a number >= 0");
   }
 }
 
