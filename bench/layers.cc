@@ -19,9 +19,9 @@
 //   wide_mid    — a scale_cluster 4096-node mid task: 1-tuple batches, a
 //                 30-slice window and 30 buffered batches.
 // BM_TaskSnapshotThreads times the same Snapshot() inside one callback of
-// a ThreadedBackend with num_shards = 2, so blobs of two or more 64-KiB
+// a ThreadedBackend with num_shards = 2, so blobs of two or more 20-KiB
 // parts encode on the driving thread and one helper (wall time); a blob
-// under 128 KiB (wide_mid) is one inline part.
+// under 40 KiB (wide_mid) is one inline part.
 //
 // BM_WindowStep times one steady-state step of a window task:
 // TaskRuntime::RunBatch of the next input batch, whose window evicts its

@@ -1,6 +1,7 @@
 #include "engine/operators.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
 
 #include "common/hash.h"
@@ -10,16 +11,10 @@
 namespace ppa {
 namespace {
 
-/// Encoded bytes of a window slice's header: batch and tuple count.
-constexpr size_t kSliceHeaderBytes = 2 * sizeof(int64_t);
-
-/// A window slice as a snapshot encodes it: its header, then its tuples.
-constexpr auto kSliceRecord = [](const auto& slice) {
-  return EncodedRecord{{slice.batch, static_cast<int64_t>(slice.tuples.size())},
-                       kSliceHeaderBytes / sizeof(int64_t),
-                       &slice.tuples,
-                       slice.bytes};
-};
+/// Encoded bytes of a window slice's header: i64 batch, u32 tuple count
+/// and u32 run count. Its runs follow.
+constexpr size_t kSliceHeaderBytes =
+    sizeof(int64_t) + sizeof(uint32_t) + sizeof(uint32_t);
 
 }  // namespace
 
@@ -72,16 +67,22 @@ SlidingWindowAggregateOperator::SlidingWindowAggregateOperator(
 
 std::vector<Tuple>& SlidingWindowAggregateOperator::PushSlice(
     int64_t batch, const std::vector<Tuple>& tuples) {
+  PPA_CHECK(tuples.size() <= UINT32_MAX)
+      << "window slice of " << tuples.size() << " tuples exceeds 2^32 - 1";
   int64_t sum = 0;
-  size_t bytes = kSliceHeaderBytes + kTupleFixedBytes * tuples.size();
-  for (const Tuple& t : tuples) {
-    sum += t.value;
-    bytes += t.key.size();
+  size_t key_bytes = 0;
+  uint32_t runs = tuples.empty() ? 0 : 1;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    sum += tuples[i].value;
+    key_bytes += tuples[i].key.size();
+    runs += i > 0 && !ContinuesRun(tuples[i - 1], tuples[i]);
   }
+  const size_t bytes = kSliceHeaderBytes + kRunHeaderBytes * runs +
+                       kTupleFixedBytes * tuples.size() + key_bytes;
   window_sum_ += sum;
   window_tuples_ += static_cast<int64_t>(tuples.size());
   window_bytes_ += bytes;
-  return window_.emplace_back(WindowSlice{batch, {}, sum, bytes}).tuples;
+  return window_.emplace_back(WindowSlice{batch, {}, sum, bytes, runs}).tuples;
 }
 
 void SlidingWindowAggregateOperator::Evict(int64_t current_batch) {
@@ -114,13 +115,48 @@ void SlidingWindowAggregateOperator::ProcessBatch(
   }
 }
 
+void SlidingWindowAggregateOperator::EncodeSlicesAt(
+    std::deque<WindowSlice>::const_iterator first, size_t bytes,
+    char* out) const {
+  EncodeRunAt(
+      {}, nullptr, first, window_.cend(), bytes, out,
+      [](const WindowSlice& slice) { return slice.bytes; },
+      [](const WindowSlice& slice, char* at, const char* limit) {
+        at = StoreAt(at, slice.batch);
+        at = StoreAt(at, static_cast<uint32_t>(slice.tuples.size()));
+        at = StoreAt(at, slice.runs);
+        return EncodeRunsAt(slice.tuples, slice.runs, at, limit);
+      });
+}
+
+Status SlidingWindowAggregateOperator::GetSlice(BinaryReader* r) {
+  char header[kSliceHeaderBytes];
+  PPA_RETURN_IF_ERROR(r->GetBytes(header, sizeof(header)));
+  int64_t batch = 0;
+  uint32_t count = 0;
+  uint32_t runs = 0;
+  std::memcpy(&batch, header, sizeof(batch));
+  std::memcpy(&count, header + 8, sizeof(count));
+  std::memcpy(&runs, header + 12, sizeof(runs));
+  if (!window_.empty() && batch <= window_.back().batch) {
+    // Evict() drops slices from the front by batch, so an unordered
+    // window would lose the wrong ones.
+    return InvalidArgument("window slices out of order (slice " +
+                           std::to_string(batch) + " <= previous " +
+                           std::to_string(window_.back().batch) + ")");
+  }
+  std::vector<Tuple> tuples;
+  PPA_RETURN_IF_ERROR(r->GetRuns(count, runs, &tuples));
+  PushSlice(batch, tuples) = std::move(tuples);
+  return OkStatus();
+}
+
 StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotState() {
   std::string blob =
       EncodeBlob(2 * sizeof(int64_t) + window_bytes_, [this](char* out) {
         out = StoreAt(out, window_sum_);
         out = StoreAt(out, static_cast<uint64_t>(window_.size()));
-        EncodeRunAt({}, nullptr, window_.cbegin(), window_.cend(),
-                    window_bytes_, out, kSliceRecord);
+        EncodeSlicesAt(window_.cbegin(), window_bytes_, out);
       });
   snapshot_marker_ = window_.empty() ? -1 : window_.back().batch;
   return blob;
@@ -144,8 +180,7 @@ StatusOr<std::string> SlidingWindowAggregateOperator::SnapshotDelta(
       EncodeBlob(2 * sizeof(int64_t) + fresh_bytes, [&](char* out) {
         out = StoreAt(out, horizon);
         out = StoreAt(out, static_cast<uint64_t>(window_.cend() - fresh));
-        EncodeRunAt({}, nullptr, fresh, window_.cend(), fresh_bytes, out,
-                    kSliceRecord);
+        EncodeSlicesAt(fresh, fresh_bytes, out);
       });
   snapshot_marker_ = horizon;
   if (delta_tuples != nullptr) {
@@ -159,17 +194,7 @@ Status SlidingWindowAggregateOperator::ApplyDelta(const std::string& delta) {
   PPA_ASSIGN_OR_RETURN(int64_t horizon, r.GetI64());
   PPA_ASSIGN_OR_RETURN(uint64_t slices, r.GetU64());
   for (uint64_t i = 0; i < slices; ++i) {
-    PPA_ASSIGN_OR_RETURN(int64_t batch, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-    if (!window_.empty() && batch <= window_.back().batch) {
-      return InvalidArgument("delta slices out of order (slice " +
-                             std::to_string(batch) + " <= window back " +
-                             std::to_string(window_.back().batch) +
-                             ", horizon " + std::to_string(horizon) + ")");
-    }
-    std::vector<Tuple> tuples;
-    PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
-    PushSlice(batch, tuples) = std::move(tuples);
+    PPA_RETURN_IF_ERROR(GetSlice(&r));
   }
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in window delta");
@@ -186,18 +211,7 @@ Status SlidingWindowAggregateOperator::RestoreState(
   PPA_ASSIGN_OR_RETURN(int64_t window_sum, r.GetI64());
   PPA_ASSIGN_OR_RETURN(uint64_t slices, r.GetU64());
   for (uint64_t i = 0; i < slices; ++i) {
-    PPA_ASSIGN_OR_RETURN(int64_t batch, r.GetI64());
-    PPA_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-    if (!window_.empty() && batch <= window_.back().batch) {
-      // Evict() drops slices from the front by batch, so an unordered
-      // window would lose the wrong ones.
-      return InvalidArgument("window snapshot slices out of order (slice " +
-                             std::to_string(batch) + " <= previous " +
-                             std::to_string(window_.back().batch) + ")");
-    }
-    std::vector<Tuple> tuples;
-    PPA_RETURN_IF_ERROR(r.GetTuples(count, &tuples));
-    PushSlice(batch, tuples) = std::move(tuples);
+    PPA_RETURN_IF_ERROR(GetSlice(&r));
   }
   // The blob's sum is authoritative, not the recount.
   window_sum_ = window_sum;

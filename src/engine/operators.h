@@ -13,6 +13,8 @@
 
 namespace ppa {
 
+class BinaryReader;
+
 /// Stateless forwarder; useful as a routing/repartitioning stage.
 class PassThroughOperator : public OperatorFunction {
  public:
@@ -68,10 +70,13 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
   struct WindowSlice {
     int64_t batch = 0;
     std::vector<Tuple> tuples;
-    /// The slice's value sum and encoded bytes (header included), taken
-    /// when it was pushed, so Evict() reads no tuple.
+    /// The slice's value sum, encoded bytes (header included) and producer
+    /// runs (serde.h), taken when it was pushed, so Evict() reads no tuple
+    /// and a snapshot sizes the slice and finds a single run without a
+    /// comparison between tuples.
     int64_t sum = 0;
     size_t bytes = 0;
+    uint32_t runs = 0;
   };
 
   /// With Evict() and Reset(), the only ways slices enter and leave
@@ -82,6 +87,14 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
   std::vector<Tuple>& PushSlice(int64_t batch,
                                 const std::vector<Tuple>& tuples);
   void Evict(int64_t current_batch);
+
+  /// Encodes the slices from `first` to the newest, `bytes` in all, at
+  /// `out`, in EncodeRunAt's parts.
+  void EncodeSlicesAt(std::deque<WindowSlice>::const_iterator first,
+                      size_t bytes, char* out) const;
+  /// Reads one slice that EncodeSlicesAt wrote and pushes it. A slice not
+  /// past the newest one already in the window is InvalidArgument.
+  Status GetSlice(BinaryReader* r);
 
   int64_t window_batches_;
   double selectivity_;

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -18,13 +19,41 @@
 
 namespace ppa {
 
-/// Wire layout of one tuple, the unit of checkpoint state and output
-/// buffers: u64 key length, the key bytes, then i64 value, i64 batch,
-/// u64 seq and i64 producer. kTupleFixedBytes is everything but the key.
-inline constexpr size_t kTupleFixedBytes = 5 * sizeof(int64_t);
+/// Checkpoint wire format v2. A tuple is written as its u8 key length, the
+/// key bytes and its i64 value. Its batch, seq and producer are not
+/// written per tuple: they follow from the tuple's run, a sequence of
+/// tuples from one producer and one batch whose seqs are consecutive. A
+/// buffered output batch is one run that the reader derives from the batch
+/// index and the task, since TaskRuntime::RunBatch stamps exactly those
+/// fields (the deterministic sequence numbers of Sec. V-B). A window slice
+/// writes its runs, each a header naming the run once, then its tuples.
+/// kTupleFixedBytes is everything of a tuple but its key, so it is also
+/// the fewest bytes a tuple takes.
+inline constexpr size_t kTupleFixedBytes = sizeof(uint8_t) + sizeof(int64_t);
+
+/// Encoded bytes of a run header: i32 producer, u32 tuple count, i64 batch
+/// and u64 first seq.
+inline constexpr size_t kRunHeaderBytes =
+    sizeof(int32_t) + sizeof(uint32_t) + sizeof(int64_t) + sizeof(uint64_t);
+static_assert(sizeof(TaskId) == sizeof(int32_t),
+              "a run header stores the producer as an i32");
+
+/// What the tuples of one run share: tuple i of the run has `producer`,
+/// `batch` and seq first_seq + i.
+struct TupleRun {
+  TaskId producer = kInvalidTaskId;
+  int64_t batch = 0;
+  uint64_t first_seq = 0;
+};
+
+/// True if `next` extends the run that `prev` ends.
+inline bool ContinuesRun(const Tuple& prev, const Tuple& next) {
+  return next.producer == prev.producer && next.batch == prev.batch &&
+         next.seq == prev.seq + 1;
+}
 
 /// Bytes EncodeTuplesAt writes for `tuples`.
-inline size_t EncodedTupleBytes(const std::vector<Tuple>& tuples) {
+inline size_t EncodedTupleBytes(std::span<const Tuple> tuples) {
   size_t bytes = kTupleFixedBytes * tuples.size();
   for (const Tuple& t : tuples) {
     bytes += t.key.size();
@@ -55,72 +84,135 @@ std::string EncodeBlob(size_t bytes, const Write& write) {
   return blob;
 }
 
-/// Writes every tuple of `tuples` at `out` in the tuple wire layout (the
-/// count is the caller's to write) and returns the byte after them.
-/// `bytes` is what they encode to (EncodedTupleBytes), which callers keep
-/// with their batches and slices. Only [out, out + bytes) is written, so
-/// calls on disjoint ranges of one buffer may run concurrently. Fixed-width
-/// stores: each key is copied at its full TupleKey::kCapacity while that
-/// many bytes of the range remain, so the copy has a constant size and the
-/// following fields overwrite its tail, and at its exact length near the
-/// end. Tuples that do not encode to exactly `bytes` are a fatal check.
-inline char* EncodeTuplesAt(const std::vector<Tuple>& tuples, size_t bytes,
-                            char* out) {
-  char* const end = out + bytes;
+namespace serde_internal {
+
+/// The fatal check of EncodeTuplesAt: `written` of `tuples` fit before the
+/// end, and `stray` is nonzero if one of them did not derive from `run`.
+/// Out of line, so the encoders stay small enough to inline.
+void FailTupleEncode(size_t tuples, size_t written, uint64_t stray,
+                     const TupleRun& run);
+
+/// The fatal check of EncodeRunsAt: `tuples` did not encode to `runs`.
+void FailRunEncode(size_t tuples, size_t runs);
+
+/// The OutOfRange statuses of BinaryReader's tuple reads, out of line.
+Status KeyOverCapacity(size_t key_size);
+Status RunsCannotHold(uint64_t runs, uint64_t count);
+Status RunLongerThanLeft(uint32_t n, uint64_t left);
+Status RunsCoverTooFew(uint64_t covered, uint64_t count);
+
+}  // namespace serde_internal
+
+/// Writes the key and value of every tuple of `tuples` at `out` (the count
+/// and the run are the caller's to write) and returns the byte after them.
+/// Nothing at or past `end` is written, so calls on disjoint ranges of one
+/// buffer may run concurrently. Fixed-width stores: each key is copied at
+/// its full TupleKey::kCapacity while that many bytes remain before `end`,
+/// so the copy has a constant size and the value and whatever the caller
+/// writes next overwrite its tail, and at its exact length near `end`. So
+/// that only the last tuples of a range take the exact-length copy, `end`
+/// is the end of all the caller writes in order, not of these tuples.
+/// Tuples that do not fit before `end`, or whose batch, seq or producer do
+/// not derive from `run`, are a fatal check. The derivation is folded
+/// without a branch from fields in the cache line the key copy already
+/// reads.
+inline char* EncodeTuplesAt(std::span<const Tuple> tuples,
+                            const TupleRun& run, char* out,
+                            const char* end) {
+  uint64_t stray = 0;
   size_t written = 0;
   for (const Tuple& t : tuples) {
-    const uint64_t key_size = t.key.size();
+    const size_t key_size = t.key.size();
     const size_t left = static_cast<size_t>(end - out);
     if (left < kTupleFixedBytes + key_size) {
-      break;  // `bytes` is short; the check below reports it
+      break;  // the check below reports it
     }
-    std::memcpy(out, &key_size, sizeof(key_size));
-    out += sizeof(key_size);
-    if (left >= sizeof(key_size) + TupleKey::kCapacity) {
+    stray |= static_cast<uint64_t>(t.batch ^ run.batch) |
+             (t.seq ^ (run.first_seq + written)) |
+             static_cast<uint32_t>(t.producer ^ run.producer);
+    *out++ = static_cast<char>(key_size);
+    if (left >= 1 + TupleKey::kCapacity) {
       std::memcpy(out, t.key.data(), TupleKey::kCapacity);
     } else {
       std::memcpy(out, t.key.data(), key_size);
     }
-    out += key_size;
-    const int64_t fixed[4] = {t.value, t.batch, static_cast<int64_t>(t.seq),
-                              t.producer};
-    std::memcpy(out, fixed, sizeof(fixed));
-    out += sizeof(fixed);
+    out = StoreAt(out + key_size, t.value);
     ++written;
   }
-  PPA_CHECK(written == tuples.size() && out == end)
-      << tuples.size() << " tuples do not encode to the presized " << bytes
-      << " bytes";
-  return end;
+  if (written != tuples.size() || stray != 0) {
+    serde_internal::FailTupleEncode(tuples.size(), written, stray, run);
+  }
+  return out;
+}
+
+/// Writes `tuples`, one run, at `out` as its run header and then its
+/// tuples by EncodeTuplesAt, and returns the byte after them; nothing at or
+/// past `end` is written. A non-empty `tuples` that is not one run, or a
+/// header that does not fit before `end`, is a fatal check.
+inline char* EncodeTupleRunAt(std::span<const Tuple> tuples, char* out,
+                              const char* end) {
+  if (tuples.empty() || static_cast<size_t>(end - out) < kRunHeaderBytes) {
+    serde_internal::FailRunEncode(tuples.size(), 1);
+  }
+  const Tuple& head = tuples.front();
+  out = StoreAt(out, head.producer);
+  out = StoreAt(out, static_cast<uint32_t>(tuples.size()));
+  out = StoreAt(out, head.batch);
+  out = StoreAt(out, head.seq);
+  return EncodeTuplesAt(tuples, TupleRun{head.producer, head.batch, head.seq},
+                        out, end);
+}
+
+/// Writes `tuples` at `out` as `runs` runs by EncodeTupleRunAt and returns
+/// the byte after them; nothing at or past `end` is written. `runs` is the
+/// number of maximal runs in `tuples`, which callers keep with their
+/// tuples (WindowSlice::runs): the last run takes every tuple left without
+/// a search for its end, so a single run is written with no comparison
+/// between tuples. A `runs` that is not the run count is a fatal check.
+inline char* EncodeRunsAt(std::span<const Tuple> tuples, size_t runs,
+                          char* out, const char* end) {
+  if (runs == 1) {
+    return EncodeTupleRunAt(tuples, out, end);
+  }
+  if ((runs == 0) != tuples.empty()) {
+    serde_internal::FailRunEncode(tuples.size(), runs);
+  }
+  size_t first = 0;
+  for (size_t r = 1; r < runs && first < tuples.size(); ++r) {
+    size_t last = first + 1;
+    while (last < tuples.size() &&
+           ContinuesRun(tuples[last - 1], tuples[last])) {
+      ++last;
+    }
+    out = EncodeTupleRunAt(tuples.subspan(first, last - first), out, end);
+    first = last;
+  }
+  return runs == 0 ? out : EncodeTupleRunAt(tuples.subspan(first), out, end);
 }
 
 /// A checkpoint encode runs in at most kMaxEncodeParts parts of at least
-/// kMinEncodePartBytes each, so a blob under 128 KiB is one inline part.
+/// kMinEncodePartBytes each, so a blob under 40 KiB is one inline part.
+/// A part covers about 1,500 Fig. 6 tuples, at about 13 bytes each (a
+/// 3.9-byte key on average, plus kTupleFixedBytes): the tuple count a part
+/// covered when a tuple took 44 bytes and the floor was 64 KiB, so a part
+/// does as many tuple reads as it did then.
 inline constexpr size_t kMaxEncodeParts = 16;
-inline constexpr size_t kMinEncodePartBytes = size_t{64} << 10;
-
-/// One record of an encoded run: `words` header words, then `*tuples`.
-/// `bytes` is the whole record's encoded size, header included, which the
-/// caller keeps with the record, so a run is split without reading a tuple.
-struct EncodedRecord {
-  std::array<int64_t, 4> header{};
-  size_t words = 0;
-  const std::vector<Tuple>* tuples = nullptr;
-  size_t bytes = 0;
-};
+inline constexpr size_t kMinEncodePartBytes = size_t{20} << 10;
 
 namespace serde_internal {
 
 /// The parts of one EncodeRunAt call, planned from the cached sizes.
-template <typename It, typename RecordFn>
+template <typename It, typename BytesFn, typename WriteFn>
 class RunEncoder {
  public:
   RunEncoder(std::string_view head, char* head_out, It first, It last,
-             size_t records_bytes, char* records_out, const RecordFn& record)
+             size_t records_bytes, char* records_out, const BytesFn& bytes_of,
+             const WriteFn& write)
       : head_(head),
         head_out_(head_out),
         records_out_(records_out),
-        record_(record) {
+        bytes_of_(bytes_of),
+        write_(write) {
     const size_t total = head.size() + records_bytes;
     n_ = std::clamp<size_t>(total / kMinEncodePartBytes, 1, kMaxEncodeParts);
     // Part k covers bytes [k * total / n, (k + 1) * total / n) of the run:
@@ -139,13 +231,16 @@ class RunEncoder {
         parts_[++k].first = it;
         parts_[k].offset = offset;
       }
-      offset += record(*it).bytes;
+      offset += bytes_of(*it);
     }
     parts_[k].last = last;
     while (++k < n_) {  // parts that start past the last record
       parts_[k].first = last;
       parts_[k].last = last;
       parts_[k].offset = offset;
+    }
+    for (k = 0; k < n_; ++k) {
+      parts_[k].end = k + 1 < n_ ? parts_[k + 1].offset : offset;
     }
     PPA_CHECK(offset == records_bytes)
         << "records encode to " << offset << " bytes, presized "
@@ -161,13 +256,19 @@ class RunEncoder {
       std::memcpy(head_out_ + p.head_begin, head_.data() + p.head_begin,
                   p.head_end - p.head_begin);
     }
+    // A record may store past its own end up to the part's: the next
+    // record of the part overwrites those bytes, and no other part owns
+    // them.
     char* out = records_out_ + p.offset;
+    const char* const part_end = records_out_ + p.end;
     for (It it = p.first; it != p.last; ++it) {
-      const EncodedRecord r = record_(*it);
-      const size_t header_bytes = r.words * sizeof(int64_t);
-      std::memcpy(out, r.header.data(), header_bytes);
-      out = EncodeTuplesAt(*r.tuples, r.bytes - header_bytes,
-                           out + header_bytes);
+      char* const end = out + bytes_of_(*it);
+      const char* const written = write_(*it, out, part_end);
+      PPA_CHECK(written == end)
+          << "a record of " << (written - out)
+          << " bytes does not encode to the presized " << (end - out)
+          << " bytes";
+      out = end;
     }
   }
 
@@ -177,37 +278,45 @@ class RunEncoder {
     size_t head_end = 0;
     It first{};
     It last{};
-    /// Where `first` starts, from records_out_.
+    /// Where `first` starts and where the part's records end, from
+    /// records_out_.
     size_t offset = 0;
+    size_t end = 0;
   };
 
   std::string_view head_;
   char* head_out_;
   char* records_out_;
-  const RecordFn& record_;
+  const BytesFn& bytes_of_;
+  const WriteFn& write_;
   size_t n_ = 1;
   std::array<Part, kMaxEncodeParts> parts_{};
 };
 
 }  // namespace serde_internal
 
-/// Encodes one run into presized storage, in up to kMaxEncodeParts
-/// ParallelFor parts: `head` is copied to `head_out`, and the records
-/// [first, last) are written back to back from `records_out`, each as
-/// `record(*it)` describes it. `records_bytes` is their total cached size;
-/// with head.size() it fixes the number of parts, and one walk over the
-/// cached sizes (no tuple is read) gives each part its byte range, so the
-/// parts write disjoint bytes and may run on any thread. On the sim, and
-/// wherever ParallelFor is a plain loop, the parts run inline in index
-/// order; the bytes are the same either way. Allocates nothing: the parts
-/// table is on the stack. Records that do not add up to `records_bytes`
-/// are a fatal check.
-template <typename It, typename RecordFn>
+/// Encodes one run of records into presized storage, in up to
+/// kMaxEncodeParts ParallelFor parts: `head` is copied to `head_out`, and
+/// the records [first, last) are written back to back from `records_out`,
+/// each by `write(*it, out, limit)`, which returns the byte after the
+/// record and may store scratch bytes past it but not at or past `limit`,
+/// the end of the records its part writes. `bytes_of(*it)` is the
+/// record's cached size,
+/// and `records_bytes` their total; with head.size() it fixes the number
+/// of parts, and one walk over the cached sizes (no tuple is read) gives
+/// each part its byte range, so the parts write disjoint bytes and may run
+/// on any thread. On the sim, and wherever ParallelFor is a plain loop,
+/// the parts run inline in index order; the bytes are the same either
+/// way. Allocates nothing: the parts table is on the stack. Records that
+/// do not add up to `records_bytes`, or one that does not fill its cached
+/// size exactly, are a fatal check.
+template <typename It, typename BytesFn, typename WriteFn>
 void EncodeRunAt(std::string_view head, char* head_out, It first, It last,
                  size_t records_bytes, char* records_out,
-                 const RecordFn& record) {
-  const serde_internal::RunEncoder<It, RecordFn> run(
-      head, head_out, first, last, records_bytes, records_out, record);
+                 const BytesFn& bytes_of, const WriteFn& write) {
+  const serde_internal::RunEncoder<It, BytesFn, WriteFn> run(
+      head, head_out, first, last, records_bytes, records_out, bytes_of,
+      write);
   if (run.parts() == 1) {
     run.RunPart(0);
     return;
@@ -222,6 +331,8 @@ void EncodeRunAt(std::string_view head, char* head_out, It first, It last,
 /// outlive the process in this simulation).
 class BinaryWriter {
  public:
+  void PutU8(uint8_t v) { PutRaw(&v, sizeof(v)); }
+  void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
@@ -247,6 +358,11 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
+  StatusOr<uint32_t> GetU32() {
+    uint32_t v = 0;
+    PPA_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
+    return v;
+  }
   StatusOr<uint64_t> GetU64() {
     uint64_t v = 0;
     PPA_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
@@ -272,45 +388,64 @@ class BinaryReader {
     return s;
   }
 
-  /// Appends `count` tuples written by EncodeTuplesAt to `out`.
-  /// A count that cannot fit in the remaining bytes is rejected before
-  /// anything is reserved, so a corrupt count fails instead of allocating.
-  /// A stored key longer than TupleKey::kCapacity is OutOfRange, found
-  /// before its tuple is appended.
-  Status GetTuples(uint64_t count, std::vector<Tuple>* out) {
+  /// Appends `count` tuples written by EncodeTuplesAt to `out`, each with
+  /// the batch, seq and producer it derives from `run`. A count that
+  /// cannot fit in the remaining bytes at kTupleFixedBytes a tuple is
+  /// rejected before anything is reserved, so a corrupt count fails
+  /// instead of allocating. A stored key longer than TupleKey::kCapacity is
+  /// OutOfRange, found before its tuple is appended.
+  Status GetTuples(uint64_t count, const TupleRun& run,
+                   std::vector<Tuple>* out) {
     if (count > remaining() / kTupleFixedBytes) {
       return OutOfRange("tuple count exceeds buffer");
     }
     out->reserve(out->size() + count);
-    for (uint64_t i = 0; i < count; ++i) {
-      // The key length and the fixed fields must fit, then the key.
-      const size_t left = remaining();
-      uint64_t key_size = 0;
-      if (left >= kTupleFixedBytes) {
-        std::memcpy(&key_size, data_.data() + pos_, sizeof(key_size));
+    return AppendTuples(count, run, out);
+  }
+
+  /// Appends `count` tuples written by EncodeRunsAt as `runs` runs to
+  /// `out`. OutOfRange, before anything is reserved: no runs for a
+  /// non-empty count, more runs than tuples, or run headers and tuples that
+  /// cannot fit in the remaining bytes. Then OutOfRange: a truncated run
+  /// header, a run of no tuples or of more than the count has left, runs
+  /// that cover fewer than `count` tuples, and what GetTuples rejects.
+  Status GetRuns(uint64_t count, uint64_t runs, std::vector<Tuple>* out) {
+    if ((runs == 0) != (count == 0) || runs > count) {
+      return serde_internal::RunsCannotHold(runs, count);
+    }
+    if (count > remaining() / kTupleFixedBytes ||
+        runs * kRunHeaderBytes > remaining() - count * kTupleFixedBytes) {
+      return OutOfRange("tuple runs exceed buffer");
+    }
+    out->reserve(out->size() + count);
+    uint64_t left = count;
+    for (uint64_t r = 0; r < runs; ++r) {
+      if (remaining() < kRunHeaderBytes) {
+        return OutOfRange("truncated run header");
       }
-      if (left < kTupleFixedBytes || key_size > left - kTupleFixedBytes) {
-        return OutOfRange("truncated tuple");
+      const char* in = data_.data() + pos_;
+      TupleRun run;
+      uint32_t n = 0;
+      std::memcpy(&run.producer, in, sizeof(run.producer));
+      std::memcpy(&n, in + 4, sizeof(n));
+      std::memcpy(&run.batch, in + 8, sizeof(run.batch));
+      std::memcpy(&run.first_seq, in + 16, sizeof(run.first_seq));
+      pos_ += kRunHeaderBytes;
+      if (n == 0 || n > left) {
+        return serde_internal::RunLongerThanLeft(n, left);
       }
-      if (key_size > TupleKey::kCapacity) {
-        return OutOfRange("stored tuple key of " + std::to_string(key_size) +
-                          " bytes exceeds " +
-                          std::to_string(TupleKey::kCapacity));
-      }
-      const char* in = data_.data() + pos_ + sizeof(key_size);
-      Tuple& t = out->emplace_back();
-      t.key = std::string_view(in, key_size);
-      in += key_size;
-      int64_t fixed[4] = {};
-      std::memcpy(fixed, in, sizeof(fixed));
-      t.value = fixed[0];
-      t.batch = fixed[1];
-      t.seq = static_cast<uint64_t>(fixed[2]);
-      t.producer = static_cast<TaskId>(fixed[3]);
-      pos_ += kTupleFixedBytes + key_size;
+      PPA_RETURN_IF_ERROR(AppendTuples(n, run, out));
+      left -= n;
+    }
+    if (left != 0) {
+      return serde_internal::RunsCoverTooFew(count - left, count);
     }
     return OkStatus();
   }
+
+  /// Copies the next `n` bytes to `p`: a fixed-width record header in one
+  /// bounds check. OutOfRange if fewer remain.
+  Status GetBytes(void* p, size_t n) { return GetRaw(p, n); }
 
   /// Bytes not yet consumed.
   [[nodiscard]] size_t remaining() const { return data_.size() - pos_; }
@@ -319,6 +454,34 @@ class BinaryReader {
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
 
  private:
+  /// GetTuples after its count guard, into reserved storage.
+  Status AppendTuples(uint64_t count, const TupleRun& run,
+                      std::vector<Tuple>* out) {
+    for (uint64_t i = 0; i < count; ++i) {
+      // The key length and the value must fit, then the key.
+      const size_t left = remaining();
+      if (left < kTupleFixedBytes) {
+        return OutOfRange("truncated tuple");
+      }
+      const char* in = data_.data() + pos_;
+      const size_t key_size = static_cast<uint8_t>(*in++);
+      if (key_size > TupleKey::kCapacity) {
+        return serde_internal::KeyOverCapacity(key_size);
+      }
+      if (key_size > left - kTupleFixedBytes) {
+        return OutOfRange("truncated tuple");
+      }
+      Tuple& t = out->emplace_back();
+      t.key = std::string_view(in, key_size);
+      std::memcpy(&t.value, in + key_size, sizeof(t.value));
+      t.batch = run.batch;
+      t.seq = run.first_seq + i;
+      t.producer = run.producer;
+      pos_ += kTupleFixedBytes + key_size;
+    }
+    return OkStatus();
+  }
+
   Status GetRaw(void* p, size_t n) {
     if (n > data_.size() - pos_) {
       return OutOfRange("truncated buffer");

@@ -25,30 +25,40 @@ constexpr size_t kMaxBatchBytes =
 static_assert(kMaxBatchBytes <= UINT32_MAX,
               "the largest encoded batch must fit BatchOutput::encoded_bytes");
 
-/// A buffered batch as a checkpoint encodes it: its header, then its
-/// tuples.
-constexpr auto kBatchRecord = [](const BatchOutput& b) {
-  return EncodedRecord{{b.batch, b.ingest_at.micros(), b.hops,
-                        static_cast<int64_t>(b.tuples.size())},
-                       kBatchHeaderBytes / sizeof(int64_t),
-                       &b.tuples,
-                       b.encoded_bytes};
-};
+/// The run of the batch `batch` that task `producer` emits: RunBatch
+/// stamps its tuple i with seq (batch << 24) + i (Sec. V-B).
+TupleRun BatchRun(TaskId producer, int64_t batch) {
+  return TupleRun{producer, batch, static_cast<uint64_t>(batch) << 24};
+}
 
-StatusOr<BatchOutput> GetBatch(BinaryReader* r) {
+/// Writes buffered batch `b` of task `producer` at `out`, storing nothing
+/// at or past `limit`: its header, then its tuples as the one run RunBatch
+/// stamped, which the reader derives.
+char* WriteBatchAt(TaskId producer, const BatchOutput& b, char* out,
+                   const char* limit) {
+  out = StoreAt(out, b.batch);
+  out = StoreAt(out, b.ingest_at.micros());
+  out = StoreAt(out, static_cast<int64_t>(b.hops));
+  out = StoreAt(out, static_cast<uint64_t>(b.tuples.size()));
+  return EncodeTuplesAt(b.tuples, BatchRun(producer, b.batch), out, limit);
+}
+
+/// Reads a buffered batch of task `producer` written by WriteBatchAt.
+StatusOr<BatchOutput> GetBatch(TaskId producer, BinaryReader* r) {
   const size_t start = r->remaining();
+  int64_t header[kBatchHeaderBytes / sizeof(int64_t)];
+  PPA_RETURN_IF_ERROR(r->GetBytes(header, sizeof(header)));
   BatchOutput b;
-  PPA_ASSIGN_OR_RETURN(b.batch, r->GetI64());
-  PPA_ASSIGN_OR_RETURN(int64_t ingest_us, r->GetI64());
-  b.ingest_at = TimePoint::FromMicros(ingest_us);
-  PPA_ASSIGN_OR_RETURN(int64_t hops, r->GetI64());
-  b.hops = static_cast<int32_t>(hops);
-  PPA_ASSIGN_OR_RETURN(uint64_t tuples, r->GetU64());
+  b.batch = header[0];
+  b.ingest_at = TimePoint::FromMicros(header[1]);
+  b.hops = static_cast<int32_t>(header[2]);
+  const auto tuples = static_cast<uint64_t>(header[3]);
   if (tuples > kMaxBatchTuples) {
     return OutOfRange("buffered batch of " + std::to_string(tuples) +
                       " tuples exceeds 2^24");
   }
-  PPA_RETURN_IF_ERROR(r->GetTuples(tuples, &b.tuples));
+  PPA_RETURN_IF_ERROR(
+      r->GetTuples(tuples, BatchRun(producer, b.batch), &b.tuples));
   b.encoded_bytes = static_cast<uint32_t>(start - r->remaining());
   return b;
 }
@@ -128,15 +138,16 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
   PPA_CHECK(produced.size() < kMaxBatchTuples)
       << "batch output too large for sequence encoding";
   size_t bytes = kBatchHeaderBytes + kTupleFixedBytes * produced.size();
+  // Deterministic per-batch sequence numbers: a replica or a
+  // reset-and-replayed task reproduces the exact sequence of the original
+  // run, so downstream duplicate elimination works across recoveries
+  // (Sec. V-B), and a checkpoint need not write them.
+  const TupleRun run = BatchRun(id_, batch);
   for (size_t i = 0; i < produced.size(); ++i) {
     Tuple& t = produced[i];
-    t.batch = batch;
-    // Deterministic per-batch sequence numbers: a replica or a
-    // reset-and-replayed task reproduces the exact sequence of the
-    // original run, so downstream duplicate elimination works across
-    // recoveries (Sec. V-B).
-    t.seq = (static_cast<uint64_t>(batch) << 24) + i;
-    t.producer = id_;
+    t.batch = run.batch;
+    t.seq = run.first_seq + i;
+    t.producer = run.producer;
     bytes += t.key.size();
   }
   emitted_tuples_ += static_cast<int64_t>(produced.size());
@@ -233,8 +244,12 @@ std::string TaskRuntime::EncodeCheckpoint(const std::string& op_blob,
     PPA_CHECK(written == bytes)
         << topology_->TaskLabel(id_) << " checkpoint is " << written
         << " bytes, presized " << bytes;
-    EncodeRunAt(op_blob, op_out, first, output_buffer_.cend(), buffer_bytes,
-                out, kBatchRecord);
+    EncodeRunAt(
+        op_blob, op_out, first, output_buffer_.cend(), buffer_bytes, out,
+        [](const BatchOutput& b) -> size_t { return b.encoded_bytes; },
+        [this](const BatchOutput& b, char* at, const char* limit) {
+          return WriteBatchAt(id_, b, at, limit);
+        });
   });
   buffer_frozen_ = was_frozen;
   for (auto it = first; it != output_buffer_.cend(); ++it) {
@@ -265,12 +280,16 @@ Status TaskRuntime::DecodeCheckpoint(const std::string& blob, bool delta) {
   } else {
     if (op_ != nullptr) {
       PPA_RETURN_IF_ERROR(op_->RestoreState(op_blob));
+    } else if (!op_blob.empty()) {
+      return InvalidArgument("source task checkpoint carries " +
+                             std::to_string(op_blob.size()) +
+                             " bytes of operator state");
     }
     ClearOutputBuffer();
   }
   PPA_ASSIGN_OR_RETURN(uint64_t batches, r.GetU64());
   for (uint64_t i = 0; i < batches; ++i) {
-    PPA_ASSIGN_OR_RETURN(BatchOutput b, GetBatch(&r));
+    PPA_ASSIGN_OR_RETURN(BatchOutput b, GetBatch(id_, &r));
     if (!output_buffer_.empty() && b.batch <= output_buffer_.back().batch) {
       return InvalidArgument("checkpoint buffer batches out of order");
     }

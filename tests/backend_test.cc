@@ -787,7 +787,7 @@ TEST(LevelForkParity, ParallelSinkOperatorMatchesTheSim) {
 
 /// The Fig. 6 O1 task's shape: two producers send 2000 tuples each per
 /// batch into a 10-batch window with selectivity 0.5, so its window
-/// (~1.8 MB) and its buffered output (~0.9 MB) each encode in several
+/// (~0.5 MB) and its buffered output (~0.26 MB) each encode in several
 /// parts.
 constexpr int64_t kO1Window = 10;
 

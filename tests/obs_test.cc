@@ -518,7 +518,7 @@ TEST(ObsIntegrationTest, FidelitySeriesAndFlightRecordGolden) {
   EXPECT_EQ(flight.Find("recorded")->AsInt(), 190);
   const std::string text = flight.Serialize();
   EXPECT_EQ(text.size(), 15697u);
-  EXPECT_EQ(Fnv1a64(text), 0x429fb4d0a69afd83ULL);
+  EXPECT_EQ(Fnv1a64(text), 0xf89327e8083e5f4bULL);
 }
 
 // Pins the whole metrics registry of the failure scenario, exact and
@@ -531,8 +531,8 @@ TEST(ObsIntegrationTest, MetricsRegistryGolden) {
     uint64_t hash;
   };
   const Case cases[] = {
-      {af::RecoveryMode::kPpa, 3053u, 0xaba840150bce6c09ULL},
-      {af::RecoveryMode::kApprox, 3194u, 0xecefb68afdd13612ULL},
+      {af::RecoveryMode::kPpa, 3039u, 0x5cc2a322597adbb0ULL},
+      {af::RecoveryMode::kApprox, 3180u, 0x3caef45635b9e6c5ULL},
   };
   for (const Case& c : cases) {
     JobHarness h(/*observability=*/true, c.mode);
