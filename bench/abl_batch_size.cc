@@ -11,67 +11,28 @@
 #include "bench/bench_util.h"
 #include "bench/driver.h"
 
-namespace {
-
-using namespace ppa;
-
-struct CellResult {
-  double recovery_seconds = 0.0;
-  double cpu_ratio = 0.0;
-  JsonValue metrics;
-  JsonValue chrome_trace;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace ppa;
   bench::Driver driver = bench::Driver::FromArgs(&argc, argv);
 
   const double batch_intervals[] = {0.25, 0.5, 1.0, 2.0};
-  const bool want_obs =
-      driver.metrics().enabled() || driver.traces().enabled();
-  std::vector<CellResult> results = driver.Map<CellResult>(
+  const backend::BackendKind backend_kind = driver.backend_kind();
+  std::vector<bench::Fig6Result> results = driver.Map<bench::Fig6Result>(
       static_cast<int>(std::size(batch_intervals)),
-      [&batch_intervals, want_obs](int i) {
+      [&batch_intervals, backend_kind](int i) {
         const double batch_seconds = batch_intervals[i];
-        // A single-node failure on the Fig. 6 workload, checkpoint mode.
-        auto workload = MakeSyntheticRecoveryWorkload(
-            /*rate_per_source_task=*/1000.0,
-            /*window_batches=*/static_cast<int64_t>(10.0 / batch_seconds));
-        PPA_CHECK_OK(workload.status());
-        auto be = backend::MakeBackend(backend::BackendKind::kSim);
-        JobConfig config = bench::PaperJobConfig(FtMode::kCheckpoint);
-        config.batch_interval = Duration::Seconds(batch_seconds);
-        config.checkpoint_interval = Duration::Seconds(15);
-        StreamingJob job(workload->topo, config, JobRuntimeDeps(be.get()));
-        PPA_CHECK_OK(BindSyntheticRecoveryWorkload(*workload, &job));
-        auto nodes = PlaceSyntheticRecoveryWorkload(*workload, &job);
-        PPA_CHECK_OK(nodes.status());
-        PPA_CHECK_OK(job.Start());
-        be->RunUntil(TimePoint::Zero() + Duration::Seconds(40.4));
-        PPA_CHECK_OK(job.InjectNodeFailure((*nodes)[4]));
-        be->RunUntil(TimePoint::Zero() + Duration::Seconds(70));
-        PPA_CHECK(job.recovery_reports().size() == 1);
-        CellResult cell;
-        cell.recovery_seconds =
-            job.recovery_reports()[0].TotalLatency().seconds();
-        double ratio = 0;
-        int counted = 0;
-        for (OperatorId op :
-             {workload->o1, workload->o2, workload->o3, workload->o4}) {
-          for (TaskId t : workload->topo.op(op).tasks) {
-            if (job.ProcessingCostUs(t) > 0) {
-              ratio += job.CheckpointCostUs(t) / job.ProcessingCostUs(t);
-              ++counted;
-            }
-          }
-        }
-        cell.cpu_ratio = counted > 0 ? ratio / counted : 0.0;
-        if (want_obs) {
-          cell.metrics = obs::MetricsToJson(job.metrics());
-          cell.chrome_trace = JobChromeTraceToJson(job);
-        }
-        return cell;
+        // A single-node failure on the Fig. 6 workload, checkpoint mode,
+        // with a 10 s window at every batch size.
+        bench::Fig6Options options;
+        options.config.batch_interval = Duration::Seconds(batch_seconds);
+        options.config.window_batches =
+            static_cast<int64_t>(10.0 / batch_seconds);
+        options.fail_at_seconds = 40.4;
+        StatusOr<bench::Fig6Run> run =
+            bench::RunFig6Drill(options, backend_kind);
+        PPA_CHECK_OK(run.status());
+        PPA_CHECK(run->job->recovery_reports().size() == 1);
+        return bench::Fig6ResultOf(*run);
       });
 
   std::printf(
@@ -79,9 +40,9 @@ int main(int argc, char** argv) {
   std::printf("%-16s %16s %16s\n", "batch interval", "recovery (s)",
               "cp CPU ratio");
   for (size_t i = 0; i < std::size(batch_intervals); ++i) {
-    CellResult& cell = results[i];
+    bench::Fig6Result& cell = results[i];
     std::printf("%-16.2f %16.2f %16.3f\n", batch_intervals[i],
-                cell.recovery_seconds, cell.cpu_ratio);
+                cell.total_latency.seconds(), cell.checkpoint_cpu_ratio);
     char label[64];
     std::snprintf(label, sizeof(label), "batch%.2fs", batch_intervals[i]);
     driver.metrics().Add(label, std::move(cell.metrics));

@@ -5,7 +5,6 @@
 // source replay) costs instead.
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -17,47 +16,36 @@ using namespace ppa;
 
 struct CellResult {
   int64_t peak_buffered = 0;
-  JsonValue metrics;
-  JsonValue chrome_trace;
+  bench::Fig6Result run;
 };
 
-CellResult RunOne(FtMode mode, int interval_seconds, bool want_obs) {
-  auto workload = MakeSyntheticRecoveryWorkload(1000.0, 30);
-  PPA_CHECK_OK(workload.status());
-  auto be = backend::MakeBackend(backend::BackendKind::kSim);
-  JobConfig config = bench::PaperJobConfig(mode);
-  config.checkpoint_interval = Duration::Seconds(interval_seconds);
-  StreamingJob job(workload->topo, config, JobRuntimeDeps(be.get()));
-  PPA_CHECK_OK(BindSyntheticRecoveryWorkload(*workload, &job));
-  PPA_CHECK_OK(PlaceSyntheticRecoveryWorkload(*workload, &job).status());
-  PPA_CHECK_OK(job.Start());
-  be->RunUntil(TimePoint::Zero() + Duration::Seconds(90));
-  CellResult cell;
-  cell.peak_buffered = job.PeakBufferedTuples();
-  if (want_obs) {
-    cell.metrics = obs::MetricsToJson(job.metrics());
-    cell.chrome_trace = JobChromeTraceToJson(job);
-  }
-  return cell;
+/// A failure-free 90 s run of the Fig. 6 workload, window 30 s.
+CellResult RunOne(FtMode mode, int interval_seconds,
+                  backend::BackendKind backend_kind) {
+  bench::Fig6Options options;
+  options.config = bench::PaperJobConfig(mode);
+  options.config.checkpoint_interval = Duration::Seconds(interval_seconds);
+  options.inject_failure = false;
+  options.run_for_seconds = 90.0;
+  StatusOr<bench::Fig6Run> run = bench::RunFig6Drill(options, backend_kind);
+  PPA_CHECK_OK(run.status());
+  return CellResult{run->job->PeakBufferedTuples(), bench::Fig6ResultOf(*run)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace ppa;
-
   bench::Driver driver = bench::Driver::FromArgs(&argc, argv);
 
   const int intervals[] = {2, 5, 15, 30};
-  const bool want_obs =
-      driver.metrics().enabled() || driver.traces().enabled();
+  const backend::BackendKind backend_kind = driver.backend_kind();
   // Cells 0-3: checkpoint mode per interval; cell 4: Storm source replay.
   std::vector<CellResult> results = driver.Map<CellResult>(
-      5, [&intervals, want_obs](int i) {
+      5, [&intervals, backend_kind](int i) {
         if (i < 4) {
-          return RunOne(FtMode::kCheckpoint, intervals[i], want_obs);
+          return RunOne(FtMode::kCheckpoint, intervals[i], backend_kind);
         }
-        return RunOne(FtMode::kSourceReplay, 15, want_obs);
+        return RunOne(FtMode::kSourceReplay, 15, backend_kind);
       });
 
   std::printf(
@@ -68,13 +56,13 @@ int main(int argc, char** argv) {
     char label[64];
     std::snprintf(label, sizeof(label), "checkpoint every %ds",
                   intervals[i]);
-    driver.metrics().Add(label, std::move(results[i].metrics));
-    driver.traces().Capture(std::move(results[i].chrome_trace));
+    driver.metrics().Add(label, std::move(results[i].run.metrics));
+    driver.traces().Capture(std::move(results[i].run.chrome_trace));
     std::printf("%-24s %18lld\n", label,
                 static_cast<long long>(results[i].peak_buffered));
   }
-  driver.metrics().Add("source replay", std::move(results[4].metrics));
-  driver.traces().Capture(std::move(results[4].chrome_trace));
+  driver.metrics().Add("source replay", std::move(results[4].run.metrics));
+  driver.traces().Capture(std::move(results[4].run.chrome_trace));
   std::printf("%-24s %18lld\n", "source replay (Storm)",
               static_cast<long long>(results[4].peak_buffered));
   std::printf(

@@ -12,23 +12,14 @@
 #include "common/status_or.h"
 #include "obs/chrome_trace.h"
 #include "obs/export.h"
+#include "planner/structure_aware_planner.h"
 #include "report/experiment_report.h"
 #include "report/json.h"
 #include "runtime/streaming_job.h"
-#include "topology/task_set.h"
 #include "workloads/synthetic_recovery.h"
 
 namespace ppa {
 namespace bench {
-
-/// Recovery cost model calibrated so the simulated latencies land in the
-/// same range as the paper's EC2 measurements (see EXPERIMENTS.md):
-/// a recovering task reprocesses ~2000 tuples/s, restarting on a standby
-/// node costs ~1s, and neighbouring recoveries synchronize with a 250 ms
-/// handshake.
-inline RecoveryCostModel PaperCostModel() {
-  return JobConfig::CheckpointDefaults().recovery;
-}
 
 /// Job configuration matching the paper's cluster setup: 5 s heartbeat
 /// failure detection, 1 s batches (= the 1 s sliding step), 19 worker
@@ -40,25 +31,22 @@ inline JobConfig PaperJobConfig(FtMode mode) {
   return config;
 }
 
-/// One recovery experiment on the Fig. 6 workload.
-struct Fig6Result {
-  Duration total_latency;
-  Duration active_latency;
-  Duration passive_latency;
-  /// Checkpoint CPU / processing CPU ratio, averaged over the synthetic
-  /// tasks (Fig. 9).
-  double checkpoint_cpu_ratio = 0.0;
-  /// Metrics snapshot of the run (obs::MetricsToJson); the last
-  /// repetition's snapshot when RunFig6 averages over several.
-  JsonValue metrics;
-  /// Chrome/Perfetto Trace Event Format document of the run (the last
-  /// repetition's when averaging). Load in chrome://tracing or
-  /// https://ui.perfetto.dev.
-  JsonValue chrome_trace;
-  /// OF/IC fidelity timeseries sampled during tentative windows
-  /// (obs::FidelityTimeseriesToJson; empty array without failures).
-  JsonValue fidelity;
-};
+/// Writes `document` pretty-printed, newline-terminated, to `path`
+/// (truncates). A failed open, write or close is an Internal error, so a
+/// full disk is reported instead of leaving a truncated file behind.
+inline Status WriteJsonDocument(const std::string& path,
+                                const JsonValue& document) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Internal("cannot open '" + path + "' for writing");
+  }
+  const std::string text = document.Pretty() + "\n";
+  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  if (std::fclose(f) != 0 || written != text.size()) {
+    return Internal("short write to '" + path + "'");
+  }
+  return OkStatus();
+}
 
 /// Collects labeled metrics snapshots from benchmark runs and writes them
 /// as one JSON document. Constructed with an empty path (the default when
@@ -83,13 +71,6 @@ class BenchMetricsSink {
     runs_.Append(std::move(run));
   }
 
-  /// Convenience: snapshot a live job's registry.
-  void Add(std::string label, const StreamingJob& job) {
-    if (enabled()) {
-      Add(std::move(label), obs::MetricsToJson(job.metrics()));
-    }
-  }
-
   /// Records one labeled snapshot together with its fidelity timeseries
   /// (stored under "fidelity_timeseries" beside "metrics").
   void Add(std::string label, JsonValue snapshot, JsonValue fidelity) {
@@ -105,7 +86,7 @@ class BenchMetricsSink {
 
   /// Writes {"benchmark":...,"runs":[...]} to the configured path.
   /// Returns false (after printing to stderr) if the file cannot be
-  /// written; true otherwise, including when disabled.
+  /// written in full; true otherwise, including when disabled.
   bool Write(std::string_view benchmark) {
     if (!enabled()) {
       return true;
@@ -114,15 +95,11 @@ class BenchMetricsSink {
     doc.Set("benchmark", std::string(benchmark));
     doc.Set("runs", std::move(runs_));
     runs_ = JsonValue::Array();
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write metrics to %s\n", path_.c_str());
+    if (Status written = WriteJsonDocument(path_, doc); !written.ok()) {
+      std::fprintf(stderr, "cannot write metrics to %s: %s\n", path_.c_str(),
+                   written.ToString().c_str());
       return false;
     }
-    const std::string text = doc.Pretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
     std::printf("metrics snapshot written to %s\n", path_.c_str());
     return true;
   }
@@ -162,22 +139,17 @@ class JsonDocumentSink {
   }
 
   /// Writes the captured document (or the fallback) to the configured
-  /// path. Returns false after printing to stderr on filesystem errors;
-  /// true otherwise, including when disabled.
+  /// path. Returns false after printing to stderr when the file cannot be
+  /// written in full; true otherwise, including when disabled.
   bool Write() {
     if (!enabled()) {
       return true;
     }
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s to %s\n", label_.c_str(),
-                   path_.c_str());
+    if (Status written = WriteJsonDocument(path_, document_); !written.ok()) {
+      std::fprintf(stderr, "cannot write %s to %s: %s\n", label_.c_str(),
+                   path_.c_str(), written.ToString().c_str());
       return false;
     }
-    const std::string text = document_.Pretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
     std::printf("%s written to %s%s\n", label_.c_str(), path_.c_str(),
                 hint_.c_str());
     return true;
@@ -191,58 +163,72 @@ class JsonDocumentSink {
   JsonValue document_;
 };
 
+/// The Fig. 6 recovery drill: the synthetic workload, placed the paper's
+/// way, runs to `fail_at_seconds`, loses one synthetic node or all 15 of
+/// them, and runs on to `run_for_seconds`.
 struct Fig6Options {
-  FtMode mode = FtMode::kCheckpoint;
+  /// Job configuration (PaperJobConfig plus the caller's intervals).
+  /// Its `window_batches` is also the synthetic operators' window (the
+  /// paper's 10 s / 30 s).
+  JobConfig config = PaperJobConfig(FtMode::kCheckpoint);
   /// Per-source-task rate (the paper's 1000 / 2000 tuples/s).
   double rate_per_task = 1000.0;
-  /// Window interval in batches (the paper's 10 s / 30 s).
-  int64_t window_batches = 10;
-  Duration checkpoint_interval = Duration::Seconds(15);
-  Duration replica_sync_interval = Duration::Seconds(5);
   /// Correlated failure (all 15 synthetic nodes) vs a single node.
   bool correlated = false;
   /// Which synthetic node index (0..14) fails in the single-node case.
   int single_node_index = 4;
-  /// PPA: subset of tasks with active replicas (nullptr = per mode).
-  const TaskSet* active_set = nullptr;
+  /// PPA: share of the tasks the structure-aware planner replicates
+  /// actively (budget = share x task count, rounded down; the paper's
+  /// PPA-1.0 / PPA-0.5 / PPA-0). Negative: no plan is set.
+  double replica_share = -1.0;
   double fail_at_seconds = 40.0;
   double run_for_seconds = 70.0;
   /// Skip the failure entirely (Fig. 9 measures steady-state CPU).
   bool inject_failure = true;
-  /// Latencies are averaged over this many failure instants spread across
-  /// the technique's relevant period (checkpoint age / replica sync age is
-  /// otherwise sampled at a single arbitrary phase).
+  /// RunFig6 averages the latencies over this many failure instants
+  /// spread across the technique's relevant period (checkpoint age /
+  /// replica sync age is otherwise sampled at a single arbitrary phase).
   int repetitions = 3;
-  /// Execution substrate the experiment runs on (bench::Driver's
-  /// --backend flag; virtual-time results are backend-independent by the
-  /// parity contract, but wall-clock cost is not).
-  backend::BackendKind backend = backend::BackendKind::kSim;
 };
 
-namespace internal {
+/// One finished run of the Fig. 6 drill, kept whole so callers read what
+/// they need. The job is declared after the backend it runs on, so it is
+/// destroyed first.
+struct Fig6Run {
+  SyntheticRecoveryWorkload workload;
+  std::unique_ptr<backend::ExecutionBackend> backend;
+  std::unique_ptr<StreamingJob> job;
+};
 
-/// Runs one instance of the Fig. 6 experiment with a fixed failure time.
-inline StatusOr<Fig6Result> RunFig6Once(const Fig6Options& options) {
-  PPA_ASSIGN_OR_RETURN(
-      SyntheticRecoveryWorkload workload,
-      MakeSyntheticRecoveryWorkload(options.rate_per_task,
-                                    options.window_batches));
-  std::unique_ptr<backend::ExecutionBackend> be =
-      backend::MakeBackend(options.backend);
-  JobConfig config = PaperJobConfig(options.mode);
-  config.checkpoint_interval = options.checkpoint_interval;
-  config.replica_sync_interval = options.replica_sync_interval;
-  config.window_batches = options.window_batches;
-  StreamingJob job(workload.topo, config, JobRuntimeDeps(be.get()));
-  PPA_RETURN_IF_ERROR(BindSyntheticRecoveryWorkload(workload, &job));
+/// Runs the drill once, at `options.fail_at_seconds`, on a fresh backend
+/// of kind `backend_kind` (bench::Driver::backend_kind()). The only code
+/// in bench/ that builds, places, fails and runs the Fig. 6 job.
+inline StatusOr<Fig6Run> RunFig6Drill(const Fig6Options& options,
+                                      backend::BackendKind backend_kind) {
+  const JobConfig& config = options.config;
+  Fig6Run run;
+  PPA_ASSIGN_OR_RETURN(run.workload,
+                       MakeSyntheticRecoveryWorkload(options.rate_per_task,
+                                                     config.window_batches));
+  run.backend = backend::MakeBackend(backend_kind);
+  run.job = std::make_unique<StreamingJob>(run.workload.topo, config,
+                                           JobRuntimeDeps(run.backend.get()));
+  StreamingJob& job = *run.job;
+  PPA_RETURN_IF_ERROR(BindSyntheticRecoveryWorkload(run.workload, &job));
   PPA_ASSIGN_OR_RETURN(std::vector<int> synthetic_nodes,
-                       PlaceSyntheticRecoveryWorkload(workload, &job));
-  if (options.active_set != nullptr) {
-    PPA_RETURN_IF_ERROR(job.SetActiveReplicaSet(*options.active_set));
+                       PlaceSyntheticRecoveryWorkload(run.workload, &job));
+  if (options.replica_share >= 0) {
+    const Topology& topo = run.workload.topo;
+    const int budget =
+        static_cast<int>(options.replica_share * topo.num_tasks());
+    StructureAwarePlanner planner;
+    PPA_ASSIGN_OR_RETURN(ReplicationPlan plan,
+                         planner.Plan(PlanRequest(topo, budget)));
+    PPA_RETURN_IF_ERROR(job.SetActiveReplicaSet(plan.replicated));
   }
   PPA_RETURN_IF_ERROR(job.Start());
-  be->RunUntil(TimePoint::Zero() +
-               Duration::Seconds(options.fail_at_seconds));
+  run.backend->RunUntil(TimePoint::Zero() +
+                        Duration::Seconds(options.fail_at_seconds));
   if (options.inject_failure) {
     if (options.correlated) {
       for (int node : synthetic_nodes) {
@@ -253,14 +239,38 @@ inline StatusOr<Fig6Result> RunFig6Once(const Fig6Options& options) {
           synthetic_nodes[static_cast<size_t>(options.single_node_index)]));
     }
   }
-  be->RunUntil(TimePoint::Zero() +
-               Duration::Seconds(options.run_for_seconds));
+  run.backend->RunUntil(TimePoint::Zero() +
+                        Duration::Seconds(options.run_for_seconds));
+  return run;
+}
 
+/// What the paper's recovery figures read from one drill.
+struct Fig6Result {
+  /// Latencies of the run's first recovery (zero without a failure).
+  Duration total_latency;
+  Duration active_latency;
+  Duration passive_latency;
+  /// Checkpoint CPU / processing CPU ratio, averaged over the synthetic
+  /// tasks (Fig. 9).
+  double checkpoint_cpu_ratio = 0.0;
+  /// Metrics snapshot of the run (obs::MetricsToJson); the last
+  /// repetition's snapshot when RunFig6 averages over several.
+  JsonValue metrics;
+  /// Chrome/Perfetto Trace Event Format document of the run (the last
+  /// repetition's when averaging). Load in chrome://tracing or
+  /// https://ui.perfetto.dev.
+  JsonValue chrome_trace;
+  /// OF/IC fidelity timeseries sampled during tentative windows
+  /// (obs::FidelityTimeseriesToJson; empty array without failures).
+  JsonValue fidelity;
+};
+
+/// The Fig6Result of one finished drill.
+inline Fig6Result Fig6ResultOf(const Fig6Run& run) {
+  const StreamingJob& job = *run.job;
+  const SyntheticRecoveryWorkload& workload = run.workload;
   Fig6Result result;
-  if (options.inject_failure) {
-    if (job.recovery_reports().empty()) {
-      return Internal("no recovery report produced");
-    }
+  if (!job.recovery_reports().empty()) {
     const RecoveryReport& report = job.recovery_reports()[0];
     result.total_latency = report.TotalLatency();
     result.active_latency = report.ActiveLatency();
@@ -279,31 +289,32 @@ inline StatusOr<Fig6Result> RunFig6Once(const Fig6Options& options) {
   result.checkpoint_cpu_ratio = counted > 0 ? ratio / counted : 0.0;
   result.metrics = obs::MetricsToJson(job.metrics());
   result.chrome_trace = JobChromeTraceToJson(job);
-  const Topology* topo = &job.topology();
   result.fidelity = obs::FidelityTimeseriesToJson(
-      job.fidelity_timeseries(), [topo](int64_t t) {
-        if (t < 0 || t >= topo->num_tasks()) {
-          return std::to_string(t);
-        }
-        return topo->TaskLabel(static_cast<TaskId>(t));
-      });
+      job.fidelity_timeseries(), MakeTaskLabeler(&job.topology()));
   return result;
 }
 
-}  // namespace internal
-
-/// Runs the Fig. 6 synthetic recovery workload, averaging the latencies
-/// over `repetitions` failure phases.
-inline StatusOr<Fig6Result> RunFig6(const Fig6Options& options) {
+/// Runs the drill on `backend_kind`, averaging the latencies and the CPU
+/// ratio over `options.repetitions` failure phases. A run that injected a
+/// failure but recorded no recovery is an Internal error.
+inline StatusOr<Fig6Result> RunFig6(const Fig6Options& options,
+                                    backend::BackendKind backend_kind) {
+  auto run_once = [&](const Fig6Options& rep) -> StatusOr<Fig6Result> {
+    PPA_ASSIGN_OR_RETURN(Fig6Run run, RunFig6Drill(rep, backend_kind));
+    if (rep.inject_failure && run.job->recovery_reports().empty()) {
+      return Internal("no recovery report produced");
+    }
+    return Fig6ResultOf(run);
+  };
   if (!options.inject_failure || options.repetitions <= 1) {
-    return internal::RunFig6Once(options);
+    return run_once(options);
   }
   // The period whose phase matters for this technique.
-  Duration period = options.checkpoint_interval;
-  if (options.mode == FtMode::kActiveReplication) {
-    period = options.replica_sync_interval;
-  } else if (options.mode == FtMode::kSourceReplay) {
-    period = Duration::Seconds(5);  // Detection interval.
+  Duration period = options.config.checkpoint_interval;
+  if (options.config.ft_mode == FtMode::kActiveReplication) {
+    period = options.config.replica_sync_interval;
+  } else if (options.config.ft_mode == FtMode::kSourceReplay) {
+    period = options.config.detection_interval;
   }
   Fig6Result avg;
   double total = 0, active = 0, passive = 0, ratio = 0;
@@ -313,7 +324,7 @@ inline StatusOr<Fig6Result> RunFig6(const Fig6Options& options) {
                           period.seconds() * (k + 0.33) /
                               options.repetitions;
     rep.run_for_seconds = options.run_for_seconds + period.seconds();
-    PPA_ASSIGN_OR_RETURN(Fig6Result one, internal::RunFig6Once(rep));
+    PPA_ASSIGN_OR_RETURN(Fig6Result one, run_once(rep));
     total += one.total_latency.seconds();
     active += one.active_latency.seconds();
     passive += one.passive_latency.seconds();
@@ -328,17 +339,6 @@ inline StatusOr<Fig6Result> RunFig6(const Fig6Options& options) {
   avg.passive_latency = Duration::Seconds(passive / n);
   avg.checkpoint_cpu_ratio = ratio / n;
   return avg;
-}
-
-/// Prints a markdown-ish table separator line for `widths`.
-inline void PrintRule(const std::vector<int>& widths) {
-  for (int w : widths) {
-    std::printf("+");
-    for (int i = 0; i < w + 2; ++i) {
-      std::printf("-");
-    }
-  }
-  std::printf("+\n");
 }
 
 }  // namespace bench

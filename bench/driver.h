@@ -73,16 +73,18 @@ T NumberOrExit(const char* flag, const std::string& text) {
 ///                              reports (default "unknown"; passed
 ///                              explicitly — binaries never shell out or
 ///                              read the environment)
-///   --backend <sim|threads>    execution substrate for binaries that
-///                              honour it (default sim). Stamped into
+///   --backend <sim|threads>    execution substrate of every job the
+///                              binary runs (default sim). Stamped into
 ///                              BENCH_*.json headers and cell keys so
 ///                              bench_diff never cross-compares backends.
 ///   --recovery_mode <ppa|approx|hybrid>
-///                              recovery mode (src/af) for binaries that
-///                              honour it (default ppa). Stamped into
-///                              BENCH_*.json headers and cell keys like
-///                              --backend, so exact and approximate
-///                              trajectories never cross-compare.
+///                              recovery mode (src/af) for scale_cluster,
+///                              scale_service, ppa_cli and chaos_hunt; the
+///                              other binaries fix their own (default
+///                              ppa). Stamped into BENCH_*.json headers
+///                              and cell keys like --backend, so exact
+///                              and approximate trajectories never
+///                              cross-compare.
 class Driver {
  public:
   /// Parses the shared flags and strips them from argv (updating *argc),
@@ -101,7 +103,7 @@ class Driver {
   /// The --commit value ("unknown" when the flag was absent).
   [[nodiscard]] const std::string& commit() const { return commit_; }
 
-  /// The --backend value (BackendKind::kSim when the flag was absent).
+  /// The --backend value (the sim when the flag was absent).
   [[nodiscard]] backend::BackendKind backend_kind() const {
     return backend_;
   }

@@ -2,104 +2,23 @@
 // nodes hosting synthetic tasks fail simultaneously) on the Fig. 6
 // workload, same technique/parameter grid as Figure 7.
 
-#include <cstdio>
-#include <vector>
-
-#include "bench/bench_util.h"
 #include "bench/driver.h"
+#include "bench/technique_grid.h"
 
 int main(int argc, char** argv) {
-  using namespace ppa;
-  using bench::Fig6Options;
-  using bench::Fig6Result;
-  using bench::RunFig6;
-
-  bench::Driver driver = bench::Driver::FromArgs(&argc, argv);
-
-  struct Technique {
-    const char* label;
-    FtMode mode;
-    Duration checkpoint_interval;
-    Duration sync_interval;
-  };
-  const Technique techniques[] = {
-      {"Active-5s", FtMode::kActiveReplication, Duration::Seconds(15),
-       Duration::Seconds(5)},
-      {"Active-30s", FtMode::kActiveReplication, Duration::Seconds(15),
-       Duration::Seconds(30)},
-      {"Checkpoint-5s", FtMode::kCheckpoint, Duration::Seconds(5),
-       Duration::Seconds(5)},
-      {"Checkpoint-15s", FtMode::kCheckpoint, Duration::Seconds(15),
-       Duration::Seconds(5)},
-      {"Checkpoint-30s", FtMode::kCheckpoint, Duration::Seconds(30),
-       Duration::Seconds(5)},
-      {"Storm", FtMode::kSourceReplay, Duration::Seconds(15),
-       Duration::Seconds(5)},
-  };
-
-  struct Cell {
-    const Technique* tech;
-    int64_t window;
-    double rate;
-  };
-  std::vector<Cell> cells;
-  for (const Technique& tech : techniques) {
-    for (int64_t window : {10, 30}) {
-      for (double rate : {1000.0, 2000.0}) {
-        cells.push_back(Cell{&tech, window, rate});
-      }
-    }
-  }
-
-  std::vector<StatusOr<Fig6Result>> results =
-      driver.Map<StatusOr<Fig6Result>>(
-          static_cast<int>(cells.size()), [&cells](int i) {
-            const Cell& cell = cells[static_cast<size_t>(i)];
-            Fig6Options options;
-            options.mode = cell.tech->mode;
-            options.rate_per_task = cell.rate;
-            options.window_batches = cell.window;
-            options.checkpoint_interval = cell.tech->checkpoint_interval;
-            options.replica_sync_interval = cell.tech->sync_interval;
-            options.correlated = true;
-            options.run_for_seconds = 70.0;
-            return RunFig6(options);
-          });
-
-  std::printf(
-      "Figure 8: recovery latency of correlated failure (seconds)\n");
-  std::printf("%-15s %14s %14s %14s %14s\n", "technique", "win10,r1000",
-              "win10,r2000", "win30,r1000", "win30,r2000");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    if (i % 4 == 0) {
-      std::printf("%-15s", cell.tech->label);
-    }
-    StatusOr<Fig6Result>& result = results[i];
-    if (!result.ok()) {
-      std::printf(" %14s", result.status().ToString().c_str());
-    } else {
-      std::printf(" %14.2f", result->total_latency.seconds());
-      char label[64];
-      std::snprintf(label, sizeof(label), "%s/win%lld/r%.0f",
-                    cell.tech->label, static_cast<long long>(cell.window),
-                    cell.rate);
-      driver.metrics().Add(label, std::move(result->metrics),
-                           std::move(result->fidelity));
-      // Capture a checkpoint-mode run: its replay and recovery spans
-      // are the interesting part; active replication's instant
-      // failover makes a flat trace.
-      if (cell.tech->mode == FtMode::kCheckpoint) {
-        driver.traces().Capture(std::move(result->chrome_trace));
-      }
-    }
-    if (i % 4 == 3) {
-      std::printf("\n");
-    }
-  }
-  std::printf(
-      "\nExpected shape (paper): same ordering as Fig. 7 but larger "
+  ppa::bench::Driver driver = ppa::bench::Driver::FromArgs(&argc, argv);
+  ppa::bench::TechniqueGrid grid;
+  grid.title = "Figure 8: recovery latency of correlated failure (seconds)";
+  grid.correlated = true;
+  grid.record_fidelity = true;
+  // Capture a checkpoint-mode run: its replay and recovery spans are the
+  // interesting part; active replication's instant failover makes a flat
+  // trace.
+  grid.trace_mode = ppa::FtMode::kCheckpoint;
+  grid.expected =
+      "Expected shape (paper): same ordering as Fig. 7 but larger "
       "passive latencies\n(synchronized neighbour recoveries cascade); "
-      "active replication stays flat and low.\n");
-  return driver.Finish("fig08_correlated_failure");
+      "active replication stays flat and low.";
+  return ppa::bench::RunTechniqueGrid(grid, "fig08_correlated_failure",
+                                      &driver);
 }

@@ -27,18 +27,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  const backend::BackendKind backend_kind = driver.backend_kind();
   std::vector<StatusOr<Fig6Result>> results =
       driver.Map<StatusOr<Fig6Result>>(
-          static_cast<int>(cells.size()), [&cells](int i) {
+          static_cast<int>(cells.size()), [&cells, backend_kind](int i) {
             const Cell& cell = cells[static_cast<size_t>(i)];
-            Fig6Options options;
-            options.mode = FtMode::kCheckpoint;
+            Fig6Options options;  // PaperJobConfig's 30 s window.
+            options.config.checkpoint_interval =
+                Duration::Seconds(cell.interval);
             options.rate_per_task = cell.rate;
-            options.window_batches = 30;
-            options.checkpoint_interval = Duration::Seconds(cell.interval);
             options.inject_failure = false;
             options.run_for_seconds = 90.0;
-            return RunFig6(options);
+            return RunFig6(options, backend_kind);
           });
 
   std::printf(

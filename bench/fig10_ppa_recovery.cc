@@ -10,7 +10,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/driver.h"
-#include "planner/structure_aware_planner.h"
 
 int main(int argc, char** argv) {
   using namespace ppa;
@@ -20,56 +19,46 @@ int main(int argc, char** argv) {
 
   bench::Driver driver = bench::Driver::FromArgs(&argc, argv);
 
-  for (double rate : {1000.0, 2000.0}) {
-    // Plans are computed once per rate (rates do not change the topology
-    // shape, but keep it faithful).
-    auto workload = MakeSyntheticRecoveryWorkload(rate, 30);
-    PPA_CHECK_OK(workload.status());
-    const int n = workload->topo.num_tasks();
-    StructureAwarePlanner planner;
-    auto half_plan = planner.Plan(PlanRequest(workload->topo, n / 2));
-    PPA_CHECK_OK(half_plan.status());
-    const TaskSet all = TaskSet::All(n);
-    const TaskSet half = half_plan->replicated;
-    const TaskSet none(n);
+  // The planner picks the half plan per run; PPA-1.0 replicates every
+  // task and PPA-0 none.
+  struct PlanRow {
+    const char* label;
+    double replica_share;
+    bool report_active_only;
+  };
+  const PlanRow rows[] = {
+      {"PPA-1.0", 1.0, false},
+      {"PPA-0.5-active", 0.5, true},
+      {"PPA-0.5", 0.5, false},
+      {"PPA-0", 0.0, false},
+  };
 
-    struct PlanRow {
-      const char* label;
-      const TaskSet* active_set;
-      bool report_active_only;
-    };
-    const PlanRow rows[] = {
-        {"PPA-1.0", &all, false},
-        {"PPA-0.5-active", &half, true},
-        {"PPA-0.5", &half, false},
-        {"PPA-0", &none, false},
-    };
-
-    struct Cell {
-      const PlanRow* row;
-      int interval;
-    };
-    std::vector<Cell> cells;
-    for (const PlanRow& row : rows) {
-      for (int interval : {5, 15, 30}) {
-        cells.push_back(Cell{&row, interval});
-      }
+  struct Cell {
+    const PlanRow* row;
+    int interval;
+  };
+  std::vector<Cell> cells;
+  for (const PlanRow& row : rows) {
+    for (int interval : {5, 15, 30}) {
+      cells.push_back(Cell{&row, interval});
     }
+  }
 
+  const backend::BackendKind backend_kind = driver.backend_kind();
+  for (double rate : {1000.0, 2000.0}) {
     std::vector<StatusOr<Fig6Result>> results =
         driver.Map<StatusOr<Fig6Result>>(
-            static_cast<int>(cells.size()), [&cells, rate](int i) {
+            static_cast<int>(cells.size()),
+            [&cells, rate, backend_kind](int i) {
               const Cell& cell = cells[static_cast<size_t>(i)];
               Fig6Options options;
-              options.mode = FtMode::kPpa;
-              options.rate_per_task = rate;
-              options.window_batches = 30;
-              options.checkpoint_interval =
+              options.config = bench::PaperJobConfig(FtMode::kPpa);
+              options.config.checkpoint_interval =
                   Duration::Seconds(cell.interval);
+              options.rate_per_task = rate;
               options.correlated = true;
-              options.active_set = cell.row->active_set;
-              options.run_for_seconds = 70.0;
-              return RunFig6(options);
+              options.replica_share = cell.row->replica_share;
+              return RunFig6(options, backend_kind);
             });
 
     std::printf(
@@ -99,7 +88,8 @@ int main(int argc, char** argv) {
         // Capture the partially-replicated plan: PPA-1.0 fails over
         // instantly and never degrades, while PPA-0.5 shows the paper's
         // story — a tentative window bridged by the active half.
-        if (cell.row->active_set == &half && !cell.row->report_active_only) {
+        if (cell.row->replica_share == 0.5 &&
+            !cell.row->report_active_only) {
           driver.traces().Capture(std::move(result->chrome_trace));
         }
       }

@@ -7,32 +7,16 @@
 // over the WorldCup-style log) and Q2 (incident-detection join).
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/accuracy_util.h"
-#include "bench/bench_util.h"
 #include "bench/driver.h"
 #include "fidelity/metrics.h"
 #include "planner/structure_aware_planner.h"
-#include "workloads/incident.h"
-#include "workloads/topk.h"
 
 namespace {
 
 using namespace ppa;
-
-JobConfig AccuracyJobConfig() {
-  JobConfig config = bench::PaperJobConfig(FtMode::kPpa);
-  config.num_worker_nodes = 25;
-  config.num_standby_nodes = 25;
-  config.checkpoint_interval = Duration::Seconds(10);
-  // Slow passive recovery: the tentative phase must span the whole
-  // measurement window.
-  config.recovery.replay_rate_tuples_per_sec = 150.0;
-  config.recovery.task_restart_delay = Duration::Seconds(10);
-  return config;
-}
 
 /// One (consumption, metric) cell: the planned metric value and the
 /// measured tentative accuracy of the resulting plan.
@@ -41,17 +25,19 @@ struct CellResult {
   bench::AccuracyResult accuracy;
 };
 
-void RunQuery(const char* title, const char* tag, const Topology& topo,
+void RunQuery(const char* title, const char* tag,
               const bench::AccuracyExperiment& experiment,
               bench::Driver* driver) {
+  const Topology& topo = experiment.topo;
+  const backend::BackendKind backend_kind = driver->backend_kind();
   const double consumptions[] = {0.2, 0.4, 0.6, 0.8};
   // Cell i: consumption i/2; even = OF-optimized, odd = IC-optimized.
   const int cell_count = 8;
   std::vector<StatusOr<CellResult>> results =
       driver->Map<StatusOr<CellResult>>(
           cell_count,
-          [&consumptions, &topo,
-           &experiment](int i) -> StatusOr<CellResult> {
+          [&consumptions, &topo, &experiment,
+           backend_kind](int i) -> StatusOr<CellResult> {
             const double consumption = consumptions[i / 2];
             const bool use_ic = (i % 2) == 1;
             const int budget =
@@ -69,8 +55,8 @@ void RunQuery(const char* title, const char* tag, const Topology& topo,
                        : PlanOutputFidelity(topo, plan.replicated);
             PPA_ASSIGN_OR_RETURN(
                 cell.accuracy,
-                bench::MeasureTentativeAccuracy(experiment,
-                                                plan.replicated));
+                bench::MeasureTentativeAccuracy(experiment, plan.replicated,
+                                                backend_kind));
             return cell;
           });
 
@@ -105,43 +91,10 @@ void RunQuery(const char* title, const char* tag, const Topology& topo,
 int main(int argc, char** argv) {
   bench::Driver driver = bench::Driver::FromArgs(&argc, argv);
 
-  // ------------------------------------------------------------- Q1 --
-  WorldCupSource::Options source;
-  source.tuples_per_batch_per_task = 500;
-  source.url_population = 1000;
-  auto q1 = MakeTopKWorkload(source, /*count_window_batches=*/15, /*k=*/100);
-  PPA_CHECK_OK(q1.status());
-  bench::AccuracyExperiment q1_exp;
-  q1_exp.make_job = [&q1](backend::ExecutionBackend* be) {
-    auto job = std::make_unique<StreamingJob>(q1->topo, AccuracyJobConfig(),
-                                              JobRuntimeDeps(be));
-    PPA_CHECK_OK(BindTopKWorkload(*q1, job.get()));
-    return job;
-  };
-  q1_exp.accuracy = PerBatchSetAccuracy;
-  q1_exp.stale_grace_batches = 16;  // Top-k freshness window + 1.
-  RunQuery("Figure 12(a): Q1 top-100 aggregate query", "q1", q1->topo,
-           q1_exp, &driver);
-
-  // ------------------------------------------------------------- Q2 --
-  IncidentSchedule::Options schedule_options;
-  schedule_options.num_segments = 300;
-  schedule_options.num_users = 30000;
-  static IncidentSchedule schedule(schedule_options);
-  auto q2 = MakeIncidentWorkload(schedule_options,
-                                 /*location_rate_per_task=*/1000);
-  PPA_CHECK_OK(q2.status());
-  bench::AccuracyExperiment q2_exp;
-  q2_exp.make_job = [&q2](backend::ExecutionBackend* be) {
-    auto job = std::make_unique<StreamingJob>(q2->topo, AccuracyJobConfig(),
-                                              JobRuntimeDeps(be));
-    PPA_CHECK_OK(BindIncidentWorkload(*q2, &schedule, job.get()));
-    return job;
-  };
-  q2_exp.accuracy = DistinctSetAccuracy;
-  q2_exp.stale_grace_batches = 4;  // Join speed-freshness window + 1.
-  RunQuery("Figure 12(b): Q2 incident detection query", "q2", q2->topo,
-           q2_exp, &driver);
+  RunQuery("Figure 12(a): Q1 top-100 aggregate query", "q1",
+           bench::Q1Experiment(), &driver);
+  RunQuery("Figure 12(b): Q2 incident detection query", "q2",
+           bench::Q2Experiment(), &driver);
 
   std::printf(
       "Expected shape (paper): on Q1 both metrics predict accuracy "

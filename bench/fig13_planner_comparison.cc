@@ -6,30 +6,16 @@
 // large random topologies of Fig. 14).
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/accuracy_util.h"
-#include "bench/bench_util.h"
 #include "bench/driver.h"
 #include "planner/planner.h"
-#include "workloads/incident.h"
-#include "workloads/topk.h"
 
 namespace {
 
 using namespace ppa;
-
-JobConfig AccuracyJobConfig() {
-  JobConfig config = bench::PaperJobConfig(FtMode::kPpa);
-  config.num_worker_nodes = 25;
-  config.num_standby_nodes = 25;
-  config.checkpoint_interval = Duration::Seconds(10);
-  config.recovery.replay_rate_tuples_per_sec = 150.0;
-  config.recovery.task_restart_delay = Duration::Seconds(10);
-  return config;
-}
 
 /// One (consumption, planner) cell. `planned` is false when the planner
 /// refused the topology (DP beyond its exponential-search cap) — the
@@ -40,9 +26,11 @@ struct CellResult {
   bench::AccuracyResult accuracy;
 };
 
-void RunQuery(const char* title, const char* tag, const Topology& topo,
+void RunQuery(const char* title, const char* tag,
               const bench::AccuracyExperiment& experiment,
               bench::Driver* driver) {
+  const Topology& topo = experiment.topo;
+  const backend::BackendKind backend_kind = driver->backend_kind();
   const double consumptions[] = {0.2, 0.4, 0.6, 0.8};
   const PlannerKind kinds[] = {PlannerKind::kDynamicProgramming,
                                PlannerKind::kStructureAware,
@@ -52,8 +40,8 @@ void RunQuery(const char* title, const char* tag, const Topology& topo,
   std::vector<StatusOr<CellResult>> results =
       driver->Map<StatusOr<CellResult>>(
           cell_count,
-          [&consumptions, &kinds, &topo,
-           &experiment](int i) -> StatusOr<CellResult> {
+          [&consumptions, &kinds, &topo, &experiment,
+           backend_kind](int i) -> StatusOr<CellResult> {
             const double consumption = consumptions[i / 3];
             const int budget =
                 static_cast<int>(consumption * topo.num_tasks() + 0.5);
@@ -67,8 +55,8 @@ void RunQuery(const char* title, const char* tag, const Topology& topo,
             cell.of = plan->output_fidelity;
             PPA_ASSIGN_OR_RETURN(
                 cell.accuracy,
-                bench::MeasureTentativeAccuracy(experiment,
-                                                plan->replicated));
+                bench::MeasureTentativeAccuracy(experiment, plan->replicated,
+                                                backend_kind));
             return cell;
           });
 
@@ -118,45 +106,10 @@ void RunQuery(const char* title, const char* tag, const Topology& topo,
 int main(int argc, char** argv) {
   bench::Driver driver = bench::Driver::FromArgs(&argc, argv);
 
-  // ------------------------------------------------------------- Q1 --
-  WorldCupSource::Options source;
-  source.tuples_per_batch_per_task = 500;
-  source.url_population = 1000;
-  auto q1 = MakeTopKWorkload(source, /*count_window_batches=*/15, /*k=*/100,
-                             TopKParallelism::Reduced());
-  PPA_CHECK_OK(q1.status());
-  bench::AccuracyExperiment q1_exp;
-  q1_exp.make_job = [&q1](backend::ExecutionBackend* be) {
-    auto job = std::make_unique<StreamingJob>(q1->topo, AccuracyJobConfig(),
-                                              JobRuntimeDeps(be));
-    PPA_CHECK_OK(BindTopKWorkload(*q1, job.get()));
-    return job;
-  };
-  q1_exp.accuracy = PerBatchSetAccuracy;
-  q1_exp.stale_grace_batches = 16;
-  RunQuery("Figure 13(a): Q1 top-100 aggregate query", "q1", q1->topo,
-           q1_exp, &driver);
-
-  // ------------------------------------------------------------- Q2 --
-  IncidentSchedule::Options schedule_options;
-  schedule_options.num_segments = 300;
-  schedule_options.num_users = 30000;
-  static IncidentSchedule schedule(schedule_options);
-  auto q2 = MakeIncidentWorkload(schedule_options,
-                                 /*location_rate_per_task=*/1000,
-                                 IncidentParallelism::Reduced());
-  PPA_CHECK_OK(q2.status());
-  bench::AccuracyExperiment q2_exp;
-  q2_exp.make_job = [&q2](backend::ExecutionBackend* be) {
-    auto job = std::make_unique<StreamingJob>(q2->topo, AccuracyJobConfig(),
-                                              JobRuntimeDeps(be));
-    PPA_CHECK_OK(BindIncidentWorkload(*q2, &schedule, job.get()));
-    return job;
-  };
-  q2_exp.accuracy = DistinctSetAccuracy;
-  q2_exp.stale_grace_batches = 4;
-  RunQuery("Figure 13(b): Q2 incident detection query", "q2", q2->topo,
-           q2_exp, &driver);
+  RunQuery("Figure 13(a): Q1 top-100 aggregate query", "q1",
+           bench::Q1Experiment(TopKParallelism::Reduced()), &driver);
+  RunQuery("Figure 13(b): Q2 incident detection query", "q2",
+           bench::Q2Experiment(IncidentParallelism::Reduced()), &driver);
 
   std::printf(
       "Expected shape (paper): SA tracks the optimal DP closely in both OF "

@@ -29,19 +29,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "af/error_budget.h"
 #include "backend/execution_backend.h"
+#include "bench/bench_util.h"
 #include "bench/driver.h"
 #include "common/wall_clock.h"
-#include "planner/structure_aware_planner.h"
 #include "report/experiment_report.h"
-#include "runtime/streaming_job.h"
-#include "workloads/synthetic_recovery.h"
 
 namespace {
 
@@ -85,72 +82,36 @@ struct CellResult {
 };
 
 CellResult RunCell(const CellSpec& spec, backend::BackendKind backend_kind) {
-  CellResult result;
-  auto fail = [&result](const Status& status) {
-    result.error = status.ToString();
-    return result;
-  };
-
-  StatusOr<SyntheticRecoveryWorkload> workload =
-      MakeSyntheticRecoveryWorkload(spec.rate, kWindowBatches);
-  if (!workload.ok()) {
-    return fail(workload.status());
-  }
-  const double wall_start = WallClockSeconds();
-  std::unique_ptr<backend::ExecutionBackend> be =
-      backend::MakeBackend(backend_kind);
-  JobConfig config = JobConfig::CheckpointDefaults();
-  config.ft_mode = spec.mode->ft_mode;
-  config.recovery_mode = spec.mode->recovery_mode;
-  config.window_batches = kWindowBatches;
+  bench::Fig6Options options;
+  options.config = bench::PaperJobConfig(spec.mode->ft_mode);
+  options.config.recovery_mode = spec.mode->recovery_mode;
+  options.config.window_batches = kWindowBatches;
   // A budget generous enough that steady-state skips actually happen at
   // these rates, while the certified-loss cap still gates which task sets
   // may be at risk simultaneously.
-  config.error_budget.task_divergence_records = 2'000'000;
-  config.error_budget.job_divergence_records = 20'000'000;
-  config.error_budget.max_certified_loss = 0.9;
-
-  StreamingJob job(workload->topo, config, JobRuntimeDeps(be.get()));
-  if (Status s = BindSyntheticRecoveryWorkload(*workload, &job); !s.ok()) {
-    return fail(s);
-  }
-  StatusOr<std::vector<int>> synthetic_nodes =
-      PlaceSyntheticRecoveryWorkload(*workload, &job);
-  if (!synthetic_nodes.ok()) {
-    return fail(synthetic_nodes.status());
-  }
+  options.config.error_budget.task_divergence_records = 2'000'000;
+  options.config.error_budget.job_divergence_records = 20'000'000;
+  options.config.error_budget.max_certified_loss = 0.9;
+  options.rate_per_task = spec.rate;
+  options.correlated = spec.correlated;
+  options.fail_at_seconds = kFailAtSeconds;
+  options.run_for_seconds = kRunForSeconds;
   if (spec.mode->ft_mode == FtMode::kPpa) {
     // Both ppa and hybrid replicate the same structure-aware half-budget
     // plan, so the hybrid column isolates what thinning the *other* half
     // buys.
-    StructureAwarePlanner planner;
-    StatusOr<ReplicationPlan> plan = planner.Plan(
-        PlanRequest(workload->topo, workload->topo.num_tasks() / 2));
-    if (!plan.ok()) {
-      return fail(plan.status());
-    }
-    if (Status s = job.SetActiveReplicaSet(plan->replicated); !s.ok()) {
-      return fail(s);
-    }
+    options.replica_share = 0.5;
   }
-  if (Status s = job.Start(); !s.ok()) {
-    return fail(s);
-  }
-  be->RunUntil(TimePoint::Zero() + Duration::Seconds(kFailAtSeconds));
-  if (spec.correlated) {
-    for (int node : *synthetic_nodes) {
-      if (Status s = job.InjectNodeFailure(node); !s.ok()) {
-        return fail(s);
-      }
-    }
-  } else {
-    if (Status s = job.InjectNodeFailure((*synthetic_nodes)[4]); !s.ok()) {
-      return fail(s);
-    }
-  }
-  be->RunUntil(TimePoint::Zero() + Duration::Seconds(kRunForSeconds));
 
-  result.events_processed = be->events_processed();
+  CellResult result;
+  const double wall_start = WallClockSeconds();
+  StatusOr<bench::Fig6Run> run = bench::RunFig6Drill(options, backend_kind);
+  if (!run.ok()) {
+    result.error = run.status().ToString();
+    return result;
+  }
+  const StreamingJob& job = *run->job;
+  result.events_processed = run->backend->events_processed();
   result.sink_records = static_cast<int64_t>(job.sink_records().size());
   result.recoveries = static_cast<int64_t>(job.recovery_reports().size());
   result.checkpoint_bytes = job.CheckpointBytesWritten();

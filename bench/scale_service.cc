@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "af/error_budget.h"
 #include "backend/execution_backend.h"
 #include "bench/driver.h"
 #include "common/wall_clock.h"
@@ -53,7 +54,8 @@ struct Cell {
 };
 
 Cell RunCell(int tenants, int tasks_per_tenant,
-             backend::BackendKind backend_kind) {
+             backend::BackendKind backend_kind,
+             af::RecoveryMode recovery_mode) {
   const int total_tasks = tenants * tasks_per_tenant;
   service::ServiceConfig config;
   config.worker_slots_per_node = 4;
@@ -74,6 +76,7 @@ Cell RunCell(int tenants, int tasks_per_tenant,
   for (int i = 0; i < tenants; ++i) {
     service::TenantSpec spec;
     spec.topology_spec = ChainSpec(tasks_per_tenant);
+    spec.config.recovery_mode = recovery_mode;
     spec.replica_budget = 1;
     spec.priority = i % 4;
     spec.initial_plan = {1};
@@ -126,7 +129,8 @@ int main(int argc, char** argv) {
   JsonValue cells = JsonValue::Array();
   for (int tenants : tenant_counts) {
     for (int tasks : task_counts) {
-      const Cell cell = RunCell(tenants, tasks, driver.backend_kind());
+      const Cell cell = RunCell(tenants, tasks, driver.backend_kind(),
+                                driver.recovery_mode());
       const double events_per_sec =
           cell.wall_seconds > 0
               ? static_cast<double>(cell.events_processed) / cell.wall_seconds

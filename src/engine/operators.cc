@@ -69,11 +69,11 @@ std::vector<Tuple>& SlidingWindowAggregateOperator::PushSlice(
     int64_t batch, const std::vector<Tuple>& tuples) {
   PPA_CHECK(tuples.size() <= UINT32_MAX)
       << "window slice of " << tuples.size() << " tuples exceeds 2^32 - 1";
-  int64_t sum = 0;
+  uint64_t sum = 0;
   size_t key_bytes = 0;
   uint32_t runs = tuples.empty() ? 0 : 1;
   for (size_t i = 0; i < tuples.size(); ++i) {
-    sum += tuples[i].value;
+    sum += static_cast<uint64_t>(tuples[i].value);
     key_bytes += tuples[i].key.size();
     runs += i > 0 && !ContinuesRun(tuples[i - 1], tuples[i]);
   }
@@ -111,7 +111,7 @@ void SlidingWindowAggregateOperator::ProcessBatch(
   ctx->Reserve(out);
   for (size_t i = 0; i < out; ++i) {
     const Tuple& t = inputs[i * n / (out == 0 ? 1 : out) % n];
-    ctx->Emit(t.key, window_sum_);
+    ctx->Emit(t.key, static_cast<int64_t>(window_sum_));
   }
 }
 
@@ -214,7 +214,7 @@ Status SlidingWindowAggregateOperator::RestoreState(
     PPA_RETURN_IF_ERROR(GetSlice(&r));
   }
   // The blob's sum is authoritative, not the recount.
-  window_sum_ = window_sum;
+  window_sum_ = static_cast<uint64_t>(window_sum);
   if (!r.exhausted()) {
     return InvalidArgument("trailing bytes in window snapshot");
   }

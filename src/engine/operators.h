@@ -73,8 +73,9 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
     /// The slice's value sum, encoded bytes (header included) and producer
     /// runs (serde.h), taken when it was pushed, so Evict() reads no tuple
     /// and a snapshot sizes the slice and finds a single run without a
-    /// comparison between tuples.
-    int64_t sum = 0;
+    /// comparison between tuples. The sum wraps modulo 2^64, as
+    /// window_sum_ does.
+    uint64_t sum = 0;
     size_t bytes = 0;
     uint32_t runs = 0;
   };
@@ -99,8 +100,10 @@ class SlidingWindowAggregateOperator : public OperatorFunction {
   int64_t window_batches_;
   double selectivity_;
   std::deque<WindowSlice> window_;
-  /// Running sum of values in the window, maintained incrementally.
-  int64_t window_sum_ = 0;
+  /// Running sum of values in the window, maintained incrementally. It
+  /// wraps modulo 2^64 (emitted as int64): windows of window sums, as in
+  /// the Fig. 6 chain, outgrow int64, where a signed sum would overflow.
+  uint64_t window_sum_ = 0;
   /// Tuples in window_ and their encoded bytes (slice headers included),
   /// so SnapshotState() presizes its blob without walking the window.
   int64_t window_tuples_ = 0;

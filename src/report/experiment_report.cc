@@ -137,8 +137,6 @@ JsonValue JobSummaryToJson(const StreamingJob& job) {
   return root;
 }
 
-namespace {
-
 obs::TaskLabeler MakeTaskLabeler(const Topology* topology) {
   return [topology](int64_t task) {
     if (task < 0 || task >= topology->num_tasks()) {
@@ -147,8 +145,6 @@ obs::TaskLabeler MakeTaskLabeler(const Topology* topology) {
     return topology->TaskLabel(static_cast<TaskId>(task));
   };
 }
-
-}  // namespace
 
 JsonValue JobProfileToJson(const StreamingJob& job) {
   const std::vector<obs::FidelitySample> fidelity = job.fidelity_timeseries();

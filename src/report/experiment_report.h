@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "obs/export.h"
 #include "planner/replication_plan.h"
 #include "report/json.h"
 #include "runtime/streaming_job.h"
@@ -28,6 +29,11 @@ JsonValue RecoveryReportToJson(const Topology& topology,
 /// and every recovery report. Everything a plotting script needs from one
 /// experiment run.
 JsonValue JobSummaryToJson(const StreamingJob& job);
+
+/// Labels trace and fidelity task ids by `topology`'s task labels (ids
+/// outside the topology print as numbers). `topology` must outlive the
+/// labeler.
+obs::TaskLabeler MakeTaskLabeler(const Topology* topology);
 
 /// Observability profile of the run (obs::RunProfileToJson with task ids
 /// labeled through the job's topology): metrics snapshot, per-task

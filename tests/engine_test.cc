@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -110,6 +112,24 @@ TEST(OperatorsTest, SlidingWindowEvictsOldBatches) {
     if (b >= 2) {
       EXPECT_EQ(op.StateSizeTuples(), 6);
     }
+  }
+}
+
+// Windows of window sums (the Fig. 6 chain) outgrow int64: the sum wraps
+// modulo 2^64 instead of overflowing, and eviction unwraps it exactly.
+TEST(OperatorsTest, SlidingWindowSumWrapsModulo2To64) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  SlidingWindowAggregateOperator op(/*window_batches=*/2,
+                                    /*selectivity=*/1.0);
+  const int64_t inputs[][2] = {{kMax, 2}, {kMax, 0}, {3, 0}};
+  const int64_t sums[] = {kMin + 1, 0, kMin + 2};
+  for (int64_t b = 0; b < 3; ++b) {
+    const int64_t* in = inputs[b];
+    BatchContext ctx(b, 0, 1);
+    op.ProcessBatch(&ctx, MakeTuples({{"k", in[0]}, {"k", in[1]}}, 0, b));
+    ASSERT_EQ(ctx.emitted().size(), 2u);
+    EXPECT_EQ(ctx.emitted()[0].value, sums[b]) << "batch " << b;
   }
 }
 
